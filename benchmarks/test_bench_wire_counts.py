@@ -7,15 +7,23 @@ exactly ``(n+1)(m+1)`` request frames on the wire, and the
 conventional emulation — every pipe its own process — exactly
 ``(2n+2)(m+1)``: the paper's ratio of one half, with real `sendmsg`
 traffic instead of simulated invocations.
+
+The batched rows pin the push side of the same law: with
+``FlowPolicy(batch=b)`` a write-only chain must measure exactly
+``(n+1)(ceil(m/b)+1)`` — one WRITE per ``b`` records on *every* hop,
+filters included — as the simulator and the cost model count it.
 """
 
 from repro.analysis import predicted_invocations
 from repro.net.launch import IDENTITY, plan_linear_fleet, run_fleet
+from repro.transput.flow import FlowPolicy
 
 from conftest import publish
 
 LENGTHS = (1, 2, 3)
 ITEMS = 10
+BATCHES = (4, 32)
+BATCHED_ITEMS = 100  # a short last batch at 32
 
 
 def sweep(workdir):
@@ -34,8 +42,24 @@ def sweep(workdir):
     return rows
 
 
+def batched_push_sweep(workdir):
+    rows = []
+    for batch in BATCHES:
+        for n_filters in LENGTHS:
+            plans = plan_linear_fleet(
+                "writeonly", [IDENTITY] * n_filters,
+                f"{workdir}/writeonly-b{batch}-{n_filters}",
+                source_items=list(range(BATCHED_ITEMS)),
+                flow=FlowPolicy(batch=batch),
+            )
+            result = run_fleet(plans, timeout=60)
+            rows.append((batch, n_filters, result.invocations))
+    return rows
+
+
 def test_bench_wire_counts(benchmark, tmp_path):
     rows = benchmark.pedantic(sweep, args=(str(tmp_path),), rounds=1)
+    batched_rows = batched_push_sweep(str(tmp_path))
 
     table_rows = []
     for n_filters, measured in rows:
@@ -60,4 +84,17 @@ def test_bench_wire_counts(benchmark, tmp_path):
         table_rows,
         title=f"T10: on-wire request frames to move m={ITEMS} records over "
               "TCP (paper: n+1 vs 2n+2 per datum; measured exactly)",
+    )
+
+    for batch, n_filters, invocations in batched_rows:
+        assert invocations == predicted_invocations(
+            "writeonly", n_filters, BATCHED_ITEMS, batch
+        ), (batch, n_filters)
+    publish(
+        "t10_wire_counts_batched",
+        ["batch", "n filters", "WO requests"],
+        [list(row) for row in batched_rows],
+        title=f"T10: write-only request frames to move m={BATCHED_ITEMS} "
+              "records at batch b (model: (n+1)(ceil(m/b)+1); measured "
+              "exactly)",
     )

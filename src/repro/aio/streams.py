@@ -14,6 +14,12 @@ real, concurrent Python I/O.  The mapping:
 Stages carry the very same :class:`~repro.transput.filterbase.
 Transducer` objects used by the simulator, so a filter written once
 runs in both worlds.
+
+An invocation means the same on both sides: one ``read(batch)`` is
+answered by one transfer of up to ``batch`` records, and one ``write``
+of a ``batch``-record transfer crosses a write-only stage as one
+``write`` downstream — so the invocation counts of the two disciplines
+stay comparable at every batch size (paper claims C1/C2).
 """
 
 from __future__ import annotations
@@ -163,6 +169,14 @@ class AioWriteOnlyStage:
     Callers ``await stage.write(...)``; the stage pushes transformed
     records to its downstream Writable(s) — fan-out is a list, exactly
     as in the simulator.
+
+    One inbound Write is one outbound Write: the transducer runs over
+    the whole transfer and everything it produced goes downstream as a
+    single transfer, so a Write invocation carries ``batch`` records
+    across every hop — the push-side mirror of a READ answered by one
+    DATA, and what the simulator's ``OutputBatcher`` and the cost model
+    count.  Nothing is held across invocations: ``write`` returns only
+    after every output's ``write`` of this transfer's records has.
     """
 
     def __init__(self, transducer: Transducer, outputs: list[Writable]) -> None:
@@ -171,27 +185,25 @@ class AioWriteOnlyStage:
         self._started = False
         self._ended = False
 
-    async def _send(self, records: Iterable[Any]) -> None:
-        batch = list(records)
-        if not batch:
-            return
-        for output in self.outputs:
-            await output.write(Transfer.of(batch))
-
     async def write(self, transfer: Transfer) -> None:
         if self._ended:
             raise StreamProtocolError("write after END")
+        produced: list[Any] = []
         if not self._started:
             self._started = True
-            await self._send(self.transducer.start())
+            produced.extend(self.transducer.start())
         if transfer.at_end:
-            await self._send(self.transducer.finish())
+            produced.extend(self.transducer.finish())
+        else:
+            for item in transfer.items:
+                produced.extend(self.transducer.step(item))
+        if produced:
+            for output in self.outputs:
+                await output.write(Transfer.of(produced))
+        if transfer.at_end:
             for output in self.outputs:
                 await output.write(END_TRANSFER)
             self._ended = True
-            return
-        for item in transfer.items:
-            await self._send(self.transducer.step(item))
 
 
 class AioCollector:

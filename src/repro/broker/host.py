@@ -490,7 +490,9 @@ class StageHost:
         from the broker's accept notices instead of a TCP listener,
         and a crash in any serve task (an injected kill, a
         non-resumable link failure) propagates out to the stage's
-        supervise loop rather than killing a process.
+        supervise loop rather than killing a process.  The push credit
+        granted per channel is the same ``effective_credit_window()``
+        (one ``batch``-sized WRITE in flight unless configured wider).
         """
         config = self.config
         credit = config.flow.effective_credit_window()

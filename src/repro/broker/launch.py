@@ -30,7 +30,7 @@ from repro.fault.plan import FaultPlan
 from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON
 from repro.net.launch import StagePlan, TransducerSpec, _manifest_entry
-from repro.net.stage import pick_free_port
+from repro.net.stage import pick_free_ports
 from repro.transput.flow import FlowPolicy
 from repro.broker.daemon import FIRST_HOST_SERIAL, MAX_HOST_SERIAL
 
@@ -152,9 +152,14 @@ def plan_hosted_fleet(
         )
 
     plans: list[StagePlan] = []
+    # One draw for the whole plan, so its ports are distinct: the
+    # planned broker's listener, then a control port per process.
+    own_broker = 1 if broker is None else 0
+    free_ports = iter(pick_free_ports(
+        own_broker + (own_broker + hosts if control else 0), host))
 
     if broker is None:
-        broker_host, broker_port = host, pick_free_port(host)
+        broker_host, broker_port = host, next(free_ports)
         broker_stats = str(workpath / "broker.stats.json")
         broker_argv = [
             "--host", broker_host, "--port", str(broker_port),
@@ -168,7 +173,7 @@ def plan_hosted_fleet(
                             "--flight-mode", flight_mode]
         broker_control = None
         if control:
-            broker_control = pick_free_port(host)
+            broker_control = next(free_ports)
             broker_argv += ["--control-port", str(broker_control)]
         plans.append(StagePlan(
             role="broker",
@@ -198,7 +203,7 @@ def plan_hosted_fleet(
         stem = f"host-{index}"
         stats_file = str(workpath / f"{stem}.stats.json")
         trace_file = str(workpath / f"{stem}.trace.jsonl") if trace else None
-        control_port = pick_free_port(host) if control else None
+        control_port = next(free_ports) if control else None
         plan_data = {
             "broker_host": broker_host,
             "broker_port": broker_port,

@@ -51,7 +51,7 @@ from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan
 from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON
 from repro.net.metrics import NetStats, merge_stats
-from repro.net.stage import pick_free_port
+from repro.net.stage import pick_free_ports
 from repro.obs.registry import snapshot_payload
 from repro.core.stats import KernelStats
 from repro.transput.flow import FlowPolicy, shard_of
@@ -277,6 +277,13 @@ def plan_linear_fleet(
 
     plans: list[StagePlan] = []
     serial = 0
+    # Every port of the plan is drawn in one call, so no two stages can
+    # be handed the same one: a listener per link (the pipe process's,
+    # under the conventional discipline), then a control port per stage.
+    links = len(transducers) + 1
+    stage_count = links + 1 + (links if discipline == "conventional" else 0)
+    drawn = pick_free_ports(links + (stage_count if control else 0), host)
+    ports, control_ports = drawn[:links], iter(drawn[links:])
 
     def add(role: str, extra: list[str]) -> StagePlan:
         nonlocal serial
@@ -290,7 +297,7 @@ def plan_linear_fleet(
             argv += ["--trace-file", trace_file]
         control_port = None
         if control:
-            control_port = pick_free_port(host)
+            control_port = next(control_ports)
             argv += ["--control-port", str(control_port)]
         fault = faults.pop(serial, None) or FaultPlan()
         if not fault.is_benign:
@@ -323,7 +330,6 @@ def plan_linear_fleet(
 
     if discipline == "readonly":
         # source and filters listen; demand flows sink -> source.
-        ports = [pick_free_port(host) for _ in range(len(transducers) + 1)]
         add("source", ["--listen", str(ports[0])] + source_args)
         for index, spec in enumerate(transducers):
             add("filter", ["--listen", str(ports[index + 1]),
@@ -332,7 +338,6 @@ def plan_linear_fleet(
     elif discipline == "writeonly":
         # filters and sink listen; data is pushed source -> sink.
         # ports[i] is filter i's listener, ports[-1] the sink's.
-        ports = [pick_free_port(host) for _ in range(len(transducers) + 1)]
         add("source", ["--downstream", at(ports[0])] + source_args)
         for index, spec in enumerate(transducers):
             add("filter", ["--listen", str(ports[index]),
@@ -341,14 +346,13 @@ def plan_linear_fleet(
         add("sink", ["--listen", str(ports[-1])])
     elif discipline == "conventional":
         # a pipe process between every adjacent active pair.
-        pipe_ports = [pick_free_port(host) for _ in range(len(transducers) + 1)]
-        add("source", ["--downstream", at(pipe_ports[0])] + source_args)
+        add("source", ["--downstream", at(ports[0])] + source_args)
         for index, spec in enumerate(transducers):
-            add("filter", ["--upstream", at(pipe_ports[index]),
-                           "--downstream", at(pipe_ports[index + 1])]
+            add("filter", ["--upstream", at(ports[index]),
+                           "--downstream", at(ports[index + 1])]
                 + spec_args(spec))
-        add("sink", ["--upstream", at(pipe_ports[-1])])
-        for port in pipe_ports:
+        add("sink", ["--upstream", at(ports[-1])])
+        for port in ports:
             add("pipe", ["--listen", str(port)])
     else:
         raise ValueError(f"unknown discipline {discipline!r}")

@@ -13,11 +13,15 @@ observation), and each pair is one connection pattern:
   connects with role ``push`` and sends ``WRITE`` frames under a
   *credit window*: the WELCOME grants an initial allowance of records,
   and every ``ACK`` returns the allowance consumed downstream.  A
-  window of 1 is the fully synchronous (lazy) push; a window of k
-  keeps k records in flight (the eager/anticipatory knob of §4 —
+  window of one invocation (``batch`` records: one ``WRITE``, one
+  ``ACK`` — the mirror of one ``READ`` answered by one ``DATA``) is
+  the fully synchronous (lazy) push; a wider window keeps more records
+  in flight (the eager/anticipatory knob of §4 —
   :meth:`FlowPolicy.effective_credit_window` derives the window from
-  the same policy the simulator uses).  :class:`RemoteWritable` is the
-  active side; :func:`serve_push` the passive side.
+  the same policy the simulator uses: explicit ``credit_window``, else
+  a bounded inbox, else ``max(lookahead, batch)``).
+  :class:`RemoteWritable` is the active side; :func:`serve_push` the
+  passive side.
 
 Backpressure is therefore end-to-end and protocol-level: a slow pull
 server simply delays its ``DATA``; a slow push server delays its
@@ -297,7 +301,7 @@ async def connect_with_backoff(
     host: str,
     port: int,
     deadline: float = 15.0,
-    first_delay: float = 0.05,
+    first_delay: float = 0.002,
     max_delay: float = 1.0,
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Dial ``host:port``, retrying transient failures with backoff.
@@ -305,7 +309,11 @@ async def connect_with_backoff(
     Stages of one pipeline are spawned concurrently, so a client may
     dial before its server listens; exponential backoff up to
     ``deadline`` seconds absorbs that (and transient RSTs) without any
-    start-order coordination.  The same deadline bounds resume: a
+    start-order coordination.  The doubling starts at 2 ms because the
+    common miss is a listener task in the same loop (or a process
+    spawned a moment ago) that binds within milliseconds — a refused
+    loopback dial costs microseconds, a 50 ms first sleep was the whole
+    set-up time of an in-loop fleet.  The same deadline bounds resume: a
     client reconnecting to a crashed stage waits this long for the
     supervisor to restart it before giving up with a fatal
     :class:`WireError`.
@@ -634,7 +642,10 @@ class RemoteWritable:
 
     Writes are governed by the credit window the server granted at
     WELCOME: each ``WRITE`` frame spends one credit per record, each
-    ``ACK`` refunds what the server consumed.  When credit runs out the
+    ``ACK`` refunds what the server consumed.  A transfer that fits the
+    available credit goes out as one ``WRITE`` (with the derived window
+    that is every ``batch``-sized transfer); a larger burst is cut to
+    the credit, in order.  When credit runs out the
     writer parks on the socket until an ACK arrives — backpressure by
     delayed reply, never by refusal, the paper's flow-control rule.
 

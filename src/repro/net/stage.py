@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import importlib
 import json
 import socket
@@ -110,6 +111,7 @@ __all__ = [
     "run_stage",
     "load_transducer",
     "pick_free_port",
+    "pick_free_ports",
     "main",
 ]
 
@@ -117,11 +119,28 @@ ROLES = ("source", "filter", "sink", "pipe")
 DISCIPLINES = ("readonly", "writeonly", "conventional")
 
 
+def pick_free_ports(count: int, host: str = "127.0.0.1") -> list[int]:
+    """Ask the OS for ``count`` currently free, distinct TCP ports.
+
+    Every probe socket stays bound until the last port is chosen, so
+    the OS cannot hand the same number out twice: the ports of one
+    plan are distinct by construction (bind-and-release per port let
+    two stages of one fleet draw the same port and the second die with
+    ``address already in use``).
+    """
+    with contextlib.ExitStack() as held:
+        ports = []
+        for _ in range(count):
+            probe = held.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+            probe.bind((host, 0))
+            ports.append(probe.getsockname()[1])
+        return ports
+
+
 def pick_free_port(host: str = "127.0.0.1") -> int:
     """Ask the OS for a currently free TCP port (orchestrator helper)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind((host, 0))
-        return probe.getsockname()[1]
+    return pick_free_ports(1, host)[0]
 
 
 def _state_key(channel: Any) -> Any:
@@ -358,6 +377,10 @@ class _Stage:
         it finished its stream (its END crossed the wire): a peer that
         crashed mid-stream will reconnect as a *new* connection, and
         transport faults merely drop the connection, never the stage.
+
+        Every WELCOME grants ``flow.effective_credit_window()`` records
+        of push credit: unless a wider window is configured, exactly
+        one ``batch``-sized WRITE in flight per pusher.
         """
         done = asyncio.Semaphore(0)
         credit = self.config.flow.effective_credit_window()

@@ -88,17 +88,18 @@ class FlowPolicy:
         This is how the policy maps onto the TCP runtime
         (:mod:`repro.net`): an explicit ``credit_window`` wins; a
         bounded inbox bounds the in-flight records directly; otherwise
-        the lookahead knob plays the same anticipatory role it plays
-        for read-only prefetch; a fully lazy policy degenerates to a
-        window of 1 — one record in flight, the synchronous push.
+        the window is ``max(lookahead, batch)`` — the lookahead knob
+        plays the same anticipatory role it plays for read-only
+        prefetch, and a fully lazy policy degenerates to *one
+        invocation* in flight (``batch`` records in one WRITE, one ACK
+        back): the synchronous push at the granularity the paper
+        counts, and 1 record when ``batch`` is 1.
         """
         if self.credit_window is not None:
             return self.credit_window
         if self.inbox_capacity is not None:
             return self.inbox_capacity
-        if self.lookahead > 0:
-            return self.lookahead
-        return 1
+        return max(self.lookahead, self.batch)
 
     def effective_pipeline_depth(self) -> int:
         """READ requests an active reader keeps in flight over TCP.

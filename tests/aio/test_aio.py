@@ -17,6 +17,7 @@ from repro.aio import (
 from repro.core.errors import StreamProtocolError
 from repro.filters import comment_stripper, sort_lines, upper_case, word_count
 from repro.transput import compose_apply
+from repro.transput.filterbase import make_transducer
 from repro.transput.stream import END_TRANSFER, Transfer
 
 ITEMS = ["C skip", "alpha", "beta", "C also", "gamma"]
@@ -117,6 +118,42 @@ class TestSourcesAndStages:
             return [sink.items for sink in sinks]
 
         assert asyncio.run(scenario()) == [[3, 6], [3, 6]]
+
+    def test_writeonly_forwards_one_write_per_inbound_write(self):
+        """A Write carries its whole batch across the filter: start()
+        output rides the first transfer, finish() output goes out as
+        one transfer before END, and nothing is held between writes."""
+
+        class Recorder(AioCollector):
+            def __init__(self):
+                super().__init__()
+                self.transfers = []
+
+            async def write(self, transfer):
+                self.transfers.append(
+                    "END" if transfer.at_end else list(transfer.items))
+                await super().write(transfer)
+
+        triple = make_transducer(
+            lambda item: [item] * 3,
+            start=lambda: ["head"],
+            finish=lambda: ["tail"],
+        )
+
+        async def scenario():
+            sink = Recorder()
+            stage = AioWriteOnlyStage(triple, [sink])
+            await stage.write(Transfer.of([1, 2]))
+            held = list(sink.items)
+            await stage.write(Transfer.of([3]))
+            await stage.write(END_TRANSFER)
+            return held, sink.transfers
+
+        held, transfers = asyncio.run(scenario())
+        assert held == ["head", 1, 1, 1, 2, 2, 2]
+        assert transfers == [
+            ["head", 1, 1, 1, 2, 2, 2], [3, 3, 3], ["tail"], "END",
+        ]
 
     def test_write_after_end_rejected(self):
         async def scenario():

@@ -15,9 +15,10 @@ as ``run()`` keywords, per-edge codec settings, or smuggled inside a
 
 import pytest
 
+from repro.aio.streams import reference
 from repro.analysis import predict_edge_invocations, predict_graph_invocations
 from repro.api import GraphBuilder, GraphResult, run_graph
-from repro.transput import FlowPolicy
+from repro.transput import FlowPolicy, identity_transducer
 
 IDENTITY = "repro.transput:identity_transducer"
 UPPER = "repro.filters:upper_case"
@@ -171,6 +172,51 @@ class TestTcpParity:
         assert tcp.output == sim.output
         assert tcp.invocations == sim.invocations == predicted_total(graph)
         assert tcp.branch_outputs == sim.branch_outputs
+
+
+class TestWriteonlyBatchParity:
+    """A Write invocation carries ``batch`` records on every runtime.
+
+    The push-side mirror of the pull law (one READ answered by one DATA
+    of up to ``batch`` records): one WRITE of up to ``batch`` records,
+    one ACK, hop after hop.  Before the write-only filter forwarded
+    whole transfers and the default credit window covered one
+    invocation, aio and tcp counted 329 and 404 where the sim and the
+    cost model count 104.
+    """
+
+    @pytest.mark.parametrize("batch, records, expected", [
+        (1, 10, 44),
+        (4, 100, 104),   # the acceptance probe: 4 hops x (25 + END)
+        (4, 101, 108),   # a short last batch
+        (32, 100, 20),
+    ])
+    def test_identity_chain_counts_match_the_model(self, batch, records,
+                                                   expected, tmp_path):
+        items = [f"r{i:03d}" for i in range(records)]
+        graph = (GraphBuilder(source=items, discipline="writeonly",
+                              flow=FlowPolicy(batch=batch))
+                 .chain(IDENTITY).chain(IDENTITY).chain(IDENTITY)
+                 .build())
+        assert predicted_total(graph) == expected
+        wanted = reference([identity_transducer()] * 3, items)
+        for runtime in ("sim", "aio", "tcp"):
+            result = graph.run(runtime=runtime, **(
+                {"workdir": str(tmp_path)} if runtime == "tcp" else {}))
+            assert result.output == wanted, runtime
+            assert result.invocations == expected, runtime
+
+    def test_explicit_window_of_one_still_writes_per_record(self, tmp_path):
+        """The user's explicit ``credit_window`` wins over the batch:
+        every hop's receiver grants one record, so the source's one
+        8-record write is cut into per-record WRITE frames."""
+        graph = (GraphBuilder(source=ITEMS, discipline="writeonly",
+                              flow=FlowPolicy(batch=32, credit_window=1))
+                 .chain(IDENTITY)
+                 .build())
+        result = graph.run(runtime="tcp", workdir=str(tmp_path))
+        assert result.output == ITEMS
+        assert result.invocations == 2 * (len(ITEMS) + 1)
 
 
 class TestKnobRejection:

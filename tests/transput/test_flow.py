@@ -60,6 +60,16 @@ class TestCreditWindow:
     def test_lazy_degenerates_to_synchronous_window(self):
         assert FlowPolicy.lazy().effective_credit_window() == 1
 
+    @pytest.mark.parametrize("knobs, window", [
+        (dict(batch=8), 8),                     # one invocation in flight
+        (dict(lookahead=16, batch=8), 16),
+        (dict(lookahead=4, batch=8), 8),
+        (dict(inbox_capacity=4, batch=8), 4),   # a bounded inbox still bounds
+        (dict(credit_window=1, batch=32), 1),   # the explicit window wins
+    ])
+    def test_lazy_window_is_one_invocation(self, knobs, window):
+        assert FlowPolicy(**knobs).effective_credit_window() == window
+
     def test_eager_maps_to_its_lookahead(self):
         assert FlowPolicy.eager(lookahead=16).effective_credit_window() == 16
 
