@@ -1,12 +1,27 @@
 """T11 — observability must be free when it is off.
 
-The span/trace instrumentation added for ``repro.obs`` puts an
-``emit`` call on every invocation, reply and context switch of the
-simulated kernel.  Those calls are gated on ``Tracer.enabled`` and
-must cost (next to) nothing while disabled: this guard measures the
-same pipeline against a do-nothing tracer stub — the closest runnable
-stand-in for "instrumentation compiled out" — and fails if the real
-disabled :class:`~repro.core.tracing.Tracer` adds 2% or more.
+The span/trace instrumentation added for ``repro.obs`` puts a trace
+point on every invocation, delivery and reply of the simulated kernel.
+They must cost (next to) nothing while tracing is disabled: this guard
+measures the same pipeline against a do-nothing tracer stub — the
+closest runnable stand-in for "instrumentation compiled out" — and
+fails if the real disabled :class:`~repro.core.tracing.Tracer` adds 2%
+or more.
+
+What the stub can and cannot see.  The per-invocation trace points
+test ``tracer.enabled`` *at the call site*, so with tracing off neither
+the real tracer nor the stub is called there and no detail is packed:
+both sides pay the same attribute test, and the guard reads ~0% by
+construction.  It used to be blind the other way round — ``emit`` was
+called unconditionally and the stub paid the same keyword packing as
+the real tracer, so that cost was invisible too; it is now gone, and
+``tests/core/test_call_budget.py`` is the gate that keeps it gone.
+What the stub still catches is a per-invocation ``emit`` added
+*without* the call-site test (the real ``emit`` then runs its own
+``enabled`` check on every call and the stub does not), and any work a
+disabled ``Tracer.emit`` itself grows.  The rare trace points (spawn,
+exit, create, checkpoint, crash) call ``emit`` directly and rely on
+that check.
 
 The enabled-tracing and span-tracing timings are recorded alongside
 (in ``BENCH_obs_latency.json``) for information; they are allowed to

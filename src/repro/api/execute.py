@@ -272,7 +272,7 @@ def _run_sim(graph: Graph, segment_flow, placement: Any) -> GraphResult:
     from repro.core.kernel import Kernel
     from repro.core.stats import KernelStats
     from repro.obs.registry import snapshot_payload
-    from repro.transput.pipeline import compose_segment
+    from repro.transput.pipeline import compose_segment, run_until_done
 
     combined = KernelStats()
     per_segment: dict[str, int] = {}
@@ -312,21 +312,10 @@ def _run_sim(graph: Graph, segment_flow, placement: Any) -> GraphResult:
             )
             for branch, bucket in zip(segment.branches, buckets)
         ]
-        start = kernel.stats.snapshot()
-        sinks = [sink for pipe in built for sink in pipe.sinks]
-        kernel.run(
-            max_steps=10_000_000,
-            until=lambda: all(sink.done for sink in sinks),
+        stats, _makespan = run_until_done(
+            kernel, [sink for pipe in built for sink in pipe.sinks]
         )
-        if not all(sink.done for sink in sinks):  # pragma: no cover
-            from repro.core.errors import SchedulerDeadlockError
-
-            raise SchedulerDeadlockError(
-                f"parallel block {segment.name!r} quiesced before every "
-                "branch sink finished"
-            )
-        kernel.run(max_steps=10_000_000)  # flush in-flight replies
-        used = kernel.stats.snapshot().diff(start)["invocations_sent"]
+        used = stats["invocations_sent"]
         per_segment[segment.name] = used
         total += used
         outputs = [list(pipe.sink.collected) for pipe in built]

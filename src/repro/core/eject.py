@@ -21,15 +21,16 @@ Handler example::
             return f"hello, {name}"
             yield  # makes this a generator even with no syscalls
 
-(Any ``op_`` method may be a plain function or a generator; plain
-functions are wrapped automatically.)
+(Any ``op_`` method may be a plain function or a generator function:
+what a plain function returns is the result; a returned generator is
+run to completion and *its* return value is the result.)
 """
 
 from __future__ import annotations
 
-import inspect
 from collections import deque
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from types import GeneratorType
+from typing import Any, Iterable, TYPE_CHECKING
 
 from repro.core.capability import ChannelCapability, ChannelId, ChannelMinter
 from repro.core.errors import EdenError, NoSuchOperationError
@@ -120,11 +121,13 @@ class Eject:
             )
             return
         try:
-            result = yield from _as_generator(handler, invocation)
+            result = handler(invocation)
+            if isinstance(result, GeneratorType):
+                result = yield from result
         except EdenError as error:
             yield SendReply(invocation, error=error)
         else:
-            yield SendReply(invocation, result=result)
+            yield SendReply(invocation, result)
 
     # ------------------------------------------------------------------
     # Syscall construction helpers (for readable process bodies)
@@ -139,13 +142,7 @@ class Eject:
         **kwargs: Any,
     ) -> Invoke:
         """Build an asynchronous :class:`Invoke` syscall."""
-        return Invoke(
-            target=target,
-            operation=operation,
-            args=args,
-            kwargs=kwargs,
-            channel=channel,
-        )
+        return Invoke(target, operation, args, kwargs, channel)
 
     def call(
         self,
@@ -156,13 +153,7 @@ class Eject:
         **kwargs: Any,
     ) -> Call:
         """Build a synchronous :class:`Call` syscall."""
-        return Call(
-            target=target,
-            operation=operation,
-            args=args,
-            kwargs=kwargs,
-            channel=channel,
-        )
+        return Call(target, operation, args, kwargs, channel)
 
     def await_reply(self, ticket: int) -> AwaitReply:
         """Build an :class:`AwaitReply` syscall."""
@@ -185,7 +176,7 @@ class Eject:
         ``span`` is the causal origin of the returned data, if it was
         deposited under a different trace (datum-follows-trace).
         """
-        return SendReply(invocation, result=result, error=error, span=span)
+        return SendReply(invocation, result, error, span)
 
     def checkpoint(self) -> DoCheckpoint:
         """Build a :class:`DoCheckpoint` syscall."""
@@ -219,20 +210,6 @@ class Eject:
     # Mailbox machinery (driven by the kernel)
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _matches(receive: Receive, invocation: Invocation) -> bool:
-        if (
-            receive.operations is not None
-            and invocation.operation not in receive.operations
-        ):
-            return False
-        if (
-            receive.channels is not None
-            and invocation.channel not in receive.channels
-        ):
-            return False
-        return True
-
     def _enqueue(self, invocation: Invocation) -> Process | None:
         """Accept a delivered invocation.
 
@@ -241,7 +218,7 @@ class Eject:
         """
         self.received_count += 1
         for index, (process, receive) in enumerate(self._waiting_receivers):
-            if self._matches(receive, invocation):
+            if receive.accepts(invocation):
                 del self._waiting_receivers[index]
                 return process
         self.mailbox.append(invocation)
@@ -256,7 +233,7 @@ class Eject:
         otherwise ``None`` after registering the waiter.
         """
         for index, queued in enumerate(self.mailbox):
-            if self._matches(receive, queued):
+            if receive.accepts(queued):
                 del self.mailbox[index]
                 return queued
         self._waiting_receivers.append((process, receive))
@@ -269,15 +246,3 @@ class Eject:
     def __repr__(self) -> str:
         state = "crashed" if self.crashed else ("active" if self.active else "passive")
         return f"<{type(self).__name__} {self.name} {self.uid} {state}>"
-
-
-def _as_generator(handler: Callable, invocation: Invocation) -> ProcessBody:
-    """Invoke a handler, wrapping plain functions as trivial generators."""
-    if inspect.isgeneratorfunction(handler):
-        return handler(invocation)
-    return _wrap_plain(handler, invocation)
-
-
-def _wrap_plain(handler: Callable, invocation: Invocation) -> ProcessBody:
-    return handler(invocation)
-    yield  # pragma: no cover - makes this function a generator

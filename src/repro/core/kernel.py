@@ -6,9 +6,10 @@ transport, activates passive Ejects on demand, writes passive
 representations to the stable store, and simulates crashes of Ejects
 and whole nodes.
 
-It also implements the messaging syscalls for the scheduler:
-``Invoke``, ``AwaitReply``, ``Call``, ``Receive``, ``SendReply``,
-``DoCheckpoint`` and ``Deactivate``.
+It also serves the messaging syscalls — ``Invoke``, ``AwaitReply``,
+``Call``, ``Receive``, ``SendReply``, ``DoCheckpoint``, ``Deactivate``
+and ``AdoptSpan`` — by installing one handler per syscall class in the
+scheduler's table (see :mod:`repro.core.scheduler`).
 
 Simulation drivers (tests, examples, benchmarks) interact through
 :meth:`spawn_client`, :meth:`call_sync` and :meth:`run`.
@@ -36,7 +37,7 @@ from repro.core.message import Invocation, Reply, ReplyStatus
 from repro.core.node import Node
 from repro.core.process import Process
 from repro.core.registry import TypeRegistry
-from repro.core.scheduler import Disposition, Scheduler
+from repro.core.scheduler import Scheduler
 from repro.core.stats import KernelStats
 from repro.core.syscalls import (
     AdoptSpan,
@@ -47,7 +48,6 @@ from repro.core.syscalls import (
     Invoke,
     Receive,
     SendReply,
-    Syscall,
 )
 from repro.core.tracing import Tracer
 from repro.core.transport import Transport, TransportCosts
@@ -56,11 +56,17 @@ from repro.core.uid import UID, UIDFactory
 E = TypeVar("E", bound=Eject)
 
 
-@dataclass
+@dataclass(slots=True)
 class _TicketState:
-    """Book-keeping for one outstanding invocation."""
+    """The kernel's private record of one outstanding invocation.
+
+    The originator lives here, never on the message (paper §5): its
+    UID, the node it sent from (which prices the reply hop) and the
+    process, if any, parked on the reply.
+    """
 
     target: UID
+    sender: UID | None
     origin_node: Node | None
     waiter: Process | None = None
     reply: Reply | None = None
@@ -111,11 +117,18 @@ class Kernel:
         self.spans_enabled = spans
         self._span_ids = SpanIds(prefix="k")
         self.scheduler = Scheduler(
-            clock=self.clock,
-            stats=self.stats,
-            tracer=self.tracer,
-            syscall_handler=self._handle_syscall,
+            clock=self.clock, stats=self.stats, tracer=self.tracer
         )
+        self.scheduler.handlers.update({
+            Invoke: self._sys_invoke,
+            Call: self._sys_invoke,
+            AwaitReply: self._sys_await,
+            Receive: self._sys_receive,
+            SendReply: self._sys_send_reply,
+            DoCheckpoint: self._sys_checkpoint,
+            Deactivate: self._sys_deactivate,
+            AdoptSpan: self._sys_adopt_span,
+        })
         self.transport = Transport(self.scheduler, costs=costs, stats=self.stats)
         self.uids = UIDFactory(space=0, seed=seed)
         self.store = StableStore()
@@ -286,41 +299,25 @@ class Kernel:
         return target
 
     # ------------------------------------------------------------------
-    # Syscall handling (installed into the scheduler)
+    # Syscall handlers (installed into the scheduler's table)
     # ------------------------------------------------------------------
-
-    def _handle_syscall(self, process: Process, syscall: Syscall) -> Disposition:
-        if isinstance(syscall, Invoke):
-            return self._do_invoke(process, syscall, block_for_reply=False)
-        if isinstance(syscall, Call):
-            return self._do_invoke(process, syscall, block_for_reply=True)
-        if isinstance(syscall, AwaitReply):
-            return self._do_await(process, syscall.ticket)
-        if isinstance(syscall, Receive):
-            return self._do_receive(process, syscall)
-        if isinstance(syscall, SendReply):
-            return self._do_send_reply(process, syscall)
-        if isinstance(syscall, DoCheckpoint):
-            return self._do_checkpoint(process)
-        if isinstance(syscall, Deactivate):
-            return self._do_deactivate(process)
-        if isinstance(syscall, AdoptSpan):
-            process.current_span = syscall.span
-            return ("resume", None)
-        raise KernelError(f"unhandled syscall {type(syscall).__name__}")
 
     # -- invocation sending --------------------------------------------
 
-    def _do_invoke(
-        self, process: Process, syscall: Invoke | Call, block_for_reply: bool
-    ) -> Disposition:
+    def _sys_invoke(self, process: Process, syscall: Invoke | Call) -> None:
+        """Send one invocation; a ``Call`` also parks on its reply."""
+        target = syscall.target
         try:
-            self.uids.verify(syscall.target)
+            self.uids.verify(target)
         except EdenError as exc:
-            return ("throw", exc)
-        if syscall.target not in self._records:
-            return ("throw", UnknownUIDError(syscall.target))
-        sender = process.owner if isinstance(process.owner, Eject) else None
+            self.scheduler.throw(process, exc)
+            return
+        record = self._records.get(target)
+        if record is None:
+            self.scheduler.throw(process, UnknownUIDError(target))
+            return
+        owner = process.owner
+        sender = owner if isinstance(owner, Eject) else None
         span = None
         if self.spans_enabled:
             # The causal parent is whatever invocation this process is
@@ -328,89 +325,76 @@ class Kernel:
             # active pump) roots a fresh trace — the demand chain of the
             # read-only discipline starts at the sink exactly this way.
             span = self._span_ids.derive(process.current_span)
+        ticket = next(self._ticket_counter)
         invocation = Invocation(
-            target=syscall.target,
-            operation=syscall.operation,
-            args=tuple(syscall.args),
-            kwargs=dict(syscall.kwargs),
-            channel=syscall.channel,
-            ticket=next(self._ticket_counter),
-            sender=sender.uid if sender is not None else None,
-            span=span,
+            target, syscall.operation, tuple(syscall.args),
+            dict(syscall.kwargs), syscall.channel, ticket, span,
         )
-        origin_node = sender.node if sender is not None else None
-        target_node_name = self._records[syscall.target].node_name
-        remote = (
-            origin_node is not None
-            and target_node_name is not None
-            and origin_node.name != target_node_name
-        )
-        state = _TicketState(target=syscall.target, origin_node=origin_node)
+        if sender is not None:
+            origin_node = sender.node
+            remote = (
+                origin_node is not None
+                and record.node_name is not None
+                and origin_node.name != record.node_name
+            )
+            state = _TicketState(target, sender.uid, origin_node)
+        else:
+            remote = False
+            state = _TicketState(target, None, None)
         if span is not None:
             state.span = span
             state.op = invocation.operation
             state.invoker = sender.name if sender else process.name
             state.started = self.clock.now
-        self._tickets[invocation.ticket] = state
-        self.tracer.emit(
-            self.clock.now, "invoke",
-            sender.name if sender else process.name,
-            op=invocation.operation, target=str(invocation.target),
-            ticket=invocation.ticket, channel=invocation.channel,
+        self._tickets[ticket] = state
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.clock.now, "invoke",
+                sender.name if sender else process.name,
+                op=invocation.operation, target=str(target),
+                ticket=ticket, channel=invocation.channel,
+            )
+        transport = self.transport
+        # Sizing walks the whole payload: only when bytes are charged.
+        size = 0 if transport.costs.bandwidth is None else invocation.payload_size()
+        transport.send(
+            size, remote, self._deliver_invocation, "invocation",
+            (invocation, record),
         )
-        self.transport.send(
-            size=invocation.payload_size(),
-            remote=remote,
-            deliver=lambda: self._deliver_invocation(invocation),
-            kind="invocation",
-        )
-        if block_for_reply:
+        if isinstance(syscall, Call):
             state.waiter = process
-            return ("block", f"call({invocation.operation}#{invocation.ticket})")
-        return ("resume", invocation.ticket)
+            self.scheduler.park(process, invocation)
+        else:
+            self.scheduler.resume(process, ticket)
 
-    def _deliver_invocation(self, invocation: Invocation) -> None:
-        ticket = invocation.ticket
-        record = self._records.get(invocation.target)
-        if record is None:
-            self._reply_error(ticket, UnknownUIDError(invocation.target))
-            return
+    def _deliver_invocation(
+        self, invocation: Invocation, record: _EjectRecord
+    ) -> None:
+        """An invocation arrives at its target.
+
+        ``record`` is the target's: the kernel keeps one per UID for its
+        whole lifetime, so the sender could look it up once, and what it
+        says (live? where? deactivated?) is read here, on arrival.
+        """
+        target = invocation.target
         if record.eject is not None:
             node = self._nodes.get(record.node_name) if record.node_name else None
             if node is not None and node.crashed:
-                self._reply_error(ticket, EjectCrashedError(invocation.target))
+                self._reply_error(invocation.ticket, EjectCrashedError(target))
                 return
-        if record.eject is None:
-            # Passive: activate from checkpoint, or report the Eject gone.
-            if self.store.has(invocation.target):
-                self._reactivate(invocation.target)
-                record = self._records[invocation.target]
-            elif record.deactivated:
-                self._reply_error(
-                    ticket, EjectDeactivatedError(invocation.target)
-                )
-                return
-            else:
-                self._reply_error(ticket, EjectCrashedError(invocation.target))
-                return
+        elif self.store.has(target):
+            self._reactivate(target)  # passive: activate from its checkpoint
+        else:
+            gone = EjectDeactivatedError if record.deactivated else EjectCrashedError
+            self._reply_error(invocation.ticket, gone(target))
+            return
         assert record.eject is not None
-        # Redact the sender before the invocation reaches user code: the
-        # originator's UID is private to the kernel (paper §5).
-        redacted = Invocation(
-            target=invocation.target,
-            operation=invocation.operation,
-            args=invocation.args,
-            kwargs=invocation.kwargs,
-            channel=invocation.channel,
-            ticket=invocation.ticket,
-            sender=None,
-            span=invocation.span,
-        )
-        self.tracer.emit(
-            self.clock.now, "deliver", record.eject.name,
-            op=redacted.operation, ticket=redacted.ticket,
-        )
-        self._hand_to_eject(record.eject, redacted)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.clock.now, "deliver", record.eject.name,
+                op=invocation.operation, ticket=invocation.ticket,
+            )
+        self._hand_to_eject(record.eject, invocation)
 
     def _hand_to_eject(self, eject: Eject, invocation: Invocation) -> None:
         waiting = eject._enqueue(invocation)
@@ -449,41 +433,39 @@ class Kernel:
 
     # -- replies --------------------------------------------------------
 
-    def _do_send_reply(self, process: Process, syscall: SendReply) -> Disposition:
+    def _sys_send_reply(self, process: Process, syscall: SendReply) -> None:
         ticket = syscall.invocation.ticket
         state = self._tickets.get(ticket)
         if state is None or state.replied:
-            return (
-                "throw",
+            self.scheduler.throw(
+                process,
                 KernelError(f"no outstanding invocation with ticket {ticket}"),
             )
+            return
         if syscall.error is not None:
-            reply = Reply(ticket=ticket, status=ReplyStatus.ERROR,
-                          error=syscall.error)
+            reply = Reply(ticket, ReplyStatus.ERROR, error=syscall.error)
         else:
-            reply = Reply(ticket=ticket, status=ReplyStatus.OK,
-                          result=syscall.result, span=syscall.span)
+            reply = Reply(ticket, ReplyStatus.OK, syscall.result, None,
+                          syscall.span)
         state.replied = True
-        replier = process.owner if isinstance(process.owner, Eject) else None
-        if replier is not None:
+        remote = False
+        replier = process.owner
+        if isinstance(replier, Eject):
             replier.replied_count += 1
-        replier_node = replier.node if replier is not None else None
-        remote = (
-            replier_node is not None
-            and state.origin_node is not None
-            and replier_node.name != state.origin_node.name
-        )
-        self.tracer.emit(
-            self.clock.now, "reply", process.name,
-            ticket=ticket, status=reply.status.value,
-        )
-        self.transport.send(
-            size=reply.payload_size(),
-            remote=remote,
-            deliver=lambda: self._deliver_reply(reply),
-            kind="reply",
-        )
-        return ("resume", None)
+            remote = (
+                replier.node is not None
+                and state.origin_node is not None
+                and replier.node.name != state.origin_node.name
+            )
+        if self.tracer.enabled:
+            self.tracer.emit(
+                self.clock.now, "reply", process.name,
+                ticket=ticket, status=reply.status.value,
+            )
+        transport = self.transport
+        size = 0 if transport.costs.bandwidth is None else reply.payload_size()
+        transport.send(size, remote, self._deliver_reply, "reply", (reply,))
+        self.scheduler.resume(process)
 
     def _reply_error(self, ticket: int, error: EdenError) -> None:
         """Kernel-originated error reply (target gone, crashed, …)."""
@@ -492,12 +474,7 @@ class Kernel:
             return
         state.replied = True
         reply = Reply(ticket=ticket, status=ReplyStatus.ERROR, error=error)
-        self.transport.send(
-            size=0,
-            remote=False,
-            deliver=lambda: self._deliver_reply(reply),
-            kind="reply",
-        )
+        self.transport.send(0, False, self._deliver_reply, "reply", (reply,))
 
     def _deliver_reply(self, reply: Reply) -> None:
         state = self._tickets.pop(reply.ticket, None)
@@ -525,80 +502,92 @@ class Kernel:
                 start=state.started, end=self.clock.now,
                 status=reply.status.value,
             )
-        if state.waiter is not None:
-            if state.rerooted:
-                # The resuming process adopts the datum's trace, so a
-                # following downstream Write chains onto this Read.
-                state.waiter.current_span = state.span
-            self._resume_with_reply(state.waiter, reply)
-        else:
+        waiter = state.waiter
+        if waiter is None:
             state.reply = reply
             self._tickets[reply.ticket] = state  # hold for AwaitReply
-
-    def _resume_with_reply(self, process: Process, reply: Reply) -> None:
+            return
+        if state.rerooted:
+            # The resuming process adopts the datum's trace, so a
+            # following downstream Write chains onto this Read.
+            waiter.current_span = state.span
         if reply.status is ReplyStatus.ERROR:
             assert reply.error is not None
-            self.scheduler.unblock_with_exception(process, reply.error)
+            self.scheduler.unblock_with_exception(waiter, reply.error)
         else:
-            self.scheduler.unblock(process, reply.result)
+            self.scheduler.unblock(waiter, reply.result)
 
-    def _do_await(self, process: Process, ticket: int) -> Disposition:
+    def _sys_await(self, process: Process, syscall: AwaitReply) -> None:
+        ticket = syscall.ticket
         state = self._tickets.get(ticket)
         if state is None:
-            return (
-                "throw",
+            self.scheduler.throw(
+                process,
                 KernelError(f"unknown or already-awaited ticket {ticket}"),
             )
-        if state.reply is not None:
-            self._tickets.pop(ticket, None)
+        elif state.reply is not None:
+            del self._tickets[ticket]
             reply = state.reply
             if state.rerooted:
                 process.current_span = state.span
             if reply.status is ReplyStatus.ERROR:
                 assert reply.error is not None
-                return ("throw", reply.error)
-            return ("resume", reply.result)
-        if state.waiter is not None:
-            return (
-                "throw",
+                self.scheduler.throw(process, reply.error)
+            else:
+                self.scheduler.resume(process, reply.result)
+        elif state.waiter is not None:
+            self.scheduler.throw(
+                process,
                 KernelError(f"ticket {ticket} already has an awaiting process"),
             )
-        state.waiter = process
-        return ("block", f"await(#{ticket})")
+        else:
+            state.waiter = process
+            self.scheduler.park(process, syscall)
 
     # -- receive ---------------------------------------------------------
 
-    def _do_receive(self, process: Process, syscall: Receive) -> Disposition:
+    def _sys_receive(self, process: Process, syscall: Receive) -> None:
         owner = process.owner
         if not isinstance(owner, Eject):
-            return (
-                "throw",
+            self.scheduler.throw(
+                process,
                 KernelError("only Eject processes may Receive invocations"),
             )
+            return
         queued = owner._register_receiver(process, syscall)
-        if queued is not None:
+        if queued is None:
+            self.scheduler.park(process, syscall)
+        else:
             process.current_span = queued.span
-            return ("resume", queued)
-        ops = sorted(syscall.operations) if syscall.operations else "any"
-        return ("block", f"receive({ops})")
+            self.scheduler.resume(process, queued)
 
-    # -- checkpoint / deactivate ------------------------------------------
+    # -- span adoption / checkpoint / deactivate ---------------------------
 
-    def _do_checkpoint(self, process: Process) -> Disposition:
+    def _sys_adopt_span(self, process: Process, syscall: AdoptSpan) -> None:
+        process.current_span = syscall.span
+        self.scheduler.resume(process)
+
+    def _sys_checkpoint(self, process: Process, syscall: DoCheckpoint) -> None:
         owner = process.owner
         if not isinstance(owner, Eject):
-            return ("throw", KernelError("only Ejects may Checkpoint"))
+            self.scheduler.throw(
+                process, KernelError("only Ejects may Checkpoint")
+            )
+            return
         self.registry.register(type(owner))
         wrapper = {"name": owner.name, "state": owner.passive_representation()}
         self.store.write(owner.uid, owner.eden_type, wrapper, self.clock.now)
         self.stats.bump("checkpoints")
         self.tracer.emit(self.clock.now, "checkpoint", owner.name)
-        return ("resume", None)
+        self.scheduler.resume(process)
 
-    def _do_deactivate(self, process: Process) -> Disposition:
+    def _sys_deactivate(self, process: Process, syscall: Deactivate) -> None:
         owner = process.owner
         if not isinstance(owner, Eject):
-            return ("throw", KernelError("only Ejects may Deactivate"))
+            self.scheduler.throw(
+                process, KernelError("only Ejects may Deactivate")
+            )
+            return
         record = self._records[owner.uid]
         self.tracer.emit(self.clock.now, "deactivate", owner.name)
         owner.active = False
@@ -626,7 +615,7 @@ class Kernel:
         record.eject = None
         if owner.node is not None:
             owner.node.evict(owner.uid)
-        return ("exit", None)
+        self.scheduler.exit(process)
 
     # ------------------------------------------------------------------
     # Driver interface (tests, examples, benchmarks)
@@ -676,7 +665,7 @@ class Kernel:
         for eject in sorted(self.live_ejects(), key=lambda e: e.name):
             states = ", ".join(
                 f"{p.name.rsplit('/', 1)[-1]}={p.state.value}"
-                + (f"({p.blocked_on})" if p.blocked_on else "")
+                + (f"({p.blocked_reason})" if p.blocked_on else "")
                 for p in eject.processes
             )
             mailbox = f" mailbox={len(eject.mailbox)}" if eject.mailbox else ""
@@ -725,6 +714,6 @@ class Kernel:
         if process.alive:
             raise KernelError(
                 f"call_sync({operation}) did not complete; "
-                f"blocked on {process.blocked_on}"
+                f"blocked on {process.blocked_reason}"
             )
         return box.get("result")

@@ -5,11 +5,12 @@ be thought of as a kind of remote procedure call" (paper §1).  Replies
 travel back on a ticket that the sender may await later — sending an
 invocation does not suspend the sender.
 
-Messages are plain records; the transport and kernel route them.  The
-``sender`` UID is carried "so that the reply may be returned correctly"
-but, exactly as the paper argues in §5, it is *private to the kernel*:
-the dispatching machinery never exposes it to the receiving Eject's
-type code.  (Tests assert this.)
+Messages are plain slotted records; the transport and kernel route
+them.  The sender's UID is needed "so that the reply may be returned
+correctly" but, exactly as the paper argues in §5, it is *private to
+the kernel*: it is kept on the kernel's own record of the outstanding
+invocation and never travels on the message, so the receiving Eject's
+type code cannot see it.  (Tests assert this.)
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, ClassVar
 
 from repro.core.capability import ChannelId
 from repro.core.uid import UID
@@ -38,7 +39,7 @@ class ReplyStatus(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Invocation:
     """One invocation message, in flight or queued at the target.
 
@@ -50,14 +51,12 @@ class Invocation:
         channel: optional channel qualifier (paper §5); ``None`` means
             the invocation is not channel-qualified.
         ticket: correlation id used to route the reply.
-        sender: UID of the invoking Eject — kernel-private (see module
-            docstring); ``None`` for invocations injected by the
-            simulation driver.
         span: causal span context (:class:`repro.obs.spans.SpanContext`)
             assigned by the kernel when span tracing is on; ``None``
-            otherwise.  Like ``sender`` it is kernel bookkeeping, but it
-            is *not* secret — observability tooling reads it from
-            traces.
+            otherwise.  It is kernel bookkeeping but *not* secret —
+            observability tooling reads it from traces.
+        sender: always ``None``, and not assignable: the originator is
+            kernel-private (see module docstring).
     """
 
     target: UID
@@ -66,8 +65,8 @@ class Invocation:
     kwargs: dict[str, Any] = field(default_factory=dict)
     channel: ChannelId | None = None
     ticket: int = field(default_factory=_next_ticket)
-    sender: UID | None = None
     span: Any = None
+    sender: ClassVar[None] = None
 
     def __str__(self) -> str:
         chan = f" on {self.channel}" if self.channel is not None else ""
@@ -78,7 +77,7 @@ class Invocation:
         return _estimate_size(self.args) + _estimate_size(self.kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reply:
     """The reply to one invocation.
 

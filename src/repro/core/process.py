@@ -11,7 +11,15 @@ import enum
 from typing import Any
 
 from repro.core.errors import KernelError
-from repro.core.syscalls import ProcessBody, Syscall
+from repro.core.message import Invocation
+from repro.core.syscalls import (
+    AwaitReply,
+    ProcessBody,
+    Receive,
+    Sleep,
+    Syscall,
+    WaitSignal,
+)
 
 
 class ProcessState(enum.Enum):
@@ -24,6 +32,11 @@ class ProcessState(enum.Enum):
     FAILED = "failed"  # body raised
 
 
+_RUNNING = ProcessState.RUNNING
+_DONE = ProcessState.DONE
+_FAILED = ProcessState.FAILED
+
+
 class Process:
     """One schedulable generator coroutine.
 
@@ -31,8 +44,20 @@ class Process:
         name: unique printable name, ``<eject>/<process>``.
         owner: the owning Eject (``None`` for kernel-internal drivers).
         state: current :class:`ProcessState`.
-        blocked_on: human-readable description of what blocks it.
+        blocked_on: what a blocked process is parked on, as data: the
+            ``Sleep`` / ``WaitSignal`` / ``Receive`` / ``AwaitReply``
+            syscall it issued or, for a ``Call``, the in-flight
+            :class:`~repro.core.message.Invocation` whose reply it
+            awaits.  :attr:`blocked_reason` renders it.
+        pending_value, pending_exception: what the next :meth:`step`
+            sends or throws into the body.  Both are ``None`` while the
+            process runs or is parked; whoever makes it ready sets one.
     """
+
+    __slots__ = (
+        "_body", "name", "owner", "state", "blocked_on", "pending_value",
+        "pending_exception", "failure", "result", "current_span",
+    )
 
     def __init__(self, body: ProcessBody, name: str, owner: Any = None) -> None:
         if not hasattr(body, "send"):
@@ -44,10 +69,9 @@ class Process:
         self.name = name
         self.owner = owner
         self.state = ProcessState.READY
-        self.blocked_on: str | None = None
-        # Value (or exception) to deliver at the next resumption.
-        self._pending_value: Any = None
-        self._pending_exception: BaseException | None = None
+        self.blocked_on: Syscall | Invocation | None = None
+        self.pending_value: Any = None
+        self.pending_exception: BaseException | None = None
         self.failure: BaseException | None = None
         self.result: Any = None
         # Span context of the invocation this process is currently
@@ -58,21 +82,37 @@ class Process:
     @property
     def alive(self) -> bool:
         """Whether the process can still run."""
-        return self.state in (
-            ProcessState.READY,
-            ProcessState.RUNNING,
-            ProcessState.BLOCKED,
-        )
+        state = self.state
+        return state is not _DONE and state is not _FAILED
+
+    @property
+    def blocked_reason(self) -> str | None:
+        """Printable form of :attr:`blocked_on` (``None`` if not parked)."""
+        on = self.blocked_on
+        if on is None:
+            return None
+        if isinstance(on, Invocation):
+            return f"call({on.operation}#{on.ticket})"
+        if isinstance(on, Receive):
+            ops = sorted(on.operations) if on.operations else "any"
+            return f"receive({ops})"
+        if isinstance(on, AwaitReply):
+            return f"await(#{on.ticket})"
+        if isinstance(on, Sleep):
+            return f"sleep({on.duration})"
+        if isinstance(on, WaitSignal):
+            return f"wait({on.signal.name})"
+        return str(on)
 
     def resume_with(self, value: Any) -> None:
         """Arrange for ``value`` to be sent into the body next step."""
-        self._pending_value = value
-        self._pending_exception = None
+        self.pending_value = value
+        self.pending_exception = None
 
     def resume_with_exception(self, exc: BaseException) -> None:
         """Arrange for ``exc`` to be thrown into the body next step."""
-        self._pending_value = None
-        self._pending_exception = exc
+        self.pending_value = None
+        self.pending_exception = exc
 
     def step(self) -> Syscall | None:
         """Advance the body to its next syscall.
@@ -82,27 +122,30 @@ class Process:
         ``FAILED`` and the exception is re-raised for the scheduler to
         report.
         """
-        if not self.alive:
-            raise KernelError(f"cannot step {self.state.value} process {self.name}")
-        self.state = ProcessState.RUNNING
+        state = self.state
+        if state is _DONE or state is _FAILED:
+            raise KernelError(f"cannot step {state.value} process {self.name}")
+        self.state = _RUNNING
         self.blocked_on = None
         try:
-            if self._pending_exception is not None:
-                exc, self._pending_exception = self._pending_exception, None
+            exc = self.pending_exception
+            if exc is not None:
+                self.pending_exception = None
                 yielded = self._body.throw(exc)
             else:
-                value, self._pending_value = self._pending_value, None
+                value = self.pending_value
+                self.pending_value = None
                 yielded = self._body.send(value)
         except StopIteration as stop:
-            self.state = ProcessState.DONE
+            self.state = _DONE
             self.result = stop.value
             return None
         except BaseException as exc:
-            self.state = ProcessState.FAILED
+            self.state = _FAILED
             self.failure = exc
             raise
         if not isinstance(yielded, Syscall):
-            self.state = ProcessState.FAILED
+            self.state = _FAILED
             error = KernelError(
                 f"process {self.name} yielded {yielded!r}, which is not a Syscall"
             )
@@ -114,8 +157,9 @@ class Process:
         """Terminate the process without running it further."""
         if self.alive:
             self._body.close()
-            self.state = ProcessState.DONE
+            self.state = _DONE
 
     def __repr__(self) -> str:
-        suffix = f" blocked_on={self.blocked_on}" if self.blocked_on else ""
+        reason = self.blocked_reason
+        suffix = f" blocked_on={reason}" if reason else ""
         return f"Process({self.name}, {self.state.value}{suffix})"

@@ -1,10 +1,19 @@
 """Deterministic cooperative scheduler for the simulated Eden system.
 
-The scheduler owns the ready queue, the timed-event heap and the
-intra-Eject signal tables.  Messaging syscalls (``Invoke``, ``Receive``,
-``Call``, …) are delegated to a pluggable handler — in practice the
-:class:`~repro.core.kernel.Kernel` — so the scheduler itself knows
-nothing about UIDs or transports.
+The scheduler owns the ready queue, the timed-event heap, the
+intra-Eject signal tables and the syscall table: one handler per
+syscall class, looked up by ``type(syscall)``.  It installs the
+handlers it can serve alone (process control, time, signals); the
+messaging syscalls (``Invoke``, ``Receive``, ``Call``, …) are installed
+by the :class:`~repro.core.kernel.Kernel`, so the scheduler itself
+knows nothing about UIDs or transports.
+
+A handler receives the process that trapped and the syscall, and acts
+on the process directly: it either makes it ready again
+(:meth:`Scheduler.resume` / :meth:`Scheduler.throw`), parks it
+(:meth:`Scheduler.park`; someone must :meth:`Scheduler.unblock` it
+later) or kills it.  One scheduler step is therefore one call into the
+process and one call into a handler.
 
 Determinism: ready processes run round-robin in arrival order; timed
 events tie-break on a monotonically increasing sequence number.  Two
@@ -26,23 +35,22 @@ from repro.core.syscalls import (
     ExitProcess,
     GetTime,
     NotifySignal,
+    Receive,
     Signal,
     Sleep,
     Spawn,
-    Syscall,
     WaitSignal,
     YieldControl,
 )
 from repro.core.tracing import Tracer
 
-#: What a syscall handler may do with the issuing process.
-#:   ("resume", value)  — ready again; ``value`` sent in at next step.
-#:   ("throw", exc)     — ready again; ``exc`` thrown in at next step.
-#:   ("block", why)     — parked; someone must call unblock() later.
-#:   ("exit", None)     — terminated.
-Disposition = tuple[str, Any]
+#: Serves one syscall class: ``handler(process, syscall)``.
+SyscallHandler = Callable[[Process, Any], None]
 
-SyscallHandler = Callable[[Process, Syscall], Disposition]
+_READY = ProcessState.READY
+_BLOCKED = ProcessState.BLOCKED
+_DONE = ProcessState.DONE
+_FAILED = ProcessState.FAILED
 
 
 class Scheduler:
@@ -53,31 +61,35 @@ class Scheduler:
         clock: VirtualClock | None = None,
         stats: KernelStats | None = None,
         tracer: Tracer | None = None,
-        syscall_handler: SyscallHandler | None = None,
     ) -> None:
         self.clock = clock or VirtualClock()
         self.stats = stats or KernelStats()
         self.tracer = tracer or Tracer()
-        self._handler = syscall_handler
+        #: The syscall table.  The kernel adds the messaging syscalls.
+        self.handlers: dict[type, SyscallHandler] = {
+            Sleep: self._sys_sleep,
+            GetTime: self._sys_get_time,
+            YieldControl: self._sys_yield,
+            ExitProcess: self.exit,
+            Spawn: self._sys_spawn,
+            WaitSignal: self._sys_wait,
+            NotifySignal: self._sys_notify,
+        }
         self._ready: deque[Process] = deque()
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
+        self._events: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._event_seq = 0
         self._signal_waiters: dict[Signal, list[Process]] = {}
         self._processes: list[Process] = []
         self.failures: list[ProcessFailedError] = []
 
     # ------------------------------------------------------------------
-    # Configuration and registration
+    # Registration
     # ------------------------------------------------------------------
-
-    def set_syscall_handler(self, handler: SyscallHandler) -> None:
-        """Install the handler for messaging syscalls (the kernel)."""
-        self._handler = handler
 
     def add_process(self, process: Process) -> Process:
         """Register a new process and make it ready."""
         self._processes.append(process)
-        self._make_ready(process)
+        self._ready.append(process)
         self.tracer.emit(self.clock.now, "spawn", process.name)
         return process
 
@@ -86,40 +98,55 @@ class Scheduler:
         return self.add_process(Process(body, name=name, owner=owner))
 
     # ------------------------------------------------------------------
-    # Blocking / unblocking / timed events
+    # What a syscall handler may do with the process that trapped
     # ------------------------------------------------------------------
 
-    def _make_ready(self, process: Process) -> None:
-        if not process.alive:
-            return
-        process.state = ProcessState.READY
+    def resume(self, process: Process, value: Any = None) -> None:
+        """Ready again; ``value`` is sent in at its next step."""
+        process.pending_value = value
+        process.state = _READY
         self._ready.append(process)
+
+    def throw(self, process: Process, exc: BaseException) -> None:
+        """Ready again; ``exc`` is thrown in at its next step."""
+        process.pending_exception = exc
+        process.state = _READY
+        self._ready.append(process)
+
+    def park(self, process: Process, on: Any) -> None:
+        """Parked on ``on`` (see :attr:`Process.blocked_on`); someone
+        must call :meth:`unblock` later."""
+        process.state = _BLOCKED
+        process.blocked_on = on
+
+    # ------------------------------------------------------------------
+    # Unblocking and timed events
+    # ------------------------------------------------------------------
 
     def unblock(self, process: Process, value: Any = None) -> None:
         """Move a blocked process back to the ready queue with ``value``."""
-        if process.state is not ProcessState.BLOCKED:
-            if not process.alive:
-                return  # killed while blocked (e.g. its Eject crashed)
+        if process.state is _BLOCKED:
+            self.resume(process, value)
+        elif process.alive:
             raise KernelError(f"cannot unblock {process!r}")
-        process.resume_with(value)
-        self._make_ready(process)
+        # else: killed while blocked (e.g. its Eject crashed)
 
     def unblock_with_exception(self, process: Process, exc: BaseException) -> None:
         """Move a blocked process back to ready; ``exc`` is thrown into it."""
-        if process.state is not ProcessState.BLOCKED:
-            if not process.alive:
-                return
+        if process.state is _BLOCKED:
+            self.throw(process, exc)
+        elif process.alive:
             raise KernelError(f"cannot unblock {process!r}")
-        process.resume_with_exception(exc)
-        self._make_ready(process)
 
-    def schedule_event(self, delay: float, action: Callable[[], None]) -> None:
-        """Run ``action`` after ``delay`` units of virtual time."""
+    def schedule_event(
+        self, delay: float, action: Callable[..., None], args: tuple = ()
+    ) -> None:
+        """Run ``action(*args)`` after ``delay`` units of virtual time."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self._event_seq += 1
         heapq.heappush(
-            self._events, (self.clock.now + delay, self._event_seq, action)
+            self._events, (self.clock.now + delay, self._event_seq, action, args)
         )
 
     # ------------------------------------------------------------------
@@ -141,7 +168,7 @@ class Scheduler:
         Args:
             max_steps: guard against runaway simulations; ``None``
                 disables the guard.
-            until: checked after every step/event; run stops once true.
+            until: checked before every step/event; run stops once true.
             raise_on_failure: raise the first uncaught process failure
                 instead of merely recording it in ``self.failures``.
 
@@ -149,14 +176,31 @@ class Scheduler:
             The number of process steps executed.
         """
         steps = 0
+        ready = self._ready
+        events = self._events
+        handlers = self.handlers
+        counters = self.stats.counters
         while True:
             if until is not None and until():
                 break
-            if self._ready:
-                process = self._ready.popleft()
-                if not process.alive:
-                    continue
-                self._step_process(process, raise_on_failure)
+            if ready:
+                process = ready.popleft()
+                state = process.state
+                if state is _DONE or state is _FAILED:
+                    continue  # killed while queued
+                counters["context_switches"] += 1
+                try:
+                    syscall = process.step()
+                except BaseException as exc:  # body raised
+                    self._record_failure(process, exc, raise_on_failure)
+                else:
+                    if syscall is None:  # body returned normally
+                        self.tracer.emit(self.clock.now, "exit", process.name)
+                    else:
+                        handler = handlers.get(type(syscall))
+                        if handler is None:
+                            handler = self._inherited_handler(type(syscall))
+                        handler(process, syscall)
                 steps += 1
                 if max_steps is not None and steps > max_steps:
                     raise KernelError(
@@ -164,89 +208,70 @@ class Scheduler:
                         "likely a spinning process"
                     )
                 continue
-            if self._events:
-                when, _seq, action = heapq.heappop(self._events)
+            if events:
+                when, _seq, action, args = heapq.heappop(events)
                 self.clock.advance_to(when)
-                self.stats.bump("events_processed")
-                action()
+                counters["events_processed"] += 1
+                action(*args)
                 continue
             break
         return steps
 
-    def _step_process(self, process: Process, raise_on_failure: bool) -> None:
-        self.stats.bump("context_switches")
-        try:
-            syscall = process.step()
-        except BaseException as exc:  # body raised: record, optionally re-raise
-            failure = ProcessFailedError(process.name, exc)
-            self.failures.append(failure)
-            self.tracer.emit(
-                self.clock.now, "fail", process.name, error=repr(exc)
-            )
-            if raise_on_failure:
-                raise failure from exc
-            return
-        if syscall is None:  # body returned normally
-            self.tracer.emit(self.clock.now, "exit", process.name)
-            return
-        self._dispatch(process, syscall)
+    def _record_failure(
+        self, process: Process, exc: BaseException, raise_on_failure: bool
+    ) -> None:
+        failure = ProcessFailedError(process.name, exc)
+        self.failures.append(failure)
+        self.tracer.emit(self.clock.now, "fail", process.name, error=repr(exc))
+        if raise_on_failure:
+            raise failure from exc
 
-    def _dispatch(self, process: Process, syscall: Syscall) -> None:
-        disposition = self._handle_builtin(process, syscall)
-        if disposition is None:
-            if self._handler is None:
-                raise KernelError(
-                    f"no syscall handler installed for {type(syscall).__name__}"
-                )
-            disposition = self._handler(process, syscall)
-        kind, value = disposition
-        if kind == "resume":
-            process.resume_with(value)
-            self._make_ready(process)
-        elif kind == "throw":
-            process.resume_with_exception(value)
-            self._make_ready(process)
-        elif kind == "block":
-            process.state = ProcessState.BLOCKED
-            process.blocked_on = str(value)
-        elif kind == "exit":
-            process.kill()
-            self.tracer.emit(self.clock.now, "exit", process.name)
-        else:
-            raise KernelError(f"unknown disposition {kind!r}")
+    def _inherited_handler(self, cls: type) -> SyscallHandler:
+        """The handler of the nearest registered base of ``cls``."""
+        for base in cls.__mro__[1:]:
+            handler = self.handlers.get(base)
+            if handler is not None:
+                return handler
+        raise KernelError(f"no syscall handler installed for {cls.__name__}")
 
-    def _handle_builtin(
-        self, process: Process, syscall: Syscall
-    ) -> Disposition | None:
-        """Handle syscalls the scheduler can service without the kernel."""
-        if isinstance(syscall, Sleep):
-            self.schedule_event(
-                syscall.duration, lambda: self.unblock(process, None)
-            )
-            return ("block", f"sleep({syscall.duration})")
-        if isinstance(syscall, GetTime):
-            return ("resume", self.clock.now)
-        if isinstance(syscall, YieldControl):
-            return ("resume", None)
-        if isinstance(syscall, ExitProcess):
-            return ("exit", None)
-        if isinstance(syscall, Spawn):
-            child = Process(
-                syscall.body_factory(),
-                name=self._child_name(process, syscall.name),
-                owner=process.owner,
-            )
-            self.add_process(child)
-            return ("resume", child.name)
-        if isinstance(syscall, WaitSignal):
-            self._signal_waiters.setdefault(syscall.signal, []).append(process)
-            return ("block", f"wait({syscall.signal.name})")
-        if isinstance(syscall, NotifySignal):
-            waiters = self._signal_waiters.pop(syscall.signal, [])
-            for waiter in waiters:
-                self.unblock(waiter, syscall.value)
-            return ("resume", len(waiters))
-        return None
+    # ------------------------------------------------------------------
+    # Syscalls the scheduler serves without the kernel
+    # ------------------------------------------------------------------
+
+    def _sys_sleep(self, process: Process, syscall: Sleep) -> None:
+        self.schedule_event(syscall.duration, self.unblock, (process,))
+        self.park(process, syscall)
+
+    def _sys_get_time(self, process: Process, syscall: GetTime) -> None:
+        self.resume(process, self.clock.now)
+
+    def _sys_yield(self, process: Process, syscall: YieldControl) -> None:
+        self.resume(process)
+
+    def exit(self, process: Process, syscall: ExitProcess | None = None) -> None:
+        """Terminate ``process`` at its own request (serves ``ExitProcess``;
+        the kernel ends a deactivating Eject's last process with it)."""
+        process.kill()
+        self.tracer.emit(self.clock.now, "exit", process.name)
+
+    def _sys_spawn(self, process: Process, syscall: Spawn) -> None:
+        child = Process(
+            syscall.body_factory(),
+            name=self._child_name(process, syscall.name),
+            owner=process.owner,
+        )
+        self.add_process(child)
+        self.resume(process, child.name)
+
+    def _sys_wait(self, process: Process, syscall: WaitSignal) -> None:
+        self._signal_waiters.setdefault(syscall.signal, []).append(process)
+        self.park(process, syscall)
+
+    def _sys_notify(self, process: Process, syscall: NotifySignal) -> None:
+        waiters = self._signal_waiters.pop(syscall.signal, [])
+        for waiter in waiters:
+            self.unblock(waiter, syscall.value)
+        self.resume(process, len(waiters))
 
     def _child_name(self, parent: Process, base: str) -> str:
         prefix = parent.name.rsplit("/", 1)[0]
@@ -297,5 +322,5 @@ class Scheduler:
         return [
             process
             for process in self.blocked_processes()
-            if not (process.blocked_on or "").startswith("receive")
+            if not isinstance(process.blocked_on, Receive)
         ]

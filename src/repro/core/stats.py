@@ -20,6 +20,7 @@ JSON):
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -164,16 +165,24 @@ class KernelStats:
     - ``invocations_sent`` — invocation messages handed to the transport;
     - ``replies_sent`` — reply messages handed to the transport;
     - ``local_messages`` / ``remote_messages`` — per transport hop kind;
-    - ``bytes_transferred`` — estimated payload bytes moved;
+    - ``bytes_transferred`` — modelled payload bytes moved.  The kernel
+      estimates a message's size only when the transport charges for
+      it, so the counter is present only in simulations whose
+      :class:`~repro.core.transport.TransportCosts` set a bandwidth;
     - ``context_switches`` — process resumptions by the scheduler;
     - ``ejects_created`` — Ejects instantiated;
     - ``ejects_activated`` — passive Ejects reactivated by the kernel;
     - ``checkpoints`` — passive representations written;
     - ``events_processed`` — timed events popped by the scheduler.
+
+    ``counters`` is the live name -> value table.  The scheduler and the
+    transport, which count on every step and message, add to an entry
+    in place (``stats.counters["context_switches"] += 1``);
+    :meth:`bump` is the checked door for everyone else.
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, int] = {}
+        self.counters: defaultdict[str, int] = defaultdict(int)
         self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
@@ -183,19 +192,19 @@ class KernelStats:
         """Increase counter ``name`` by ``amount`` (which must be >= 0)."""
         if amount < 0:
             raise ValueError(f"counters are monotone; got {amount} for {name}")
-        self._counters[name] = self._counters.get(name, 0) + amount
+        self.counters[name] += amount
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never bumped)."""
-        return self._counters.get(name, 0)
+        return self.counters.get(name, 0)
 
     def snapshot(self) -> StatsSnapshot:
         """Copy all counters for later diffing."""
-        return StatsSnapshot(dict(self._counters))
+        return StatsSnapshot(dict(self.counters))
 
     def names(self) -> list[str]:
         """Sorted list of counters that have been bumped at least once."""
-        return sorted(self._counters)
+        return sorted(self.counters)
 
     # -- gauges (point-in-time, may go up and down) ----------------------
 
@@ -242,5 +251,5 @@ class KernelStats:
         return dict(self._histograms)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))
         return f"KernelStats({inner})"

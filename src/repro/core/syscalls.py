@@ -29,12 +29,19 @@ ProcessBody = Generator["Syscall", Any, Any]
 
 
 class Syscall:
-    """Base class for everything a process may ``yield``."""
+    """Base class for everything a process may ``yield``.
+
+    Syscalls are plain slotted records.  The scheduler dispatches on
+    ``type(syscall)``: each class below has one handler, installed by
+    the scheduler (process control, time, signals) or by the kernel
+    (messaging, checkpoints); a subclass is served by the handler of
+    its nearest registered base.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Invoke(Syscall):
     """Send an invocation without waiting; resumes with a ticket (int).
 
@@ -50,7 +57,7 @@ class Invoke(Syscall):
     channel: ChannelId | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AwaitReply(Syscall):
     """Block until the reply for ``ticket`` arrives; resumes with the
     invocation's result (or raises the carried error in the process)."""
@@ -58,7 +65,7 @@ class AwaitReply(Syscall):
     ticket: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Call(Syscall):
     """Invoke and await the reply in one step (request/response RPC).
 
@@ -73,7 +80,7 @@ class Call(Syscall):
     channel: ChannelId | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Receive(Syscall):
     """Block until a matching invocation arrives; resumes with the
     :class:`~repro.core.message.Invocation`.
@@ -87,6 +94,12 @@ class Receive(Syscall):
     operations: frozenset[str] | None = None
     channels: frozenset | None = None
 
+    def accepts(self, invocation: Invocation) -> bool:
+        """Whether ``invocation`` satisfies this Receive."""
+        return (
+            self.operations is None or invocation.operation in self.operations
+        ) and (self.channels is None or invocation.channel in self.channels)
+
     @staticmethod
     def of(
         operations: Iterable[str] | None = None,
@@ -98,7 +111,7 @@ class Receive(Syscall):
         return Receive(operations=ops, channels=chans)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SendReply(Syscall):
     """Reply to a previously received invocation; resumes with ``None``.
 
@@ -115,7 +128,7 @@ class SendReply(Syscall):
     span: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdoptSpan(Syscall):
     """Make ``span`` the process's causal context; resumes with ``None``.
 
@@ -128,19 +141,19 @@ class AdoptSpan(Syscall):
     span: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep(Syscall):
     """Block for ``duration`` units of virtual time; resumes with ``None``."""
 
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GetTime(Syscall):
     """Resumes immediately with the current virtual time (float)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Spawn(Syscall):
     """Start another process inside the same Eject.
 
@@ -152,17 +165,17 @@ class Spawn(Syscall):
     name: str = "worker"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExitProcess(Syscall):
     """Terminate the yielding process immediately."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class YieldControl(Syscall):
     """Give other ready processes a turn; resumes with ``None``."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DoCheckpoint(Syscall):
     """Write the Eject's passive representation to stable storage.
 
@@ -171,7 +184,7 @@ class DoCheckpoint(Syscall):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Deactivate(Syscall):
     """Deactivate the whole Eject (all its processes stop).
 
@@ -201,14 +214,14 @@ class Signal:
         return f"Signal({self.name})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitSignal(Syscall):
     """Block until the signal is notified; resumes with the notify value."""
 
     signal: Signal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NotifySignal(Syscall):
     """Wake every process waiting on ``signal``; resumes with the number
     of processes woken."""

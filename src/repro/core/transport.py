@@ -18,6 +18,10 @@ from repro.core.scheduler import Scheduler
 from repro.core.stats import KernelStats
 
 
+#: The counter each kind of message is tallied under.
+_SENT_COUNTER = {"invocation": "invocations_sent", "reply": "replies_sent"}
+
+
 @dataclass(frozen=True)
 class TransportCosts:
     """Virtual-time cost parameters for one simulated interconnect.
@@ -46,8 +50,8 @@ class Transport:
     """Delivers messages with simulated latency and counts traffic.
 
     The transport is deliberately dumb: it does not know about UIDs or
-    Ejects, only about opaque delivery thunks and whether a hop crosses
-    nodes.  The kernel supplies both.
+    Ejects, only about opaque delivery callbacks and whether a hop
+    crosses nodes.  The kernel supplies both.
     """
 
     def __init__(
@@ -64,23 +68,26 @@ class Transport:
         self,
         size: int,
         remote: bool,
-        deliver: Callable[[], None],
+        deliver: Callable[..., None],
         kind: str = "message",
+        args: tuple = (),
     ) -> float:
         """Queue a message for delivery; returns its virtual latency.
 
         Args:
-            size: estimated payload bytes (feeds the bandwidth term).
+            size: modelled payload bytes (feeds the bandwidth term); the
+                kernel passes 0 unless :attr:`TransportCosts.bandwidth`
+                charges for bytes.
             remote: whether the hop crosses simulated nodes.
-            deliver: thunk run when the message arrives.
+            deliver: called with ``*args`` when the message arrives.
             kind: stats label — ``"invocation"`` or ``"reply"``.
+            args: what to deliver (typically just the message).
         """
         cost = self.costs.message_cost(size, remote)
-        self._stats.bump("remote_messages" if remote else "local_messages")
-        plural = {"invocation": "invocations", "reply": "replies"}.get(
-            kind, f"{kind}s"
-        )
-        self._stats.bump(f"{plural}_sent")
-        self._stats.bump("bytes_transferred", size)
-        self._scheduler.schedule_event(cost, deliver)
+        counters = self._stats.counters
+        counters["remote_messages" if remote else "local_messages"] += 1
+        counters[_SENT_COUNTER.get(kind) or f"{kind}s_sent"] += 1
+        if size:
+            counters["bytes_transferred"] += size
+        self._scheduler.schedule_event(cost, deliver, args)
         return cost

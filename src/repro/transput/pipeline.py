@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence, TYPE_CHECKING
 
+from repro.core.errors import SchedulerDeadlockError
 from repro.core.node import Node
 from repro.core.stats import StatsSnapshot
 from repro.transput.buffer import PassiveBuffer
@@ -82,37 +83,18 @@ class Pipeline:
         return len(self.buffers)
 
     def run_to_completion(self, max_steps: int | None = 10_000_000) -> list:
-        """Run until every sink is done, then flush to quiescence.
+        """Run until every sink is done and the simulation quiesces.
 
         Returns the primary sink's collected records.  Measured costs
         (invocations, switches, makespan) cover the whole run and are
         available afterwards via :meth:`invocations_used` etc.
 
         Raises:
-            SchedulerDeadlockError: the simulation quiesced with a sink
-                still incomplete (e.g. a wiring cycle) — failing loudly
-                beats silently returning a truncated stream.
+            SchedulerDeadlockError: see :func:`run_until_done`.
         """
-        start = self.kernel.stats.snapshot()
-        start_time = self.kernel.clock.now
-        self.kernel.run(
-            max_steps=max_steps,
-            until=lambda: all(sink.done for sink in self.sinks),
+        self.completion_stats, self.virtual_makespan = run_until_done(
+            self.kernel, self.sinks, max_steps
         )
-        if not all(sink.done for sink in self.sinks):
-            from repro.core.errors import SchedulerDeadlockError
-
-            stuck = self.kernel.scheduler.stuck_processes()
-            detail = "; ".join(
-                f"{p.name} blocked on {p.blocked_on}" for p in stuck
-            )
-            raise SchedulerDeadlockError(
-                "pipeline quiesced before its sink finished"
-                + (f" ({detail})" if detail else "")
-            )
-        self.kernel.run(max_steps=max_steps)  # flush in-flight replies
-        self.completion_stats = self.kernel.stats.snapshot().diff(start)
-        self.virtual_makespan = self.kernel.clock.now - start_time
         return list(self.sink.collected)
 
     def _completed(self) -> StatsSnapshot:
@@ -133,6 +115,40 @@ class Pipeline:
         if item_count <= 0:
             raise ValueError("item_count must be positive")
         return self.invocations_used() / item_count
+
+
+def run_until_done(
+    kernel: "Kernel", sinks: Iterable[Any], max_steps: int | None = 10_000_000
+) -> tuple[StatsSnapshot, float]:
+    """Run ``kernel`` to quiescence and require every sink finished.
+
+    A sink signals completion itself, by raising its ``done`` flag; the
+    flag is read once, when nothing in the simulation can move any
+    more, instead of being polled between steps.  ``sinks`` may span
+    several pipelines composed into the one kernel.
+
+    Returns the counters and the virtual time the run consumed.
+
+    Raises:
+        SchedulerDeadlockError: the simulation quiesced with a sink
+            still incomplete (e.g. a wiring cycle) — failing loudly,
+            naming the stuck processes, beats silently returning a
+            truncated stream.
+    """
+    start = kernel.stats.snapshot()
+    start_time = kernel.clock.now
+    kernel.run(max_steps=max_steps)
+    unfinished = [sink.name for sink in sinks if not sink.done]
+    if unfinished:
+        stuck = "; ".join(
+            f"{process.name} blocked on {process.blocked_reason}"
+            for process in kernel.scheduler.stuck_processes()
+        )
+        raise SchedulerDeadlockError(
+            f"simulation quiesced before {', '.join(unfinished)} finished"
+            + (f" ({stuck})" if stuck else "")
+        )
+    return kernel.stats.snapshot().diff(start), kernel.clock.now - start_time
 
 
 def _resolve_source(

@@ -50,6 +50,15 @@ class Primitive(enum.Enum):
     ACTIVE_OUTPUT = "active_output"
     PASSIVE_INPUT = "passive_input"
 
+    def __init__(self, label: str) -> None:
+        #: The kernel-wide counter each use is tallied under.
+        self.counter = f"prim_{label}"
+
+    # Members are singletons, so identity hashing agrees with Enum's
+    # hash-by-name; unlike it, it runs no Python frame on each
+    # ``primitive_use[p] += 1`` (two per invocation).
+    __hash__ = object.__hash__
+
     @property
     def corresponding(self) -> "Primitive":
         """The primitive this one connects to (paper §3)."""
@@ -86,7 +95,7 @@ class TransputEject(Eject):
     def note_primitive(self, primitive: Primitive) -> None:
         """Record one use of ``primitive`` (Eject-local and kernel-wide)."""
         self.primitive_use[primitive] += 1
-        self.kernel.stats.bump(f"prim_{primitive.value}")
+        self.kernel.stats.counters[primitive.counter] += 1
 
     def interface_primitives(self) -> frozenset[Primitive]:
         """The set of primitives this Eject has actually used."""

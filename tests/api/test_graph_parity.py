@@ -273,3 +273,38 @@ class TestKnobRejection:
         graph = GraphBuilder(source=ITEMS).chain(identity_transducer()).build()
         with pytest.raises(ValueError, match="process boundary"):
             graph.run(runtime="tcp", workdir=str(tmp_path))
+
+
+class TestSimDeadlock:
+    """A simulated parallel block that cannot finish fails loudly."""
+
+    def test_stuck_branch_is_named(self, monkeypatch):
+        import repro.transput.pipeline as pipeline_module
+        from repro.core.errors import SchedulerDeadlockError
+
+        compose = pipeline_module.compose_segment
+        composed = []
+
+        def miswire_second_branch(kernel, *args, **kwargs):
+            built = compose(kernel, *args, **kwargs)
+            composed.append(built)
+            if len(composed) == 3:  # seg-0, branch 0, then branch 1
+                assert kernel is composed[1].kernel  # one shared kernel
+                (stage,) = built.filters
+                stage.inputs = [stage.output_endpoint()]  # reads itself
+            return built
+
+        monkeypatch.setattr(pipeline_module, "compose_segment",
+                            miswire_second_branch)
+        with pytest.raises(SchedulerDeadlockError) as raised:
+            diamond().run(runtime="sim")
+        message = str(raised.value)
+        stage, sink = composed[2].filters[0], composed[2].sink
+        assert message.startswith(
+            f"simulation quiesced before {sink.name} finished ("
+        )
+        # The other branch finished; only the miswired one is reported.
+        assert composed[1].sink.done
+        assert composed[1].sink.name not in message
+        assert f"{stage.name}/main blocked on call(Read#" in message
+        assert f"{sink.name}/main blocked on call(Read#" in message

@@ -303,3 +303,98 @@ class TestSpawnAndFailure:
         scheduler.spawn(body(), name="p")
         scheduler.run()
         assert scheduler.stats.get("context_switches") == 3
+
+
+class TestBlockedOn:
+    """What parks a process is kept as data and rendered only on
+    demand; the rendered texts are part of the debugging surface."""
+
+    @pytest.fixture
+    def world(self):
+        from repro.core import Eject, Kernel
+        from repro.core.syscalls import AwaitReply, Invoke, Receive
+
+        gate = Signal("gate")
+
+        class Mute(Eject):
+            eden_type = "Mute"
+
+            def main(self):
+                yield Receive()  # takes one invocation, never replies
+                yield Receive(operations=frozenset({"Read", "Close"}))
+
+        class Odd(Eject):
+            eden_type = "Odd"
+
+            def process_bodies(self):
+                return [("gate", self.gate()), ("late", self.late())]
+
+            def gate(self):
+                yield WaitSignal(gate)
+
+            def late(self):
+                ticket = yield Invoke(mute.uid, "Probe")
+                yield AwaitReply(ticket)
+
+        kernel = Kernel()
+        mute = kernel.create(Mute, name="mute")
+        kernel.create(Odd, name="odd")
+        kernel.run()
+        return kernel, mute
+
+    def test_reasons_read_as_before(self, world):
+        kernel, _mute = world
+        reasons = {p.name: p.blocked_reason for p in kernel.scheduler.processes}
+        assert reasons == {
+            "mute/main": "receive(['Close', 'Read'])",
+            "odd/gate": "wait(gate)",
+            "odd/late": "await(#1)",
+        }
+
+    def test_blocked_on_is_the_syscall_itself(self, world):
+        from repro.core.syscalls import Receive
+
+        kernel, mute = world
+        (server,) = mute.processes
+        assert isinstance(server.blocked_on, Receive)
+        assert server.blocked_on.operations == {"Read", "Close"}
+
+    def test_repr_and_world_and_stuck(self, world):
+        kernel, mute = world
+        (server,) = mute.processes
+        assert repr(server) == (
+            "Process(mute/main, blocked blocked_on=receive(['Close', 'Read']))"
+        )
+        assert (
+            "  odd: gate=blocked(wait(gate)), late=blocked(await(#1))"
+        ) in kernel.describe_world().splitlines()
+        # Parked on Receive is a server waiting for work, not stuck.
+        assert [p.name for p in kernel.scheduler.stuck_processes()] == [
+            "odd/gate", "odd/late",
+        ]
+
+    def test_call_names_operation_and_ticket(self, world):
+        kernel, mute = world
+        with pytest.raises(KernelError, match=r"blocked on call\(Other#2\)$"):
+            kernel.call_sync(mute.uid, "Other")
+
+    def test_sleep(self):
+        scheduler = Scheduler()
+
+        def body():
+            yield Sleep(5.0)
+
+        process = scheduler.spawn(body(), name="napper")
+        scheduler.run(until=lambda: process.blocked_on is not None)
+        assert process.blocked_reason == "sleep(5.0)"
+        assert scheduler.stuck_processes() == [process]
+
+    def test_receive_any_and_running_process(self):
+        from repro.core import Eject, Kernel
+
+        kernel = Kernel()
+        eject = kernel.create(Eject, name="server")  # default: Receive()
+        (process,) = eject.processes
+        assert process.blocked_reason is None and "blocked_on" not in repr(process)
+        kernel.run()
+        assert process.blocked_reason == "receive(any)"

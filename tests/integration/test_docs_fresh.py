@@ -1,19 +1,33 @@
 """Documentation consistency: generated docs are fresh, manifests exist."""
 
+import importlib
 import pathlib
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def test_api_docs_are_fresh():
-    """docs/api.md matches the current source (regenerate if this fails)."""
+def tool(name):
+    """Import ``tools/<name>.py`` (the tools directory is not a package)."""
     sys.path.insert(0, str(ROOT / "tools"))
     try:
-        import gen_api_docs
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    assert gen_api_docs.render() == (ROOT / "docs" / "api.md").read_text()
+
+
+def test_api_docs_are_fresh():
+    """docs/api.md matches the current source (regenerate if this fails)."""
+    assert tool("gen_api_docs").render() == (ROOT / "docs" / "api.md").read_text()
+
+
+def test_benchmark_tables_are_fresh():
+    """benchmarks/tables.txt is what the sim benchmarks print today,
+    digit for digit (see tools/check_tables.py)."""
+    pytest.importorskip("pytest_benchmark")
+    assert tool("check_tables").differences() == []
 
 
 def test_required_documents_exist():
