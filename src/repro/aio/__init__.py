@@ -4,51 +4,17 @@ The same Transducer filters, the same four primitives, running on real
 coroutines instead of the deterministic simulator.
 """
 
-from repro.aio.channels import AioReportingStage, ChannelReader
-from repro.aio.pipeline import (
-    run_conventional,
-    run_pipeline,
-    run_readonly,
-    run_writeonly,
-    stream_conventional,
-    stream_pipeline,
-    stream_readonly,
-    stream_segment,
-    stream_sharded,
-    stream_writeonly,
-)
-from repro.aio.streams import (
-    AioCollector,
-    AioPipe,
-    AioReadOnlyStage,
-    AioSource,
-    AioWriteOnlyStage,
-    Readable,
-    Writable,
-    collect,
-    iterate,
-)
+from repro._lazy import lazy_front
 
-__all__ = [
-    "AioCollector",
-    "AioReportingStage",
-    "ChannelReader",
-    "AioPipe",
-    "AioReadOnlyStage",
-    "AioSource",
-    "AioWriteOnlyStage",
-    "Readable",
-    "Writable",
-    "collect",
-    "iterate",
-    "run_conventional",
-    "run_pipeline",
-    "run_readonly",
-    "run_writeonly",
-    "stream_conventional",
-    "stream_pipeline",
-    "stream_readonly",
-    "stream_segment",
-    "stream_sharded",
-    "stream_writeonly",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.aio.channels": ("AioReportingStage", "ChannelReader"),
+    "repro.aio.pipeline": (
+        "run_conventional", "run_pipeline", "run_readonly", "run_writeonly",
+        "stream_conventional", "stream_pipeline", "stream_readonly",
+        "stream_segment", "stream_sharded", "stream_writeonly",
+    ),
+    "repro.aio.streams": (
+        "AioCollector", "AioPipe", "AioReadOnlyStage", "AioSource",
+        "AioWriteOnlyStage", "Readable", "Writable", "collect", "iterate",
+    ),
+})

@@ -1,55 +1,22 @@
 """Analysis: the paper's analytic cost model, measurement harness and
 table formatting for benchmark output."""
 
-from repro.analysis.comparison import (
-    Measurement,
-    measure_pipeline,
-    sweep_pipeline_lengths,
-)
-from repro.analysis.cost_model import (
-    EdgePrediction,
-    PipelineShape,
-    conventional_shape,
-    invocation_savings,
-    predict_edge_invocations,
-    predict_graph_invocations,
-    predicted_invocations,
-    predicted_lazy_makespan,
-    predicted_pipelined_makespan,
-    readonly_shape,
-    shape_for,
-    writeonly_shape,
-)
-from repro.analysis.report import format_ratio, format_table
-from repro.analysis.trace_tools import (
-    TimelineEntry,
-    format_sequence_diagram,
-    interaction_histogram,
-    invocation_timeline,
-    participants,
-)
+from repro._lazy import lazy_front
 
-__all__ = [
-    "EdgePrediction",
-    "Measurement",
-    "PipelineShape",
-    "conventional_shape",
-    "TimelineEntry",
-    "format_ratio",
-    "format_sequence_diagram",
-    "format_table",
-    "interaction_histogram",
-    "invocation_timeline",
-    "participants",
-    "invocation_savings",
-    "measure_pipeline",
-    "predict_edge_invocations",
-    "predict_graph_invocations",
-    "predicted_invocations",
-    "predicted_lazy_makespan",
-    "predicted_pipelined_makespan",
-    "readonly_shape",
-    "shape_for",
-    "sweep_pipeline_lengths",
-    "writeonly_shape",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.analysis.comparison": (
+        "Measurement", "measure_pipeline", "sweep_pipeline_lengths",
+    ),
+    "repro.analysis.cost_model": (
+        "EdgePrediction", "PipelineShape", "conventional_shape",
+        "invocation_savings", "predict_edge_invocations",
+        "predict_graph_invocations", "predicted_invocations",
+        "predicted_lazy_makespan", "predicted_pipelined_makespan",
+        "readonly_shape", "shape_for", "writeonly_shape",
+    ),
+    "repro.analysis.report": ("format_ratio", "format_table"),
+    "repro.analysis.trace_tools": (
+        "TimelineEntry", "format_sequence_diagram", "interaction_histogram",
+        "invocation_timeline", "participants",
+    ),
+})

@@ -56,40 +56,15 @@ vocabulary (``batch``, ``credit_window``, ``lookahead``, ``timeout``,
 cannot honour raises ``ValueError`` instead of being silently ignored.
 """
 
-from repro.api.execute import (
-    GraphResult,
-    RUNTIMES,
-    TCP_ONLY_KNOBS,
-    run_graph,
-)
-from repro.api.facade import DISCIPLINES, Pipeline, PipelineResult
-from repro.api.graph import (
-    Graph,
-    GraphBuilder,
-    GraphEdge,
-    GraphError,
-    GraphNode,
-    JOIN_OPS,
-    NODE_KINDS,
-    SCATTER_POLICIES,
-    SPLIT_OPS,
-)
+from repro._lazy import lazy_front
 
-__all__ = [
-    "DISCIPLINES",
-    "Graph",
-    "GraphBuilder",
-    "GraphEdge",
-    "GraphError",
-    "GraphNode",
-    "GraphResult",
-    "JOIN_OPS",
-    "NODE_KINDS",
-    "Pipeline",
-    "PipelineResult",
-    "RUNTIMES",
-    "SCATTER_POLICIES",
-    "SPLIT_OPS",
-    "TCP_ONLY_KNOBS",
-    "run_graph",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.api.execute": (
+        "GraphResult", "RUNTIMES", "TCP_ONLY_KNOBS", "run_graph",
+    ),
+    "repro.api.facade": ("DISCIPLINES", "Pipeline", "PipelineResult"),
+    "repro.api.graph": (
+        "Graph", "GraphBuilder", "GraphEdge", "GraphError", "GraphNode",
+        "JOIN_OPS", "NODE_KINDS", "SCATTER_POLICIES", "SPLIT_OPS",
+    ),
+})

@@ -23,33 +23,11 @@ dozens of stages per machine; this package is the path to thousands:
   ``Pipeline(..., placement="hosted")`` in :mod:`repro.api`.
 """
 
-from typing import Any
+from repro._lazy import lazy_front
 
-__all__ = [
-    "Broker",
-    "BrokerClient",
-    "BrokerError",
-    "HostConfig",
-    "HostedStageSpec",
-    "StageHost",
-    "plan_hosted_fleet",
-]
-
-_EXPORTS = {
-    "Broker": "repro.broker.daemon",
-    "BrokerError": "repro.broker.daemon",
-    "BrokerClient": "repro.broker.client",
-    "HostConfig": "repro.broker.host",
-    "HostedStageSpec": "repro.broker.host",
-    "StageHost": "repro.broker.host",
-    "plan_hosted_fleet": "repro.broker.launch",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.broker' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.broker.client": ("BrokerClient",),
+    "repro.broker.daemon": ("Broker", "BrokerError"),
+    "repro.broker.host": ("HostConfig", "HostedStageSpec", "StageHost"),
+    "repro.broker.launch": ("plan_hosted_fleet",),
+})

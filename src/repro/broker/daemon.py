@@ -86,7 +86,6 @@ from repro.net.handshake import (
 )
 from repro.net.metrics import NetStats
 from repro.net.mux import CONTROL_CHANNEL, FairWriter
-from repro.obs.control import start_control_server
 from repro.obs.registry import snapshot_payload
 
 __all__ = [
@@ -683,6 +682,8 @@ async def _serve(options: argparse.Namespace) -> int:
     print(f"eden-broker listening on {broker.host}:{broker.port}", flush=True)
     control = None
     if options.control_port is not None:
+        from repro.obs.control import start_control_server
+
         control = await start_control_server(
             broker.control_handlers(), host=options.host,
             port=options.control_port,

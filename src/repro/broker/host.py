@@ -43,7 +43,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.errors import EdenError
@@ -54,13 +54,6 @@ from repro.aio.streams import (
     AioSource,
     AioWriteOnlyStage,
     collect,
-)
-from repro.fault.inject import (
-    KillSwitch,
-    KillingReadable,
-    KillingWritable,
-    build_injector,
-    killing_transducer,
 )
 from repro.fault.plan import FaultPlan
 from repro.net.affinity import current_affinity, pin_to_core
@@ -79,12 +72,14 @@ from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
 from repro.net.protocol import PushState, ReplayLog, serve_pull, serve_push
 from repro.net.stage import _state_key, load_transducer
 from repro.obs.context import set_span
-from repro.obs.control import start_control_server
-from repro.obs.flight import FLIGHT_MODES, MODE_FULL, FlightRecorder
+from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
 from repro.transput.filterbase import identity_transducer
 from repro.broker.client import BrokerClient
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.fault.inject import KillSwitch
 
 __all__ = [
     "HostConfig",
@@ -316,9 +311,15 @@ class _HostedStage:
         self.collected: list[Any] | None = None
         self.restarts = 0
         self.state = "pending"
-        self.injector = build_injector(
-            spec.fault, stats=host.stats, label=spec.name
-        )
+        # The fault machinery, the flight recorder and the control
+        # server are imported by the host that switches them on.
+        self.injector = None
+        if spec.fault.frame_faults:
+            from repro.fault.inject import build_injector
+
+            self.injector = build_injector(
+                spec.fault, stats=host.stats, label=spec.name
+            )
         self._refusals_left = spec.fault.refuse_accepts
 
     def adopt_serial(self, serial: int) -> None:
@@ -349,6 +350,8 @@ class _HostedStage:
                 f"(kill_after={self.spec.fault.kill_after})"
             )
 
+        from repro.fault.inject import KillSwitch
+
         return KillSwitch(
             self.spec.fault.kill_after, label=self.spec.name, on_kill=trip
         )
@@ -367,6 +370,8 @@ class StageHost:
         # them all (the channel id in each record says whose they are).
         self.flight = None
         if config.flight_dir is not None:
+            from repro.obs.flight import FlightRecorder
+
             self.flight = FlightRecorder(
                 config.flight_dir, f"host#{config.serial}",
                 mode=config.flight_mode, stats=self.stats,
@@ -460,6 +465,8 @@ class StageHost:
                 stage.spec.transducer_spec, stage.spec.transducer_args
             )
         if switch is not None and stage.spec.role == "filter":
+            from repro.fault.inject import killing_transducer
+
             made = killing_transducer(made, switch)
         return made
 
@@ -608,10 +615,18 @@ class StageHost:
         push_states: dict[Any, PushState] = {}
 
         def killing_readable(readable: Any) -> Any:
-            return KillingReadable(readable, switch) if switch else readable
+            if switch is None:
+                return readable
+            from repro.fault.inject import KillingReadable
+
+            return KillingReadable(readable, switch)
 
         def killing_writable(writable: Any) -> Any:
-            return KillingWritable(writable, switch) if switch else writable
+            if switch is None:
+                return writable
+            from repro.fault.inject import KillingWritable
+
+            return KillingWritable(writable, switch)
 
         if spec.role == "source":
             items = spec.source_items or []
@@ -714,6 +729,8 @@ class StageHost:
         await self.client.connect()
         control = None
         if self.config.control_port is not None:
+            from repro.obs.control import start_control_server
+
             control = await start_control_server(
                 self.control_handlers(), port=self.config.control_port
             )

@@ -25,7 +25,7 @@ import json
 import pathlib
 from typing import Any, Mapping, Sequence
 
-from repro.devices import random_lines
+from repro.devices.workload import random_lines
 from repro.fault.plan import FaultPlan
 from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON

@@ -4,121 +4,37 @@ Public surface of the substrate layer.  Higher layers (``repro.transput``
 and friends) are built exclusively on these names.
 """
 
-from repro.core.capability import (
-    PRIMARY_CHANNEL,
-    REPORT_CHANNEL,
-    ChannelCapability,
-    ChannelId,
-    ChannelMinter,
-)
-from repro.core.checkpoint import PassiveRepresentation, StableStore
-from repro.core.clock import VirtualClock
-from repro.core.eject import Eject
-from repro.core.errors import (
-    BufferOverflowError,
-    ChannelSecurityError,
-    CheckpointError,
-    EdenError,
-    EjectCrashedError,
-    EjectDeactivatedError,
-    EndOfStreamError,
-    ForgeryError,
-    InvocationError,
-    KernelError,
-    NoSuchChannelError,
-    NoSuchOperationError,
-    ProcessFailedError,
-    StreamProtocolError,
-    UnknownUIDError,
-)
-from repro.core.kernel import Kernel
-from repro.core.message import Invocation, Reply, ReplyStatus
-from repro.core.node import Node
-from repro.core.process import Process, ProcessState
-from repro.core.registry import TypeRegistry
-from repro.core.scheduler import Scheduler
-from repro.core.stats import KernelStats, StatsSnapshot
-from repro.core.syscalls import (
-    AwaitReply,
-    Call,
-    Deactivate,
-    DoCheckpoint,
-    ExitProcess,
-    GetTime,
-    Invoke,
-    NotifySignal,
-    Receive,
-    SendReply,
-    Signal,
-    Sleep,
-    Spawn,
-    Syscall,
-    WaitSignal,
-    YieldControl,
-)
-from repro.core.tracing import TraceEvent, Tracer, load_jsonl
-from repro.core.transport import Transport, TransportCosts
-from repro.core.uid import UID, UIDFactory
-from repro.core.workers import WorkerPoolEject
+from repro._lazy import lazy_front
 
-__all__ = [
-    "AwaitReply",
-    "BufferOverflowError",
-    "Call",
-    "ChannelCapability",
-    "ChannelId",
-    "ChannelMinter",
-    "ChannelSecurityError",
-    "CheckpointError",
-    "Deactivate",
-    "DoCheckpoint",
-    "EdenError",
-    "Eject",
-    "EjectCrashedError",
-    "EjectDeactivatedError",
-    "EndOfStreamError",
-    "ExitProcess",
-    "ForgeryError",
-    "GetTime",
-    "Invocation",
-    "InvocationError",
-    "Invoke",
-    "Kernel",
-    "KernelError",
-    "KernelStats",
-    "NoSuchChannelError",
-    "NoSuchOperationError",
-    "Node",
-    "NotifySignal",
-    "PRIMARY_CHANNEL",
-    "PassiveRepresentation",
-    "Process",
-    "ProcessFailedError",
-    "ProcessState",
-    "REPORT_CHANNEL",
-    "Receive",
-    "Reply",
-    "ReplyStatus",
-    "Scheduler",
-    "SendReply",
-    "Signal",
-    "Sleep",
-    "Spawn",
-    "StableStore",
-    "StatsSnapshot",
-    "StreamProtocolError",
-    "Syscall",
-    "TraceEvent",
-    "Tracer",
-    "load_jsonl",
-    "Transport",
-    "TransportCosts",
-    "TypeRegistry",
-    "UID",
-    "UIDFactory",
-    "UnknownUIDError",
-    "WorkerPoolEject",
-    "VirtualClock",
-    "WaitSignal",
-    "YieldControl",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.core.capability": (
+        "ChannelCapability", "ChannelId", "ChannelMinter", "PRIMARY_CHANNEL",
+        "REPORT_CHANNEL",
+    ),
+    "repro.core.checkpoint": ("PassiveRepresentation", "StableStore"),
+    "repro.core.clock": ("VirtualClock",),
+    "repro.core.eject": ("Eject",),
+    "repro.core.errors": (
+        "BufferOverflowError", "ChannelSecurityError", "CheckpointError",
+        "EdenError", "EjectCrashedError", "EjectDeactivatedError",
+        "EndOfStreamError", "ForgeryError", "InvocationError", "KernelError",
+        "NoSuchChannelError", "NoSuchOperationError", "ProcessFailedError",
+        "StreamProtocolError", "UnknownUIDError",
+    ),
+    "repro.core.kernel": ("Kernel",),
+    "repro.core.message": ("Invocation", "Reply", "ReplyStatus"),
+    "repro.core.node": ("Node",),
+    "repro.core.process": ("Process", "ProcessState"),
+    "repro.core.registry": ("TypeRegistry",),
+    "repro.core.scheduler": ("Scheduler",),
+    "repro.core.stats": ("KernelStats", "StatsSnapshot"),
+    "repro.core.syscalls": (
+        "AwaitReply", "Call", "Deactivate", "DoCheckpoint", "ExitProcess",
+        "GetTime", "Invoke", "NotifySignal", "Receive", "SendReply", "Signal",
+        "Sleep", "Spawn", "Syscall", "WaitSignal", "YieldControl",
+    ),
+    "repro.core.tracing": ("TraceEvent", "Tracer", "load_jsonl"),
+    "repro.core.transport": ("Transport", "TransportCosts"),
+    "repro.core.uid": ("UID", "UIDFactory"),
+    "repro.core.workers": ("WorkerPoolEject",),
+})

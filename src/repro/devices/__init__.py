@@ -6,26 +6,13 @@ point that "there is no distinction between input redirection from a
 file and from a program" extends to devices.
 """
 
-from repro.devices.printer import PrinterServer
-from repro.devices.sources import (
-    ClockSource,
-    NullSource,
-    RandomSource,
-    random_lines,
-)
-from repro.devices.terminal import Keyboard, Terminal
-from repro.devices.window import PassiveReportWindow, ReportWindow
-from repro.transput.sink import NullSink
+from repro._lazy import lazy_front
 
-__all__ = [
-    "ClockSource",
-    "Keyboard",
-    "NullSink",
-    "NullSource",
-    "PassiveReportWindow",
-    "PrinterServer",
-    "RandomSource",
-    "ReportWindow",
-    "Terminal",
-    "random_lines",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.devices.printer": ("PrinterServer",),
+    "repro.devices.sources": ("ClockSource", "NullSource", "RandomSource"),
+    "repro.devices.terminal": ("Keyboard", "Terminal"),
+    "repro.devices.window": ("PassiveReportWindow", "ReportWindow"),
+    "repro.devices.workload": ("random_lines",),
+    "repro.transput.sink": ("NullSink",),
+})

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.message import Invocation
 from repro.core.syscalls import GetTime
+from repro.devices.workload import random_lines as random_lines  # re-export
 from repro.transput.primitives import Primitive
 from repro.transput.source import PassiveSource
 from repro.transput.stream import END_TRANSFER, Transfer
@@ -89,19 +90,6 @@ class RandomSource(PassiveSource):
         ]
         for _ in range(self.count):
             yield " ".join(rng.choice(vocabulary) for _ in range(self.width))
-
-
-def random_lines(count: int, width: int = 8, seed: int = 0) -> list[str]:
-    """Host-side version of :class:`RandomSource` for building workloads."""
-    rng = random.Random(f"random-lines:{seed}")
-    vocabulary = [
-        "stream", "eject", "kernel", "filter", "invoke", "reply",
-        "read", "write", "buffer", "channel", "active", "passive",
-    ]
-    return [
-        " ".join(rng.choice(vocabulary) for _ in range(width))
-        for _ in range(count)
-    ]
 
 
 class NullSource(PassiveSource):

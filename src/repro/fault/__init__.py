@@ -22,32 +22,16 @@ protocol that makes restarts lossless lives in
 :mod:`repro.net.protocol` (see ``docs/fault_tolerance.md``).
 """
 
-from repro.fault.plan import (
-    FAULT_ACTIONS,
-    KILLED_EXIT_CODE,
-    FaultError,
-    FaultPlan,
-    FrameFault,
-)
-from repro.fault.inject import (
-    FaultInjector,
-    KillSwitch,
-    KillingReadable,
-    KillingWritable,
-    killing_transducer,
-)
-from repro.fault.chaos import ChaosProxy
+from repro._lazy import lazy_front
 
-__all__ = [
-    "FAULT_ACTIONS",
-    "KILLED_EXIT_CODE",
-    "ChaosProxy",
-    "FaultError",
-    "FaultInjector",
-    "FaultPlan",
-    "FrameFault",
-    "KillSwitch",
-    "KillingReadable",
-    "KillingWritable",
-    "killing_transducer",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.fault.chaos": ("ChaosProxy",),
+    "repro.fault.inject": (
+        "FaultInjector", "KillSwitch", "KillingReadable", "KillingWritable",
+        "killing_transducer",
+    ),
+    "repro.fault.plan": (
+        "FAULT_ACTIONS", "FaultError", "FaultPlan", "FrameFault",
+        "KILLED_EXIT_CODE",
+    ),
+})

@@ -5,24 +5,14 @@ layer (§7) bridges to a simulated host Unix filesystem; the
 transaction layer implements the §7 "preliminary design".
 """
 
-from repro.filesystem.bootstrap import UnixFile, UnixFileSystem
-from repro.filesystem.concatenator import DirectoryConcatenator
-from repro.filesystem.directory import Directory
-from repro.filesystem.file import EdenFile, FileReader
-from repro.filesystem.hostfs import HostFileSystem, split_path
-from repro.filesystem.mapfile import MapFile, MapIndexError
-from repro.filesystem.transactions import TransactionalDirectory
+from repro._lazy import lazy_front
 
-__all__ = [
-    "Directory",
-    "DirectoryConcatenator",
-    "EdenFile",
-    "FileReader",
-    "HostFileSystem",
-    "MapFile",
-    "MapIndexError",
-    "TransactionalDirectory",
-    "UnixFile",
-    "UnixFileSystem",
-    "split_path",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.filesystem.bootstrap": ("UnixFile", "UnixFileSystem"),
+    "repro.filesystem.concatenator": ("DirectoryConcatenator",),
+    "repro.filesystem.directory": ("Directory",),
+    "repro.filesystem.file": ("EdenFile", "FileReader"),
+    "repro.filesystem.hostfs": ("HostFileSystem", "split_path"),
+    "repro.filesystem.mapfile": ("MapFile", "MapIndexError"),
+    "repro.filesystem.transactions": ("TransactionalDirectory",),
+})

@@ -5,97 +5,29 @@ disciplines via the pipeline builders) or, for the genuinely
 multi-stream cases, a specialised Eject class.
 """
 
-from repro.filters.basic import (
-    batch_lines,
-    expand_tabs,
-    fold,
-    identity,
-    lower_case,
-    prepend,
-    repeat,
-    reverse_line,
-    strip_whitespace,
-    translate,
-    upper_case,
-)
-from repro.filters.columns import cut, paste, rle_decode, rle_encode
-from repro.filters.compare import MISSING, DiffRecord, DifferenceFilter
-from repro.filters.editor import (
-    EditorCommandError,
-    StreamEditor,
-    parse_command,
-)
-from repro.filters.pattern import (
-    between,
-    comment_stripper,
-    delete_matching,
-    grep,
-    substitute,
-)
-from repro.filters.reporting import (
-    ErrorReporting,
-    fanout,
-    with_reports,
-)
-from repro.filters.sortedmerge import SortedMergeFilter
-from repro.filters.spellcheck import (
-    DEFAULT_WORDS,
-    SpellChecker,
-    SpellCheckReporter,
-)
-from repro.filters.text import (
-    WordCountSummary,
-    head,
-    number_lines,
-    paginate,
-    pretty_print,
-    sort_lines,
-    tail,
-    unique_adjacent,
-    word_count,
-)
+from repro._lazy import lazy_front
 
-__all__ = [
-    "DEFAULT_WORDS",
-    "DiffRecord",
-    "DifferenceFilter",
-    "EditorCommandError",
-    "ErrorReporting",
-    "MISSING",
-    "SpellCheckReporter",
-    "SpellChecker",
-    "SortedMergeFilter",
-    "StreamEditor",
-    "WordCountSummary",
-    "batch_lines",
-    "between",
-    "comment_stripper",
-    "cut",
-    "delete_matching",
-    "expand_tabs",
-    "fanout",
-    "fold",
-    "grep",
-    "head",
-    "identity",
-    "lower_case",
-    "number_lines",
-    "paginate",
-    "parse_command",
-    "paste",
-    "prepend",
-    "pretty_print",
-    "repeat",
-    "reverse_line",
-    "rle_decode",
-    "rle_encode",
-    "sort_lines",
-    "strip_whitespace",
-    "substitute",
-    "tail",
-    "translate",
-    "unique_adjacent",
-    "upper_case",
-    "with_reports",
-    "word_count",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.filters.basic": (
+        "batch_lines", "expand_tabs", "fold", "identity", "lower_case",
+        "prepend", "repeat", "reverse_line", "strip_whitespace", "translate",
+        "upper_case",
+    ),
+    "repro.filters.columns": ("cut", "paste", "rle_decode", "rle_encode"),
+    "repro.filters.compare": ("DiffRecord", "DifferenceFilter", "MISSING"),
+    "repro.filters.editor": (
+        "EditorCommandError", "StreamEditor", "parse_command",
+    ),
+    "repro.filters.pattern": (
+        "between", "comment_stripper", "delete_matching", "grep", "substitute",
+    ),
+    "repro.filters.reporting": ("ErrorReporting", "fanout", "with_reports"),
+    "repro.filters.sortedmerge": ("SortedMergeFilter",),
+    "repro.filters.spellcheck": (
+        "DEFAULT_WORDS", "SpellCheckReporter", "SpellChecker",
+    ),
+    "repro.filters.text": (
+        "WordCountSummary", "head", "number_lines", "paginate", "pretty_print",
+        "sort_lines", "tail", "unique_adjacent", "word_count",
+    ),
+})

@@ -27,118 +27,30 @@ Layer map:
   check the paper's invocation formulas (n+1 vs 2n+2) on real traffic.
 """
 
-from repro.net.framing import (
-    Frame,
-    FrameDecoder,
-    FrameError,
-    FrameType,
-    MAX_FRAME_BODY,
-    decode_frame,
-    decode_payload,
-    encode_frame,
-    encode_payload,
-    read_frame,
-    write_frame,
-)
-from repro.net.handshake import (
-    HandshakeError,
-    HandshakeLinkDown,
-    TicketBook,
-    expect_hello,
-    send_hello,
-)
-from repro.net.metrics import NetStats, merge_stats
-from repro.net.protocol import (
-    Connection,
-    LinkDown,
-    RemoteReadable,
-    RemoteWritable,
-    connect_with_backoff,
-    serve_pull,
-    serve_push,
-)
+from repro._lazy import lazy_front
 
-#: Orchestration names live in :mod:`repro.net.launch`, which imports
-#: :mod:`repro.net.stage`; loading them lazily keeps ``python -m
-#: repro.net.stage`` from importing the stage module twice (runpy's
-#: "found in sys.modules" warning).
-_LAUNCH_NAMES = (
-    "FleetError",
-    "FleetSupervisor",
-    "PipelineResult",
-    "StagePlan",
-    "execute",
-    "plan_fleet",
-    "plan_linear_fleet",
-    "plan_pipeline",
-    "plan_sharded_fleet",
-    "run_fleet",
-)
-
-#: Multiplexing names (:mod:`repro.net.mux`), loaded lazily for the
-#: same reason — the mux imports the protocol module's Hosted bases.
-_MUX_NAMES = (
-    "CONTROL_CHANNEL",
-    "ChannelMux",
-    "FairWriter",
-    "HostedReadable",
-    "HostedWritable",
-    "MuxChannel",
-)
-
-
-def __getattr__(name):
-    if name in _LAUNCH_NAMES:
-        from repro.net import launch
-
-        return getattr(launch, name)
-    if name in _MUX_NAMES:
-        from repro.net import mux
-
-        return getattr(mux, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CONTROL_CHANNEL",
-    "ChannelMux",
-    "Connection",
-    "FairWriter",
-    "FleetError",
-    "FleetSupervisor",
-    "Frame",
-    "FrameDecoder",
-    "FrameError",
-    "FrameType",
-    "HandshakeError",
-    "HandshakeLinkDown",
-    "HostedReadable",
-    "HostedWritable",
-    "LinkDown",
-    "MAX_FRAME_BODY",
-    "MuxChannel",
-    "NetStats",
-    "PipelineResult",
-    "RemoteReadable",
-    "RemoteWritable",
-    "StagePlan",
-    "TicketBook",
-    "connect_with_backoff",
-    "decode_frame",
-    "decode_payload",
-    "encode_frame",
-    "encode_payload",
-    "execute",
-    "expect_hello",
-    "merge_stats",
-    "plan_fleet",
-    "plan_linear_fleet",
-    "plan_pipeline",
-    "plan_sharded_fleet",
-    "read_frame",
-    "run_fleet",
-    "send_hello",
-    "serve_pull",
-    "serve_push",
-    "write_frame",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.net.framing": (
+        "Frame", "FrameDecoder", "FrameError", "FrameType", "MAX_FRAME_BODY",
+        "decode_frame", "decode_payload", "encode_frame", "encode_payload",
+        "read_frame", "write_frame",
+    ),
+    "repro.net.handshake": (
+        "HandshakeError", "HandshakeLinkDown", "TicketBook", "expect_hello",
+        "send_hello",
+    ),
+    "repro.net.launch": (
+        "FleetError", "FleetSupervisor", "PipelineResult", "StagePlan",
+        "execute", "plan_fleet", "plan_linear_fleet", "plan_pipeline",
+        "plan_sharded_fleet", "run_fleet",
+    ),
+    "repro.net.metrics": ("NetStats", "merge_stats"),
+    "repro.net.mux": (
+        "CONTROL_CHANNEL", "ChannelMux", "FairWriter", "HostedReadable",
+        "HostedWritable", "MuxChannel",
+    ),
+    "repro.net.protocol": (
+        "Connection", "LinkDown", "RemoteReadable", "RemoteWritable",
+        "connect_with_backoff", "serve_pull", "serve_push",
+    ),
+})

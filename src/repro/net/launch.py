@@ -46,7 +46,7 @@ from typing import Any, Mapping, Sequence
 
 import repro
 from repro.compat import warn_deprecated
-from repro.devices import random_lines
+from repro.devices.workload import random_lines
 from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan
 from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON

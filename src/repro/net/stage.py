@@ -60,7 +60,7 @@ from typing import Any, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.tracing import Tracer
-from repro.devices import random_lines
+from repro.devices.workload import random_lines
 from repro.aio.streams import (
     AioCollector,
     AioPipe,
@@ -68,13 +68,6 @@ from repro.aio.streams import (
     AioSource,
     AioWriteOnlyStage,
     collect,
-)
-from repro.fault.inject import (
-    KillSwitch,
-    KillingReadable,
-    KillingWritable,
-    build_injector,
-    killing_transducer,
 )
 from repro.fault.plan import FaultPlan
 from repro.net.affinity import current_affinity, pin_to_core
@@ -99,8 +92,7 @@ from repro.net.protocol import (
 )
 from repro.net.framing import CODEC_JSON, CODECS, FrameError
 from repro.obs.context import set_span
-from repro.obs.control import start_control_server
-from repro.obs.flight import FLIGHT_MODES, MODE_FULL, FlightRecorder
+from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SPAN_KIND, SpanIds
 from repro.transput.filterbase import Transducer, identity_transducer
@@ -263,12 +255,20 @@ class _Stage:
         self.started_mono = time.monotonic()
         # Fault machinery: one injector and one kill switch per stage,
         # so nth/every/kill_after schedules span all its connections.
-        self.injector = build_injector(config.fault, stats=self.stats,
-                                       label=self.label)
-        self.kill_switch = (
-            KillSwitch(config.fault.kill_after, label=self.label)
-            if config.fault.kill_after is not None else None
-        )
+        # Like the flight recorder and the control server, it is
+        # imported by the stage that switches it on, not by every stage.
+        self.injector = None
+        if config.fault.frame_faults:
+            from repro.fault.inject import build_injector
+
+            self.injector = build_injector(config.fault, stats=self.stats,
+                                           label=self.label)
+        self.kill_switch = None
+        if config.fault.kill_after is not None:
+            from repro.fault.inject import KillSwitch
+
+            self.kill_switch = KillSwitch(config.fault.kill_after,
+                                          label=self.label)
         self._refusals_left = config.fault.refuse_accepts
         # Resume state outlives individual connections (restarted or
         # reconnecting peers pick up where their predecessor stopped).
@@ -278,6 +278,8 @@ class _Stage:
         # to rebuild this stage in the sim kernel from the capture alone.
         self.flight = None
         if config.flight_dir is not None:
+            from repro.obs.flight import FlightRecorder
+
             self.flight = FlightRecorder(
                 config.flight_dir, self.label, mode=config.flight_mode,
                 stats=self.stats,
@@ -351,17 +353,23 @@ class _Stage:
                 self.config.transducer_spec, self.config.transducer_args
             )
         if self.kill_switch is not None and self.config.role == "filter":
+            from repro.fault.inject import killing_transducer
+
             made = killing_transducer(made, self.kill_switch)
         return made
 
     def _killing_readable(self, readable: Any) -> Any:
         """Wrap an active-source/sink readable in the stage's kill switch."""
         if self.kill_switch is not None:
+            from repro.fault.inject import KillingReadable
+
             return KillingReadable(readable, self.kill_switch)
         return readable
 
     def _killing_writable(self, writable: Any) -> Any:
         if self.kill_switch is not None:
+            from repro.fault.inject import KillingWritable
+
             return KillingWritable(writable, self.kill_switch)
         return writable
 
@@ -604,6 +612,8 @@ async def run_stage(config: StageConfig) -> _Stage:
         )
     control = None
     if config.control_port is not None:
+        from repro.obs.control import start_control_server
+
         control = await start_control_server(
             stage.control_handlers(), host=config.host, port=config.control_port
         )

@@ -27,40 +27,17 @@ Layers:
   and ``eden-trace`` command line tools.
 """
 
-from repro.obs.spans import SpanContext, SpanIds, SPAN_KIND, CLOCK_KIND
-from repro.obs.context import current_span, bind_span
-from repro.obs.registry import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    snapshot_payload,
-    stats_from_payload,
-    to_prometheus,
-)
-from repro.obs.merge import (
-    ChainReport,
-    SpanRecord,
-    StageLog,
-    TraceTree,
-    load_span_log,
-    merge_span_logs,
-    verify_invocation_chains,
-)
+from repro._lazy import lazy_front
 
-__all__ = [
-    "SpanContext",
-    "SpanIds",
-    "SPAN_KIND",
-    "CLOCK_KIND",
-    "current_span",
-    "bind_span",
-    "DEFAULT_LATENCY_BUCKETS_MS",
-    "snapshot_payload",
-    "stats_from_payload",
-    "to_prometheus",
-    "ChainReport",
-    "SpanRecord",
-    "StageLog",
-    "TraceTree",
-    "load_span_log",
-    "merge_span_logs",
-    "verify_invocation_chains",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.obs.context": ("bind_span", "current_span"),
+    "repro.obs.merge": (
+        "ChainReport", "SpanRecord", "StageLog", "TraceTree", "load_span_log",
+        "merge_span_logs", "verify_invocation_chains",
+    ),
+    "repro.obs.registry": (
+        "DEFAULT_LATENCY_BUCKETS_MS", "snapshot_payload", "stats_from_payload",
+        "to_prometheus",
+    ),
+    "repro.obs.spans": ("CLOCK_KIND", "SPAN_KIND", "SpanContext", "SpanIds"),
+})

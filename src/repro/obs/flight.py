@@ -55,6 +55,7 @@ from typing import Any, Callable, Iterator
 
 from repro.core.errors import EdenError
 from repro.net.framing import Frame, FrameType, decode_frame
+from repro.obs.flightmode import FLIGHT_MODES, MODE_DIGEST, MODE_FULL
 
 __all__ = [
     "FLIGHT_MAGIC",
@@ -75,13 +76,6 @@ __all__ = [
 
 #: Segment-file identifier + version, first in every segment.
 FLIGHT_MAGIC = b"EFL1"
-
-#: Full-fidelity capture: records carry complete wire bytes.
-MODE_FULL = "full"
-#: Hot-path capture: records carry a CRC-32 of the wire bytes.
-MODE_DIGEST = "digest"
-#: Every capture fidelity the recorder speaks.
-FLIGHT_MODES = (MODE_FULL, MODE_DIGEST)
 
 #: Default rotation threshold per segment file.
 DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024

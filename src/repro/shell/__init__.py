@@ -5,35 +5,16 @@ The command language supports pipelines (``|``), channel redirection
 selection and literal sources.
 """
 
-from repro.shell.ast import (
-    AssignStmt,
-    PipelineStmt,
-    Redirect,
-    Script,
-    SetStmt,
-    ShowStmt,
-    Stage,
-)
-from repro.shell.builtins import BUILTINS, build_transducer
-from repro.shell.interpreter import Shell, ShellResult
-from repro.shell.repl import run_repl
-from repro.shell.lexer import Token, tokenize
-from repro.shell.parser import parse_line
+from repro._lazy import lazy_front
 
-__all__ = [
-    "AssignStmt",
-    "BUILTINS",
-    "PipelineStmt",
-    "Redirect",
-    "Script",
-    "SetStmt",
-    "Shell",
-    "ShellResult",
-    "ShowStmt",
-    "Stage",
-    "Token",
-    "run_repl",
-    "build_transducer",
-    "parse_line",
-    "tokenize",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.shell.ast": (
+        "AssignStmt", "PipelineStmt", "Redirect", "Script", "SetStmt",
+        "ShowStmt", "Stage",
+    ),
+    "repro.shell.builtins": ("BUILTINS", "build_transducer"),
+    "repro.shell.interpreter": ("Shell", "ShellResult"),
+    "repro.shell.lexer": ("Token", "tokenize"),
+    "repro.shell.parser": ("parse_line",),
+    "repro.shell.repl": ("run_repl",),
+})

@@ -6,139 +6,45 @@ protocol (:mod:`~repro.transput.stream`), the three disciplines
 identifiers, flow control and pipeline builders.
 """
 
-from repro.transput.buffer import DEFAULT_CAPACITY, PassiveBuffer
-from repro.transput.channels import ChannelTable
-from repro.transput.conventional import ConventionalFilter
-from repro.transput.filterbase import (
-    OUTPUT,
-    REPORT,
-    ReportingTransducer,
-    Transducer,
-    apply_reporting,
-    apply_transducer,
-    as_reporting,
-    compose_apply,
-    filter_transducer,
-    identity_transducer,
-    make_transducer,
-    map_transducer,
-)
-from repro.transput.flow import FlowPolicy
-from repro.transput.iolib import (
-    END_OF_INPUT,
-    ConventionalStyleFilter,
-    InputPort,
-    OutputPort,
-)
-from repro.transput.pipeline import (
-    DISCIPLINES,
-    Pipeline,
-    build_conventional_pipeline,
-    build_pipeline,
-    build_readonly_pipeline,
-    build_writeonly_pipeline,
-    compose_conventional_pipeline,
-    compose_pipeline,
-    compose_readonly_pipeline,
-    compose_segment,
-    compose_writeonly_pipeline,
-)
-from repro.transput.primitives import (
-    Primitive,
-    READ_OP,
-    TRANSFER_OP,
-    TransputEject,
-    WRITE_OP,
-    active_input,
-    active_output,
-    passive_input,
-    passive_output,
-    read_stream,
-    write_stream,
-)
-from repro.transput.merge import TaggedMerger
-from repro.transput.readonly import ReadOnlyFilter
-from repro.transput.sink import (
-    ActiveSink,
-    CollectorSink,
-    NullSink,
-    PassiveSink,
-)
-from repro.transput.source import (
-    ActiveSource,
-    FunctionSource,
-    ListSource,
-    PassiveSource,
-)
-from repro.transput.stream import (
-    END_TRANSFER,
-    StreamAssembler,
-    StreamEndpoint,
-    StreamStatus,
-    Transfer,
-    WriteAck,
-)
-from repro.transput.writeonly import WriteOnlyFilter
+from repro._lazy import lazy_front
 
-__all__ = [
-    "ActiveSink",
-    "ActiveSource",
-    "ChannelTable",
-    "CollectorSink",
-    "ConventionalFilter",
-    "ConventionalStyleFilter",
-    "DEFAULT_CAPACITY",
-    "DISCIPLINES",
-    "END_OF_INPUT",
-    "END_TRANSFER",
-    "FlowPolicy",
-    "FunctionSource",
-    "InputPort",
-    "ListSource",
-    "NullSink",
-    "OUTPUT",
-    "OutputPort",
-    "PassiveBuffer",
-    "PassiveSink",
-    "PassiveSource",
-    "Pipeline",
-    "Primitive",
-    "READ_OP",
-    "TRANSFER_OP",
-    "REPORT",
-    "ReadOnlyFilter",
-    "ReportingTransducer",
-    "StreamAssembler",
-    "StreamEndpoint",
-    "StreamStatus",
-    "TaggedMerger",
-    "Transducer",
-    "Transfer",
-    "TransputEject",
-    "WRITE_OP",
-    "WriteAck",
-    "WriteOnlyFilter",
-    "active_input",
-    "active_output",
-    "apply_reporting",
-    "apply_transducer",
-    "as_reporting",
-    "build_conventional_pipeline",
-    "build_pipeline",
-    "build_readonly_pipeline",
-    "build_writeonly_pipeline",
-    "compose_conventional_pipeline",
-    "compose_pipeline",
-    "compose_readonly_pipeline",
-    "compose_segment",
-    "compose_writeonly_pipeline",
-    "compose_apply",
-    "filter_transducer",
-    "identity_transducer",
-    "make_transducer",
-    "map_transducer",
-    "passive_input",
-    "passive_output",
-    "read_stream",
-    "write_stream",
-]
+__getattr__, __dir__, __all__ = lazy_front(globals(), {
+    "repro.transput.buffer": ("DEFAULT_CAPACITY", "PassiveBuffer"),
+    "repro.transput.channels": ("ChannelTable",),
+    "repro.transput.conventional": ("ConventionalFilter",),
+    "repro.transput.filterbase": (
+        "OUTPUT", "REPORT", "ReportingTransducer", "Transducer",
+        "apply_reporting", "apply_transducer", "as_reporting", "compose_apply",
+        "filter_transducer", "identity_transducer", "make_transducer",
+        "map_transducer",
+    ),
+    "repro.transput.flow": ("FlowPolicy",),
+    "repro.transput.iolib": (
+        "ConventionalStyleFilter", "END_OF_INPUT", "InputPort", "OutputPort",
+    ),
+    "repro.transput.merge": ("TaggedMerger",),
+    "repro.transput.pipeline": (
+        "DISCIPLINES", "Pipeline", "build_conventional_pipeline",
+        "build_pipeline", "build_readonly_pipeline",
+        "build_writeonly_pipeline", "compose_conventional_pipeline",
+        "compose_pipeline", "compose_readonly_pipeline", "compose_segment",
+        "compose_writeonly_pipeline",
+    ),
+    "repro.transput.primitives": (
+        "Primitive", "READ_OP", "TRANSFER_OP", "TransputEject", "WRITE_OP",
+        "active_input", "active_output", "passive_input", "passive_output",
+        "read_stream", "write_stream",
+    ),
+    "repro.transput.readonly": ("ReadOnlyFilter",),
+    "repro.transput.sink": (
+        "ActiveSink", "CollectorSink", "NullSink", "PassiveSink",
+    ),
+    "repro.transput.source": (
+        "ActiveSource", "FunctionSource", "ListSource", "PassiveSource",
+    ),
+    "repro.transput.stream": (
+        "END_TRANSFER", "StreamAssembler", "StreamEndpoint", "StreamStatus",
+        "Transfer", "WriteAck",
+    ),
+    "repro.transput.writeonly": ("WriteOnlyFilter",),
+})
