@@ -33,8 +33,8 @@ self-describing and the two codecs can share a connection):
 
 Encoders append into caller-supplied ``bytearray`` buffers
 (:func:`encode_frame_into`) so several frames can be coalesced into
-one ``write``; decoders work over ``memoryview`` slices so a partial
-frame is never re-copied while it accumulates.
+one ``write``; a partial frame is never re-copied while it accumulates,
+and a complete body is copied once, to the ``bytes`` the codecs index.
 
 Frame types map one-to-one onto the protocol's messages:
 
@@ -86,6 +86,7 @@ from repro.core.capability import ChannelCapability
 from repro.core.errors import EdenError
 from repro.core.uid import UID
 from repro.net.bufpool import POOL, BufferPool
+from repro.obs.spans import SpanContext
 
 __all__ = [
     "FrameError",
@@ -97,6 +98,7 @@ __all__ = [
     "MAGIC",
     "HEADER",
     "MAX_FRAME_BODY",
+    "MAX_NESTING",
     "READ_CHUNK",
     "DECODER_SHRINK",
     "CODEC_JSON",
@@ -128,6 +130,11 @@ HEADER = struct.Struct("!4sBI")
 #: Upper bound on one frame's body, a defence against a corrupt or
 #: hostile length prefix allocating unbounded memory.
 MAX_FRAME_BODY = 16 * 1024 * 1024
+
+#: Deepest nesting of lists, tuples and dicts in a body (itself level one),
+#: on both codecs, encoding and decoding alike: we never emit what we would
+#: refuse, and a hostile body of brackets cannot spend the interpreter's stack.
+MAX_NESTING = 64
 
 #: The always-available UTF-8 JSON body encoding.
 CODEC_JSON = "json"
@@ -193,11 +200,75 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# Payload (record / channel-id) codec: JSON plus tagged extensions.
+# Body codecs, each one pass over the value: a table of encoders keyed by
+# exact type (subclasses — IntEnum, named tuples — take _for_subclass to the
+# same bytes) and a table of decoders, not a ladder walked per value.  Table
+# entries carry no annotations: every stage compiles this file at start-up.
 # ---------------------------------------------------------------------------
 
-#: JSON object keys reserved for the tagged extensions below.
+
+def _for_subclass(table: dict[type, Any], value: Any) -> Any:
+    """``table``'s handler for the first base ``value`` is an instance of."""
+    for base, handler in table.items():
+        if isinstance(value, base):
+            return handler
+    raise FrameError(f"cannot encode {type(value).__name__} payload: {value!r}")
+
+
+def _nest(depth: int) -> int:
+    """The depth of a container's items; refuses a container past the cap."""
+    if depth >= MAX_NESTING:
+        raise FrameError(f"frame body nests deeper than MAX_NESTING ({MAX_NESTING})")
+    return depth + 1
+
+
+# -- json: plain JSON plus tagged objects -----------------------------------
+
+#: JSON object keys reserved for the tagged extensions, in decoding order.
 _TAGS = ("__bytes__", "__tuple__", "__uid__", "__chan__", "__dict__")
+_TAG_SET = frozenset(_TAGS)
+
+#: The types JSON carries as they are.
+_PLAIN = frozenset((type(None), bool, int, float, str))
+
+# No cycle check: every container passes _nest first, which refuses a
+# cycle as too deep before the encoder sees it.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+
+
+def _json_list(value, depth):
+    depth = _nest(depth)
+    if type(value) is list and _PLAIN.issuperset(map(type, value)):
+        return value
+    return [item if type(item) in _PLAIN else _to_json(item, depth) for item in value]
+
+
+def _json_dict(value, depth):
+    depth = _nest(depth)
+    exact = {str}.issuperset(map(type, value))
+    if _TAG_SET.isdisjoint(value) and (exact or all(isinstance(key, str) for key in value)):
+        return {key: item if type(item) in _PLAIN else _to_json(item, depth)
+                for key, item in value.items()}
+    return {"__dict__": [[_to_json(key, depth), _to_json(item, depth)]
+                         for key, item in value.items()]}
+
+
+#: Exact type -> ``encoder(value, depth)``.
+_TO_JSON: dict[type, Any] = dict.fromkeys(_PLAIN, lambda value, depth: value)
+_TO_JSON.update({
+    bytes: lambda value, depth: {"__bytes__": base64.b64encode(value).decode("ascii")},
+    list: _json_list,
+    tuple: lambda value, depth: {"__tuple__": _json_list(value, depth)},
+    dict: _json_dict,
+    UID: lambda value, depth: {"__uid__": [value.space, value.serial, value.nonce]},
+    ChannelCapability: lambda value, depth: {"__chan__": {
+        "owner": [value.owner.space, value.owner.serial, value.owner.nonce],
+        "name": value.name, "secret": value.secret}},
+})
+
+
+def _to_json(value: Any, depth: int) -> Any:
+    return (_TO_JSON.get(type(value)) or _for_subclass(_TO_JSON, value))(value, depth)
 
 
 def encode_payload(value: Any) -> Any:
@@ -206,98 +277,63 @@ def encode_payload(value: Any) -> Any:
     Supported beyond plain JSON: ``bytes`` (base64), ``tuple``
     (preserved as tuple, not list), :class:`UID`,
     :class:`ChannelCapability`, and dicts whose keys are non-string or
-    collide with a reserved tag.
+    collide with a reserved tag.  A scalar, or a list of nothing but
+    plain scalars, comes back as it is, not copied.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, tuple):
-        return {"__tuple__": [encode_payload(item) for item in value]}
-    if isinstance(value, list):
-        return [encode_payload(item) for item in value]
-    if isinstance(value, UID):
-        return {"__uid__": [value.space, value.serial, value.nonce]}
-    if isinstance(value, ChannelCapability):
-        return {
-            "__chan__": {
-                "owner": [value.owner.space, value.owner.serial, value.owner.nonce],
-                "name": value.name,
-                "secret": value.secret,
-            }
-        }
-    if isinstance(value, dict):
-        plain = all(isinstance(key, str) and key not in _TAGS for key in value)
-        if plain:
-            return {key: encode_payload(item) for key, item in value.items()}
-        return {
-            "__dict__": [
-                [encode_payload(key), encode_payload(item)]
-                for key, item in value.items()
-            ]
-        }
-    raise FrameError(f"cannot encode {type(value).__name__} payload: {value!r}")
+    return _to_json(value, 0)
+
+
+#: Tag -> the value its (already revived) content stands for.
+_FROM_JSON = {
+    "__bytes__": base64.b64decode,
+    "__tuple__": tuple,
+    "__uid__": lambda fields: UID(*fields),
+    "__chan__": lambda inner: ChannelCapability(
+        owner=UID(*inner["owner"]), name=inner["name"], secret=inner["secret"]),
+    "__dict__": dict,
+}
+
+
+def _revive(obj: dict[str, Any]) -> Any:
+    """The JSON decoder's ``object_hook``, called innermost object first."""
+    if _TAG_SET.isdisjoint(obj):
+        return obj
+    tag = next(filter(obj.__contains__, _TAGS))
+    try:
+        return _FROM_JSON[tag](obj[tag])
+    except (LookupError, TypeError, ValueError) as error:  # not what the tag says
+        raise FrameError(f"malformed {tag} value: {error}") from error
+
+
+_JSON_DECODER = json.JSONDecoder(object_hook=_revive)
 
 
 def decode_payload(value: Any) -> Any:
     """Inverse of :func:`encode_payload`."""
-    if isinstance(value, list):
+    if type(value) is list:
         return [decode_payload(item) for item in value]
-    if isinstance(value, dict):
-        if "__bytes__" in value:
-            return base64.b64decode(value["__bytes__"])
-        if "__tuple__" in value:
-            return tuple(decode_payload(item) for item in value["__tuple__"])
-        if "__uid__" in value:
-            space, serial, nonce = value["__uid__"]
-            return UID(space=space, serial=serial, nonce=nonce)
-        if "__chan__" in value:
-            inner = value["__chan__"]
-            space, serial, nonce = inner["owner"]
-            return ChannelCapability(
-                owner=UID(space=space, serial=serial, nonce=nonce),
-                name=inner["name"],
-                secret=inner["secret"],
-            )
-        if "__dict__" in value:
-            return {
-                decode_payload(key): decode_payload(item)
-                for key, item in value["__dict__"]
-            }
-        return {key: decode_payload(item) for key, item in value.items()}
+    if type(value) is dict:
+        return _revive({key: decode_payload(item) for key, item in value.items()})
     return value
 
 
-# ---------------------------------------------------------------------------
-# Binary body codec: one tag byte per value, varints for integers.
-# ---------------------------------------------------------------------------
+# -- binary: one tag byte per value, varints for integers --------------------
 
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_LIST = 0x07
-_T_TUPLE = 0x08
-_T_DICT = 0x09
-_T_UID = 0x0A
-_T_CHAN = 0x0B
+_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_STR = range(6)
+_T_BYTES, _T_LIST, _T_TUPLE, _T_DICT, _T_UID, _T_CHAN = range(6, 12)
 
 _F64 = struct.Struct("!d")
+
+#: ``tag + one-byte length`` of every string shorter than 128 bytes.
+_STR_HEADS = [bytes((_T_STR, size)) for size in range(0x80)]
 
 
 def _put_varint(out: bytearray, value: int) -> None:
     """Append an unsigned LEB128 varint."""
-    while True:
-        byte = value & 0x7F
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _put_int(out: bytearray, value: int) -> None:
@@ -305,148 +341,154 @@ def _put_int(out: bytearray, value: int) -> None:
     _put_varint(out, (value << 1) if value >= 0 else ((-value << 1) - 1))
 
 
-def _encode_binary(value: Any, out: bytearray) -> None:
-    """Append ``value`` in the tagged binary form."""
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        out.append(_T_INT)
-        _put_int(out, value)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(_T_STR)
-        _put_varint(out, len(data))
-        out += data
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        _put_varint(out, len(value))
-        out += value
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        _put_varint(out, len(value))
-        for item in value:
-            _encode_binary(item, out)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        _put_varint(out, len(value))
-        for item in value:
-            _encode_binary(item, out)
-    elif isinstance(value, UID):
-        out.append(_T_UID)
-        _put_int(out, value.space)
-        _put_int(out, value.serial)
-        _put_int(out, value.nonce)
-    elif isinstance(value, ChannelCapability):
-        out.append(_T_CHAN)
-        _put_int(out, value.owner.space)
-        _put_int(out, value.owner.serial)
-        _put_int(out, value.owner.nonce)
-        _encode_binary(value.name, out)
-        _put_int(out, value.secret)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        _put_varint(out, len(value))
-        for key, item in value.items():
-            _encode_binary(key, out)
-            _encode_binary(item, out)
-    else:
-        raise FrameError(f"cannot encode {type(value).__name__} payload: {value!r}")
+def _put_sized(tag: int, data: bytes, out: bytearray) -> None:
+    out.append(tag)
+    _put_varint(out, len(data))
+    out += data
 
 
-def _get_varint(view: memoryview, offset: int) -> tuple[int, int]:
-    value = 0
-    shift = 0
+def _put_seq(value, out, depth):
+    depth = _nest(depth)
+    out.append(_T_TUPLE if isinstance(value, tuple) else _T_LIST)
+    _put_varint(out, len(value))
+    run = []  # short strings in a row: heads and texts, joined once
+    for item in value:
+        if type(item) is str:
+            data = item.encode("utf-8")
+            if len(data) < 0x80:
+                run.append(_STR_HEADS[len(data)])
+                run.append(data)
+                continue
+        if run:
+            out += b"".join(run)
+            run.clear()
+        (_PUT.get(type(item)) or _for_subclass(_PUT, item))(item, out, depth)
+    out += b"".join(run)
+
+
+def _put_dict(value, out, depth):
+    depth = _nest(depth)
+    out.append(_T_DICT)
+    _put_varint(out, len(value))
+    for pair in value.items():
+        for item in pair:
+            (_PUT.get(type(item)) or _for_subclass(_PUT, item))(item, out, depth)
+
+
+def _put_uid(value, out, depth, tag=_T_UID):
+    out.append(tag)
+    _put_int(out, value.space)
+    _put_int(out, value.serial)
+    _put_int(out, value.nonce)
+
+
+def _put_chan(value, out, depth):
+    _put_uid(value.owner, out, depth, _T_CHAN)
+    name = value.name
+    (_PUT.get(type(name)) or _for_subclass(_PUT, name))(name, out, depth)
+    _put_int(out, value.secret)
+
+
+#: Exact type -> ``encoder(value, out, depth)``.
+_PUT: dict[type, Any] = {
+    type(None): lambda value, out, depth: out.append(_T_NONE),
+    bool: lambda value, out, depth: out.append(_T_TRUE if value else _T_FALSE),
+    int: lambda value, out, depth: (out.append(_T_INT), _put_int(out, value)),
+    float: lambda value, out, depth: (out.append(_T_FLOAT), out.extend(_F64.pack(value))),
+    str: lambda value, out, depth: _put_sized(_T_STR, value.encode("utf-8"), out),
+    bytes: lambda value, out, depth: _put_sized(_T_BYTES, value, out),
+    list: _put_seq,
+    tuple: _put_seq,
+    dict: _put_dict,
+    UID: _put_uid,
+    ChannelCapability: _put_chan,
+}
+
+
+def _get_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The unsigned varint at ``pos``; ``IndexError`` if it runs off the end."""
+    value = shift = 0
     while True:
-        if offset >= len(view):
-            raise FrameError("truncated binary body: varint runs off the end")
-        byte = view[offset]
-        offset += 1
+        byte = data[pos]
+        pos += 1
         value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, offset
+        if byte < 0x80:
+            return value, pos
         shift += 7
         if shift > 1024:  # > 1024-bit integer: corrupt, not data
             raise FrameError("binary body varint is implausibly long")
 
 
-def _get_int(view: memoryview, offset: int) -> tuple[int, int]:
-    raw, offset = _get_varint(view, offset)
-    return (-((raw + 1) >> 1) if raw & 1 else raw >> 1), offset
+def _get_int(data, pos, depth=0):
+    raw, pos = _get_varint(data, pos)
+    return (-((raw + 1) >> 1) if raw & 1 else raw >> 1), pos
 
 
-def _get_sized(view: memoryview, offset: int, size: int) -> tuple[memoryview, int]:
-    end = offset + size
-    if end > len(view):
+def _get_sized(data, pos, depth):
+    is_text = data[pos - 1] == _T_STR
+    size, pos = _get_varint(data, pos)
+    if pos + size > len(data):
         raise FrameError("truncated binary body: value runs off the end")
-    return view[offset:end], end
+    raw = data[pos:pos + size]
+    return (raw.decode() if is_text else raw), pos + size
 
 
-def _decode_binary(view: memoryview, offset: int) -> tuple[Any, int]:
-    """Decode one tagged value starting at ``offset``."""
-    if offset >= len(view):
-        raise FrameError("truncated binary body: missing value tag")
-    tag = view[offset]
-    offset += 1
-    if tag == _T_NONE:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_INT:
-        return _get_int(view, offset)
-    if tag == _T_FLOAT:
-        raw, offset = _get_sized(view, offset, _F64.size)
-        return _F64.unpack(raw)[0], offset
-    if tag == _T_STR:
-        size, offset = _get_varint(view, offset)
-        raw, offset = _get_sized(view, offset, size)
-        try:
-            return str(raw, "utf-8"), offset
-        except UnicodeDecodeError as error:
-            raise FrameError(f"undecodable binary string: {error}") from error
-    if tag == _T_BYTES:
-        size, offset = _get_varint(view, offset)
-        raw, offset = _get_sized(view, offset, size)
-        return bytes(raw), offset
-    if tag in (_T_LIST, _T_TUPLE):
-        count, offset = _get_varint(view, offset)
-        items = []
-        for _ in range(count):
-            item, offset = _decode_binary(view, offset)
-            items.append(item)
-        return (tuple(items) if tag == _T_TUPLE else items), offset
-    if tag == _T_DICT:
-        count, offset = _get_varint(view, offset)
-        pairs = {}
-        for _ in range(count):
-            key, offset = _decode_binary(view, offset)
-            item, offset = _decode_binary(view, offset)
-            pairs[key] = item
-        return pairs, offset
-    if tag == _T_UID:
-        space, offset = _get_int(view, offset)
-        serial, offset = _get_int(view, offset)
-        nonce, offset = _get_int(view, offset)
-        return UID(space=space, serial=serial, nonce=nonce), offset
-    if tag == _T_CHAN:
-        space, offset = _get_int(view, offset)
-        serial, offset = _get_int(view, offset)
-        nonce, offset = _get_int(view, offset)
-        name, offset = _decode_binary(view, offset)
-        secret, offset = _get_int(view, offset)
-        return ChannelCapability(
-            owner=UID(space=space, serial=serial, nonce=nonce),
-            name=name, secret=secret,
-        ), offset
-    raise FrameError(f"unknown binary value tag 0x{tag:02x}")
+def _get_seq(data, pos, depth):
+    depth = _nest(depth)
+    as_tuple = data[pos - 1] == _T_TUPLE
+    count, pos = _get_varint(data, pos)
+    items = []
+    push = items.append
+    size = len(data)
+    for _ in range(count):  # lazy: a hostile count allocates nothing
+        if data[pos] == _T_STR:  # inline: the short string, a batch's record
+            end = pos + 2 + data[pos + 1]
+            if end - pos < 0x82 and end <= size:
+                push(data[pos + 2:end].decode())
+                pos = end
+                continue
+        item, pos = _GET[data[pos]](data, pos + 1, depth)
+        push(item)
+    return (tuple(items) if as_tuple else items), pos
+
+
+def _get_dict(data, pos, depth):
+    depth = _nest(depth)
+    count, pos = _get_varint(data, pos)
+    pairs = {}
+    for _ in range(count):
+        key, pos = _GET[data[pos]](data, pos + 1, depth)
+        pairs[key], pos = _GET[data[pos]](data, pos + 1, depth)
+    return pairs, pos
+
+
+def _get_uid(data, pos, depth):
+    space, pos = _get_int(data, pos)
+    serial, pos = _get_int(data, pos)
+    nonce, pos = _get_int(data, pos)
+    return UID(space, serial, nonce), pos
+
+
+def _get_chan(data, pos, depth):
+    owner, pos = _get_uid(data, pos, depth)
+    name, pos = _GET[data[pos]](data, pos + 1, depth)
+    secret, pos = _get_int(data, pos)
+    return ChannelCapability(owner=owner, name=name, secret=secret), pos
+
+
+def _bad_tag(data, pos, depth):
+    raise FrameError(f"unknown binary value tag 0x{data[pos - 1]:02x}")
+
+
+#: Tag byte -> ``decoder(data, pos, depth)``, ``pos`` just past the tag: ``(value, end)``.
+_GET = (
+    lambda data, pos, depth: (None, pos),
+    lambda data, pos, depth: (True, pos),
+    lambda data, pos, depth: (False, pos),
+    _get_int,
+    lambda data, pos, depth: (_F64.unpack_from(data, pos)[0], pos + 8),
+    _get_sized, _get_sized, _get_seq, _get_seq, _get_dict, _get_uid, _get_chan,
+) + (_bad_tag,) * 244
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +518,8 @@ def frame_trace(frame: Frame) -> Any:
     yields ``None`` rather than an error, so an old peer (or another
     implementation) can never break a traced stage.
     """
-    from repro.obs.spans import SpanContext
-
-    return SpanContext.from_wire(frame.body.get(TRACE_KEY))
+    wire = frame.body.get(TRACE_KEY)
+    return None if wire is None else SpanContext.from_wire(wire)
 
 
 # ---------------------------------------------------------------------------
@@ -503,24 +544,24 @@ def encode_frame_into(frame: Frame, out: bytearray,
             )
         head += _CHAN_EXT.size
     out += b"\x00" * head
-    if codec == CODEC_BINARY:
-        _encode_binary(frame.body, out)
-        type_code = int(frame.type) | BINARY_FLAG
-    elif codec == CODEC_JSON:
-        try:
-            out += json.dumps(
-                encode_payload(frame.body), separators=(",", ":"),
-                allow_nan=False,
-            ).encode("utf-8")
-        except (TypeError, ValueError) as error:
+    body = frame.body
+    try:
+        if codec == CODEC_BINARY:
+            (_PUT.get(type(body)) or _for_subclass(_PUT, body))(body, out, 0)
+            type_code = int(frame.type) | BINARY_FLAG
+        elif codec == CODEC_JSON:
+            out += _JSON_ENCODER.encode(_to_json(body, 0)).encode("utf-8")
+            type_code = int(frame.type)
+        else:
+            raise FrameError(f"unknown codec {codec!r} (expected one of {CODECS})")
+        length = len(out) - start - head
+        if length > MAX_FRAME_BODY:
+            raise FrameError(f"frame body of {length} bytes exceeds MAX_FRAME_BODY")
+    except BaseException as error:
+        del out[start:]  # a buffer shared between frames keeps only whole ones
+        if isinstance(error, (TypeError, ValueError)):  # NaN, a lone surrogate
             raise FrameError(f"unencodable frame body: {error}") from error
-        type_code = int(frame.type)
-    else:
-        raise FrameError(f"unknown codec {codec!r} (expected one of {CODECS})")
-    length = len(out) - start - head
-    if length > MAX_FRAME_BODY:
-        del out[start:]
-        raise FrameError(f"frame body of {length} bytes exceeds MAX_FRAME_BODY")
+        raise
     if frame.chan is not None:
         type_code |= CHAN_FLAG
         _CHAN_EXT.pack_into(out, start + HEADER.size, frame.chan)
@@ -550,7 +591,7 @@ def _frame_type(type_code: int) -> FrameType:
         ) from error
 
 
-def _decode_body(type_code: int, view: memoryview,
+def _decode_body(type_code: int, data: bytes,
                  chan: int | None = None) -> Frame:
     """Build a Frame from its raw type byte and body bytes.
 
@@ -561,18 +602,19 @@ def _decode_body(type_code: int, view: memoryview,
     carried :data:`CHAN_FLAG`.
     """
     frame_type = _frame_type(type_code)
-    if type_code & BINARY_FLAG:
-        body, end = _decode_binary(view, 0)
-        if end != len(view):
-            raise FrameError(
-                f"binary body has {len(view) - end} trailing byte(s)"
-            )
-    else:
-        try:
-            body = decode_payload(json.loads(bytes(view).decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise FrameError(f"undecodable frame body: {error}") from error
-    if not isinstance(body, dict):
+    try:
+        if type_code & BINARY_FLAG:
+            body, end = _GET[data[0]](data, 1, 0)
+            if end != len(data):
+                raise FrameError(f"binary body has {len(data) - end} trailing byte(s)")
+        else:
+            body = _JSON_DECODER.decode(data.decode("utf-8"))
+            if data.count(b"[") + data.count(b"{") > MAX_NESTING:
+                _to_json(body, 0)  # enough brackets to pass the cap: encode's own check
+    except (IndexError, TypeError, ValueError, RecursionError, struct.error) as error:
+        # Ran off the end; bad UTF-8 or JSON; an unhashable key; brackets past the stack.
+        raise FrameError(f"truncated or malformed frame body: {error!r}") from error
+    if type(body) is not dict:
         raise FrameError(f"frame body must be an object, got {type(body).__name__}")
     return Frame(type=frame_type, body=body, chan=chan)
 
@@ -602,8 +644,8 @@ def decode_frame(buffer: bytes) -> tuple[Frame, int]:
         chan = _CHAN_EXT.unpack_from(buffer, HEADER.size)[0]
     if len(buffer) < head + length:
         raise FrameError("truncated body")
-    view = memoryview(buffer)[head : head + length]
-    return _decode_body(type_code, view, chan), head + length
+    body = bytes(memoryview(buffer)[head : head + length])
+    return _decode_body(type_code, body, chan), head + length
 
 
 #: Residual-buffer size above which :class:`FrameDecoder` right-sizes
@@ -680,7 +722,8 @@ class FrameDecoder:
                     break
                 frames.append((
                     _decode_body(
-                        type_code, view[body_start:body_start + length], chan
+                        type_code, bytes(view[body_start:body_start + length]),
+                        chan,
                     ),
                     body_start + length - offset,
                 ))
@@ -750,7 +793,7 @@ async def read_frame_sized(
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise FrameError("connection closed mid-body") from error
-    return _decode_body(type_code, memoryview(body), chan), head + length
+    return _decode_body(type_code, body, chan), head + length
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
@@ -884,14 +927,7 @@ async def write_frame(
     flight recorder's outbound hook, reusing the pooled buffer rather
     than re-encoding or copying the frame.
     """
-    out = pool.acquire() if pool is not None else bytearray()
-    size = encode_frame_into(frame, out, codec)
-    if tee is not None:
-        tee(out)
-    writer.write(out)
-    await writer.drain()
-    _release_after_write(pool, writer, out)
-    return size
+    return await write_frames(writer, (frame,), codec, pool, tee)
 
 
 async def write_frames(
@@ -910,9 +946,12 @@ async def write_frames(
     still records one flight event per frame.
     """
     out = pool.acquire() if pool is not None else bytearray()
-    sizes = []
-    for frame in frames:
-        sizes.append(encode_frame_into(frame, out, codec))
+    try:
+        sizes = [encode_frame_into(frame, out, codec) for frame in frames]
+    except BaseException:
+        if pool is not None:
+            pool.release(out)  # nothing was written: the buffer is still ours
+        raise
     size = len(out)
     if tee is not None:
         with memoryview(out) as view:

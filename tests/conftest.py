@@ -8,9 +8,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 import repro
 from repro.core import Kernel
+
+#: ``--hypothesis-profile deep``: the nightly fuzz of
+#: tests/properties/test_hostile_bodies.py (tier-1 keeps the default 100).
+settings.register_profile("deep", max_examples=5000, deadline=None)
 
 
 @pytest.fixture

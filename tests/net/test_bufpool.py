@@ -1,9 +1,19 @@
 """Unit tests for the frame buffer pool."""
 
+import asyncio
+
 import pytest
 
 from repro.core.stats import KernelStats
 from repro.net.bufpool import BufferPool
+from repro.net.framing import (
+    Frame,
+    FrameError,
+    FrameType,
+    encode_frame,
+    write_frame,
+    write_frames,
+)
 
 
 class TestAcquireRelease:
@@ -70,3 +80,45 @@ class TestHealth:
         assert gauges["bufpool_hits"] == 1.0
         assert gauges["bufpool_misses"] == 1.0
         assert gauges["bufpool_free"] == 0.0
+
+
+class _Writer:
+    """The two calls ``write_frames`` makes on a StreamWriter."""
+
+    def __init__(self):
+        self.wire = b""
+
+    def write(self, data):
+        self.wire += bytes(data)
+
+    async def drain(self):
+        pass
+
+
+class TestWritersHandTheBufferBack:
+    """An unencodable frame used to drop the pooled buffer: one
+    permanent miss per bad frame."""
+
+    @pytest.mark.parametrize("writer_call", [
+        lambda writer, pool, bad: write_frame(writer, bad, "binary", pool),
+        lambda writer, pool, bad: write_frames(
+            writer, [Frame(FrameType.END), bad], "json", pool),
+    ], ids=["write_frame", "write_frames"])
+    def test_failed_encode_releases_the_pooled_buffer(self, writer_call):
+        pool = BufferPool()
+        pool.release(bytearray())
+        writer = _Writer()
+        bad = Frame(FrameType.DATA, {"items": ["fine", object()]})
+        with pytest.raises(FrameError, match="cannot encode"):
+            asyncio.run(writer_call(writer, pool, bad))
+        assert writer.wire == b""  # a burst goes out whole or not at all
+        assert len(pool) == 1 and pool.acquire() == b""
+
+    def test_both_writers_put_the_same_bytes_on_the_wire(self):
+        frame = Frame(FrameType.DATA, {"items": ["a", "b"]}, chan=2)
+        seen = []
+        one, many = _Writer(), _Writer()
+        size = asyncio.run(write_frame(
+            one, frame, "binary", BufferPool(), tee=lambda raw: seen.append(bytes(raw))))
+        assert asyncio.run(write_frames(many, [frame], "binary", None)) == size
+        assert one.wire == many.wire == seen[0] == encode_frame(frame, "binary")
