@@ -41,10 +41,6 @@ one layer loads only what it runs):
 - :mod:`repro.obs` — spans, metrics, the flight recorder, ``eden-top``
   / ``eden-trace`` / ``eden-flight``.
 - :mod:`repro.fault` — fault plans, injection and the chaos proxy.
-
-The ``build_*`` / ``compose_*_pipeline`` names below are deprecated
-shims (:mod:`repro.compat`); they warn when *called*, not when looked
-up.
 """
 
 from repro._lazy import lazy_front
@@ -65,9 +61,7 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.transput.filterbase": ("Transducer",),
     "repro.transput.flow": ("FlowPolicy",),
     "repro.transput.pipeline": (
-        "Pipeline", "build_conventional_pipeline", "build_pipeline",
-        "build_readonly_pipeline", "build_writeonly_pipeline",
-        "compose_conventional_pipeline", "compose_pipeline",
+        "Pipeline", "compose_conventional_pipeline",
         "compose_readonly_pipeline", "compose_segment",
         "compose_writeonly_pipeline",
     ),

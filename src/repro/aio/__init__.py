@@ -9,9 +9,8 @@ from repro._lazy import lazy_front
 __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.aio.channels": ("AioReportingStage", "ChannelReader"),
     "repro.aio.pipeline": (
-        "run_conventional", "run_pipeline", "run_readonly", "run_writeonly",
-        "stream_conventional", "stream_pipeline", "stream_readonly",
-        "stream_segment", "stream_sharded", "stream_writeonly",
+        "stream_conventional", "stream_readonly", "stream_segment",
+        "stream_sharded", "stream_writeonly",
     ),
     "repro.aio.streams": (
         "AioCollector", "AioPipe", "AioReadOnlyStage", "AioSource",

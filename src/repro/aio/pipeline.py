@@ -12,9 +12,6 @@ frame counters measure.  That shared definition is what lets
 :class:`repro.api.Pipeline` assert invocation *parity* across all
 three runtimes (paper claims C1/C2: ``(n+1)(m+1)`` asymmetric vs
 ``(2n+2)(m+1)`` conventional).
-
-``run_readonly`` / ``run_writeonly`` / ``run_conventional`` /
-``run_pipeline`` are deprecated aliases kept for source compatibility.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.compat import warn_deprecated
 from repro.core.stats import KernelStats
 from repro.transput.filterbase import Transducer
 from repro.transput.flow import shard_of
@@ -43,12 +39,7 @@ __all__ = [
     "stream_writeonly",
     "stream_conventional",
     "stream_segment",
-    "stream_pipeline",
     "stream_sharded",
-    "run_readonly",
-    "run_writeonly",
-    "run_conventional",
-    "run_pipeline",
 ]
 
 
@@ -247,71 +238,3 @@ def stream_sharded(
     merged = [record for lines in shard_outputs for record in lines]
     return merged, shard_outputs
 
-
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-facade and pre-graph names).
-# ---------------------------------------------------------------------------
-
-
-def stream_pipeline(
-    items: Iterable[Any],
-    transducers: Sequence[Transducer],
-    discipline: str = "readonly",
-    stats: KernelStats | None = None,
-    **kwargs: Any,
-) -> list[Any]:
-    """Deprecated front door: use :class:`repro.api.Pipeline` (or, for
-    one raw aio segment, :func:`stream_segment`)."""
-    warn_deprecated(
-        "repro.aio.stream_pipeline",
-        "repro.api.Pipeline(...).run(runtime='aio') — or "
-        "repro.aio.stream_segment for one raw aio segment",
-    )
-    return stream_segment(items, transducers, discipline=discipline,
-                          stats=stats, **kwargs)
-
-
-async def run_readonly(
-    items: Iterable[Any],
-    transducers: Sequence[Transducer],
-    batch: int = 1,
-    lookahead: int = 0,
-) -> list[Any]:
-    """Deprecated alias of :func:`stream_readonly`."""
-    warn_deprecated("repro.aio.run_readonly", "repro.aio.stream_readonly")
-    return await stream_readonly(items, transducers, batch=batch,
-                                 lookahead=lookahead)
-
-
-async def run_writeonly(
-    items: Iterable[Any],
-    transducers: Sequence[Transducer],
-    batch: int = 1,
-) -> list[Any]:
-    """Deprecated alias of :func:`stream_writeonly`."""
-    warn_deprecated("repro.aio.run_writeonly", "repro.aio.stream_writeonly")
-    return await stream_writeonly(items, transducers, batch=batch)
-
-
-async def run_conventional(
-    items: Iterable[Any],
-    transducers: Sequence[Transducer],
-    batch: int = 1,
-    capacity: int = 16,
-) -> list[Any]:
-    """Deprecated alias of :func:`stream_conventional`."""
-    warn_deprecated("repro.aio.run_conventional",
-                    "repro.aio.stream_conventional")
-    return await stream_conventional(items, transducers, batch=batch,
-                                     capacity=capacity)
-
-
-def run_pipeline(
-    items: Iterable[Any],
-    transducers: Sequence[Transducer],
-    discipline: str = "readonly",
-    **kwargs: Any,
-) -> list[Any]:
-    """Deprecated alias of :func:`stream_segment`."""
-    warn_deprecated("repro.aio.run_pipeline", "repro.aio.stream_segment")
-    return stream_segment(items, transducers, discipline=discipline, **kwargs)

@@ -74,6 +74,7 @@ from repro.net.framing import (
     HEADER,
     MAGIC,
     MAX_FRAME_BODY,
+    cap_transport_reads,
     decode_frame,
     encode_frame_into,
 )
@@ -312,6 +313,7 @@ class Broker:
             return
         except (ConnectionError, OSError, FrameError, EOFError):
             return
+        cap_transport_reads(writer)
         link = _HostLink(self._next_link, reader, writer)
         link.task = asyncio.current_task()
         if link.task is not None:

@@ -69,9 +69,14 @@ from repro.net.handshake import (
 )
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
-from repro.net.protocol import PushState, ReplayLog, serve_pull, serve_push
-from repro.net.stage import _state_key, load_transducer
-from repro.obs.context import set_span
+from repro.net.protocol import (
+    PushState,
+    ReplayLog,
+    channel_key,
+    serve_pull,
+    serve_push,
+)
+from repro.net.stage import load_transducer, pump
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
@@ -470,18 +475,6 @@ class StageHost:
             made = killing_transducer(made, switch)
         return made
 
-    @staticmethod
-    async def _pump(readable: Any, writable: Any, batch: int) -> None:
-        """The active middle (same contract as eden-stage's pump)."""
-        while True:
-            transfer = await readable.read(batch)
-            last = getattr(readable, "last_span", None)
-            if last is not None:
-                set_span(last)
-            await writable.write(transfer)
-            if transfer.at_end:
-                return
-
     async def _serve_accepts(
         self,
         stage: _HostedStage,
@@ -510,7 +503,7 @@ class StageHost:
 
         def push_state_for(hello: Hello) -> PushState:
             assert push_states is not None
-            return push_states.setdefault(_state_key(hello.channel), PushState())
+            return push_states.setdefault(channel_key(hello.channel), PushState())
 
         resume_seq_for = None
         if resume and push_states is not None:
@@ -537,7 +530,7 @@ class StageHost:
                 channel.codec = hello.codec
                 if hello.role == ROLE_PULL and readables is not None:
                     completed = await serve_pull(
-                        channel, readables, hello, batch_limit=None,
+                        channel, readables, hello,
                         logs=replay_logs if resume else None,
                     )
                 elif hello.role == ROLE_PUSH and writable is not None:
@@ -637,7 +630,7 @@ class StageHost:
                     replay_logs=replay_logs,
                 )
             else:
-                await self._pump(
+                await pump(
                     killing_readable(AioSource(items)),
                     self._hosted_writable(stage), flow.batch,
                 )

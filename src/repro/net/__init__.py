@@ -41,8 +41,7 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     ),
     "repro.net.launch": (
         "FleetError", "FleetSupervisor", "PipelineResult", "StagePlan",
-        "execute", "plan_fleet", "plan_linear_fleet", "plan_pipeline",
-        "plan_sharded_fleet", "run_fleet",
+        "plan_linear_fleet", "plan_sharded_fleet", "run_fleet",
     ),
     "repro.net.metrics": ("NetStats", "merge_stats"),
     "repro.net.mux": (

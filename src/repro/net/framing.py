@@ -94,6 +94,7 @@ __all__ = [
     "Frame",
     "FrameDecoder",
     "BufferedFrameReader",
+    "cap_transport_reads",
     "SocketFrameReader",
     "MAGIC",
     "HEADER",
@@ -805,6 +806,27 @@ async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
 #: Default segment size for the buffered frame readers: big enough to
 #: swallow a pipelined burst in one read, small enough to recycle.
 READ_CHUNK = 64 * 1024
+
+
+def cap_transport_reads(writer: Any) -> None:
+    """Make ``writer``'s transport read ``READ_CHUNK`` bytes per wake-up.
+
+    asyncio's selector transport answers every readable event with
+    ``sock.recv(256 KiB)``: a fresh 256 KiB ``bytes``, shrunk to what
+    arrived.  glibc serves an allocation that size from the top of the
+    heap and gives it back, and whether each read then costs a
+    grow-and-trim of the heap (a page fault per read) depends on where
+    the heap top happens to sit — the same push chain ran at 35k or at
+    46k records/s by the length of its command line
+    (``docs/performance.md``, "One path per verb").  The frame readers
+    take ``READ_CHUNK`` bytes at a time anyway, and an allocation that
+    size is recycled, not trimmed.  ``max_size`` is CPython's selector
+    transport's attribute, not asyncio API: a transport without it (a
+    test double, another loop) is left alone.
+    """
+    transport = getattr(writer, "transport", None)
+    if getattr(transport, "max_size", 0) > READ_CHUNK:
+        transport.max_size = READ_CHUNK
 
 
 class BufferedFrameReader:

@@ -250,6 +250,52 @@ async def send_hello_over(
     return _check_welcome(await conn.recv(), book)
 
 
+def _admit(
+    frame: Frame | None,
+    book: TicketBook,
+    server_uid: UID,
+    credit: int,
+    resume_seq_for: Callable[[Hello], int | None] | None,
+    codec_offer: Any,
+    roles: tuple[str, ...] = STREAM_ROLES,
+) -> tuple[Hello | None, Frame]:
+    """Judge a peer's first frame: ``(hello, WELCOME)`` or ``(None, ERROR)``.
+
+    The whole admission decision, free of I/O; :func:`expect_hello` and
+    :func:`expect_hello_over` only move the frames, and raise
+    ``HandshakeError("<code>: <message>")`` after sending an ERROR.
+    """
+    if frame is None:
+        raise HandshakeLinkDown("link closed before hello")
+    uid = frame.body.get("uid")
+    role = frame.body.get("role")
+    if frame.type is not FrameType.HELLO:
+        code, message = "bad-hello", f"expected HELLO, got {frame.type.name}"
+    elif role not in roles:
+        code, message = "bad-role", f"unknown role {role!r}"
+    elif not book.is_genuine(uid):
+        code, message = "forged-uid", f"ticket {uid!r} was not issued here"
+    else:
+        resume = frame.body.get("resume")
+        next_seq = None
+        if isinstance(resume, dict) and isinstance(resume.get("next_seq"), int):
+            next_seq = max(0, resume["next_seq"])
+        codec = negotiated_codec(frame.body.get("codecs"),
+                                 codec_offer or (CODEC_JSON,))
+        hello = Hello(
+            uid=uid, role=role, channel=frame.body.get("channel"),
+            next_seq=next_seq, codec=codec,
+        )
+        welcome: dict[str, Any] = {"credit": credit, "uid": server_uid,
+                                   "codec": codec}
+        if resume_seq_for is not None:
+            resume_seq = resume_seq_for(hello)
+            if resume_seq is not None:
+                welcome["resume_seq"] = int(resume_seq)
+        return hello, Frame(FrameType.WELCOME, welcome)
+    return None, Frame(FrameType.ERROR, {"code": code, "message": message})
+
+
 async def expect_hello_over(
     conn: Any,
     book: TicketBook,
@@ -265,48 +311,16 @@ async def expect_hello_over(
     whole connection over one bad hello) and raises
     :class:`HandshakeError`.
     """
-    frame = await conn.recv()
-    if frame is None:
-        raise HandshakeLinkDown("channel closed before hello")
-    if frame.type is not FrameType.HELLO:
-        await _reject_over(conn, "bad-hello",
-                           f"expected HELLO, got {frame.type.name}")
-        raise HandshakeError(f"expected HELLO, got {frame.type.name}")
-    uid = frame.body.get("uid")
-    role = frame.body.get("role")
-    if role not in STREAM_ROLES:
-        await _reject_over(conn, "bad-role", f"unknown role {role!r}")
-        raise HandshakeError(f"unknown role {role!r}")
-    if not book.is_genuine(uid):
-        await _reject_over(conn, "forged-uid",
-                           f"ticket {uid!r} was not issued here")
-        raise HandshakeError(f"forged ticket {uid!r}")
-    resume = frame.body.get("resume")
-    next_seq = None
-    if isinstance(resume, dict) and isinstance(resume.get("next_seq"), int):
-        next_seq = max(0, resume["next_seq"])
-    codec = negotiated_codec(frame.body.get("codecs"),
-                             codec_offer or (CODEC_JSON,))
-    hello = Hello(
-        uid=uid, role=role, channel=frame.body.get("channel"),
-        next_seq=next_seq, codec=codec,
-    )
-    welcome: dict[str, Any] = {"credit": credit, "uid": server_uid,
-                               "codec": codec}
-    if resume_seq_for is not None:
-        resume_seq = resume_seq_for(hello)
-        if resume_seq is not None:
-            welcome["resume_seq"] = int(resume_seq)
-    await conn.send(Frame(FrameType.WELCOME, welcome))
+    hello, reply = _admit(await conn.recv(), book, server_uid, credit,
+                          resume_seq_for, codec_offer)
+    if hello is None:
+        try:
+            await conn.send(reply)
+        except (ConnectionError, OSError, EdenError):
+            pass  # peer already gone: nothing to tell
+        raise HandshakeError("{code}: {message}".format_map(reply.body))
+    await conn.send(reply)
     return hello
-
-
-async def _reject_over(conn: Any, code: str, message: str) -> None:
-    try:
-        await conn.send(Frame(FrameType.ERROR, {"code": code,
-                                                "message": message}))
-    except (ConnectionError, OSError, EdenError):
-        pass  # peer already gone: nothing to tell
 
 
 async def expect_hello(
@@ -333,44 +347,15 @@ async def expect_hello(
     as ``resume_seq`` so a reconnecting pusher can skip records the
     server already has.
     """
-    frame = await read_frame(reader)
-    if frame is None:
-        raise HandshakeError("connection closed before hello")
-    if frame.type is not FrameType.HELLO:
-        await _reject(writer, "bad-hello", f"expected HELLO, got {frame.type.name}")
-        raise HandshakeError(f"expected HELLO, got {frame.type.name}")
-    uid = frame.body.get("uid")
-    role = frame.body.get("role")
-    if role not in roles:
-        await _reject(writer, "bad-role", f"unknown role {role!r}")
-        raise HandshakeError(f"unknown role {role!r}")
-    if not book.is_genuine(uid):
-        await _reject(writer, "forged-uid", f"ticket {uid!r} was not issued here")
-        raise HandshakeError(f"forged ticket {uid!r}")
-    resume = frame.body.get("resume")
-    next_seq = None
-    if isinstance(resume, dict) and isinstance(resume.get("next_seq"), int):
-        next_seq = max(0, resume["next_seq"])
-    codec = negotiated_codec(frame.body.get("codecs"), codec_offer or (CODEC_JSON,))
-    hello = Hello(
-        uid=uid, role=role, channel=frame.body.get("channel"),
-        next_seq=next_seq, codec=codec,
-    )
-    welcome: dict[str, Any] = {"credit": credit, "uid": server_uid,
-                               "codec": codec}
-    if resume_seq_for is not None:
-        resume_seq = resume_seq_for(hello)
-        if resume_seq is not None:
-            welcome["resume_seq"] = int(resume_seq)
-    await write_frame(writer, Frame(FrameType.WELCOME, welcome))
+    hello, reply = _admit(await read_frame(reader), book, server_uid, credit,
+                          resume_seq_for, codec_offer, roles)
+    if hello is None:
+        try:
+            await write_frame(writer, reply)
+            writer.close()
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass  # peer already gone: nothing to tell
+        raise HandshakeError("{code}: {message}".format_map(reply.body))
+    await write_frame(writer, reply)
     return hello
-
-
-async def _reject(writer: asyncio.StreamWriter, code: str, message: str) -> None:
-    try:
-        await write_frame(writer, Frame(FrameType.ERROR, {"code": code,
-                                                          "message": message}))
-        writer.close()
-        await writer.wait_closed()
-    except (ConnectionError, OSError):  # peer already gone: nothing to tell
-        pass

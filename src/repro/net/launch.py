@@ -26,9 +26,7 @@ activity is counted in supervisor stats (``restarts``,
 shapes as every other metric (:mod:`repro.obs.registry`) and written
 to ``supervisor.stats.json`` next to the stage dumps.
 
-:func:`plan_fleet`, :func:`plan_pipeline` and :func:`execute` remain as
-deprecated aliases of :func:`plan_linear_fleet` and :func:`run_fleet`;
-new code should use :class:`repro.api.Pipeline` or
+New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
 runtime (one :func:`plan_linear_fleet` call per linear graph segment).
 """
@@ -45,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro
-from repro.compat import warn_deprecated
 from repro.devices.workload import random_lines
 from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan
 from repro.net.affinity import assign_cores
@@ -64,9 +61,6 @@ __all__ = [
     "plan_linear_fleet",
     "plan_sharded_fleet",
     "run_fleet",
-    "plan_fleet",
-    "plan_pipeline",
-    "execute",
 ]
 
 #: Transducer spec: (``module:factory``, [args...]).
@@ -831,35 +825,3 @@ def run_fleet(
     )
     return supervisor.run()
 
-
-# ---------------------------------------------------------------------------
-# Deprecated aliases (the pre-supervisor and pre-graph entry points).
-# ---------------------------------------------------------------------------
-
-
-def plan_fleet(*args: Any, **kwargs: Any) -> list[StagePlan]:
-    """Deprecated front door: use :class:`repro.api.Pipeline` (or, for
-    one raw linear fleet plan, :func:`plan_linear_fleet`)."""
-    warn_deprecated(
-        "repro.net.launch.plan_fleet",
-        "repro.api.Pipeline(...).run(runtime='tcp') — or "
-        "repro.net.launch.plan_linear_fleet for one raw fleet plan",
-    )
-    return plan_linear_fleet(*args, **kwargs)
-
-
-def plan_pipeline(*args: Any, **kwargs: Any) -> list[StagePlan]:
-    """Deprecated alias of :func:`plan_linear_fleet`."""
-    warn_deprecated("repro.net.launch.plan_pipeline",
-                    "repro.net.launch.plan_linear_fleet")
-    return plan_linear_fleet(*args, **kwargs)
-
-
-def execute(
-    plans: Sequence[StagePlan],
-    timeout: float = 60.0,
-    python: str | None = None,
-) -> PipelineResult:
-    """Deprecated alias of :func:`run_fleet` (no restarts)."""
-    warn_deprecated("repro.net.launch.execute", "repro.net.launch.run_fleet")
-    return run_fleet(plans, timeout=timeout, python=python)

@@ -54,21 +54,16 @@ from repro.core.tracing import Tracer
 from repro.net.bufpool import POOL
 from repro.net.framing import (
     CODEC_JSON,
-    CODECS,
     BufferedFrameReader,
     Frame,
     FrameError,
     FrameType,
     _release_after_write,
+    cap_transport_reads,
     encode_frame_into,
 )
 from repro.net.vectored import write_vectored
-from repro.net.handshake import (
-    ROLE_PULL,
-    ROLE_PUSH,
-    negotiated_codec,
-    send_hello_over,
-)
+from repro.net.handshake import ROLE_PUSH, send_hello_over
 from repro.net.metrics import NetStats
 from repro.net.protocol import RemoteReadable, RemoteWritable
 
@@ -449,6 +444,7 @@ class ChannelMux:
 
     async def _read_loop(self) -> None:
         error: BaseException | None = None
+        cap_transport_reads(self.writer)
         frames = BufferedFrameReader(
             self.reader,
             tee=self.flight.on_received if self.flight is not None else None,
@@ -516,15 +512,13 @@ class ChannelMux:
 ChannelOpener = Callable[[str, str], Awaitable[MuxChannel]]
 
 
-class HostedReadable(RemoteReadable):
-    """A :class:`RemoteReadable` whose link is a broker logical channel.
+class _HostedEnd:
+    """Mixed in before an active end: its link is a broker channel.
 
-    Everything above the link — READ pipelining, batch autotuning,
-    resume dedup by ``seq``, span emission with sequence evidence — is
-    inherited unchanged; only how a "connection" comes to exist
-    differs: instead of dialing ``host:port``, the reader asks the
-    broker for a channel to ``target`` (a fleet-scoped name) and runs
-    the ordinary ticket handshake inside it.
+    Only how a "connection" comes to exist differs: instead of dialing
+    ``host:port``, the end asks the broker for a channel to ``target``
+    (a fleet-scoped name) and runs the ordinary ticket handshake
+    inside it.
     """
 
     def __init__(self, open_channel: ChannelOpener, target: str,
@@ -533,65 +527,33 @@ class HostedReadable(RemoteReadable):
         self._open_channel = open_channel
         self.target = target
 
-    async def _ensure_connected(self) -> MuxChannel:  # type: ignore[override]
-        if self._connection is None:
-            channel = await self._open_channel(self.target, ROLE_PULL)
-            channel.stats = self.stats
-            channel.tracer = self.tracer
-            channel.label = self.label
-            channel.injector = self.injector
-            offer = CODECS if self.codec != CODEC_JSON else None
-            welcome = await send_hello_over(
-                channel, self.uid, ROLE_PULL, channel=self.channel,
-                book=self.book,
-                next_seq=self.received if self.resume else None,
-                codecs=offer,
-            )
-            if offer:
-                channel.codec = negotiated_codec(
-                    [welcome.body.get("codec")], offer
-                )
-            self._connection = channel
-        return self._connection
+    async def _dial(self, offer: Any) -> tuple[MuxChannel, Frame]:
+        channel = await self._open_channel(self.target, self.role)
+        channel.stats = self.stats
+        channel.end_is_request = self.role == ROLE_PUSH
+        channel.tracer = self.tracer
+        channel.label = self.label
+        channel.injector = self.injector
+        welcome = await send_hello_over(
+            channel, self.uid, self.role, channel=self.channel,
+            book=self.book, next_seq=self._hello_seq(), codecs=offer,
+        )
+        return channel, welcome
 
 
-class HostedWritable(RemoteWritable):
+class HostedReadable(_HostedEnd, RemoteReadable):
+    """A :class:`RemoteReadable` whose link is a broker logical channel.
+
+    Everything above the link — READ pipelining, batch autotuning,
+    resume dedup by ``seq``, span emission with sequence evidence — is
+    inherited unchanged.
+    """
+
+
+class HostedWritable(_HostedEnd, RemoteWritable):
     """A :class:`RemoteWritable` over a broker logical channel.
 
     Credit windows, the resume send log, and span emission are
     inherited; the WELCOME that grants the initial credit (and the
     resume cursor) arrives through the channel handshake.
     """
-
-    def __init__(self, open_channel: ChannelOpener, target: str,
-                 **kwargs: Any) -> None:
-        super().__init__("", 0, **kwargs)
-        self._open_channel = open_channel
-        self.target = target
-
-    async def _ensure_connected(self) -> MuxChannel:  # type: ignore[override]
-        if self._connection is None:
-            channel = await self._open_channel(self.target, ROLE_PUSH)
-            channel.stats = self.stats
-            channel.end_is_request = True
-            channel.tracer = self.tracer
-            channel.label = self.label
-            channel.injector = self.injector
-            offer = CODECS if self.codec != CODEC_JSON else None
-            welcome = await send_hello_over(
-                channel, self.uid, ROLE_PUSH, channel=self.channel,
-                book=self.book, codecs=offer,
-            )
-            if offer:
-                channel.codec = negotiated_codec(
-                    [welcome.body.get("codec")], offer
-                )
-            self._credit = int(welcome.body.get("credit", 1))
-            self.stats.set_gauge("credit_window", float(self._credit))
-            self.stats.set_gauge("credit_available", float(self._credit))
-            if self.resume:
-                resume_seq = welcome.body.get("resume_seq")
-                if isinstance(resume_seq, int):
-                    self._next = max(0, min(resume_seq, len(self._sendlog)))
-            self._connection = channel
-        return self._connection

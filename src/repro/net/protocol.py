@@ -47,9 +47,15 @@ has produced so a reconnecting (or restarted) consumer can re-fetch
 them, and :class:`PushState` remembers how many records a push server
 has accepted so duplicated prefixes are dropped, not re-written.
 Exactly-once delivery is the composition of the two: at-least-once
-from retransmission, deduplication from ``seq``.  All of it is gated
-on ``resume`` — a plan without faults runs the identical byte stream
-the pre-resume runtime produced.
+from retransmission, deduplication from ``seq``.
+
+``resume`` means exactly those two things — frames carry ``seq``, and
+state that must outlive a link (:class:`ReplayLog`, :class:`PushState`,
+the send log) is retained, so a link fault becomes a redial instead of
+an error.  Every verb is one loop either way: the reply bursts, the
+credit arithmetic and the END rules are the same code for a resuming
+and a plain stream, and a plain stream's frames are a resuming
+stream's frames minus the ``seq`` key.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ from repro.net.framing import (
     FrameType,
     _release_after_write,
     attach_trace,
+    cap_transport_reads,
     encode_frame,
     encode_frame_into,
     frame_trace,
@@ -106,6 +113,7 @@ __all__ = [
     "RemoteWritable",
     "ReplayLog",
     "PushState",
+    "channel_key",
     "serve_pull",
     "serve_push",
 ]
@@ -262,6 +270,7 @@ class Connection:
 
     async def recv(self) -> Frame | None:
         if self._frames is None:
+            cap_transport_reads(self.writer)
             self._frames = BufferedFrameReader(
                 self.reader,
                 tee=(self.flight.on_received
@@ -333,7 +342,115 @@ async def connect_with_backoff(
             delay = min(delay * 2, max_delay)
 
 
-class RemoteReadable:
+class _RemoteEnd:
+    """What the two active ends share: one link to a passive peer.
+
+    Holds the dial parameters and the current connection; redials on
+    demand (:meth:`_ensure_connected`: dial, say HELLO, read the
+    WELCOME once), bounds every reply wait by ``io_timeout``
+    (:meth:`_recv`) and drops a failed link so the next use redials
+    (:meth:`_reset_link`).  A subclass names its ``role``; another
+    transport (:mod:`repro.net.mux`) overrides only :meth:`_dial`.
+    """
+
+    role: str
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        uid: Any,
+        book: TicketBook | None = None,
+        channel: Any = "Output",
+        stats: NetStats | None = None,
+        tracer: Tracer | None = None,
+        label: str | None = None,
+        connect_deadline: float = 15.0,
+        spans: SpanIds | None = None,
+        resume: bool = False,
+        io_timeout: float | None = None,
+        injector: Any | None = None,
+        codec: str = CODEC_JSON,
+        flight: Any | None = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.uid = uid
+        self.book = book
+        self.channel = channel
+        self.stats = stats if stats is not None else NetStats()
+        self.tracer = tracer
+        self.label = label if label is not None else f"{self.role}-client"
+        self.connect_deadline = connect_deadline
+        self.spans = spans
+        self.resume = resume
+        self.io_timeout = io_timeout
+        self.injector = injector
+        self.codec = codec
+        self.flight = flight
+        self._connection: Any = None
+        self._ended = False
+
+    def _hello_seq(self) -> int | None:
+        """The stream position the HELLO asks to resume from, if any."""
+        return None
+
+    def _welcomed(self, body: Mapping[str, Any]) -> None:
+        """Adopt what a fresh link's WELCOME grants (beyond the codec)."""
+
+    async def _dial(self, offer: Any) -> tuple[Any, Frame]:
+        """Open a link and say HELLO: ``(connection, WELCOME frame)``."""
+        reader, writer = await connect_with_backoff(
+            self.host, self.port, deadline=self.connect_deadline
+        )
+        connection = Connection(
+            reader, writer, stats=self.stats,
+            end_is_request=self.role == ROLE_PUSH,
+            tracer=self.tracer, label=self.label,
+            injector=self.injector, flight=self.flight,
+        )
+        welcome = await send_hello(
+            reader, writer, self.uid, self.role,
+            channel=self.channel, book=self.book,
+            next_seq=self._hello_seq(), codecs=offer,
+        )
+        return connection, welcome
+
+    async def _ensure_connected(self) -> Any:
+        if self._connection is None:
+            offer = CODECS if self.codec != CODEC_JSON else None
+            connection, welcome = await self._dial(offer)
+            if offer:
+                connection.codec = negotiated_codec(
+                    [welcome.body.get("codec")], offer
+                )
+            self._welcomed(welcome.body)
+            self._connection = connection
+        return self._connection
+
+    async def _recv(self, connection: Any) -> Frame | None:
+        if self.io_timeout is None:
+            return await connection.recv()
+        try:
+            return await asyncio.wait_for(connection.recv(), self.io_timeout)
+        except (asyncio.TimeoutError, TimeoutError):
+            raise LinkDown(
+                f"{self.label}: no reply within {self.io_timeout:.1f}s"
+            ) from None
+
+    async def _reset_link(self) -> None:
+        """Drop a failed connection so the next use redials and resumes."""
+        self.stats.bump("reconnects")
+        await self.aclose()
+
+    async def aclose(self) -> None:
+        """Drop the connection (idempotent)."""
+        if self._connection is not None:
+            await self._connection.close()
+            self._connection = None
+
+
+class RemoteReadable(_RemoteEnd):
     """Active input over TCP: the ``Readable`` face of a remote stage.
 
     ``read(batch)`` sends one ``READ`` frame and blocks for the
@@ -368,75 +485,22 @@ class RemoteReadable:
     into the batch size and in-flight window.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        uid: Any,
-        book: TicketBook | None = None,
-        channel: Any = "Output",
-        stats: NetStats | None = None,
-        tracer: Tracer | None = None,
-        label: str = "pull-client",
-        connect_deadline: float = 15.0,
-        spans: SpanIds | None = None,
-        resume: bool = False,
-        io_timeout: float | None = None,
-        injector: Any | None = None,
-        codec: str = CODEC_JSON,
-        pipeline_depth: int = 1,
-        tuner: FlowAutotuner | None = None,
-        flight: Any | None = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.uid = uid
-        self.book = book
-        self.channel = channel
-        self.stats = stats if stats is not None else NetStats()
-        self.tracer = tracer
-        self.label = label
-        self.connect_deadline = connect_deadline
-        self.spans = spans
-        self.resume = resume
-        self.io_timeout = io_timeout
-        self.injector = injector
-        self.codec = codec
+    role = ROLE_PULL
+
+    def __init__(self, *args: Any, pipeline_depth: int = 1,
+                 tuner: FlowAutotuner | None = None, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.pipeline_depth = max(1, pipeline_depth)
         self.tuner = tuner
-        self.flight = flight
         #: Span context of the most recent read (post-adoption).
         self.last_span: SpanContext | None = None
         #: Records accepted so far == the next sequence number wanted.
         self.received = 0
-        self._connection: Connection | None = None
-        self._ended = False
         #: (span ctx, send time) of every READ awaiting its reply.
         self._inflight: deque[tuple[SpanContext | None, float]] = deque()
 
-    async def _ensure_connected(self) -> Connection:
-        if self._connection is None:
-            reader, writer = await connect_with_backoff(
-                self.host, self.port, deadline=self.connect_deadline
-            )
-            connection = Connection(
-                reader, writer, stats=self.stats,
-                tracer=self.tracer, label=self.label,
-                injector=self.injector, flight=self.flight,
-            )
-            offer = CODECS if self.codec != CODEC_JSON else None
-            welcome = await send_hello(
-                reader, writer, self.uid, ROLE_PULL,
-                channel=self.channel, book=self.book,
-                next_seq=self.received if self.resume else None,
-                codecs=offer,
-            )
-            if offer:
-                connection.codec = negotiated_codec(
-                    [welcome.body.get("codec")], offer
-                )
-            self._connection = connection
-        return self._connection
+    def _hello_seq(self) -> int | None:
+        return self.received if self.resume else None
 
     def _depth(self) -> int:
         """How many READs to keep in flight right now."""
@@ -469,29 +533,17 @@ class RemoteReadable:
         for ctx in contexts:
             self._inflight.append((ctx, started))
 
-    async def _recv(self, connection: Connection) -> Frame | None:
-        if self.io_timeout is None:
-            return await connection.recv()
-        try:
-            return await asyncio.wait_for(connection.recv(), self.io_timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            raise LinkDown(
-                f"{self.label}: no reply within {self.io_timeout:.1f}s"
-            ) from None
-
     async def read(self, batch: int = 1) -> Transfer:
         if self._ended:
             return END_TRANSFER
         if self.tuner is not None:
             batch = max(batch, self.tuner.batch)
-        if not self.resume:
-            transfer = await self._read_once(batch)
-            assert transfer is not None
-            return transfer
         while True:
             try:
                 transfer = await self._read_once(batch)
             except LinkDown:
+                if not self.resume:
+                    raise
                 await self._reset_link()
                 continue
             if transfer is not None:  # None: reply was all duplicates
@@ -500,19 +552,11 @@ class RemoteReadable:
     async def _read_once(self, batch: int) -> Transfer | None:
         try:
             connection = await self._ensure_connected()
-        except (HandshakeLinkDown, *_LINK_FAULTS) as error:
-            if self.resume:
-                raise LinkDown(
-                    f"{self.label}: link failed connecting: {error}"
-                ) from error
-            raise
-        try:
             await self._pump(connection, batch)
             reply = await self._recv(connection)
-        except _LINK_FAULTS as error:
+        except (HandshakeLinkDown, *_LINK_FAULTS) as error:
             if self.resume:
-                raise LinkDown(f"{self.label}: link failed mid-read: {error}") \
-                    from error
+                raise LinkDown(f"{self.label}: link failed: {error}") from error
             raise
         ctx, started = (
             self._inflight.popleft() if self._inflight else (None, 0.0)
@@ -543,8 +587,7 @@ class RemoteReadable:
             if reply.type is FrameType.END:
                 self._ended = True
                 await self._drain_inflight(connection)
-                await connection.close()
-                self._connection = None
+                await self.aclose()
                 return END_TRANSFER
             if fresh:
                 self.stats.bump("records_in", len(fresh))
@@ -588,12 +631,8 @@ class RemoteReadable:
         self._inflight.clear()
 
     async def _reset_link(self) -> None:
-        """Drop a failed connection so the next read redials and resumes."""
-        self.stats.bump("reconnects")
-        self._inflight.clear()
-        if self._connection is not None:
-            await self._connection.close()
-            self._connection = None
+        self._inflight.clear()  # their replies died with the link
+        await super()._reset_link()
 
     def _finish_span(
         self,
@@ -630,14 +669,8 @@ class RemoteReadable:
             )
         return ctx
 
-    async def aclose(self) -> None:
-        """Drop the connection (idempotent)."""
-        if self._connection is not None:
-            await self._connection.close()
-            self._connection = None
 
-
-class RemoteWritable:
+class RemoteWritable(_RemoteEnd):
     """Active output over TCP: the ``Writable`` face of a remote stage.
 
     Writes are governed by the credit window the server granted at
@@ -655,102 +688,43 @@ class RemoteWritable:
     Credit occupancy is published as the ``credit_window`` /
     ``credit_available`` gauges.
 
-    With ``resume=True`` the writer retains every record it has ever
-    been asked to write (the send log) and stamps each WRITE with the
-    ``seq`` of its first record.  A transport failure rewinds the send
-    cursor to the ``resume_seq`` the reconnect's WELCOME advertises
-    and replays from there; the server's :class:`PushState` drops any
-    duplicated prefix.
+    Records wait in one pending log and one loop (:meth:`_drive`)
+    sends them from the cursor.  Without resume a record is forgotten
+    as soon as its frame is out, so the log never holds more than the
+    transfer being written, and a link fault ends the stream.  With
+    ``resume=True`` the log is the *send log* — every record ever
+    written — each WRITE is stamped with the ``seq`` of its first
+    record, and a transport failure redials, rewinds the cursor to the
+    ``resume_seq`` the reconnect's WELCOME advertises and replays from
+    there; the server's :class:`PushState` drops any duplicated prefix.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        uid: Any,
-        book: TicketBook | None = None,
-        channel: Any = "Output",
-        stats: NetStats | None = None,
-        tracer: Tracer | None = None,
-        label: str = "push-client",
-        connect_deadline: float = 15.0,
-        spans: SpanIds | None = None,
-        resume: bool = False,
-        io_timeout: float | None = None,
-        injector: Any | None = None,
-        codec: str = CODEC_JSON,
-        flight: Any | None = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.uid = uid
-        self.book = book
-        self.channel = channel
-        self.stats = stats if stats is not None else NetStats()
-        self.tracer = tracer
-        self.label = label
-        self.connect_deadline = connect_deadline
-        self.spans = spans
-        self.resume = resume
-        self.io_timeout = io_timeout
-        self.injector = injector
-        self.codec = codec
-        self.flight = flight
-        self._connection: Connection | None = None
+    role = ROLE_PUSH
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._credit = 0
-        self._ended = False
-        #: Every record ever written (resume only) and the send cursor.
-        self._sendlog: list[Any] = []
-        self._next = 0
+        #: Records awaiting their WRITE (under resume: every record
+        #: ever written) and the index of the next one to send.
+        self._pending: list[Any] = []
+        self._cursor = 0
 
-    async def _ensure_connected(self) -> Connection:
-        if self._connection is None:
-            reader, writer = await connect_with_backoff(
-                self.host, self.port, deadline=self.connect_deadline
-            )
-            connection = Connection(
-                reader, writer, stats=self.stats, end_is_request=True,
-                tracer=self.tracer, label=self.label,
-                injector=self.injector, flight=self.flight,
-            )
-            offer = CODECS if self.codec != CODEC_JSON else None
-            welcome = await send_hello(
-                reader, writer, self.uid, ROLE_PUSH,
-                channel=self.channel, book=self.book,
-                codecs=offer,
-            )
-            if offer:
-                connection.codec = negotiated_codec(
-                    [welcome.body.get("codec")], offer
-                )
-            self._credit = int(welcome.body.get("credit", 1))
-            self.stats.set_gauge("credit_window", float(self._credit))
-            self.stats.set_gauge("credit_available", float(self._credit))
-            if self.resume:
-                resume_seq = welcome.body.get("resume_seq")
-                if isinstance(resume_seq, int):
-                    # The server already holds the first resume_seq
-                    # records: rewind (or fast-forward) the cursor.
-                    self._next = max(0, min(resume_seq, len(self._sendlog)))
-            self._connection = connection
-        return self._connection
-
-    async def _recv(self, connection: Connection) -> Frame | None:
-        if self.io_timeout is None:
-            return await connection.recv()
-        try:
-            return await asyncio.wait_for(connection.recv(), self.io_timeout)
-        except (asyncio.TimeoutError, TimeoutError):
-            raise LinkDown(
-                f"{self.label}: no ack within {self.io_timeout:.1f}s"
-            ) from None
+    def _welcomed(self, body: Mapping[str, Any]) -> None:
+        self._credit = int(body.get("credit", 1))
+        self.stats.set_gauge("credit_window", float(self._credit))
+        self.stats.set_gauge("credit_available", float(self._credit))
+        resume_seq = body.get("resume_seq")
+        if self.resume and isinstance(resume_seq, int):
+            # The server already holds the first resume_seq records:
+            # rewind (or fast-forward) the cursor.
+            self._cursor = max(0, min(resume_seq, len(self._pending)))
 
     async def _absorb(self, frame: Frame | None) -> bool:
         """Fold one server frame into the credit; True if final ACK."""
         if frame is None:
-            if self.resume:
-                raise LinkDown("peer closed while acks were outstanding")
-            raise WireError("peer closed while acks were outstanding")
+            raise (LinkDown if self.resume else WireError)(
+                "peer closed while acks were outstanding"
+            )
         if frame.type is FrameType.ERROR:
             raise WireError(
                 f"remote error: {frame.body.get('code')} "
@@ -762,125 +736,67 @@ class RemoteWritable:
         self.stats.set_gauge("credit_available", float(self._credit))
         return bool(frame.body.get("final", False))
 
-    async def _reset_link(self) -> None:
-        """Drop a failed connection; the next flush redials and rewinds."""
-        self.stats.bump("reconnects")
-        self._credit = 0
-        if self._connection is not None:
-            await self._connection.close()
-            self._connection = None
-
     async def write(self, transfer: Transfer) -> None:
         if self._ended:
             raise StreamProtocolError("write after END")
-        if not self.resume:
-            await self._write_legacy(transfer)
-            return
-        if transfer.at_end:
-            await self._end_resume()
-            return
-        self._sendlog.extend(transfer.items)
-        await self._flush()
+        self._pending.extend(transfer.items)
+        while True:
+            try:
+                await self._drive(transfer.at_end)
+                return
+            except (LinkDown, HandshakeLinkDown, *_LINK_FAULTS):
+                if not self.resume:
+                    raise
+                await self._reset_link()
 
-    async def _write_legacy(self, transfer: Transfer) -> None:
+    async def _drive(self, end: bool) -> None:
+        """Send the pending log from the cursor, then (``end``) the END.
+
+        Returns once every pending record is out — and, after an END,
+        once the final ACK says every record was consumed downstream
+        and the stage may exit safely.
+        """
         connection = await self._ensure_connected()
-        if transfer.at_end:
+        while self._cursor < len(self._pending):
             ctx: SpanContext | None = None
-            started = 0.0
-            body: dict[str, Any] = {"channel": self.channel}
-            if self.spans is not None:
-                ctx = self.spans.derive(current_span())
-                attach_trace(body, ctx)
-                started = connection.clock()
-            await connection.send(Frame(FrameType.END, body))
-            # Wait for the final ack: when it arrives, every record has
-            # been consumed downstream and the stage may exit safely.
-            while not await self._absorb(await self._recv(connection)):
-                pass
-            if ctx is not None:
-                self._finish_span(ctx, "END", started, connection)
-            self._ended = True
-            await connection.close()
-            self._connection = None
-            return
-        pending = list(transfer.items)
-        while pending:
-            ctx = None
             started = 0.0
             if self.spans is not None:
                 ctx = self.spans.derive(current_span())
                 started = connection.clock()
             while self._credit <= 0:
                 await self._absorb(await self._recv(connection))
-            chunk, pending = pending[: self._credit], pending[self._credit:]
-            body = {"items": chunk, "channel": self.channel}
-            if ctx is not None:
-                attach_trace(body, ctx)
-            await connection.send(Frame(FrameType.WRITE, body))
+            chunk = self._pending[self._cursor: self._cursor + self._credit]
+            body: dict[str, Any] = {"items": chunk, "channel": self.channel}
+            if self.resume:
+                body["seq"] = self._cursor
+            await connection.send(
+                Frame(FrameType.WRITE, attach_trace(body, ctx))
+            )
+            if self.resume:
+                self._cursor += len(chunk)
+            else:
+                del self._pending[: len(chunk)]
             self._credit -= len(chunk)
             self.stats.bump("records_out", len(chunk))
             self.stats.set_gauge("credit_available", float(self._credit))
             if ctx is not None:
                 self._finish_span(ctx, "WRITE", started, connection)
-
-    async def _flush(self) -> None:
-        """Drive the send log's cursor to its head, resuming over faults."""
-        while self._next < len(self._sendlog):
-            try:
-                connection = await self._ensure_connected()
-                ctx: SpanContext | None = None
-                started = 0.0
-                if self.spans is not None:
-                    ctx = self.spans.derive(current_span())
-                    started = connection.clock()
-                while self._credit <= 0:
-                    await self._absorb(await self._recv(connection))
-                chunk = self._sendlog[self._next: self._next + self._credit]
-                body: dict[str, Any] = {
-                    "items": chunk, "channel": self.channel, "seq": self._next,
-                }
-                if ctx is not None:
-                    attach_trace(body, ctx)
-                await connection.send(Frame(FrameType.WRITE, body))
-                self._next += len(chunk)
-                self._credit -= len(chunk)
-                self.stats.bump("records_out", len(chunk))
-                self.stats.set_gauge("credit_available", float(self._credit))
-                if ctx is not None:
-                    self._finish_span(ctx, "WRITE", started, connection)
-            except LinkDown:
-                await self._reset_link()
-            except (HandshakeLinkDown, *_LINK_FAULTS):
-                await self._reset_link()
-
-    async def _end_resume(self) -> None:
-        """Flush everything, send END, and survive faults until final ACK."""
-        while True:
-            try:
-                await self._flush()
-                connection = await self._ensure_connected()
-                ctx: SpanContext | None = None
-                started = 0.0
-                body: dict[str, Any] = {"channel": self.channel,
-                                        "seq": self._next}
-                if self.spans is not None:
-                    ctx = self.spans.derive(current_span())
-                    attach_trace(body, ctx)
-                    started = connection.clock()
-                await connection.send(Frame(FrameType.END, body))
-                while not await self._absorb(await self._recv(connection)):
-                    pass
-                if ctx is not None:
-                    self._finish_span(ctx, "END", started, connection)
-                break
-            except LinkDown:
-                await self._reset_link()
-            except (HandshakeLinkDown, *_LINK_FAULTS):
-                await self._reset_link()
+        if not end:
+            return
+        ctx = None
+        body = {"channel": self.channel}
+        if self.resume:
+            body["seq"] = self._cursor
+        if self.spans is not None:
+            ctx = self.spans.derive(current_span())
+            started = connection.clock()
+        await connection.send(Frame(FrameType.END, attach_trace(body, ctx)))
+        while not await self._absorb(await self._recv(connection)):
+            pass
+        if ctx is not None:
+            self._finish_span(ctx, "END", started, connection)
         self._ended = True
-        if self._connection is not None:
-            await self._connection.close()
-            self._connection = None
+        await self.aclose()
 
     def _finish_span(
         self,
@@ -941,6 +857,7 @@ class ReplayLog:
         self.records: list[Any] = []
         self.origins: list[SpanContext | None] = []
         self.ended = False
+        self.end_origin: SpanContext | None = None
         self.served_high = 0
         self.replayed = 0
         self.lock = asyncio.Lock()
@@ -961,33 +878,17 @@ class PushState:
     duplicates: int = field(default=0)
 
 
-async def serve_pull(
-    connection: Connection,
-    readables: ReadableMap,
-    hello: Hello | None = None,
-    batch_limit: int | None = None,
-    logs: MutableMapping[Any, ReplayLog] | None = None,
-) -> bool:
-    """Answer a pull client: passive output over one connection.
+def channel_key(channel: Any) -> Any:
+    """A dict key for per-channel state (channel ids may be unhashable)."""
+    try:
+        hash(channel)
+        return channel
+    except TypeError:
+        return repr(channel)
 
-    Serves ``READ`` frames from the addressed Readable until the
-    client disconnects.  END replies are idempotent: every READ past
-    the end is answered END again.
 
-    ``logs`` (a channel-key → :class:`ReplayLog` mapping owned by the
-    *stage*, not this connection) switches on resume service: records
-    are retained, ``DATA`` frames carry ``seq``, and the connection's
-    read cursor starts at the hello's ``next_seq``.
-
-    Returns True when the connection completed its stream — under
-    resume, only if this connection actually delivered an END, so a
-    consumer that died mid-stream (and will reconnect) is not mistaken
-    for a finished one.
-    """
-    if logs is None:
-        return await _serve_pull_legacy(connection, readables, batch_limit)
-    return await _serve_pull_resume(connection, readables, hello,
-                                    batch_limit, logs)
+def _error_frame(code: str, message: str) -> Frame:
+    return Frame(FrameType.ERROR, {"code": code, "message": message})
 
 
 #: Cap on READ replies coalesced into one vectored burst (bounds both
@@ -995,172 +896,144 @@ async def serve_pull(
 _REPLY_BURST = 64
 
 
-async def _serve_pull_legacy(
+async def _read_under(
+    connection: Connection, request: Frame, readable: Any, batch: int,
+) -> tuple[Transfer, Any]:
+    """One ``readable.read`` on behalf of a READ: ``(transfer, origin)``.
+
+    Served under the READ's span, so any request this read triggers (an
+    upstream pull, a downstream push) parents itself on it.  A buffer
+    hands back records deposited under another trace; that ``origin``
+    is forwarded so the reader joins the datum's trace.
+    """
+    started = connection.clock()
+    with bind_span(frame_trace(request)):
+        transfer = await readable.read(batch)
+    connection.stats.observe(
+        "serve_read_ms", (connection.clock() - started) * 1000.0
+    )
+    return transfer, getattr(readable, "last_read_origin", None)
+
+
+async def _read_log(
+    log: ReplayLog, connection: Connection, request: Frame, readable: Any,
+    cursor: int, batch: int,
+) -> tuple[list[Any] | None, Any, int]:
+    """The resume answer to a READ at ``cursor``: ``(items, origin, seq)``.
+
+    Fills the log until it can answer at ``cursor`` — also the
+    fast-forward path of a *restarted* stage whose fresh log must
+    regenerate records a consumer already holds.  ``items`` is None
+    once the stream has ended at or before ``cursor``.
+    """
+    async with log.lock:
+        while len(log.records) <= cursor and not log.ended:
+            transfer, origin = await _read_under(
+                connection, request, readable, batch
+            )
+            if transfer.at_end:
+                log.ended, log.end_origin = True, origin
+            else:
+                log.records.extend(transfer.items)
+                log.origins.extend([origin] * len(transfer.items))
+        if cursor >= len(log.records):
+            return None, log.end_origin, len(log.records)
+        stop = min(len(log.records), cursor + batch)
+        replayed = max(0, min(stop, log.served_high) - cursor)
+        if replayed:
+            log.replayed += replayed
+            connection.stats.bump("replayed_records", replayed)
+        log.served_high = max(log.served_high, stop)
+        return log.records[cursor:stop], log.origins[cursor], cursor
+
+
+async def serve_pull(
     connection: Connection,
     readables: ReadableMap,
-    batch_limit: int | None,
+    hello: Hello | None = None,
+    logs: MutableMapping[Any, ReplayLog] | None = None,
 ) -> bool:
-    ended: set[Any] = set()
+    """Answer a pull client: passive output over one connection.
+
+    Serves ``READ`` frames from the addressed Readable until the
+    client disconnects.  A pipelined client packs several READs into
+    one segment; every one already decoded (``recv_nowait``) is
+    answered in the same burst, so the reply side costs one vectored
+    write, not one write per request.  Replies stay in request order.
+    END replies are idempotent: every READ past the end is answered
+    END again.
+
+    ``logs`` (a channel-key → :class:`ReplayLog` mapping owned by the
+    *stage*, not this connection) switches on resume service: records
+    are retained, ``DATA`` and ``END`` frames carry ``seq``, and the
+    connection's read cursor starts at the hello's ``next_seq``.
+    Where the next ``batch`` records come from — the Readable, or the
+    log filled under its lock — is the only step that differs.
+
+    Returns True when the connection completed its stream.  A reader
+    may stop early, so a hang-up ends the service — but under resume
+    only a delivered END counts, so a consumer that died mid-stream
+    (and will reconnect) is not mistaken for a finished one.
+    """
+    start = 0
+    if hello is not None and hello.next_seq is not None:
+        start = hello.next_seq
+    cursors: dict[Any, int] = {}
+    #: channel key -> the idempotent END reply, once the END was served.
+    ended: dict[Any, Frame] = {}
+
+    async def answer(request: Frame) -> Frame:
+        channel = request.body.get("channel")
+        batch = max(1, int(request.body.get("batch", 1)))
+        key = channel_key(channel)
+        if key in ended:
+            return ended[key]
+        try:
+            readable = _resolve_channel(readables, channel)
+        except NoSuchChannelError as error:
+            return _error_frame("no-such-channel", str(error))
+        body: dict[str, Any] = {"channel": channel}
+        if logs is None:
+            transfer, origin = await _read_under(
+                connection, request, readable, batch
+            )
+            items = None if transfer.at_end else list(transfer.items)
+        else:
+            items, origin, body["seq"] = await _read_log(
+                logs.setdefault(key, ReplayLog()), connection, request,
+                readable, cursors.get(key, start), batch,
+            )
+        if items is None:
+            ended[key] = Frame(FrameType.END, dict(body))
+            return Frame(FrameType.END, attach_trace(body, origin))
+        if logs is not None:
+            cursors[key] = body["seq"] + len(items)
+        connection.stats.bump("records_out", len(items))
+        return Frame(
+            FrameType.DATA, attach_trace({"items": items, **body}, origin)
+        )
+
     while True:
         frame = await connection.recv()
         if frame is None:
-            return True
-        # A pipelined client packs several READs into one segment; every
-        # one already decoded (recv_nowait) is answered in this burst,
-        # so the reply side costs one vectored write, not one write per
-        # request.  Replies stay in request order.
+            return logs is None or bool(ended)
         replies: list[Frame] = []
         fatal: WireError | None = None
-        while True:
-            reply = None
-            if frame.type is not FrameType.READ:
-                reply = Frame(FrameType.ERROR, {
-                    "code": "bad-frame",
-                    "message": f"pull connection got {frame.type.name}",
-                })
-                fatal = WireError(f"pull connection got {frame.type.name}")
+        while frame is not None:
+            if frame.type is FrameType.READ:
+                replies.append(await answer(frame))
             else:
-                channel = frame.body.get("channel")
-                batch = max(1, int(frame.body.get("batch", 1)))
-                if batch_limit is not None:
-                    batch = min(batch, batch_limit)
-                readable = None
-                try:
-                    readable = _resolve_channel(readables, channel)
-                except NoSuchChannelError as error:
-                    reply = Frame(FrameType.ERROR, {
-                        "code": "no-such-channel", "message": str(error),
-                    })
-                if readable is not None:
-                    key = _channel_key(channel)
-                    if key in ended:
-                        reply = Frame(FrameType.END, {"channel": channel})
-                    else:
-                        # Serve under the READ's span so any request
-                        # this read triggers (an upstream pull, a
-                        # downstream push) parents itself on it.
-                        ctx = frame_trace(frame)
-                        started = connection.clock()
-                        with bind_span(ctx):
-                            transfer = await readable.read(batch)
-                        connection.stats.observe(
-                            "serve_read_ms",
-                            (connection.clock() - started) * 1000.0,
-                        )
-                        # A buffer hands back records deposited under
-                        # another trace; forward that origin so the
-                        # reader joins the datum's trace.
-                        origin = getattr(readable, "last_read_origin", None)
-                        if transfer.at_end:
-                            ended.add(key)
-                            body = {"channel": channel}
-                            reply = Frame(
-                                FrameType.END, attach_trace(body, origin)
-                            )
-                        else:
-                            items = list(transfer.items)
-                            body = {"items": items, "channel": channel}
-                            reply = Frame(
-                                FrameType.DATA, attach_trace(body, origin)
-                            )
-                            connection.stats.bump("records_out", len(items))
-            replies.append(reply)
+                fatal = WireError(f"pull connection got {frame.type.name}")
+                replies.append(_error_frame("bad-frame", str(fatal)))
             if fatal is not None or len(replies) >= _REPLY_BURST:
                 break
-            nxt = connection.recv_nowait()
-            if nxt is None:
-                break
-            frame = nxt
+            frame = connection.recv_nowait()
         if len(replies) == 1:
             await connection.send(replies[0])
         else:
             await connection.send_many(replies)
         if fatal is not None:
             raise fatal
-
-
-async def _serve_pull_resume(
-    connection: Connection,
-    readables: ReadableMap,
-    hello: Hello | None,
-    batch_limit: int | None,
-    logs: MutableMapping[Any, ReplayLog],
-) -> bool:
-    start = 0
-    if hello is not None and hello.next_seq is not None:
-        start = hello.next_seq
-    cursors: dict[Any, int] = {}
-    served_end = False
-    while True:
-        frame = await connection.recv()
-        if frame is None:
-            return served_end
-        if frame.type is not FrameType.READ:
-            await connection.send(Frame(FrameType.ERROR, {
-                "code": "bad-frame",
-                "message": f"pull connection got {frame.type.name}",
-            }))
-            raise WireError(f"pull connection got {frame.type.name}")
-        channel = frame.body.get("channel")
-        batch = max(1, int(frame.body.get("batch", 1)))
-        if batch_limit is not None:
-            batch = min(batch, batch_limit)
-        try:
-            readable = _resolve_channel(readables, channel)
-        except NoSuchChannelError as error:
-            await connection.send(Frame(FrameType.ERROR, {
-                "code": "no-such-channel", "message": str(error),
-            }))
-            continue
-        key = _channel_key(channel)
-        log = logs.setdefault(key, ReplayLog())
-        cursor = cursors.get(key, start)
-        ctx = frame_trace(frame)
-        async with log.lock:
-            # Fill the log until it can answer at ``cursor`` — also the
-            # fast-forward path of a *restarted* stage whose fresh log
-            # must regenerate records a consumer already holds.
-            while len(log.records) <= cursor and not log.ended:
-                started = connection.clock()
-                with bind_span(ctx):
-                    transfer = await readable.read(batch)
-                connection.stats.observe(
-                    "serve_read_ms", (connection.clock() - started) * 1000.0
-                )
-                origin = getattr(readable, "last_read_origin", None)
-                if transfer.at_end:
-                    log.ended = True
-                else:
-                    items = list(transfer.items)
-                    log.records.extend(items)
-                    log.origins.extend([origin] * len(items))
-            if cursor < len(log.records):
-                stop = min(len(log.records), cursor + batch)
-                items = log.records[cursor:stop]
-                origin = log.origins[cursor]
-                replayed = max(0, min(stop, log.served_high) - cursor)
-                if replayed:
-                    log.replayed += replayed
-                    connection.stats.bump("replayed_records", replayed)
-                log.served_high = max(log.served_high, stop)
-                cursors[key] = stop
-                body = {"items": items, "channel": channel, "seq": cursor}
-                await connection.send(
-                    Frame(FrameType.DATA, attach_trace(body, origin))
-                )
-                connection.stats.bump("records_out", len(items))
-            else:
-                body = {"channel": channel, "seq": len(log.records)}
-                await connection.send(Frame(FrameType.END, body))
-                served_end = True
-
-
-def _channel_key(channel: Any) -> Any:
-    try:
-        hash(channel)
-        return channel
-    except TypeError:
-        return repr(channel)
 
 
 async def serve_push(
@@ -1176,70 +1049,31 @@ async def serve_push(
     only *after* the local writable has accepted the records, so the
     window bounds true end-to-end in-flight data.
 
-    ``state`` (a :class:`PushState` owned by the *stage*) switches on
-    resume service: ``WRITE`` frames whose ``seq`` shows they replay an
-    already-accepted prefix have that prefix dropped (credit is still
-    refunded in full), and an END after a consumed END is
-    re-acknowledged without touching the writable.
+    Progress is kept in a :class:`PushState`: ``WRITE`` frames whose
+    ``seq`` shows they replay an already-accepted prefix have that
+    prefix dropped (credit is still refunded in full; a WRITE without
+    ``seq`` skips nothing), and an END after a consumed END is
+    re-acknowledged without touching the writable.  A ``state`` owned
+    by the *stage* outlives the connection — that is resume service;
+    without one the state lasts as long as the connection does.
 
-    Returns True when the connection completed its stream — under
-    resume, only if an END actually arrived, so a producer that died
-    mid-stream (and will reconnect) is not mistaken for a finished one.
+    Returns True when the connection completed its stream — only if
+    its END arrived.  A link that closes before END is not a completed
+    stream: under resume the producer will be back (False); otherwise
+    nothing will ever forward the END, so the hang-up is a
+    :class:`WireError` and the stage fails naming the dead link.
     """
+    resumable = state is not None
     if state is None:
-        return await _serve_push_legacy(connection, writable)
-    return await _serve_push_resume(connection, writable, state)
-
-
-async def _serve_push_legacy(connection: Connection, writable: Any) -> bool:
+        state = PushState()
     while True:
         frame = await connection.recv()
         if frame is None:
-            return True
+            if resumable:
+                return False
+            raise WireError("peer closed mid-stream (no END received)")
         if frame.type is FrameType.WRITE:
             items = frame.body.get("items", [])
-            started = connection.clock()
-            # Serve under the WRITE's span: a downstream push this
-            # write triggers (or a buffer deposit) joins its trace.
-            with bind_span(frame_trace(frame)):
-                await writable.write(Transfer.of(items))
-            connection.stats.observe(
-                "serve_write_ms", (connection.clock() - started) * 1000.0
-            )
-            connection.stats.bump("records_in", len(items))
-            await connection.send(Frame(FrameType.ACK, {
-                "credit": len(items), "channel": frame.body.get("channel"),
-            }))
-        elif frame.type is FrameType.END:
-            with bind_span(frame_trace(frame)):
-                await writable.write(END_TRANSFER)
-            try:
-                await connection.send(Frame(FrameType.ACK, {
-                    "credit": 0, "final": True,
-                    "channel": frame.body.get("channel"),
-                }))
-            except (ConnectionError, OSError, FrameError):
-                pass  # writer may close the instant END is out
-            return True
-        else:
-            await connection.send(Frame(FrameType.ERROR, {
-                "code": "bad-frame",
-                "message": f"push connection got {frame.type.name}",
-            }))
-            raise WireError(f"push connection got {frame.type.name}")
-
-
-async def _serve_push_resume(
-    connection: Connection,
-    writable: Any,
-    state: PushState,
-) -> bool:
-    while True:
-        frame = await connection.recv()
-        if frame is None:
-            return False
-        if frame.type is FrameType.WRITE:
-            items = list(frame.body.get("items", []))
             seq = frame.body.get("seq")
             skip = 0
             if isinstance(seq, int):
@@ -1247,9 +1081,11 @@ async def _serve_push_resume(
             if skip:
                 state.duplicates += skip
                 connection.stats.bump("duplicate_records", skip)
-            fresh = items[skip:]
+            fresh = items[skip:] if skip else items
             started = connection.clock()
             if fresh and not state.ended:
+                # Serve under the WRITE's span: a downstream push this
+                # write triggers (or a buffer deposit) joins its trace.
                 with bind_span(frame_trace(frame)):
                     await writable.write(Transfer.of(fresh))
                 state.received += len(fresh)
@@ -1275,8 +1111,7 @@ async def _serve_push_resume(
                 pass  # writer may close the instant END is out
             return True
         else:
-            await connection.send(Frame(FrameType.ERROR, {
-                "code": "bad-frame",
-                "message": f"push connection got {frame.type.name}",
-            }))
+            await connection.send(_error_frame(
+                "bad-frame", f"push connection got {frame.type.name}"
+            ))
             raise WireError(f"push connection got {frame.type.name}")

@@ -87,6 +87,7 @@ from repro.net.protocol import (
     RemoteReadable,
     RemoteWritable,
     ReplayLog,
+    channel_key,
     serve_pull,
     serve_push,
 )
@@ -101,6 +102,7 @@ from repro.transput.flow import FlowAutotuner, FlowPolicy
 __all__ = [
     "StageConfig",
     "run_stage",
+    "pump",
     "load_transducer",
     "pick_free_port",
     "pick_free_ports",
@@ -135,13 +137,21 @@ def pick_free_port(host: str = "127.0.0.1") -> int:
     return pick_free_ports(1, host)[0]
 
 
-def _state_key(channel: Any) -> Any:
-    """A dict key for per-channel resume state (mirrors serve_pull's)."""
-    try:
-        hash(channel)
-        return channel
-    except TypeError:
-        return repr(channel)
+async def pump(readable: Any, writable: Any, batch: int) -> None:
+    """The active middle: read until END, pushing everything read.
+
+    A traced upstream publishes each read's span as ``last_span``
+    (post buffer-trace adoption); the pump makes it the current
+    span so the following write joins the datum's trace.
+    """
+    while True:
+        transfer = await readable.read(batch)
+        last = getattr(readable, "last_span", None)
+        if last is not None:
+            set_span(last)
+        await writable.write(transfer)
+        if transfer.at_end:
+            return
 
 
 def load_transducer(spec: str, args: Sequence[Any] = ()) -> Transducer:
@@ -274,6 +284,9 @@ class _Stage:
         # reconnecting peers pick up where their predecessor stopped).
         self._replay_logs: dict[Any, ReplayLog] = {}
         self._push_states: dict[Any, PushState] = {}
+        # The active ends this stage dialled, hung up when it finishes:
+        # a stage that fails must not leave its neighbours waiting.
+        self.links: list[Any] = []
         # The flight recorder carries enough meta for the replay engine
         # to rebuild this stage in the sim kernel from the capture alone.
         self.flight = None
@@ -315,7 +328,7 @@ class _Stage:
 
     def _remote_readable(self) -> RemoteReadable:
         host, port = self.config.upstream
-        return RemoteReadable(
+        return self._linked(RemoteReadable(
             host, port, uid=self.uid, book=self.book,
             channel=self.config.channel, stats=self.stats,
             tracer=self.tracer, label=self.label,
@@ -328,11 +341,11 @@ class _Stage:
             pipeline_depth=self.config.flow.effective_pipeline_depth(),
             tuner=self.tuner,
             flight=self.flight,
-        )
+        ))
 
     def _remote_writable(self) -> RemoteWritable:
         host, port = self.config.downstream
-        return RemoteWritable(
+        return self._linked(RemoteWritable(
             host, port, uid=self.uid, book=self.book,
             channel=self.config.channel, stats=self.stats,
             tracer=self.tracer, label=self.label,
@@ -343,7 +356,11 @@ class _Stage:
             injector=self.injector,
             codec=self.config.codec,
             flight=self.flight,
-        )
+        ))
+
+    def _linked(self, remote: Any) -> Any:
+        self.links.append(remote)
+        return remote
 
     def _transducer(self) -> Transducer:
         if self.config.transducer_spec is None:
@@ -374,8 +391,8 @@ class _Stage:
         return writable
 
     def _push_state_for(self, hello: Hello) -> PushState:
-        key = _state_key(hello.channel)
-        return self._push_states.setdefault(key, PushState())
+        return self._push_states.setdefault(
+            channel_key(hello.channel), PushState())
 
     async def _serve(self, readables: Any = None, writable: Any = None,
                      clients: int = 1) -> None:
@@ -385,12 +402,16 @@ class _Stage:
         it finished its stream (its END crossed the wire): a peer that
         crashed mid-stream will reconnect as a *new* connection, and
         transport faults merely drop the connection, never the stage.
+        Any other failure of a connection's serve loop — without
+        resume that includes a pusher that hangs up before END — is
+        the stage's failure, raised from here.
 
         Every WELCOME grants ``flow.effective_credit_window()`` records
         of push credit: unless a wider window is configured, exactly
         one ``batch``-sized WRITE in flight per pusher.
         """
         done = asyncio.Semaphore(0)
+        failures: list[Exception] = []
         credit = self.config.flow.effective_credit_window()
         resume = self.config.resume
         # A json-configured stage only ever grants json, so one legacy
@@ -424,33 +445,37 @@ class _Stage:
                 )
                 connection = self._connection(reader, writer)
                 connection.codec = hello.codec
-                if hello.role == ROLE_PULL and readables is not None:
-                    completed = await serve_pull(
-                        connection, readables, hello, batch_limit=None,
-                        logs=self._replay_logs if resume else None,
-                    )
-                elif hello.role == ROLE_PUSH and writable is not None:
-                    completed = await serve_push(
-                        connection, writable, hello,
-                        state=self._push_state_for(hello) if resume else None,
-                    )
-                else:
+                try:
+                    if hello.role == ROLE_PULL and readables is not None:
+                        completed = await serve_pull(
+                            connection, readables, hello,
+                            logs=self._replay_logs if resume else None,
+                        )
+                    elif hello.role == ROLE_PUSH and writable is not None:
+                        completed = await serve_push(
+                            connection, writable, hello,
+                            state=self._push_state_for(hello) if resume else None,
+                        )
+                    else:
+                        return  # role this stage does not serve: not counted
+                finally:
                     await connection.close()
-                    return  # role this stage does not serve: not counted
-                await connection.close()
                 if completed:
                     done.release()
             except HandshakeError as error:
                 print(f"[{self.label}] rejected connection: {error}",
                       file=sys.stderr)
-            except (ConnectionError, OSError, FrameError, EOFError) as error:
-                if not resume:
-                    raise
-                # The peer died mid-connection; it (or its restarted
-                # successor) will be back — drop this connection only.
-                self.stats.bump("client_disconnects")
-                print(f"[{self.label}] client link failed: {error}",
-                      file=sys.stderr)
+            except Exception as error:
+                if resume and isinstance(
+                        error, (ConnectionError, OSError, FrameError, EOFError)):
+                    # The peer died mid-connection; it (or its restarted
+                    # successor) will be back — drop this connection only.
+                    self.stats.bump("client_disconnects")
+                    print(f"[{self.label}] client link failed: {error}",
+                          file=sys.stderr)
+                    return
+                failures.append(error)
+                done.release()
 
         server = await asyncio.start_server(
             handle, host=self.config.host, port=self.config.listen_port or 0
@@ -458,26 +483,11 @@ class _Stage:
         try:
             for _ in range(clients):
                 await done.acquire()
+                if failures:
+                    raise failures[0]
         finally:
             server.close()
             await server.wait_closed()
-
-    @staticmethod
-    async def _pump(readable: Any, writable: Any, batch: int) -> None:
-        """The active middle: read until END, pushing everything read.
-
-        A traced upstream publishes each read's span as ``last_span``
-        (post buffer-trace adoption); the pump makes it the current
-        span so the following write joins the datum's trace.
-        """
-        while True:
-            transfer = await readable.read(batch)
-            last = getattr(readable, "last_span", None)
-            if last is not None:
-                set_span(last)
-            await writable.write(transfer)
-            if transfer.at_end:
-                return
 
     # -- role bodies --------------------------------------------------------
 
@@ -492,7 +502,7 @@ class _Stage:
                     clients=config.expected_clients or 1,
                 )
             else:  # writeonly and conventional sources both push
-                await self._pump(
+                await pump(
                     self._killing_readable(AioSource(items)),
                     self._remote_writable(), flow.batch,
                 )
@@ -511,7 +521,7 @@ class _Stage:
                                   clients=config.expected_clients or 1)
             else:  # conventional: active at both ends
                 stage = AioWriteOnlyStage(transducer, [self._remote_writable()])
-                await self._pump(self._remote_readable(), stage, flow.batch)
+                await pump(self._remote_readable(), stage, flow.batch)
         elif config.role == "sink":
             if config.discipline == "writeonly":
                 collector = AioCollector()
@@ -621,6 +631,8 @@ async def run_stage(config: StageConfig) -> _Stage:
     try:
         await stage.run()
     finally:
+        for link in stage.links:
+            await link.aclose()
         if stage.flight is not None:
             stage.flight.close()
         if control is not None:

@@ -24,10 +24,8 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     ),
     "repro.transput.merge": ("TaggedMerger",),
     "repro.transput.pipeline": (
-        "DISCIPLINES", "Pipeline", "build_conventional_pipeline",
-        "build_pipeline", "build_readonly_pipeline",
-        "build_writeonly_pipeline", "compose_conventional_pipeline",
-        "compose_pipeline", "compose_readonly_pipeline", "compose_segment",
+        "DISCIPLINES", "Pipeline", "compose_conventional_pipeline",
+        "compose_readonly_pipeline", "compose_segment",
         "compose_writeonly_pipeline",
     ),
     "repro.transput.primitives": (

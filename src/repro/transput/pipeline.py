@@ -14,9 +14,8 @@ meaningful:
   ``2n + 3`` Ejects.
 
 Each builder returns a :class:`Pipeline` handle that runs the
-simulation to completion and reports the measured costs.  (The
-``build_*`` names remain as deprecated aliases; runtime-independent
-callers want :class:`repro.api.Pipeline`.)
+simulation to completion and reports the measured costs.
+(Runtime-independent callers want :class:`repro.api.Pipeline`.)
 """
 
 from __future__ import annotations
@@ -410,58 +409,3 @@ def compose_segment(
         )
     raise ValueError(f"discipline must be one of {DISCIPLINES}, got {discipline!r}")
 
-
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-facade and pre-graph names).  New code should
-# use compose_segment / the discipline-specific compose_* builders, or
-# repro.api.Pipeline / repro.api.GraphBuilder for cross-runtime work.
-# ---------------------------------------------------------------------------
-
-
-def compose_pipeline(*args: Any, **kwargs: Any) -> Pipeline:
-    """Deprecated front door: use :class:`repro.api.Pipeline` (or, for
-    one raw simulator segment, :func:`compose_segment`)."""
-    from repro.compat import warn_deprecated
-
-    warn_deprecated(
-        "repro.transput.compose_pipeline",
-        "repro.api.Pipeline(...).run(runtime='sim') — or "
-        "repro.transput.compose_segment for one raw simulator segment",
-    )
-    return compose_segment(*args, **kwargs)
-
-
-def build_readonly_pipeline(*args: Any, **kwargs: Any) -> Pipeline:
-    """Deprecated alias of :func:`compose_readonly_pipeline`."""
-    from repro.compat import warn_deprecated
-
-    warn_deprecated("repro.transput.build_readonly_pipeline",
-                    "repro.transput.compose_readonly_pipeline")
-    return compose_readonly_pipeline(*args, **kwargs)
-
-
-def build_writeonly_pipeline(*args: Any, **kwargs: Any) -> Pipeline:
-    """Deprecated alias of :func:`compose_writeonly_pipeline`."""
-    from repro.compat import warn_deprecated
-
-    warn_deprecated("repro.transput.build_writeonly_pipeline",
-                    "repro.transput.compose_writeonly_pipeline")
-    return compose_writeonly_pipeline(*args, **kwargs)
-
-
-def build_conventional_pipeline(*args: Any, **kwargs: Any) -> Pipeline:
-    """Deprecated alias of :func:`compose_conventional_pipeline`."""
-    from repro.compat import warn_deprecated
-
-    warn_deprecated("repro.transput.build_conventional_pipeline",
-                    "repro.transput.compose_conventional_pipeline")
-    return compose_conventional_pipeline(*args, **kwargs)
-
-
-def build_pipeline(*args: Any, **kwargs: Any) -> Pipeline:
-    """Deprecated alias of :func:`compose_segment`."""
-    from repro.compat import warn_deprecated
-
-    warn_deprecated("repro.transput.build_pipeline",
-                    "repro.transput.compose_segment")
-    return compose_segment(*args, **kwargs)

@@ -205,10 +205,7 @@ class TestRelay:
                     hello = await expect_hello_over(
                         channel, client_book, server_uid, credit=0
                     )
-                    await serve_pull(
-                        channel, AioSource(["a", "b"]), hello,
-                        batch_limit=None,
-                    )
+                    await serve_pull(channel, AioSource(["a", "b"]), hello)
                     await server.release(channel)
 
                 asyncio.ensure_future(body())

@@ -26,9 +26,8 @@ SURFACE = {
         ),
         "repro.shell": "Shell",
         "repro.transput": (
-            "FlowPolicy Pipeline Transducer build_conventional_pipeline "
-            "build_pipeline build_readonly_pipeline build_writeonly_pipeline "
-            "compose_conventional_pipeline compose_pipeline "
+            "FlowPolicy Pipeline Transducer "
+            "compose_conventional_pipeline "
             "compose_readonly_pipeline compose_segment "
             "compose_writeonly_pipeline"
         ),
@@ -36,8 +35,7 @@ SURFACE = {
     "repro.aio": {
         "repro.aio.channels": "AioReportingStage ChannelReader",
         "repro.aio.pipeline": (
-            "run_conventional run_pipeline run_readonly run_writeonly "
-            "stream_conventional stream_pipeline stream_readonly "
+            "stream_conventional stream_readonly "
             "stream_segment stream_sharded stream_writeonly"
         ),
         "repro.aio.streams": (
@@ -170,8 +168,8 @@ SURFACE = {
             "send_hello"
         ),
         "repro.net.launch": (
-            "FleetError FleetSupervisor PipelineResult StagePlan execute "
-            "plan_fleet plan_linear_fleet plan_pipeline plan_sharded_fleet "
+            "FleetError FleetSupervisor PipelineResult StagePlan "
+            "plan_linear_fleet plan_sharded_fleet "
             "run_fleet"
         ),
         "repro.net.metrics": "NetStats merge_stats",
@@ -221,9 +219,8 @@ SURFACE = {
         ),
         "repro.transput.merge": "TaggedMerger",
         "repro.transput.pipeline": (
-            "DISCIPLINES Pipeline build_conventional_pipeline build_pipeline "
-            "build_readonly_pipeline build_writeonly_pipeline "
-            "compose_conventional_pipeline compose_pipeline "
+            "DISCIPLINES Pipeline "
+            "compose_conventional_pipeline "
             "compose_readonly_pipeline compose_segment "
             "compose_writeonly_pipeline"
         ),

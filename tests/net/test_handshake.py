@@ -8,10 +8,12 @@ from repro.core.uid import UID
 from repro.net.framing import Frame, FrameType, read_frame, write_frame
 from repro.net.handshake import (
     HandshakeError,
+    HandshakeLinkDown,
     ROLE_PULL,
     ROLE_PUSH,
     TicketBook,
     expect_hello,
+    expect_hello_over,
     send_hello,
 )
 
@@ -161,3 +163,97 @@ class TestHandshakeOverSockets:
             await server.wait_closed()
 
         run(scenario())
+
+
+class _Channel:
+    """``Connection``-shaped: ``recv`` plays ``inbound``, ``send`` records."""
+
+    def __init__(self, *inbound):
+        self.inbound = list(inbound)
+        self.sent = []
+
+    async def recv(self):
+        return self.inbound.pop(0) if self.inbound else None
+
+    async def send(self, frame):
+        self.sent.append(frame)
+
+
+async def _error_of(result):
+    """The server handler's verdict, once it has reached one."""
+    for _ in range(200):
+        if "error" in result:
+            return result["error"]
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"handshake never failed: {result}")
+
+
+FORGED = UID(space=0, serial=1, nonce=123456789)
+
+#: first frame -> the ERROR body it is answered with, on the wire
+#: (literals as the code before PR 24's single admission sent them).
+REJECTIONS = [
+    (Frame(FrameType.READ, {"batch": 1}),
+     {"code": "bad-hello", "message": "expected HELLO, got READ"}),
+    (Frame(FrameType.HELLO, {"uid": FORGED, "role": "teleport",
+                             "channel": "Output"}),
+     {"code": "bad-role", "message": "unknown role 'teleport'"}),
+    (Frame(FrameType.HELLO, {"uid": FORGED, "role": ROLE_PULL,
+                             "channel": "Output"}),
+     {"code": "forged-uid",
+      "message": "ticket UID(space=0, serial=1) was not issued here"}),
+]
+
+
+class TestOneAdmissionOnBothTransports:
+    """A socket and a mux channel are admitted by the same function, so
+    a refusal reads the same — and a link that dies first is no refusal."""
+
+    @pytest.mark.parametrize("first,body", REJECTIONS)
+    def test_rejection_bodies_are_the_same_on_the_wire(self, first, body):
+        async def over_tcp():
+            book = TicketBook(space=0, seed=3)
+            server, port, result = await _serve_one(book, book.ticket(0))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await write_frame(writer, first)
+            reply = await read_frame(reader)
+            error = await _error_of(result)
+            server.close()
+            await server.wait_closed()
+            return reply, error
+
+        async def over_a_channel():
+            book = TicketBook(space=0, seed=3)
+            channel = _Channel(first)
+            with pytest.raises(HandshakeError) as caught:
+                await expect_hello_over(channel, book, book.ticket(0))
+            return channel.sent[0], caught.value
+
+        for transport in (over_tcp, over_a_channel):
+            reply, error = run(transport())
+            assert reply.type is FrameType.ERROR
+            assert reply.body == body
+            assert not isinstance(error, HandshakeLinkDown)
+
+    def test_a_link_closed_before_hello_is_link_down_not_a_rejection(self):
+        async def over_tcp():
+            book = TicketBook(space=0, seed=3)
+            server, port, result = await _serve_one(book, book.ticket(0))
+            _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.close()
+            await writer.wait_closed()
+            error = await _error_of(result)
+            server.close()
+            await server.wait_closed()
+            return error
+
+        async def over_a_channel():
+            book = TicketBook(space=0, seed=3)
+            channel = _Channel()
+            with pytest.raises(HandshakeError) as caught:
+                await expect_hello_over(channel, book, book.ticket(0))
+            assert channel.sent == []
+            return caught.value
+
+        for transport in (over_tcp, over_a_channel):
+            assert isinstance(run(transport()), HandshakeLinkDown)

@@ -14,86 +14,47 @@ from repro.aio.streams import (
 from repro.core.errors import StreamProtocolError
 from repro.fault import FaultPlan, FrameFault
 from repro.fault.inject import build_injector
-from repro.net.framing import FrameError, FrameType
-from repro.net.handshake import TicketBook, expect_hello
-from repro.net.metrics import NetStats
+from repro.net.framing import (
+    Frame,
+    FrameType,
+    encode_frame,
+    read_frame,
+    write_frame,
+)
+from repro.net.handshake import ROLE_PUSH, send_hello
 from repro.net.protocol import (
-    Connection,
     PushState,
     RemoteReadable,
     RemoteWritable,
     WireError,
     connect_with_backoff,
-    serve_pull,
-    serve_push,
 )
-from repro.net.stage import pick_free_port, pick_free_ports
+from repro.net.stage import (
+    StageConfig,
+    pick_free_port,
+    pick_free_ports,
+    run_stage,
+)
+from repro.obs.spans import SpanIds
 from repro.transput.filterbase import identity_transducer, make_transducer
 from repro.transput.flow import FlowPolicy
 from repro.transput.stream import END_TRANSFER, Transfer
 
-BOOK_ARGS = dict(space=0, seed=11)
+from tests.net.wiretap import (
+    BOOK_ARGS,
+    ITEMS,
+    SENT,
+    client_book,
+    frames_of,
+    pull_chain,
+    push_chain,
+    start_stage_server,
+    writes_seen,
+)
 
 
 def run(coroutine):
     return asyncio.run(coroutine)
-
-
-class TappedConnection(Connection):
-    """Logs ``(seq, record count)`` of every WRITE frame received."""
-
-    def __init__(self, *args, writes, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.writes = writes
-
-    async def recv(self):
-        frame = await super().recv()
-        if frame is not None and frame.type is FrameType.WRITE:
-            self.writes.append(
-                (frame.body.get("seq"), len(frame.body["items"])))
-        return frame
-
-
-async def start_stage_server(readables=None, writable=None, credit=4,
-                             state=None, writes=None):
-    """A minimal single-purpose stage server for protocol tests.
-
-    ``state`` (a :class:`PushState`) switches on resume service;
-    ``writes`` collects the WRITE frames seen, across connections.
-    """
-    book = TicketBook(**BOOK_ARGS)
-    server_uid = book.ticket(0)
-    stats = NetStats()
-    writes = [] if writes is None else writes
-
-    async def handler(reader, writer):
-        try:
-            hello = await expect_hello(
-                reader, writer, book, server_uid, credit=credit,
-                resume_seq_for=(None if state is None
-                                else lambda _hello: state.received),
-            )
-        except Exception:
-            return
-        connection = TappedConnection(reader, writer, stats=stats,
-                                      writes=writes)
-        try:
-            if hello.role == "pull":
-                await serve_pull(connection, readables, hello)
-            else:
-                await serve_push(connection, writable, hello, state=state)
-        except (WireError, ConnectionError, FrameError):
-            pass
-        finally:
-            await connection.close()
-
-    server = await asyncio.start_server(handler, host="127.0.0.1", port=0)
-    port = server.sockets[0].getsockname()[1]
-    return server, port, stats
-
-
-def client_book() -> TicketBook:
-    return TicketBook(**BOOK_ARGS)
 
 
 class TestPullProtocol:
@@ -159,6 +120,32 @@ class TestPullProtocol:
 
         transfer = run(scenario())
         assert list(transfer.items) == [0, 1, 2, 3]
+
+    def test_more_reads_in_flight_than_one_reply_burst(self):
+        """70 pipelined READs against a 64-reply burst cap: the READs
+        left over start the next burst — none is dropped."""
+
+        async def scenario():
+            frames = []
+            server, port, _stats = await start_stage_server(
+                readables=AioSource(["a", "b"]), frames=frames
+            )
+            remote = RemoteReadable(
+                "127.0.0.1", port, uid=client_book().ticket(1),
+                book=client_book(), pipeline_depth=70,
+            )
+            got = []
+            while not (transfer := await remote.read(1)).at_end:
+                got.extend(transfer.items)
+            server.close()
+            await server.wait_closed()
+            return got, frames
+
+        got, frames = run(asyncio.wait_for(scenario(), 5.0))
+        assert got == ["a", "b"]
+        # 70 up front, one top-up per DATA consumed; every one answered.
+        assert len(frames_of(frames, "<", "READ")) == 72
+        assert len(frames_of(frames, SENT)) == 72
 
     def test_multi_channel_pull_by_name(self):
         async def scenario():
@@ -295,9 +282,9 @@ class TestPushBatching:
 
         async def scenario():
             collector = AioCollector()
-            writes = []
+            frames = []
             server, port, _stats = await start_stage_server(
-                writable=collector, credit=credit, writes=writes
+                writable=collector, credit=credit, frames=frames
             )
             remote = RemoteWritable(
                 "127.0.0.1", port, uid=client_book().ticket(1),
@@ -310,7 +297,7 @@ class TestPushBatching:
             await stage.write(END_TRANSFER)
             server.close()
             await server.wait_closed()
-            return collector, writes
+            return collector, writes_seen(frames)
 
         collector, writes = run(scenario())
         assert credit == 4
@@ -334,7 +321,7 @@ class TestPushBatching:
             sink_state, sink_writes = PushState(), []
             sink, sink_port, _stats = await start_stage_server(
                 writable=collector, credit=credit, state=sink_state,
-                writes=sink_writes,
+                frames=sink_writes,
             )
             outbound = RemoteWritable(
                 "127.0.0.1", sink_port, uid=client_book().ticket(1),
@@ -347,7 +334,7 @@ class TestPushBatching:
             stage = AioWriteOnlyStage(identity_transducer(), [outbound])
             middle, middle_port, _stats = await start_stage_server(
                 writable=stage, credit=credit, state=filter_state,
-                writes=filter_writes,
+                frames=filter_writes,
             )
             driver = RemoteWritable(
                 "127.0.0.1", middle_port, uid=client_book().ticket(2),
@@ -359,8 +346,8 @@ class TestPushBatching:
             for server in (middle, sink):
                 server.close()
                 await server.wait_closed()
-            return (collector, outbound, sink_state, sink_writes,
-                    filter_writes)
+            return (collector, outbound, sink_state, writes_seen(sink_writes),
+                    writes_seen(filter_writes))
 
         collector, outbound, sink_state, sink_writes, filter_writes = run(
             scenario())
@@ -412,6 +399,189 @@ class TestPipeBothWays:
             return got
 
         assert run(scenario()) == ["p", "q", "r"]
+
+
+def without_seq(frames):
+    return [(name, {key: value for key, value in body.items() if key != "seq"})
+            for name, body in frames]
+
+
+def seq_key_bytes(frames, codec="json"):
+    """What the ``seq`` keys of ``frames`` cost on the wire, in bytes."""
+    return sum(
+        len(encode_frame(Frame(FrameType[name], body), codec))
+        - len(encode_frame(Frame(FrameType[name], bare), codec))
+        for (name, body), (_name, bare) in zip(frames, without_seq(frames))
+    )
+
+
+class TestResumeChangesSeqAndRetentionOnly:
+    """The same fault-free stream with ``resume`` off and on: the frames
+    differ by the ``seq`` key and by nothing else — same loop, same
+    bursts, same counts, same END."""
+
+    #: Every counter that says what crossed the wire (bytes aside).
+    COUNTED = ("invocations_sent", "replies_sent", "frames_sent",
+               "frames_received", "records_in", "records_out")
+
+    def assert_same_stream(self, plain, resuming):
+        assert plain.output == resuming.output == ITEMS
+        assert plain.ends.keys() == resuming.ends.keys()
+        for end, (stats, sent) in plain.ends.items():
+            resumed_stats, resumed_sent = resuming.ends[end]
+            assert without_seq(resumed_sent) == sent, end
+            names = {name for name in (*stats.names(), *resumed_stats.names())
+                     if name in self.COUNTED
+                     or name.endswith(("_frames_sent", "_frames_received"))}
+            assert names >= {"frames_sent", "frames_received"}, end
+            for name in sorted(names):
+                assert stats.get(name) == resumed_stats.get(name), (end, name)
+            assert (resumed_stats.get("bytes_sent") - stats.get("bytes_sent")
+                    == seq_key_bytes(resumed_sent)), end
+            assert resumed_stats.get("reconnects") == 0, end
+        # seq really is there: on every DATA / WRITE, and on the END.
+        for _stats, sent in resuming.ends.values():
+            for name, body in sent:
+                assert ("seq" in body) == (name in ("DATA", "WRITE", "END"))
+
+    @pytest.mark.parametrize("depth", [1, 8])
+    def test_pull(self, depth):
+        self.assert_same_stream(run(pull_chain(False, depth)),
+                                run(pull_chain(True, depth)))
+
+    @pytest.mark.parametrize("credit", [3, 12])
+    def test_push(self, credit):
+        self.assert_same_stream(run(push_chain(False, credit)),
+                                run(push_chain(True, credit)))
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_pipelined_reads_are_answered_in_bursts(self, resume):
+        """A depth-8 reader packs its READs into one segment; the
+        serving side answers them with vectored writes in either mode
+        (the resume loop used to send reply by reply)."""
+        chain = run(pull_chain(resume, 8))
+        for end in ("filter-serving", "source"):
+            stats, sent = chain.ends[end]
+            assert len(sent) == 11  # 3 DATA + END + 7 drained ENDs
+            assert (stats.get("sendmsg_writes")
+                    + stats.get("coalesced_writes")) > 0, end
+
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_buffered_end_reply_carries_its_trace_origin(self, resume):
+        """Conventional: the END a pipe hands a reader was deposited
+        under the writer's span, and the END reply says so — also when
+        the pipe is served from a replay log."""
+
+        async def scenario():
+            pipe = AioPipe(capacity=8)
+            frames = []
+            server, port, _stats = await start_stage_server(
+                readables=pipe, writable=pipe, credit=8, frames=frames,
+                state=PushState() if resume else None,
+                logs={} if resume else None,
+            )
+            writer = RemoteWritable(
+                "127.0.0.1", port, uid=client_book().ticket(1),
+                book=client_book(), resume=resume,
+                spans=SpanIds(prefix="w-"),
+            )
+            reader = RemoteReadable(
+                "127.0.0.1", port, uid=client_book().ticket(2),
+                book=client_book(), resume=resume,
+            )
+            await writer.write(Transfer.of(["p", "q"]))
+            await writer.write(END_TRANSFER)
+            got = []
+            while not (transfer := await reader.read(8)).at_end:
+                got.extend(transfer.items)
+            server.close()
+            await server.wait_closed()
+            return got, frames
+
+        got, frames = run(scenario())
+        assert got == ["p", "q"]
+        (pushed_end,) = [body for name, body in frames_of(frames, "<", "END")]
+        (end_reply,) = [body for name, body in frames_of(frames, SENT, "END")]
+        assert end_reply["trace"] == pushed_end["trace"]
+        assert ("seq" in end_reply) == resume
+
+
+async def vanishing_pusher(port, items, resume=False):
+    """Push one WRITE, take its ACK, and hang up without an END.
+
+    Raw frames rather than a ``RemoteWritable``: with the ACK consumed
+    the close is a clean FIN, so the server deterministically sees EOF
+    (an unread ACK would make it a reset on some runs).
+    """
+    reader, writer = await connect_with_backoff("127.0.0.1", port, 5.0)
+    await send_hello(reader, writer, client_book().ticket(3), ROLE_PUSH,
+                     book=client_book())
+    body = {"items": items, "channel": "Output"}
+    await write_frame(writer, Frame(
+        FrameType.WRITE, {**body, "seq": 0} if resume else body))
+    ack = await read_frame(reader)
+    assert ack.type is FrameType.ACK and ack.body["credit"] == len(items)
+    writer.close()
+    await writer.wait_closed()
+
+
+class TestPushHangUp:
+    """A push link that closes before END is not a completed stream."""
+
+    def test_serve_push_names_the_dead_link_unless_the_pusher_resumes(self):
+        async def scenario(state):
+            collector = AioCollector()
+            failures = []
+            server, port, _stats = await start_stage_server(
+                writable=collector, state=state, failures=failures)
+            await vanishing_pusher(port, ["x", "y"], resume=state is not None)
+            server.close()
+            await server.wait_closed()
+            return collector, failures
+
+        collector, failures = run(scenario(None))
+        assert collector.items == ["x", "y"] and not collector.done.is_set()
+        (failure,) = failures
+        assert isinstance(failure, WireError)
+        assert "no END received" in str(failure)
+        # Under resume the pusher will be back: the link just ends.
+        collector, failures = run(scenario(PushState()))
+        assert collector.items == ["x", "y"] and failures == []
+
+    def test_a_vanished_pusher_fails_the_stage_and_frees_the_sink(self):
+        """writer -> write-only filter stage -> sink stage; the writer
+        drops its socket after one WRITE.  The filter used to return
+        normally — END never forwarded, the sink waiting for ever."""
+
+        async def scenario():
+            filter_port, sink_port = pick_free_ports(2)
+            common = dict(discipline="writeonly",
+                          ticket_space=BOOK_ARGS["space"],
+                          ticket_seed=BOOK_ARGS["seed"],
+                          flow=FlowPolicy(batch=3))
+            stages = [
+                asyncio.create_task(run_stage(StageConfig(
+                    role="filter", serial=1, listen_port=filter_port,
+                    downstream=("127.0.0.1", sink_port), **common))),
+                asyncio.create_task(run_stage(StageConfig(
+                    role="sink", serial=2, listen_port=sink_port, **common))),
+            ]
+            await vanishing_pusher(filter_port, ["a", "b", "c"])
+            try:
+                return await asyncio.wait_for(
+                    asyncio.gather(*stages, return_exceptions=True), 5.0)
+            finally:
+                for stage in stages:
+                    stage.cancel()
+
+        filter_outcome, sink_outcome = run(scenario())
+        assert isinstance(filter_outcome, WireError), filter_outcome
+        assert "no END received" in str(filter_outcome)
+        # The failed filter hangs up on the sink in turn (as a dying
+        # process would); with the sink's last ACK unread that close
+        # may reach it as a reset instead of an EOF.
+        assert isinstance(sink_outcome, (WireError, ConnectionError)), \
+            sink_outcome
 
 
 class TestConnectBackoff:
