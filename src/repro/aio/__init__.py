@@ -10,7 +10,7 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.aio.channels": ("AioReportingStage", "ChannelReader"),
     "repro.aio.pipeline": (
         "stream_conventional", "stream_readonly", "stream_segment",
-        "stream_sharded", "stream_writeonly",
+        "stream_writeonly",
     ),
     "repro.aio.streams": (
         "AioCollector", "AioPipe", "AioReadOnlyStage", "AioSource",

@@ -17,11 +17,10 @@ three runtimes (paper claims C1/C2: ``(n+1)(m+1)`` asymmetric vs
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.stats import KernelStats
 from repro.transput.filterbase import Transducer
-from repro.transput.flow import shard_of
 from repro.aio.streams import (
     AioCollector,
     AioPipe,
@@ -39,7 +38,6 @@ __all__ = [
     "stream_writeonly",
     "stream_conventional",
     "stream_segment",
-    "stream_sharded",
 ]
 
 
@@ -139,19 +137,13 @@ async def stream_conventional(
         await write_side[0].write(END_TRANSFER)
 
     async def filter_task(index: int, transducer: Transducer) -> None:
-        inbound, outbound = read_side[index], write_side[index + 1]
-        for record in transducer.start():
-            await outbound.write(Transfer.single(record))
-        while True:
-            transfer = await inbound.read(batch)
-            if transfer.at_end:
-                break
-            for item in transfer.items:
-                for record in transducer.step(item):
-                    await outbound.write(Transfer.single(record))
-        for record in transducer.finish():
-            await outbound.write(Transfer.single(record))
-        await outbound.write(END_TRANSFER)
+        # The active-output half is the write-only stage: one inbound
+        # transfer becomes one outbound write (start() output rides the
+        # first, finish() output goes out as one transfer before END).
+        stage = AioWriteOnlyStage(transducer, [write_side[index + 1]])
+        while not (transfer := await read_side[index].read(batch)).at_end:
+            await stage.write(transfer)
+        await stage.write(END_TRANSFER)
 
     async def sink_task() -> list[Any]:
         return await collect(read_side[-1], batch=batch)
@@ -168,6 +160,15 @@ async def stream_conventional(
     return output
 
 
+#: The discipline -> async runner table: the one dispatch point for
+#: :func:`stream_segment` and the graph runner's aio steps.
+RUNNERS = {
+    "readonly": stream_readonly,
+    "writeonly": stream_writeonly,
+    "conventional": stream_conventional,
+}
+
+
 def stream_segment(
     items: Iterable[Any],
     transducers: Sequence[Transducer],
@@ -182,59 +183,8 @@ def stream_segment(
     callers want :class:`repro.api.Pipeline` or
     :class:`repro.api.GraphBuilder`.
     """
-    runners = {
-        "readonly": stream_readonly,
-        "writeonly": stream_writeonly,
-        "conventional": stream_conventional,
-    }
-    if discipline not in runners:
-        raise ValueError(f"discipline must be one of {sorted(runners)}")
+    if discipline not in RUNNERS:
+        raise ValueError(f"discipline must be one of {sorted(RUNNERS)}")
     return asyncio.run(
-        runners[discipline](items, transducers, stats=stats, **kwargs)
+        RUNNERS[discipline](items, transducers, stats=stats, **kwargs)
     )
-
-
-def stream_sharded(
-    items: Iterable[Any],
-    transducer_factory: Callable[[], Sequence[Transducer]],
-    discipline: str = "readonly",
-    shards: int = 2,
-    stats: KernelStats | None = None,
-    **kwargs: Any,
-) -> tuple[list[Any], list[list[Any]]]:
-    """Run ``shards`` copies of the pipeline concurrently, one per partition.
-
-    The records are partitioned by :func:`repro.transput.flow.shard_of`
-    (the same stable content hash the TCP runtime's sharded fleet
-    uses), each partition streams through its own freshly built stage
-    chain — ``transducer_factory`` is called once per shard, because
-    transducers are stateful — and the results are concatenated in
-    shard order.  Returns ``(merged_output, per_shard_outputs)``.
-    Invocation counts accumulate into the one shared ``stats``, so
-    parity checks against the sharded TCP fleet still hold.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    runners = {
-        "readonly": stream_readonly,
-        "writeonly": stream_writeonly,
-        "conventional": stream_conventional,
-    }
-    if discipline not in runners:
-        raise ValueError(f"discipline must be one of {sorted(runners)}")
-    buckets: list[list[Any]] = [[] for _ in range(shards)]
-    for record in items:
-        buckets[shard_of(record, shards)].append(record)
-
-    async def run_all() -> list[list[Any]]:
-        return list(await asyncio.gather(*(
-            runners[discipline](
-                bucket, transducer_factory(), stats=stats, **kwargs
-            )
-            for bucket in buckets
-        )))
-
-    shard_outputs = asyncio.run(run_all())
-    merged = [record for lines in shard_outputs for record in lines]
-    return merged, shard_outputs
-

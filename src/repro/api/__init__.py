@@ -62,7 +62,7 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.api.execute": (
         "GraphResult", "RUNTIMES", "TCP_ONLY_KNOBS", "run_graph",
     ),
-    "repro.api.facade": ("DISCIPLINES", "Pipeline", "PipelineResult"),
+    "repro.api.facade": ("DISCIPLINES", "Pipeline"),
     "repro.api.graph": (
         "Graph", "GraphBuilder", "GraphEdge", "GraphError", "GraphNode",
         "JOIN_OPS", "NODE_KINDS", "SCATTER_POLICIES", "SPLIT_OPS",

@@ -1,13 +1,15 @@
-"""The linear pipeline facade: a thin wrapper over a one-path Graph.
+"""The linear pipeline facade: a thin wrapper over a graph program.
 
 :class:`Pipeline` keeps the vocabulary every earlier PR used — stages,
-discipline, source, harmonised knobs — and compiles to a single-path
-:class:`~repro.api.graph.Graph` (see :meth:`Pipeline.to_graph`), which
-:func:`repro.api.execute.run_graph` executes.  The specialized fleet
-shapes (``shards > 1`` content-hash sharding, ``placement="hosted"``
-broker fleets) keep their dedicated planners.
+discipline, source, harmonised knobs — and compiles to a program the
+one graph runner (:func:`repro.api.execute._run_program`) executes: a
+single-path :class:`~repro.api.graph.Graph` (see
+:meth:`Pipeline.to_graph`), or with ``shards=N`` the one parallel
+block a ``scatter("hash")…gather()`` runs, without the graph's
+boundary hops.  Hosted placement plans that same linear program as a
+broker-hosted fleet.
 
-All knob validation is shared with the graph runner
+All knob validation is the graph runner's
 (:data:`repro.api.execute.TCP_ONLY_KNOBS`), so a TCP-only knob is
 rejected identically whether it arrives here, on a ``Graph.run``, or
 smuggled inside a :class:`FlowPolicy`.
@@ -16,65 +18,19 @@ smuggled inside a :class:`FlowPolicy`.
 from __future__ import annotations
 
 import dataclasses
-import tempfile
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.transput.filterbase import Transducer
 from repro.transput.flow import FlowPolicy
 from repro.transput.pipeline import DISCIPLINES
-from repro.api.execute import (
-    RUNTIMES,
-    TCP_ONLY_KNOBS,
-    check_flow_policy_runtime,
-    check_tcp_only_knobs,
-    normalize_flight,
-    run_graph,
+from repro.api.execute import RUNTIMES, GraphResult, _run_program
+from repro.api.graph import (
+    Graph,
+    GraphProgram,
+    ParallelSegment,
+    check_stage_spec,
 )
-from repro.api.graph import Graph, check_stage_spec
 
-__all__ = ["Pipeline", "PipelineResult", "RUNTIMES", "DISCIPLINES"]
-
-#: Knobs only the supervised TCP fleet can honour (single source of
-#: truth: :data:`repro.api.execute.TCP_ONLY_KNOBS`).
-_TCP_ONLY = TCP_ONLY_KNOBS
-
-
-@dataclass
-class PipelineResult:
-    """What one run produced, in runtime-independent shape.
-
-    ``output`` is the sink's collected records — note the TCP runtime
-    transports records as text lines, so use string records when
-    comparing outputs across runtimes.  ``invocations`` counts the
-    transfer requests that crossed stage boundaries (READs + WRITEs +
-    pushed ENDs), the paper's C1/C2 cost metric, measured the same way
-    on every runtime.  ``stats`` is the full counters/gauges/histograms
-    payload (:func:`repro.obs.registry.snapshot_payload` shape).
-    """
-
-    runtime: str
-    discipline: str
-    output: list[Any]
-    invocations: int
-    stats: dict[str, Any] = field(default_factory=dict)
-    #: Supervised restarts (TCP runtime only; 0 elsewhere).
-    restarts: int = 0
-    #: Supervisor counters payload (TCP runtime only; empty elsewhere).
-    supervisor: dict[str, Any] = field(default_factory=dict)
-    stderr: list[str] = field(default_factory=list)
-    trace_files: list[str] = field(default_factory=list)
-    #: How many parallel shards the pipeline ran as (1 = unsharded).
-    shards: int = 1
-    #: Each shard's output in shard order (empty when unsharded);
-    #: ``output`` is their concatenation.
-    shard_outputs: list[list[Any]] = field(default_factory=list)
-
-    def invocations_per_datum(self, item_count: int) -> float:
-        """Average invocations to move one record end-to-end."""
-        if item_count <= 0:
-            raise ValueError("item_count must be positive")
-        return self.invocations / item_count
+__all__ = ["Pipeline", "RUNTIMES", "DISCIPLINES"]
 
 
 class Pipeline:
@@ -96,13 +52,13 @@ class Pipeline:
             ``run()`` calls may override knobs).
         shards: partition the stream by content hash across this many
             parallel copies of the pipeline (claim C3's channel
-            fan-out).  Each shard preserves its internal order;
+            fan-out) — the parallel block ``scatter("hash")…gather()``
+            runs.  Each shard preserves its internal order;
             ``result.output`` concatenates shards in index order and
-            ``result.shard_outputs`` keeps them separate.  On the TCP
-            runtime every shard is its own process sub-fleet under one
-            supervisor — near-linear scaling for CPU-bound filters.
-            For explicit branch topologies (different stages per
-            branch, broadcast, merge) use
+            ``result.branch_outputs["shards"]`` keeps them separate.  On
+            the TCP runtime every shard is its own process sub-fleet
+            under one supervisor.  For explicit branch topologies
+            (different stages per branch, broadcast, merge) use
             :class:`repro.api.GraphBuilder` instead.
         placement: where the TCP runtime puts stages.  ``"processes"``
             (the default) is one OS process per stage; ``"hosted"``
@@ -175,36 +131,15 @@ class Pipeline:
         except ValueError as exc:  # GraphError is a ValueError
             raise ValueError(str(exc)) from None
 
-    def _transducers(self) -> list[Transducer]:
-        """Fresh transducer instances for one in-process run."""
-        from repro.api.execute import _transducers
-
-        return _transducers(self.stages)
-
-    def _specs(self) -> list[tuple[str, list[Any]]]:
-        """``(spec, args)`` pairs for the TCP runtime."""
-        specs = []
-        for stage in self.stages:
-            if isinstance(stage, Transducer):
-                raise ValueError(
-                    f"the tcp runtime cannot ship a built Transducer "
-                    f"({type(stage).__name__}) across a process boundary; "
-                    "give a 'module:factory' spec instead"
-                )
-            if isinstance(stage, str):
-                specs.append((stage, []))
-            else:
-                specs.append((stage[0], list(stage[1])))
-        return specs
-
     # -- the graph view ------------------------------------------------------
 
     def to_graph(self) -> Graph:
-        """This pipeline as the degenerate single-path Graph.
+        """This pipeline's stages as the degenerate single-path Graph.
 
-        Sharding and hosted placement are fleet shapes, not topology,
-        so they do not appear in the graph — the unsharded
-        ``"processes"`` run path compiles through here.
+        Sharding and hosted placement do not appear in the graph: a
+        sharded run executes N copies of this graph's one segment as a
+        parallel block, and a hosted run plans that segment onto stage
+        hosts.
         """
         return Graph.linear(
             self.stages,
@@ -213,6 +148,18 @@ class Pipeline:
             flow=self.flow,
             name="pipeline",
         )
+
+    def _program(self) -> GraphProgram:
+        """The program the graph runner executes for this pipeline."""
+        program = self.to_graph().program
+        if self.shards == 1:
+            return program
+        (segment,) = program.segments
+        return GraphProgram(segments=[ParallelSegment(
+            name="shards", op="scatter", policy="hash", join="gather",
+            branches=[dataclasses.replace(segment, name=f"shards.b{index}")
+                      for index in range(self.shards)],
+        )])
 
     # -- running ------------------------------------------------------------
 
@@ -237,7 +184,7 @@ class Pipeline:
         adaptive: bool | None = None,
         placement_policy: str | None = None,
         flight: Any = None,
-    ) -> PipelineResult:
+    ) -> GraphResult:
         """Run the pipeline on ``runtime`` and gather a common result.
 
         Flow knobs (``batch``, ``credit_window``, ``lookahead``, or a
@@ -248,9 +195,11 @@ class Pipeline:
         ``pipeline_depth``, ``adaptive``, ``placement_policy``) are
         TCP-only — passing one to another runtime is an error, never a
         silent no-op, whether it arrives as a keyword here or inside
-        ``flow``.  ``placement_policy`` (``"cores"`` / ``"none"``)
-        governs CPU-core pinning of shard sub-fleets and stage hosts;
-        it needs ``shards > 1`` or hosted placement to act on.
+        ``flow``.  ``placement_policy`` (``"cores"``, the default, or
+        ``"none"``) governs CPU-core pinning of shard sub-fleets and
+        stage hosts; it needs ``shards > 1`` or hosted placement to act
+        on.  ``faults`` address stage serials of one linear fleet, so a
+        sharded pipeline rejects them.
 
         ``flight`` switches on the flight recorder fleet-wide: a
         directory path (full-payload capture there) or a
@@ -260,232 +209,19 @@ class Pipeline:
         :func:`repro.obs.flight.load_flight_dir`, inspect with
         ``eden-flight``, and re-execute with ``eden-flight --replay``
         (full mode only).  TCP-only.
+
+        Every run returns a :class:`~repro.api.GraphResult`; a sharded
+        run's per-shard outputs are ``result.branch_outputs["shards"]``.
         """
-        if runtime not in RUNTIMES:
-            raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
-        check_tcp_only_knobs(runtime, {
-            "timeout": timeout, "max_restarts": max_restarts,
-            "faults": faults, "resume": resume, "io_timeout": io_timeout,
-            "trace": trace, "workdir": workdir, "codec": codec,
-            "pipeline_depth": pipeline_depth, "adaptive": adaptive,
-            "placement_policy": placement_policy, "flight": flight,
-        })
-        if runtime != "sim" and placement is not None:
-            raise ValueError("placement is simulator-only (runtime='sim')")
-        if placement_policy is not None:
-            from repro.net.affinity import PLACEMENT_POLICIES
-
-            if placement_policy not in PLACEMENT_POLICIES:
-                raise ValueError(
-                    f"placement_policy must be one of {PLACEMENT_POLICIES}, "
-                    f"got {placement_policy!r}"
-                )
-            if self.shards == 1 and self.placement != "hosted":
-                raise ValueError(
-                    "placement_policy pins shard sub-fleets or stage hosts "
-                    "to cores; it needs shards > 1 or placement='hosted'"
-                )
-        if self.placement == "hosted" and runtime != "tcp":
-            raise ValueError(
-                f"placement='hosted' needs the TCP runtime, got {runtime!r}"
-            )
-        if faults and self.shards > 1:
-            raise ValueError(
-                "faults address stage serials of one sub-fleet and are "
-                "ambiguous across shards; run with shards=1 to inject faults"
-            )
-        flight_dir, flight_mode = normalize_flight(flight)
-
-        policy = flow or self.flow
-        if batch is not None:
-            policy = policy.with_batch(batch)
-        if credit_window is not None:
-            policy = policy.with_credit_window(credit_window)
-        if lookahead is not None:
-            policy = dataclasses.replace(policy, lookahead=lookahead)
-        if pipeline_depth is not None:
-            policy = policy.with_pipeline_depth(pipeline_depth)
-        if adaptive is not None:
-            policy = dataclasses.replace(policy, adaptive=adaptive)
-        check_flow_policy_runtime(runtime, policy)
-
-        # The plain unsharded process path — every runtime — compiles
-        # through the Graph view and the one graph runner.
-        if self.shards == 1 and self.placement == "processes":
-            graph_result = run_graph(
-                self.to_graph(),
-                runtime,
-                flow=policy,
-                placement=placement,
-                timeout=timeout,
-                max_restarts=max_restarts,
-                faults=faults,
-                resume=resume,
-                io_timeout=io_timeout,
-                trace=trace,
-                workdir=workdir,
-                codec=codec,
-                flight=flight,
-            )
-            return PipelineResult(
-                runtime=runtime,
-                discipline=self.discipline,
-                output=graph_result.output,
-                invocations=graph_result.invocations,
-                stats=graph_result.stats,
-                restarts=graph_result.restarts,
-                supervisor=graph_result.supervisor,
-                stderr=graph_result.stderr,
-                trace_files=graph_result.trace_files,
-            )
-        if runtime == "sim":
-            return self._run_sim_sharded(policy, placement)
-        if runtime == "aio":
-            return self._run_aio_sharded(policy)
-        return self._run_tcp(
-            policy,
-            timeout=60.0 if timeout is None else timeout,
-            max_restarts=0 if max_restarts is None else max_restarts,
-            faults=faults,
-            resume=bool(resume),
-            io_timeout=io_timeout,
-            trace=bool(trace),
-            workdir=workdir,
-            codec=codec,
-            placement_policy=placement_policy,
-            flight_dir=flight_dir,
-            flight_mode=flight_mode,
-        )
-
-    # -- the specialized fleet shapes ---------------------------------------
-
-    def _run_sim_sharded(self, policy: FlowPolicy,
-                         placement: Any) -> PipelineResult:
-        from repro.core.kernel import Kernel
-        from repro.core.stats import KernelStats
-        from repro.obs.registry import snapshot_payload
-        from repro.transput.flow import shard_of
-        from repro.transput.pipeline import compose_segment
-
-        buckets: list[list[Any]] = [[] for _ in range(self.shards)]
-        for record in self.source:
-            buckets[shard_of(record, self.shards)].append(record)
-        shard_outputs: list[list[Any]] = []
-        invocations = 0
-        combined = KernelStats()
-        for bucket in buckets:
-            kernel = Kernel()
-            built = compose_segment(
-                kernel, self.discipline, bucket, self._transducers(),
-                flow=policy, placement=placement,
-            )
-            shard_outputs.append(built.run_to_completion())
-            invocations += built.invocations_used()
-            for name in kernel.stats.names():
-                combined.bump(name, kernel.stats.get(name))
-        return PipelineResult(
-            runtime="sim",
-            discipline=self.discipline,
-            output=[record for lines in shard_outputs for record in lines],
-            invocations=invocations,
-            stats=snapshot_payload(combined),
-            shards=self.shards,
-            shard_outputs=shard_outputs,
-        )
-
-    def _run_aio_sharded(self, policy: FlowPolicy) -> PipelineResult:
-        from repro.aio.pipeline import stream_sharded
-        from repro.core.stats import KernelStats
-        from repro.obs.registry import snapshot_payload
-
-        stats = KernelStats()
-        kwargs: dict[str, Any] = {"batch": policy.batch}
-        if self.discipline == "readonly":
-            kwargs["lookahead"] = policy.lookahead
-        elif self.discipline == "conventional":
-            kwargs["capacity"] = policy.buffer_capacity or 16
-        output, shard_outputs = stream_sharded(
-            list(self.source), self._transducers, self.discipline,
-            shards=self.shards, stats=stats, **kwargs,
-        )
-        return PipelineResult(
-            runtime="aio",
-            discipline=self.discipline,
-            output=output,
-            invocations=stats.get("invocations_sent"),
-            stats=snapshot_payload(stats),
-            shards=self.shards,
-            shard_outputs=shard_outputs,
-        )
-
-    def _run_tcp(
-        self,
-        policy: FlowPolicy,
-        timeout: float,
-        max_restarts: int,
-        faults: Mapping[int, Any] | None,
-        resume: bool,
-        io_timeout: float | None,
-        trace: bool,
-        workdir: str | None,
-        codec: str | None = None,
-        placement_policy: str | None = None,
-        flight_dir: str | None = None,
-        flight_mode: str = "full",
-    ) -> PipelineResult:
-        from repro.net.framing import CODEC_JSON
-        from repro.net.launch import plan_sharded_fleet, run_fleet
-        from repro.obs.registry import snapshot_payload
-
-        workdir = workdir or tempfile.mkdtemp(prefix="eden-fleet-")
-        codec = codec or CODEC_JSON
-        if self.placement == "hosted":
-            from repro.broker.launch import plan_hosted_fleet
-
-            plans = plan_hosted_fleet(
-                self.discipline,
-                self._specs(),
-                workdir,
-                source_items=list(self.source),
-                flow=policy,
-                trace=trace,
-                faults=faults,
-                resume=resume,
-                io_timeout=io_timeout,
-                codec=codec,
-                broker=self.broker,
-                max_restarts=max_restarts,
-                placement_policy=placement_policy or "cores",
-                flight_dir=flight_dir,
-                flight_mode=flight_mode,
-            )
-        else:
-            plans = plan_sharded_fleet(
-                self.discipline,
-                self._specs(),
-                workdir,
-                shards=self.shards,
-                source_items=list(self.source),
-                flow=policy,
-                trace=trace,
-                resume=resume,
-                io_timeout=io_timeout,
-                codec=codec,
-                placement_policy=placement_policy or "cores",
-                flight_dir=flight_dir,
-                flight_mode=flight_mode,
-            )
-        result = run_fleet(plans, timeout=timeout, max_restarts=max_restarts)
-        return PipelineResult(
-            runtime="tcp",
-            discipline=self.discipline,
-            output=list(result.output),
-            invocations=result.invocations,
-            stats=snapshot_payload(result.totals),
-            restarts=result.restarts,
-            supervisor=dict(result.supervisor),
-            stderr=list(result.stderr),
-            trace_files=list(result.trace_files),
-            shards=self.shards,
-            shard_outputs=[list(lines) for lines in result.shard_outputs],
+        if runtime == "tcp" and (self.shards > 1 or self.placement == "hosted"):
+            placement_policy = placement_policy or "cores"
+        return _run_program(
+            self._program(), self.source, runtime, name="pipeline",
+            hosted=self.placement == "hosted", broker=self.broker,
+            placement_policy=placement_policy, flow=flow, batch=batch,
+            credit_window=credit_window, lookahead=lookahead,
+            placement=placement, timeout=timeout, max_restarts=max_restarts,
+            faults=faults, resume=resume, io_timeout=io_timeout, trace=trace,
+            workdir=workdir, codec=codec, pipeline_depth=pipeline_depth,
+            adaptive=adaptive, flight=flight,
         )

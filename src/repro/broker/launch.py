@@ -83,8 +83,8 @@ def plan_hosted_fleet(
     ``max_restarts`` is each hosted stage's *in-process* restart
     budget (the supervisor's own budget still governs whole
     processes).  ``placement_policy`` (``"cores"`` / ``"none"``)
-    round-robins each host process onto its own CPU core exactly as
-    :func:`~repro.net.launch.plan_sharded_fleet` does per shard.
+    round-robins each host process onto its own CPU core exactly as a
+    sharded pipeline pins each shard's sub-fleet.
     """
     if discipline not in ("readonly", "writeonly"):
         raise ValueError(

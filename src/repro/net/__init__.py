@@ -40,8 +40,8 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
         "send_hello",
     ),
     "repro.net.launch": (
-        "FleetError", "FleetSupervisor", "PipelineResult", "StagePlan",
-        "plan_linear_fleet", "plan_sharded_fleet", "run_fleet",
+        "FleetError", "FleetResult", "FleetSupervisor", "StagePlan",
+        "plan_linear_fleet", "run_fleet",
     ),
     "repro.net.metrics": ("NetStats", "merge_stats"),
     "repro.net.mux": (

@@ -15,8 +15,8 @@ and planners fall back to unpinned placement when the machine has a
 single core (pinning everything to cpu0 would only add syscalls).
 
 Placement policies (the ``placement_policy`` knob of
-:func:`repro.net.launch.plan_sharded_fleet` and
-:class:`repro.api.Pipeline`):
+:meth:`repro.api.Pipeline.run`, which pins a sharded pipeline's
+sub-fleets and the hosted placement's stage hosts):
 
 - ``"cores"`` (default) — shard *i* is pinned to core
   ``available[i % len(available)]``; with fewer shards than cores each

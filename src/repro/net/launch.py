@@ -28,7 +28,8 @@ to ``supervisor.stats.json`` next to the stage dumps.
 
 New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
-runtime (one :func:`plan_linear_fleet` call per linear graph segment).
+runtime (one :func:`plan_linear_fleet` call per linear segment and per
+branch of a parallel block).
 """
 
 from __future__ import annotations
@@ -43,23 +44,20 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro
-from repro.devices.workload import random_lines
 from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan
-from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON
 from repro.net.metrics import NetStats, merge_stats
 from repro.net.stage import pick_free_ports
 from repro.obs.registry import snapshot_payload
 from repro.core.stats import KernelStats
-from repro.transput.flow import FlowPolicy, shard_of
+from repro.transput.flow import FlowPolicy
 
 __all__ = [
     "StagePlan",
-    "PipelineResult",
+    "FleetResult",
     "FleetError",
     "FleetSupervisor",
     "plan_linear_fleet",
-    "plan_sharded_fleet",
     "run_fleet",
 ]
 
@@ -124,8 +122,8 @@ class StagePlan:
 
 
 @dataclass
-class PipelineResult:
-    """What a finished pipeline run produced."""
+class FleetResult:
+    """What one supervised fleet run produced."""
 
     output: list[str]
     stats: list[dict[str, Any]]
@@ -134,8 +132,8 @@ class PipelineResult:
     #: Supervisor counters (``restarts``, ``crashes``, ...) in the
     #: same counters/gauges/histograms payload shape as stage stats.
     supervisor: dict[str, Any] = field(default_factory=dict)
-    #: Per-shard sink output in shard order (sharded fleets only);
-    #: ``output`` is their concatenation, shard 0 first.
+    #: Per-shard sink output in shard order (a parallel block's fleet,
+    #: one shard label per branch); ``output`` is their concatenation.
     shard_outputs: list[list[str]] = field(default_factory=list)
 
     @property
@@ -171,7 +169,7 @@ class FleetError(RuntimeError):
     ``"restart-storm"`` (the aggregate cross-stage restart guard).
     """
 
-    def __init__(self, message: str, result: PipelineResult | None = None,
+    def __init__(self, message: str, result: FleetResult | None = None,
                  reason: str | None = None):
         super().__init__(message)
         self.result = result
@@ -387,102 +385,6 @@ def _manifest_entry(plan: StagePlan, serial: int) -> dict[str, Any]:
     return entry
 
 
-def plan_sharded_fleet(
-    discipline: str,
-    transducers: Sequence[TransducerSpec],
-    workdir: str,
-    shards: int,
-    source_items: Sequence[Any] | None = None,
-    source_count: int | None = None,
-    source_width: int = 8,
-    source_seed: int = 0,
-    flow: FlowPolicy | None = None,
-    ticket_space: int = 0,
-    ticket_seed: int = 0,
-    host: str = "127.0.0.1",
-    connect_deadline: float = 15.0,
-    trace: bool = False,
-    control: bool = False,
-    resume: bool = False,
-    io_timeout: float | None = None,
-    codec: str = CODEC_JSON,
-    placement_policy: str = "cores",
-    flight_dir: str | None = None,
-    flight_mode: str = "full",
-) -> list[StagePlan]:
-    """Plan ``shards`` parallel copies of the pipeline, one per partition.
-
-    The source records are partitioned by :func:`repro.transput.flow.
-    shard_of` (a stable content hash — the channel-identifier fan-out
-    of paper claim C3), each partition feeding an independent sub-fleet
-    planned under ``workdir/shard-<i>`` with its own ticket space.  One
-    :class:`FleetSupervisor` runs all of them; its gather step
-    concatenates sink outputs in shard order, so per-shard ordering is
-    preserved while shards run on separate cores.  A combined
-    ``fleet.json`` covering every stage is written to ``workdir`` for
-    ``eden-top``.
-
-    ``placement_policy`` decides where shards run (see
-    :mod:`repro.net.affinity`): ``"cores"`` (default) pins each
-    shard's sub-fleet to one CPU core round-robin over the machine's
-    available cores, so N shards actually occupy N cores instead of
-    stampeding the scheduler; ``"none"`` leaves placement to the OS.
-    On a single-core machine (or non-Linux platforms at runtime) the
-    policy degrades to no pinning.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    shard_cores = assign_cores(shards, placement_policy)
-    if source_items is None:
-        if source_count is None:
-            raise ValueError("give source_items or source_count")
-        source_items = random_lines(
-            count=source_count, width=source_width, seed=source_seed
-        )
-    buckets: list[list[Any]] = [[] for _ in range(shards)]
-    for record in source_items:
-        buckets[shard_of(record, shards)].append(record)
-    workpath = pathlib.Path(workdir)
-    workpath.mkdir(parents=True, exist_ok=True)
-    plans: list[StagePlan] = []
-    for index in range(shards):
-        plans.extend(plan_linear_fleet(
-            discipline, transducers, str(workpath / f"shard-{index}"),
-            source_items=buckets[index],
-            flow=flow,
-            ticket_space=ticket_space + index,
-            ticket_seed=ticket_seed,
-            host=host,
-            connect_deadline=connect_deadline,
-            trace=trace,
-            control=control,
-            resume=resume,
-            io_timeout=io_timeout,
-            codec=codec,
-            shard=index,
-            cpu=shard_cores[index],
-            flight_dir=(str(pathlib.Path(flight_dir) / f"shard-{index}")
-                        if flight_dir is not None else None),
-            flight_mode=flight_mode,
-        ))
-    if trace or control:
-        manifest = {
-            "discipline": discipline,
-            "host": host,
-            "resume": resume,
-            "codec": codec,
-            "flight_dir": flight_dir,
-            "flight_mode": flight_mode if flight_dir is not None else None,
-            "shards": shards,
-            "placement_policy": placement_policy,
-            "shard_cores": shard_cores,
-            "stages": [_manifest_entry(plan, plan.serial) for plan in plans],
-        }
-        with open(workpath / "fleet.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-    return plans
-
-
 class _Member:
     """One supervised stage: its plan, its process, its budget."""
 
@@ -616,7 +518,7 @@ class FleetSupervisor:
         except OSError:
             return ""
 
-    def _partial_result(self) -> PipelineResult:
+    def _partial_result(self) -> FleetResult:
         """Whatever can be gathered after a failed run (stderr, stats)."""
         stats = []
         for plan in self.plans:
@@ -625,7 +527,7 @@ class FleetSupervisor:
                     stats.append(json.load(handle))
             except (OSError, json.JSONDecodeError):
                 stats.append({"counters": {}, "gauges": {}, "histograms": {}})
-        return PipelineResult(
+        return FleetResult(
             output=[],
             stats=stats,
             stderr=[self._read(m.stderr_path) for m in self._members],
@@ -645,7 +547,7 @@ class FleetSupervisor:
 
     # -- the supervision loop -----------------------------------------------
 
-    def run(self) -> PipelineResult:
+    def run(self) -> FleetResult:
         """Run the fleet to completion; restart crashes; gather results."""
         env = self._env()
         for member in self._members:
@@ -764,10 +666,10 @@ class FleetSupervisor:
                 reason="restart-storm",
             )
 
-    def _gather(self) -> PipelineResult:
-        # A sharded fleet has one sink per shard: concatenate their
-        # outputs in shard order, so each shard's internal ordering is
-        # preserved (the merge stage of the sharded pipeline).
+    def _gather(self) -> FleetResult:
+        # A parallel block's fleet has one sink per shard label:
+        # concatenate their outputs in shard order, so each branch's
+        # internal ordering is preserved.
         sinks = sorted(
             (m for m in self._members if m.plan.role in ("sink", "host")),
             key=lambda m: m.plan.shard or 0,
@@ -788,7 +690,7 @@ class FleetSupervisor:
                 json.dump(payload, handle, sort_keys=True)
         except OSError:
             pass
-        return PipelineResult(
+        return FleetResult(
             output=output,
             stats=stats,
             stderr=[self._read(m.stderr_path) for m in self._members],
@@ -808,7 +710,7 @@ def run_fleet(
     backoff_max: float = 2.0,
     storm_window: float = 5.0,
     storm_max_restarts: int | None = None,
-) -> PipelineResult:
+) -> FleetResult:
     """Spawn and supervise every planned stage; gather output + counters.
 
     The convenience front door over :class:`FleetSupervisor`.  Raises

@@ -10,7 +10,7 @@ process per stage over TCP.
 import pytest
 
 from repro.analysis import predicted_invocations
-from repro.api import DISCIPLINES, RUNTIMES, Pipeline, PipelineResult
+from repro.api import DISCIPLINES, RUNTIMES, GraphResult, Pipeline
 from repro.filters import comment_stripper, upper_case
 from repro.transput import FlowPolicy, identity_transducer
 
@@ -59,9 +59,7 @@ class TestParityInProcess:
         )
         assert pipeline.run(runtime="sim").output == ["      Y"]
 
-    # Batching parity: the aio write-side stages forward record-by-record,
-    # so only the pull discipline matches the closed form beyond batch=1.
-    @pytest.mark.parametrize("discipline", ["readonly"])
+    @pytest.mark.parametrize("discipline", DISCIPLINES)
     def test_batching_parity(self, discipline):
         pipeline = identity_pipeline(discipline)
         sim = pipeline.run(runtime="sim", batch=4)
@@ -71,11 +69,31 @@ class TestParityInProcess:
             discipline, N_FILTERS, len(ITEMS), batch=4
         )
 
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_record_dropping_conventional_parity(self, batch):
+        """A filter that drops records writes what it kept as one
+        transfer.  Comments fill whole batches here, so each transfer
+        a filter forwards holds 0 or ``batch`` records — the case the
+        simulator's output batcher (which holds records across reads
+        until a batch fills) counts the same way."""
+        deck = [f"C note {i}" if (i // 4) % 2 == 0 else f"      keep {i}"
+                for i in range(40)]
+        pipeline = Pipeline(
+            [("repro.filters:comment_stripper", ["C"]),
+             "repro.filters:upper_case"],
+            discipline="conventional",
+            source=deck,
+        )
+        sim = pipeline.run(runtime="sim", batch=batch)
+        aio = pipeline.run(runtime="aio", batch=batch)
+        assert sim.output == aio.output == [
+            line.upper() for line in deck if not line.startswith("C")]
+        assert sim.invocations == aio.invocations == {1: 166, 4: 46}[batch]
+
     def test_result_shape(self):
         result = identity_pipeline("readonly").run(runtime="sim")
-        assert isinstance(result, PipelineResult)
+        assert isinstance(result, GraphResult)
         assert result.runtime == "sim"
-        assert result.discipline == "readonly"
         assert result.restarts == 0 and result.supervisor == {}
         assert set(result.stats) >= {"counters"}
         per_datum = result.invocations_per_datum(len(ITEMS))
@@ -98,8 +116,21 @@ class TestParityTcp:
         }
         predicted = predicted_invocations(discipline, N_FILTERS, len(ITEMS))
         for runtime in RUNTIMES:
+            assert isinstance(results[runtime], GraphResult), runtime
             assert results[runtime].output == ITEMS, runtime
             assert results[runtime].invocations == predicted, runtime
+
+    def test_hosted_placement_returns_the_same_result(self, tmp_path):
+        result = Pipeline([IDENTITY] * N_FILTERS, source=ITEMS,
+                          placement="hosted").run(runtime="tcp",
+                                                  workdir=str(tmp_path))
+        assert isinstance(result, GraphResult)
+        assert result.output == ITEMS
+        assert result.invocations == predicted_invocations(
+            "readonly", N_FILTERS, len(ITEMS))
+        assert result.segment_invocations == {"seg-0": result.invocations}
+        assert result.restarts == 0
+        assert "counters" in result.supervisor
 
 
 class TestValidation:

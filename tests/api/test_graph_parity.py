@@ -179,12 +179,16 @@ class TestWriteonlyBatchParity:
 
     The push-side mirror of the pull law (one READ answered by one DATA
     of up to ``batch`` records): one WRITE of up to ``batch`` records,
-    one ACK, hop after hop.  Before the write-only filter forwarded
-    whole transfers and the default credit window covered one
-    invocation, aio and tcp counted 329 and 404 where the sim and the
-    cost model count 104.
+    one ACK, hop after hop — on the write-only discipline and on the
+    write side of every conventional pipe.  Before the write-only
+    filter forwarded whole transfers and the default credit window
+    covered one invocation, aio and tcp counted 329 and 404 where the
+    sim and the cost model count 104; aio's conventional filter wrote
+    one record per WRITE until it reused that filter (66 where the
+    others count 36 at batch 4).
     """
 
+    @pytest.mark.parametrize("discipline", ["writeonly", "conventional"])
     @pytest.mark.parametrize("batch, records, expected", [
         (1, 10, 44),
         (4, 100, 104),   # the acceptance probe: 4 hops x (25 + END)
@@ -192,9 +196,13 @@ class TestWriteonlyBatchParity:
         (32, 100, 20),
     ])
     def test_identity_chain_counts_match_the_model(self, batch, records,
-                                                   expected, tmp_path):
+                                                   expected, discipline,
+                                                   tmp_path):
+        # ``expected`` is the write-only count; a conventional hop moves
+        # each transfer twice, a WRITE into its pipe and a READ out.
+        expected *= 2 if discipline == "conventional" else 1
         items = [f"r{i:03d}" for i in range(records)]
-        graph = (GraphBuilder(source=items, discipline="writeonly",
+        graph = (GraphBuilder(source=items, discipline=discipline,
                               flow=FlowPolicy(batch=batch))
                  .chain(IDENTITY).chain(IDENTITY).chain(IDENTITY)
                  .build())
@@ -273,6 +281,42 @@ class TestKnobRejection:
         graph = GraphBuilder(source=ITEMS).chain(identity_transducer()).build()
         with pytest.raises(ValueError, match="process boundary"):
             graph.run(runtime="tcp", workdir=str(tmp_path))
+
+
+class TestSupervisorCounters:
+    """``GraphResult.supervisor`` sums every fleet's counters."""
+
+    def test_restarts_of_the_first_fleet_survive(self, monkeypatch,
+                                                 tmp_path):
+        import json
+
+        import repro.net.launch as launch
+
+        fleets = []
+
+        def run_fleet(plans, **_knobs):
+            """Deliver every source's records; report 2 restarts in the
+            first fleet only."""
+            sources = [
+                json.loads(plan.argv[plan.argv.index("--source-json") + 1])
+                for plan in plans if plan.role == "source"
+            ]
+            fleets.append(plans)
+            counters = {"restarts": 2} if len(fleets) == 1 else {}
+            return launch.FleetResult(
+                output=[record for part in sources for record in part],
+                stats=[],
+                supervisor={"counters": counters, "gauges": {},
+                            "histograms": {}},
+                shard_outputs=sources if len(sources) > 1 else [],
+            )
+
+        monkeypatch.setattr(launch, "run_fleet", run_fleet)
+        result = diamond().run(runtime="tcp", workdir=str(tmp_path))
+        assert len(fleets) == 3  # seg-0, the block, seg-1
+        assert result.output == ITEMS[0::2] + ITEMS[1::2]
+        assert result.supervisor["counters"]["restarts"] == 2
+        assert result.restarts == 2
 
 
 class TestSimDeadlock:

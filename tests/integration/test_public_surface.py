@@ -36,7 +36,7 @@ SURFACE = {
         "repro.aio.channels": "AioReportingStage ChannelReader",
         "repro.aio.pipeline": (
             "stream_conventional stream_readonly "
-            "stream_segment stream_sharded stream_writeonly"
+            "stream_segment stream_writeonly"
         ),
         "repro.aio.streams": (
             "AioCollector AioPipe AioReadOnlyStage AioSource "
@@ -62,7 +62,7 @@ SURFACE = {
     },
     "repro.api": {
         "repro.api.execute": "GraphResult RUNTIMES TCP_ONLY_KNOBS run_graph",
-        "repro.api.facade": "DISCIPLINES Pipeline PipelineResult",
+        "repro.api.facade": "DISCIPLINES Pipeline",
         "repro.api.graph": (
             "Graph GraphBuilder GraphEdge GraphError GraphNode JOIN_OPS "
             "NODE_KINDS SCATTER_POLICIES SPLIT_OPS"
@@ -168,9 +168,8 @@ SURFACE = {
             "send_hello"
         ),
         "repro.net.launch": (
-            "FleetError FleetSupervisor PipelineResult StagePlan "
-            "plan_linear_fleet plan_sharded_fleet "
-            "run_fleet"
+            "FleetError FleetResult FleetSupervisor StagePlan "
+            "plan_linear_fleet run_fleet"
         ),
         "repro.net.metrics": "NetStats merge_stats",
         "repro.net.mux": (

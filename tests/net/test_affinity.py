@@ -71,13 +71,21 @@ class TestPlannedPlacement:
 
     SPECS = [("repro.filters:strip_whitespace", [])]
 
-    def test_sharded_fleet_records_placement(self, tmp_path):
-        from repro.net.launch import plan_sharded_fleet
+    def plan_shards(self, tmp_path, items, **knobs):
+        """Plan ``Pipeline(SPECS, shards=2)``'s block, as its TCP run does."""
+        from repro.api import Pipeline
+        from repro.api.execute import _plan_block
+        from repro.api.graph import partition_records
 
-        plans = plan_sharded_fleet(
-            "readonly", self.SPECS, str(tmp_path), shards=2,
-            source_items=["a", "b", "c", "d"], trace=True,
-        )
+        pipeline = Pipeline(self.SPECS, source=items, shards=2)
+        (block,) = pipeline._program().segments
+        buckets = partition_records(items, block.op, block.policy, 2)
+        return _plan_block(block, buckets, tmp_path,
+                           lambda branch: branch.flow, **knobs)
+
+    def test_sharded_fleet_records_placement(self, tmp_path):
+        plans = self.plan_shards(tmp_path, ["a", "b", "c", "d"],
+                                 placement_policy="cores", trace=True)
         manifest = json.loads((tmp_path / "fleet.json").read_text())
         assert manifest["placement_policy"] == "cores"
         cores = manifest["shard_cores"]
@@ -95,12 +103,8 @@ class TestPlannedPlacement:
             assert all("--cpu" not in plan.argv for plan in plans)
 
     def test_policy_none_emits_no_cpu_flags(self, tmp_path):
-        from repro.net.launch import plan_sharded_fleet
-
-        plans = plan_sharded_fleet(
-            "readonly", self.SPECS, str(tmp_path), shards=2,
-            source_items=["a", "b"], placement_policy="none",
-        )
+        plans = self.plan_shards(tmp_path, ["a", "b"],
+                                 placement_policy="none")
         assert all("--cpu" not in plan.argv for plan in plans)
         assert all(plan.cpu is None for plan in plans)
 

@@ -18,6 +18,7 @@ Four contracts:
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -145,11 +146,9 @@ class TestShardedPipelines:
     def test_in_process_sharding_preserves_the_multiset(self, runtime):
         result = self.shard_pipeline(4).run(runtime=runtime)
         assert sorted(result.output) == ITEMS
-        assert result.shards == 4
-        assert len(result.shard_outputs) == 4
-        assert sorted(
-            record for lines in result.shard_outputs for record in lines
-        ) == ITEMS
+        shards = result.branch_outputs["shards"]
+        assert len(shards) == 4
+        assert sorted(record for lines in shards for record in lines) == ITEMS
 
     def test_tcp_sharding_matches_in_process(self, tmp_path):
         tcp = self.shard_pipeline(2).run(
@@ -159,12 +158,36 @@ class TestShardedPipelines:
         sim = self.shard_pipeline(2).run(runtime="sim")
         assert tcp.output == sim.output
         assert tcp.invocations == sim.invocations
-        assert tcp.shard_outputs == sim.shard_outputs
+        assert tcp.branch_outputs == sim.branch_outputs
+
+    def test_traced_tcp_shards_write_one_combined_manifest(self, tmp_path):
+        """The workdir holds one fleet.json covering every shard, pinned
+        as ``placement_policy="cores"`` assigns them; each shard's own
+        manifest under ``branch-<i>`` audits exactly-once."""
+        from repro.net.affinity import assign_cores
+        from repro.obs.trace_cli import main
+
+        result = self.shard_pipeline(2).run(
+            runtime="tcp", workdir=str(tmp_path), trace=True, resume=True,
+            timeout=90.0,
+        )
+        manifest = json.loads((tmp_path / "fleet.json").read_text())
+        cores = assign_cores(2, "cores")
+        assert manifest["shards"] == 2
+        assert manifest["placement_policy"] == "cores"
+        assert manifest["shard_cores"] == cores
+        assert [(stage["shard"], stage.get("cpu"))
+                for stage in manifest["stages"]] == [
+            (index, cores[index]) for index in range(2) for _ in range(4)]
+        for index, lines in enumerate(result.branch_outputs["shards"]):
+            fleet = tmp_path / f"branch-{index}" / "fleet.json"
+            assert main(["--fleet", str(fleet),
+                         "--verify-once", str(len(lines))]) == 0
 
     def test_every_shard_sees_only_its_partition(self):
         from repro.transput.flow import shard_of
         result = self.shard_pipeline(4).run(runtime="sim")
-        for index, lines in enumerate(result.shard_outputs):
+        for index, lines in enumerate(result.branch_outputs["shards"]):
             assert all(shard_of(line, 4) == index for line in lines)
 
     def test_faults_with_shards_rejected(self):
