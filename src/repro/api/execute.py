@@ -77,13 +77,12 @@ RUNTIMES = ("sim", "aio", "tcp")
 #: every path (never a silent no-op).
 TCP_ONLY_KNOBS = (
     "timeout", "max_restarts", "faults", "resume", "io_timeout", "trace",
-    "workdir", "codec", "pipeline_depth", "adaptive", "placement_policy",
-    "flight",
+    "workdir", "codec", "pipeline_depth", "placement_policy", "flight",
 )
 
 #: FlowPolicy fields that encode TCP-only behaviour; setting one and
 #: running on sim/aio is the same mistake as passing the run() knob.
-_TCP_ONLY_FLOW_FIELDS = ("pipeline_depth", "adaptive")
+_TCP_ONLY_FLOW_FIELDS = ("pipeline_depth",)
 
 
 def check_tcp_only_knobs(runtime: str, given: Mapping[str, Any]) -> None:
@@ -107,7 +106,7 @@ def check_flow_policy_runtime(runtime: str, policy: FlowPolicy) -> None:
         return
     smuggled = sorted(
         name for name in _TCP_ONLY_FLOW_FIELDS
-        if getattr(policy, name) not in (None, False)
+        if getattr(policy, name) is not None
     )
     if smuggled:
         raise ValueError(
@@ -177,7 +176,6 @@ def run_graph(
     workdir: str | None = None,
     codec: str | None = None,
     pipeline_depth: int | None = None,
-    adaptive: bool | None = None,
     flight: Any = None,
 ) -> GraphResult:
     """Run ``graph`` on ``runtime`` and gather a common result.
@@ -196,7 +194,7 @@ def run_graph(
         placement=placement, timeout=timeout, max_restarts=max_restarts,
         faults=faults, resume=resume, io_timeout=io_timeout, trace=trace,
         workdir=workdir, codec=codec, pipeline_depth=pipeline_depth,
-        adaptive=adaptive, flight=flight,
+        flight=flight,
     )
 
 
@@ -215,7 +213,6 @@ def _run_program(
     credit_window: int | None = None,
     lookahead: int | None = None,
     pipeline_depth: int | None = None,
-    adaptive: bool | None = None,
     **fleet: Any,
 ) -> GraphResult:
     """Validate the knobs, then run ``program`` segment by segment.
@@ -229,8 +226,7 @@ def _run_program(
     """
     if runtime not in RUNTIMES:
         raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
-    check_tcp_only_knobs(runtime, dict(
-        fleet, pipeline_depth=pipeline_depth, adaptive=adaptive))
+    check_tcp_only_knobs(runtime, dict(fleet, pipeline_depth=pipeline_depth))
     if runtime != "sim" and placement is not None:
         raise ValueError("placement is simulator-only (runtime='sim')")
     if runtime != "tcp" and edge_knobs:
@@ -272,7 +268,6 @@ def _run_program(
         knob: value for knob, value in (
             ("batch", batch), ("credit_window", credit_window),
             ("lookahead", lookahead), ("pipeline_depth", pipeline_depth),
-            ("adaptive", adaptive),
         ) if value is not None
     }
 

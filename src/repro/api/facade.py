@@ -181,7 +181,6 @@ class Pipeline:
         workdir: str | None = None,
         codec: str | None = None,
         pipeline_depth: int | None = None,
-        adaptive: bool | None = None,
         placement_policy: str | None = None,
         flight: Any = None,
     ) -> GraphResult:
@@ -192,7 +191,7 @@ class Pipeline:
         simulator-only.  The fault-tolerance knobs (``timeout``,
         ``max_restarts``, ``faults``, ``resume``, ``io_timeout``,
         ``trace``, ``workdir``) and the data-plane knobs (``codec``,
-        ``pipeline_depth``, ``adaptive``, ``placement_policy``) are
+        ``pipeline_depth``, ``placement_policy``) are
         TCP-only — passing one to another runtime is an error, never a
         silent no-op, whether it arrives as a keyword here or inside
         ``flow``.  ``placement_policy`` (``"cores"``, the default, or
@@ -223,5 +222,5 @@ class Pipeline:
             placement=placement, timeout=timeout, max_restarts=max_restarts,
             faults=faults, resume=resume, io_timeout=io_timeout, trace=trace,
             workdir=workdir, codec=codec, pipeline_depth=pipeline_depth,
-            adaptive=adaptive, flight=flight,
+            flight=flight,
         )

@@ -74,7 +74,7 @@ from repro.net.framing import (
     HEADER,
     MAGIC,
     MAX_FRAME_BODY,
-    cap_transport_reads,
+    READ_CHUNK,
     decode_frame,
     encode_frame_into,
 )
@@ -115,6 +115,19 @@ _CHAN_EXT = struct.Struct("!I")
 
 class BrokerError(EdenError):
     """The broker refused a control command."""
+
+
+def _cap_transport_reads(writer: Any) -> None:
+    """Make ``writer``'s transport read ``READ_CHUNK`` bytes per wake-up.
+
+    Under a stream, asyncio's selector transport reads 256 KiB per
+    event, an allocation glibc may trim back on every read, depending on
+    heap layout (``docs/performance.md``, "One path per verb").
+    ``max_size`` is CPython's attribute, not asyncio API.
+    """
+    transport = getattr(writer, "transport", None)
+    if getattr(transport, "max_size", 0) > READ_CHUNK:
+        transport.max_size = READ_CHUNK
 
 
 class _Registration:
@@ -313,7 +326,7 @@ class Broker:
             return
         except (ConnectionError, OSError, FrameError, EOFError):
             return
-        cap_transport_reads(writer)
+        _cap_transport_reads(writer)
         link = _HostLink(self._next_link, reader, writer)
         link.task = asyncio.current_task()
         if link.task is not None:

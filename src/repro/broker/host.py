@@ -176,7 +176,7 @@ class HostedStageSpec:
 
 _FLOW_KEYS = (
     "lookahead", "batch", "buffer_capacity", "inbox_capacity",
-    "credit_window", "pipeline_depth", "adaptive",
+    "credit_window", "pipeline_depth",
 )
 
 

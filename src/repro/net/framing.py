@@ -33,8 +33,13 @@ self-describing and the two codecs can share a connection):
 
 Encoders append into caller-supplied ``bytearray`` buffers
 (:func:`encode_frame_into`) so several frames can be coalesced into
-one ``write``; a partial frame is never re-copied while it accumulates,
-and a complete body is copied once, to the ``bytes`` the codecs index.
+one ``write``.
+
+**Reading frames.**  Every :class:`~repro.net.protocol.Connection` and
+:class:`~repro.net.mux.ChannelMux` receives through a
+:class:`FrameProtocol`, which decodes frames straight out of one owned
+receive buffer.  The handshake, the control server and the chaos proxy
+read with :func:`read_frame` on an ``asyncio.StreamReader``.
 
 Frame types map one-to-one onto the protocol's messages:
 
@@ -93,14 +98,13 @@ __all__ = [
     "FrameType",
     "Frame",
     "FrameDecoder",
-    "BufferedFrameReader",
-    "cap_transport_reads",
-    "SocketFrameReader",
+    "FrameProtocol",
     "MAGIC",
     "HEADER",
     "MAX_FRAME_BODY",
     "MAX_NESTING",
     "READ_CHUNK",
+    "FRAMES_HIGH_WATER",
     "DECODER_SHRINK",
     "CODEC_JSON",
     "CODEC_BINARY",
@@ -179,13 +183,19 @@ class FrameType(enum.IntEnum):
     CTRL_REPLY = 10
 
 
-@dataclass(frozen=True)
+#: The type byte (flags and all) -> its :class:`FrameType`, ``None`` for
+#: a byte naming no type: one index per inbound frame, no enum call.
+_TYPE_OF = tuple(map({int(t): t for t in FrameType}.get,
+                     (code & ~_FLAG_MASK for code in range(256))))
+
+
+@dataclass(slots=True)
 class Frame:
     """One decoded protocol message: a type plus its JSON body.
 
     ``chan`` is the logical-channel id the frame travels on, or
     ``None`` for a frame outside any multiplexed connection (the
-    pre-channel wire form).
+    pre-channel wire form).  Derive a variant with ``replace``.
     """
 
     type: FrameType
@@ -235,6 +245,16 @@ _PLAIN = frozenset((type(None), bool, int, float, str))
 # No cycle check: every container passes _nest first, which refuses a
 # cycle as too deep before the encoder sees it.
 _JSON_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+
+#: ``_JSON_ENCODER`` as chunks: ``JSONEncoder.encode`` builds json's C
+#: encoder anew on every call; this is that encoder, built once.
+_JSON_CHUNKS = (
+    json.encoder.c_make_encoder(
+        None, _JSON_ENCODER.default, json.encoder.encode_basestring_ascii,
+        None, ":", ",", False, False, False)
+    if json.encoder.c_make_encoder is not None
+    else lambda value, _level: (_JSON_ENCODER.encode(value),)
+)
 
 
 def _json_list(value, depth):
@@ -307,6 +327,8 @@ def _revive(obj: dict[str, Any]) -> Any:
 
 
 _JSON_DECODER = json.JSONDecoder(object_hook=_revive)
+#: The decoder's scanner: one value at an index, no whitespace skipped.
+_JSON_SCAN = _JSON_DECODER.scan_once
 
 
 def decode_payload(value: Any) -> Any:
@@ -551,7 +573,7 @@ def encode_frame_into(frame: Frame, out: bytearray,
             (_PUT.get(type(body)) or _for_subclass(_PUT, body))(body, out, 0)
             type_code = int(frame.type) | BINARY_FLAG
         elif codec == CODEC_JSON:
-            out += _JSON_ENCODER.encode(_to_json(body, 0)).encode("utf-8")
+            out += "".join(_JSON_CHUNKS(_to_json(body, 0), 0)).encode("utf-8")
             type_code = int(frame.type)
         else:
             raise FrameError(f"unknown codec {codec!r} (expected one of {CODECS})")
@@ -584,17 +606,15 @@ def _frame_type(type_code: int) -> FrameType:
     garbage type byte whose bits happen to include :data:`CHAN_FLAG`
     reports "unknown frame type", not a misleading extension error.
     """
-    try:
-        return FrameType(type_code & ~_FLAG_MASK)
-    except ValueError as error:
-        raise FrameError(
-            f"unknown frame type {type_code & ~_FLAG_MASK}"
-        ) from error
+    frame_type = _TYPE_OF[type_code]
+    if frame_type is None:
+        raise FrameError(f"unknown frame type {type_code & ~_FLAG_MASK}")
+    return frame_type
 
 
-def _decode_body(type_code: int, data: bytes,
+def _decode_body(frame_type: FrameType, type_code: int, data: bytes,
                  chan: int | None = None) -> Frame:
-    """Build a Frame from its raw type byte and body bytes.
+    """Build a Frame from its type, raw type byte and body bytes.
 
     The codec is read off the type byte's :data:`BINARY_FLAG`, so
     every frame is self-describing — a connection can switch codecs
@@ -602,14 +622,19 @@ def _decode_body(type_code: int, data: bytes,
     already-parsed channel-id header extension, if the type byte
     carried :data:`CHAN_FLAG`.
     """
-    frame_type = _frame_type(type_code)
     try:
         if type_code & BINARY_FLAG:
             body, end = _GET[data[0]](data, 1, 0)
             if end != len(data):
                 raise FrameError(f"binary body has {len(data) - end} trailing byte(s)")
         else:
-            body = _JSON_DECODER.decode(data.decode("utf-8"))
+            text = data.decode("utf-8")
+            try:
+                body, end = _JSON_SCAN(text, 0)
+            except StopIteration:
+                end = -1
+            if end != len(text):  # whitespace around it, or not JSON at all
+                body = _JSON_DECODER.decode(text)
             if data.count(b"[") + data.count(b"{") > MAX_NESTING:
                 _to_json(body, 0)  # enough brackets to pass the cap: encode's own check
     except (IndexError, TypeError, ValueError, RecursionError, struct.error) as error:
@@ -617,7 +642,7 @@ def _decode_body(type_code: int, data: bytes,
         raise FrameError(f"truncated or malformed frame body: {error!r}") from error
     if type(body) is not dict:
         raise FrameError(f"frame body must be an object, got {type(body).__name__}")
-    return Frame(type=frame_type, body=body, chan=chan)
+    return Frame(frame_type, body, chan)
 
 
 def decode_frame(buffer: bytes) -> tuple[Frame, int]:
@@ -635,7 +660,7 @@ def decode_frame(buffer: bytes) -> tuple[Frame, int]:
         raise FrameError(f"bad magic {magic!r} (expected {MAGIC!r})")
     if length > MAX_FRAME_BODY:
         raise FrameError(f"declared body of {length} bytes exceeds MAX_FRAME_BODY")
-    _frame_type(type_code)
+    frame_type = _frame_type(type_code)
     head = HEADER.size
     chan: int | None = None
     if type_code & CHAN_FLAG:
@@ -646,7 +671,7 @@ def decode_frame(buffer: bytes) -> tuple[Frame, int]:
     if len(buffer) < head + length:
         raise FrameError("truncated body")
     body = bytes(memoryview(buffer)[head : head + length])
-    return _decode_body(type_code, body, chan), head + length
+    return _decode_body(frame_type, type_code, body, chan), head + length
 
 
 #: Residual-buffer size above which :class:`FrameDecoder` right-sizes
@@ -692,58 +717,73 @@ class FrameDecoder:
         any channel extension plus body), so byte accounting survives
         segment-oriented reads.  Accepts ``bytes``, ``bytearray`` or
         ``memoryview`` — a ``recv_into`` scratch slice feeds directly.
+        While no partial frame is pending, frames are decoded straight
+        out of ``data`` and only an incomplete tail is copied.
         """
-        self._buffer += data
-        buffer = self._buffer
-        if len(buffer) > self._peak:
-            self._peak = len(buffer)
-        offset = self._offset
         frames: list[tuple[Frame, int]] = []
-        view = memoryview(buffer)
+        self._feed(data, frames)
+        return frames
+
+    def _feed(self, data: Any, out: Any, room: int = -1) -> None:
+        """Append ``(frame, wire_bytes)`` to ``out`` for up to ``room``
+        frames (no limit when negative), keeping the rest pending.  A
+        malformed frame raises once the frames before it are in ``out``.
+        """
+        buffer = self._buffer
+        offset = self._offset
+        if offset < len(buffer):  # a partial frame is pending: complete it
+            buffer += data
+            source = buffer
+        else:
+            source = data
+            offset = 0
+        size = len(source)
+        view = memoryview(source)
+        push = out.append
+        tee = self.tee
         try:
-            while True:
-                if len(buffer) - offset < HEADER.size:
-                    break
-                magic, type_code, length = HEADER.unpack_from(buffer, offset)
+            while room and size - offset >= HEADER.size:
+                magic, type_code, length = HEADER.unpack_from(source, offset)
                 if magic != MAGIC:
                     raise FrameError(f"bad magic {bytes(magic)!r}")
                 if length > MAX_FRAME_BODY:
-                    raise FrameError(
-                        f"declared body of {length} bytes exceeds cap"
-                    )
-                _frame_type(type_code)
-                body_start = offset + HEADER.size
-                chan: int | None = None
+                    raise FrameError(f"declared body of {length} bytes exceeds cap")
+                frame_type = _TYPE_OF[type_code]
+                if frame_type is None:
+                    raise FrameError(f"unknown frame type {type_code & ~_FLAG_MASK}")
+                start = offset + HEADER.size
+                chan = None
                 if type_code & CHAN_FLAG:
-                    if len(buffer) - body_start < _CHAN_EXT.size:
+                    if size - start < _CHAN_EXT.size:
                         break
-                    chan = _CHAN_EXT.unpack_from(buffer, body_start)[0]
-                    body_start += _CHAN_EXT.size
-                if len(buffer) - body_start < length:
+                    chan = _CHAN_EXT.unpack_from(source, start)[0]
+                    start += _CHAN_EXT.size
+                end = start + length
+                if end > size:
                     break
-                frames.append((
-                    _decode_body(
-                        type_code, bytes(view[body_start:body_start + length]),
-                        chan,
-                    ),
-                    body_start + length - offset,
-                ))
-                if self.tee is not None:
-                    self.tee(view[offset:body_start + length])
-                offset = body_start + length
+                push((_decode_body(frame_type, type_code, bytes(view[start:end]), chan),
+                      end - offset))
+                if tee is not None:
+                    tee(view[offset:end])
+                offset = end
+                room -= 1
         finally:
             view.release()
+        if source is not buffer:  # decoded in place: copy only the tail
+            if offset < size:
+                buffer += memoryview(source)[offset:]
+            offset = 0
+        if len(buffer) > self._peak:
+            self._peak = len(buffer)
         if offset and offset * 2 >= len(buffer):
             del buffer[:offset]
             offset = 0
-        if (self._peak > self._shrink
-                and (len(buffer) - offset) * 4 <= self._peak):
+        if self._peak > self._shrink and (len(buffer) - offset) * 4 <= self._peak:
             self._buffer = bytearray(memoryview(buffer)[offset:])
             self._offset = 0
             self._peak = len(self._buffer)
         else:
             self._offset = offset
-        return frames
 
     def feed(self, data: Any) -> list[Frame]:
         """Absorb ``data``; return every frame completed by it."""
@@ -761,7 +801,151 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
-# asyncio stream helpers.
+# The data plane's receive side.
+# ---------------------------------------------------------------------------
+
+
+#: The one receive buffer a :class:`FrameProtocol` owns: big enough to
+#: swallow a pipelined burst in one read, small enough that glibc
+#: recycles it instead of trimming the heap on every read.
+READ_CHUNK = 64 * 1024
+
+#: Decoded frames a :class:`FrameProtocol` holds for its reader before
+#: it stops reading the socket; it reads again once half are taken.
+FRAMES_HIGH_WATER = 256
+
+
+class FrameProtocol(asyncio.BufferedProtocol):
+    """The receive side of one framed connection: socket to frames.
+
+    Built from a stream pair once the handshake on it is over, it takes
+    the transport over and first decodes what the ``StreamReader``
+    already held.  Then each read lands in one owned
+    :data:`READ_CHUNK` buffer and is decoded in place: no
+    ``StreamReader``, no ``bytes`` per read, and :meth:`recv` awaits
+    only when no decoded frame is waiting.
+
+    - A declared body past :data:`MAX_FRAME_BODY` fails at its header.
+    - At :data:`FRAMES_HIGH_WATER` frames not yet taken it stops
+      reading, so backpressure reaches the kernel's socket buffers.
+    - Frames decoded ahead of a malformed one, or of EOF inside a
+      frame, are handed out before the :class:`FrameError`.
+    - The stream's ``StreamWriter`` keeps writing, draining and
+      closing: flow-control and connection-lost events are passed on
+      to the stream's protocol.
+
+    ``tee`` is the :class:`FrameDecoder` hook; it borrows the buffer.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter, tee: Any = None) -> None:
+        self.transport = transport = writer.transport
+        self._stream = transport.get_protocol()
+        self._loop = asyncio.get_running_loop()
+        self._decoder = FrameDecoder(tee=tee)
+        self._chunk = memoryview(bytearray(READ_CHUNK))
+        #: Decoded ``(frame, wire_bytes)`` pairs not yet taken.
+        self.ready: deque[tuple[Frame, int]] = deque()
+        self._waiter: asyncio.Future[None] | None = None
+        self._paused = self._eof = False
+        self._error: BaseException | None = None
+        transport.set_protocol(self)
+        transport.resume_reading()  # the stream reader may have paused it
+        held = reader._buffer  # asyncio has no non-blocking read
+        self._decode(bytes(held))
+        del held[:]
+        self._eof = reader.at_eof()
+        self._error = self._error or reader.exception()
+
+    # -- asyncio.BufferedProtocol -------------------------------------------
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._chunk
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self._decode(self._chunk[:nbytes])
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._wake()
+        return True  # half-close: the peer may still read our replies
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._eof = True
+        if self._error is None:
+            self._error = exc
+        self._wake()
+        self._stream.connection_lost(exc)
+
+    def pause_writing(self) -> None:
+        self._stream.pause_writing()
+
+    def resume_writing(self) -> None:
+        self._stream.resume_writing()
+
+    # -- the reader's side ---------------------------------------------------
+
+    async def recv(self) -> tuple[Frame | None, int]:
+        """Next ``(frame, wire_bytes)``; ``(None, 0)`` at a clean EOF."""
+        ready = self.ready
+        while not ready:
+            if self._paused:
+                self._resume()
+            elif self._error is not None:
+                raise self._error
+            elif self._eof:
+                if self._decoder.pending:
+                    raise FrameError("connection closed mid-frame")
+                return None, 0
+            else:
+                self._waiter = self._loop.create_future()
+                await self._waiter
+        if self._paused and len(ready) <= FRAMES_HIGH_WATER // 2:
+            self._resume()
+        return ready.popleft()
+
+    def recv_nowait(self) -> tuple[Frame, int] | None:
+        """A decoded ``(frame, wire_bytes)`` if one is waiting (no I/O)."""
+        ready = self.ready
+        if not ready:
+            return None
+        if self._paused and len(ready) <= FRAMES_HIGH_WATER // 2:
+            self._resume()
+        return ready.popleft()
+
+    # -- internals -----------------------------------------------------------
+
+    def _decode(self, data: Any) -> None:
+        if self._error is not None:
+            return  # the stream is broken past this point
+        ready = self.ready
+        try:
+            self._decoder._feed(data, ready, FRAMES_HIGH_WATER - len(ready))
+        except FrameError as error:
+            self._error = error
+            self.transport.pause_reading()
+        if len(ready) >= FRAMES_HIGH_WATER:
+            self._paused = True
+            self.transport.pause_reading()
+        self._wake()
+
+    def _resume(self) -> None:
+        """Decode what the high-water mark held back; then read again."""
+        self._paused = False
+        self._decode(b"")
+        if not self._paused and self._error is None:
+            self.transport.resume_reading()
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
+
+
+# ---------------------------------------------------------------------------
+# asyncio stream helpers (handshake, control server, chaos proxy).
 # ---------------------------------------------------------------------------
 
 
@@ -780,7 +964,7 @@ async def read_frame_sized(
         raise FrameError(f"bad magic {magic!r}")
     if length > MAX_FRAME_BODY:
         raise FrameError(f"declared body of {length} bytes exceeds cap")
-    _frame_type(type_code)
+    frame_type = _frame_type(type_code)
     head = HEADER.size
     chan: int | None = None
     if type_code & CHAN_FLAG:
@@ -794,125 +978,13 @@ async def read_frame_sized(
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as error:
         raise FrameError("connection closed mid-body") from error
-    return _decode_body(type_code, body, chan), head + length
+    return _decode_body(frame_type, type_code, body, chan), head + length
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
     """Read exactly one frame; ``None`` on clean EOF at a frame edge."""
     frame, _wire_bytes = await read_frame_sized(reader)
     return frame
-
-
-#: Default segment size for the buffered frame readers: big enough to
-#: swallow a pipelined burst in one read, small enough to recycle.
-READ_CHUNK = 64 * 1024
-
-
-def cap_transport_reads(writer: Any) -> None:
-    """Make ``writer``'s transport read ``READ_CHUNK`` bytes per wake-up.
-
-    asyncio's selector transport answers every readable event with
-    ``sock.recv(256 KiB)``: a fresh 256 KiB ``bytes``, shrunk to what
-    arrived.  glibc serves an allocation that size from the top of the
-    heap and gives it back, and whether each read then costs a
-    grow-and-trim of the heap (a page fault per read) depends on where
-    the heap top happens to sit — the same push chain ran at 35k or at
-    46k records/s by the length of its command line
-    (``docs/performance.md``, "One path per verb").  The frame readers
-    take ``READ_CHUNK`` bytes at a time anyway, and an allocation that
-    size is recycled, not trimmed.  ``max_size`` is CPython's selector
-    transport's attribute, not asyncio API: a transport without it (a
-    test double, another loop) is left alone.
-    """
-    transport = getattr(writer, "transport", None)
-    if getattr(transport, "max_size", 0) > READ_CHUNK:
-        transport.max_size = READ_CHUNK
-
-
-class BufferedFrameReader:
-    """Frame source that reads whole segments, not exact field sizes.
-
-    :func:`read_frame_sized` awaits ``readexactly`` two or three times
-    per frame, and each await returns a fresh ``bytes`` object.  This
-    reader instead pulls whatever the transport already has (up to
-    ``chunk`` bytes) and runs it through one incremental
-    :class:`FrameDecoder`, so a single await — and a single buffer
-    append — amortises over every frame the segment carried.  A
-    pipelined burst of small DATA frames decodes out of one read.
-
-    :meth:`recv_nowait` hands out frames that are already decoded
-    without touching the socket; the pull server uses it to batch all
-    the READs one segment carried into a single vectored reply burst.
-    """
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 chunk: int = READ_CHUNK, tee: Any = None) -> None:
-        self._reader = reader
-        self._decoder = FrameDecoder(tee=tee)
-        self._chunk = chunk
-        self._ready: deque[tuple[Frame, int]] = deque()
-        self._eof = False
-
-    async def recv(self) -> tuple[Frame | None, int]:
-        """Next frame as ``(frame, wire_bytes)``; ``(None, 0)`` on EOF."""
-        while not self._ready:
-            if self._eof:
-                return None, 0
-            data = await self._reader.read(self._chunk)
-            if not data:
-                self._eof = True
-                if self._decoder.pending:
-                    raise FrameError("connection closed mid-frame")
-                return None, 0
-            self._ready.extend(self._decoder.feed_sized(data))
-        return self._ready.popleft()
-
-    def recv_nowait(self) -> tuple[Frame, int] | None:
-        """An already-decoded ``(frame, wire_bytes)``, else ``None``.
-
-        Never performs I/O, so "nothing ready" only means the last
-        segment is fully served — more may be sitting in the kernel.
-        """
-        return self._ready.popleft() if self._ready else None
-
-    @property
-    def buffered(self) -> int:
-        """Frames decoded and waiting to be served."""
-        return len(self._ready)
-
-
-class SocketFrameReader:
-    """The segment-oriented frame source over a plain blocking socket.
-
-    Reads with ``recv_into`` against one reusable scratch buffer, so
-    steady-state receiving allocates nothing per segment — the true
-    zero-copy read path.  The asyncio data plane cannot use it (a
-    transport owns its socket; raw ``recv`` beside it would corrupt
-    the stream) and uses :class:`BufferedFrameReader` instead; this
-    class serves synchronous tooling, tests, and benchmark probes.
-    """
-
-    def __init__(self, sock: Any, chunk: int = READ_CHUNK) -> None:
-        self._sock = sock
-        self._scratch = bytearray(chunk)
-        self._view = memoryview(self._scratch)
-        self._decoder = FrameDecoder()
-        self._ready: deque[tuple[Frame, int]] = deque()
-        self._eof = False
-
-    def recv(self) -> tuple[Frame | None, int]:
-        """Next frame as ``(frame, wire_bytes)``; ``(None, 0)`` on EOF."""
-        while not self._ready:
-            if self._eof:
-                return None, 0
-            count = self._sock.recv_into(self._view)
-            if not count:
-                self._eof = True
-                if self._decoder.pending:
-                    raise FrameError("connection closed mid-frame")
-                return None, 0
-            self._ready.extend(self._decoder.feed_sized(self._view[:count]))
-        return self._ready.popleft()
 
 
 def _release_after_write(pool: BufferPool | None,

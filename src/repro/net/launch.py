@@ -241,8 +241,6 @@ def plan_linear_fleet(
         base += ["--credit-window", str(flow.credit_window)]
     if flow.pipeline_depth is not None:
         base += ["--pipeline-depth", str(flow.pipeline_depth)]
-    if flow.adaptive:
-        base += ["--adaptive"]
     if codec != CODEC_JSON:
         base += ["--codec", codec]
     if shard is not None:

@@ -35,6 +35,13 @@ REQUEST_TYPES = frozenset({FrameType.READ, FrameType.WRITE})
 #: Frame types that are always replies.
 REPLY_TYPES = frozenset({FrameType.DATA, FrameType.ACK, FrameType.WELCOME})
 
+#: Frame type -> its per-type counter names, spelled once.
+_SENT = {kind: f"{kind.name.lower()}_frames_sent" for kind in FrameType}
+_RECEIVED = {kind: f"{kind.name.lower()}_frames_received" for kind in FrameType}
+#: Frame type -> the request/reply counter a sent frame adds to (END aside).
+_SENT_AS = {**dict.fromkeys(REQUEST_TYPES, "invocations_sent"),
+            **dict.fromkeys(REPLY_TYPES, "replies_sent")}
+
 
 class NetStats(KernelStats):
     """Monotone on-wire counters for one stage (or one connection).
@@ -52,21 +59,22 @@ class NetStats(KernelStats):
         ``end_is_request`` tells the END ambiguity apart: pass True on
         push connections (writer side), False on pull replies.
         """
-        self.bump("frames_sent")
-        self.bump(f"{frame.type.name.lower()}_frames_sent")
-        self.bump("bytes_sent", wire_bytes)
-        if frame.type in REQUEST_TYPES or (
-            frame.type is FrameType.END and end_is_request
-        ):
-            self.bump("invocations_sent")
-        elif frame.type in REPLY_TYPES or frame.type is FrameType.END:
-            self.bump("replies_sent")
+        counters = self.counters
+        counters["frames_sent"] += 1
+        counters[_SENT[frame.type]] += 1
+        counters["bytes_sent"] += wire_bytes
+        kind = _SENT_AS.get(frame.type)
+        if frame.type is FrameType.END:
+            kind = "invocations_sent" if end_is_request else "replies_sent"
+        if kind is not None:
+            counters[kind] += 1
 
     def note_received(self, frame: Frame, wire_bytes: int) -> None:
         """Account one incoming frame."""
-        self.bump("frames_received")
-        self.bump(f"{frame.type.name.lower()}_frames_received")
-        self.bump("bytes_received", wire_bytes)
+        counters = self.counters
+        counters["frames_received"] += 1
+        counters[_RECEIVED[frame.type]] += 1
+        counters["bytes_received"] += wire_bytes
 
     # -- persistence (stages dump these for the orchestrator) ---------------
 

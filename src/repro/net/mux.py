@@ -54,12 +54,11 @@ from repro.core.tracing import Tracer
 from repro.net.bufpool import POOL
 from repro.net.framing import (
     CODEC_JSON,
-    BufferedFrameReader,
     Frame,
     FrameError,
+    FrameProtocol,
     FrameType,
     _release_after_write,
-    cap_transport_reads,
     encode_frame_into,
 )
 from repro.net.vectored import write_vectored
@@ -252,37 +251,28 @@ class MuxChannel:
     # -- Connection surface --------------------------------------------------
 
     async def send(self, frame: Frame) -> None:
+        out = POOL.acquire()
+        try:
+            wire_bytes = encode_frame_into(
+                Frame(frame.type, frame.body, self.chan), out, self.codec)
+        except FrameError:
+            POOL.release(out)
+            raise
+        if self.mux.flight is not None:
+            # What the stage believes it sent, pre-injection.
+            self.mux.flight.on_sent(out)
         if self.injector is None:
-            out = POOL.acquire()
-            try:
-                wire_bytes = encode_frame_into(
-                    replace(frame, chan=self.chan), out, self.codec
-                )
-            except FrameError:
-                POOL.release(out)
-                raise
-            if self.mux.flight is not None:
-                self.mux.flight.on_sent(out)
             # Ownership of the pooled buffer passes to the fair
             # writer, which recycles it after the socket write.
             await self.mux.send_wire(self.chan, out)
         else:
-            out = bytearray()
-            wire_bytes = encode_frame_into(
-                replace(frame, chan=self.chan), out, self.codec
-            )
-            # Record what the stage believes it sent, pre-injection.
-            if self.mux.flight is not None:
-                self.mux.flight.on_sent(out)
-            chunks = await self.injector.outgoing(
-                frame.type.name, bytes(out), self.chan
-            )
-            for chunk in chunks:
+            for chunk in await self.injector.outgoing(
+                    frame.type.name, bytes(out), self.chan):
                 await self.mux.send_wire(self.chan, chunk)
         if frame.type not in _HANDSHAKE_TYPES:
             self.stats.note_sent(frame, wire_bytes, self.end_is_request)
-        self.mux.stats.bump("mux_frames_sent")
-        if self.tracer is not None:
+        self.mux.stats.counters["mux_frames_sent"] += 1
+        if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 self.clock(), "send", self.label,
                 frame=frame.type.name, bytes=wire_bytes, chan=self.chan,
@@ -295,7 +285,7 @@ class MuxChannel:
     def _note_received(self, frame: Frame, wire_bytes: int) -> None:
         if frame.type not in _HANDSHAKE_TYPES:
             self.stats.note_received(frame, wire_bytes)
-        if self.tracer is not None:
+        if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 self.clock(), "recv", self.label,
                 frame=frame.type.name, bytes=wire_bytes, chan=self.chan,
@@ -444,17 +434,16 @@ class ChannelMux:
 
     async def _read_loop(self) -> None:
         error: BaseException | None = None
-        cap_transport_reads(self.writer)
-        frames = BufferedFrameReader(
-            self.reader,
-            tee=self.flight.on_received if self.flight is not None else None,
-        )
         try:
+            frames = FrameProtocol(
+                self.reader, self.writer,
+                tee=self.flight.on_received if self.flight is not None else None,
+            )
             while True:
                 frame, wire_bytes = await frames.recv()
                 if frame is None:
                     break
-                self.stats.bump("mux_frames_received")
+                self.stats.counters["mux_frames_received"] += 1
                 if frame.chan is None or frame.chan == CONTROL_CHANNEL:
                     if self.on_control is not None:
                         await self.on_control(frame)

@@ -76,17 +76,15 @@ from repro.net.bufpool import POOL
 from repro.net.framing import (
     CODEC_JSON,
     CODECS,
-    BufferedFrameReader,
+    TRACE_KEY,
     Frame,
     FrameError,
+    FrameProtocol,
     FrameType,
     _release_after_write,
     attach_trace,
-    cap_transport_reads,
-    encode_frame,
     encode_frame_into,
     frame_trace,
-    write_frame,
 )
 from repro.net.vectored import write_vectored
 from repro.obs.context import bind_span, current_span
@@ -101,7 +99,6 @@ from repro.net.handshake import (
     send_hello,
 )
 from repro.net.metrics import NetStats
-from repro.transput.flow import FlowAutotuner
 from repro.transput.stream import END_TRANSFER, Transfer
 
 __all__ = [
@@ -189,29 +186,43 @@ class Connection:
         #: to the negotiated codec once the WELCOME settles it (inbound
         #: frames are self-describing, so only sending needs a mode).
         self.codec = codec
-        #: Segment-oriented inbound frame source, created on first
-        #: recv — after the handshake's raw reads have finished.
-        self._frames: BufferedFrameReader | None = None
+        self._transport = writer.transport
+        #: The frame protocol this connection receives through, adopted
+        #: on first recv — after the handshake's stream reads are done.
+        self._frames: FrameProtocol | None = None
 
     async def send(self, frame: Frame) -> None:
+        """Encode one frame into a pooled buffer and write it.
+
+        ``drain`` is awaited only when the transport kept bytes back or
+        is closing; otherwise the bytes are already in the kernel and
+        the buffer goes back to the pool at once.
+        """
+        out = POOL.acquire()
+        try:
+            wire_bytes = encode_frame_into(frame, out, self.codec)
+        except BaseException:
+            POOL.release(out)
+            raise
+        if self.flight is not None:
+            # What the stage *believes* it sent: an injector's
+            # mutations are the chaos under test.
+            self.flight.on_sent(out)
+        transport = self._transport
         if self.injector is None:
-            wire_bytes = await write_frame(
-                self.writer, frame, self.codec,
-                tee=self.flight.on_sent if self.flight is not None else None,
-            )
+            transport.write(out)
         else:
-            wire = encode_frame(frame, self.codec)
-            wire_bytes = len(wire)
-            if self.flight is not None:
-                # Record what the stage *believes* it sent; the
-                # injector's mutations are the chaos under test.
-                self.flight.on_sent(wire)
-            for chunk in await self.injector.outgoing(frame.type.name, wire):
-                self.writer.write(chunk)
-            await self.writer.drain()
+            for chunk in await self.injector.outgoing(frame.type.name,
+                                                      bytes(out)):
+                transport.write(chunk)
+        if transport.get_write_buffer_size() or transport.is_closing():
+            await self.writer.drain()  # `out` may still be queued: not recycled
+        else:
+            POOL.release(out)
         self.stats.note_sent(frame, wire_bytes, self.end_is_request)
-        if self.tracer is not None:
-            self.tracer.emit(
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.emit(
                 self.clock(), "send", self.label,
                 frame=frame.type.name, bytes=wire_bytes,
             )
@@ -252,40 +263,42 @@ class Connection:
         for out in buffers:
             _release_after_write(POOL, self.writer, out)
         now = self.clock()
+        tracer = self.tracer
         for frame, wire_bytes in zip(frames, sizes):
             self.stats.note_sent(frame, wire_bytes, self.end_is_request)
-            if self.tracer is not None:
-                self.tracer.emit(
+            if tracer is not None and tracer.enabled:
+                tracer.emit(
                     now, "send", self.label,
                     frame=frame.type.name, bytes=wire_bytes,
                 )
 
     def _note_received(self, frame: Frame, wire_bytes: int) -> None:
         self.stats.note_received(frame, wire_bytes)
-        if self.tracer is not None:
-            self.tracer.emit(
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.emit(
                 self.clock(), "recv", self.label,
                 frame=frame.type.name, bytes=wire_bytes,
             )
 
+    def _adopt(self) -> FrameProtocol:
+        self._frames = FrameProtocol(
+            self.reader, self.writer,
+            tee=self.flight.on_received if self.flight is not None else None,
+        )
+        return self._frames
+
     async def recv(self) -> Frame | None:
-        if self._frames is None:
-            cap_transport_reads(self.writer)
-            self._frames = BufferedFrameReader(
-                self.reader,
-                tee=(self.flight.on_received
-                     if self.flight is not None else None),
-            )
-        frame, wire_bytes = await self._frames.recv()
+        frame, wire_bytes = await (self._frames or self._adopt()).recv()
         if frame is not None:
             self._note_received(frame, wire_bytes)
         return frame
 
     def recv_nowait(self) -> Frame | None:
-        """An inbound frame already decoded from a past segment, else None.
+        """An inbound frame already decoded from a past read, else None.
 
-        Performs no I/O, so "None" only means the last read segment is
-        fully consumed.  The pull server uses this to discover that a
+        Performs no I/O, so "None" only means every frame read so far
+        has been taken.  The pull server uses this to discover that a
         pipelined client packed several READs into one segment — and
         answer them all in one vectored burst.
         """
@@ -480,18 +493,15 @@ class RemoteReadable(_RemoteEnd):
     becomes overlap.  Replies arrive in request order, so pull
     semantics, seq numbering, and resume dedup are unchanged; the only
     visible cost is a tail of idempotent END replies once the stream
-    finishes, which the reader drains before closing.  A
-    :class:`FlowAutotuner` (``tuner``) feeds observed round-trips back
-    into the batch size and in-flight window.
+    finishes, which the reader drains before closing.
     """
 
     role = ROLE_PULL
 
     def __init__(self, *args: Any, pipeline_depth: int = 1,
-                 tuner: FlowAutotuner | None = None, **kwargs: Any) -> None:
+                 **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         self.pipeline_depth = max(1, pipeline_depth)
-        self.tuner = tuner
         #: Span context of the most recent read (post-adoption).
         self.last_span: SpanContext | None = None
         #: Records accepted so far == the next sequence number wanted.
@@ -502,15 +512,9 @@ class RemoteReadable(_RemoteEnd):
     def _hello_seq(self) -> int | None:
         return self.received if self.resume else None
 
-    def _depth(self) -> int:
-        """How many READs to keep in flight right now."""
-        if self.tuner is not None:
-            return max(self.pipeline_depth, self.tuner.credit_window)
-        return self.pipeline_depth
-
     async def _pump(self, connection: Connection, batch: int) -> None:
         """Top the in-flight READ window up to the pipeline depth."""
-        want = self._depth() - len(self._inflight)
+        want = self.pipeline_depth - len(self._inflight)
         if want <= 0:
             return
         frames: list[Frame] = []
@@ -536,8 +540,6 @@ class RemoteReadable(_RemoteEnd):
     async def read(self, batch: int = 1) -> Transfer:
         if self._ended:
             return END_TRANSFER
-        if self.tuner is not None:
-            batch = max(batch, self.tuner.batch)
         while True:
             try:
                 transfer = await self._read_once(batch)
@@ -551,9 +553,21 @@ class RemoteReadable(_RemoteEnd):
 
     async def _read_once(self, batch: int) -> Transfer | None:
         try:
-            connection = await self._ensure_connected()
-            await self._pump(connection, batch)
-            reply = await self._recv(connection)
+            connection = self._connection
+            if connection is None:
+                connection = await self._ensure_connected()
+            if self.pipeline_depth == 1 and self.spans is None:
+                # The lazy READ: one frame, no window to top up.
+                started = connection.clock()
+                await connection.send(Frame(FrameType.READ, {
+                    "batch": max(1, batch), "channel": self.channel}))
+                self._inflight.append((None, started))
+            else:
+                await self._pump(connection, batch)
+            if self.io_timeout is None:
+                reply = await connection.recv()
+            else:
+                reply = await self._recv(connection)
         except (HandshakeLinkDown, *_LINK_FAULTS) as error:
             if self.resume:
                 raise LinkDown(f"{self.label}: link failed: {error}") from error
@@ -565,12 +579,15 @@ class RemoteReadable(_RemoteEnd):
             if self.resume:
                 raise LinkDown("peer closed mid-stream (no END received)")
             raise WireError("peer closed mid-stream (no END received)")
-        if reply.type in (FrameType.DATA, FrameType.END):
-            self._observe_rtt(connection.clock() - started)
+        reply_type = reply.type
+        if reply_type is FrameType.DATA or reply_type is FrameType.END:
+            self.stats.observe("read_rtt_ms", (connection.clock() - started) * 1000.0)
             fresh: list[Any] = []
             seq = reply.body.get("seq")
-            if reply.type is FrameType.DATA:
-                fresh = list(reply.body.get("items", []))
+            if reply_type is FrameType.DATA:
+                fresh = reply.body.get("items", fresh)
+                if type(fresh) is not list:
+                    raise WireError(f"DATA items must be a list, got {type(fresh).__name__}")
                 if self.resume and isinstance(seq, int):
                     skip = min(len(fresh), max(0, self.received - seq))
                     if skip:
@@ -584,13 +601,13 @@ class RemoteReadable(_RemoteEnd):
                 ctx = self._finish_span(
                     ctx, reply, started, connection, seq=seq, count=len(fresh)
                 )
-            if reply.type is FrameType.END:
+            if reply_type is FrameType.END:
                 self._ended = True
                 await self._drain_inflight(connection)
                 await self.aclose()
                 return END_TRANSFER
             if fresh:
-                self.stats.bump("records_in", len(fresh))
+                self.stats.counters["records_in"] += len(fresh)
             if self.resume:
                 if not fresh:
                     return None
@@ -598,20 +615,12 @@ class RemoteReadable(_RemoteEnd):
             return Transfer.of(fresh)
         if ctx is not None:
             self._finish_span(ctx, reply, started, connection, status="error")
-        if reply.type is FrameType.ERROR:
+        if reply_type is FrameType.ERROR:
             raise WireError(
                 f"remote error: {reply.body.get('code')} "
                 f"({reply.body.get('message')})"
             )
-        raise WireError(f"unexpected reply {reply.type.name} to READ")
-
-    def _observe_rtt(self, rtt_s: float) -> None:
-        self.stats.observe("read_rtt_ms", rtt_s * 1000.0)
-        if self.tuner is not None and self.tuner.observe(rtt_s):
-            self.stats.set_gauge("autotune_batch", float(self.tuner.batch))
-            self.stats.set_gauge(
-                "autotune_credit", float(self.tuner.credit_window)
-            )
+        raise WireError(f"unexpected reply {reply_type.name} to READ")
 
     async def _drain_inflight(self, connection: Connection) -> None:
         """Collect replies to pipelined READs still on the wire at END.
@@ -824,16 +833,14 @@ class RemoteWritable(_RemoteEnd):
 ReadableMap = Union[Any, Mapping[Any, Any]]
 
 
-def _resolve_channel(readables: ReadableMap, channel: Any) -> Any:
-    """Find the Readable a channel identifier addresses.
+def _resolve_channel(readables: Mapping[Any, Any], channel: Any) -> Any:
+    """Find the Readable a channel identifier addresses in a table.
 
     A mapping gives multi-channel service: string/integer/capability
     keys are matched by equality, which for capabilities includes the
     64-bit secret — a forged capability simply fails the lookup, the
     same outcome the simulator's ``ChannelMinter.validate`` produces.
     """
-    if not isinstance(readables, Mapping):
-        return readables
     try:
         return readables[channel]
     except (KeyError, TypeError):
@@ -891,6 +898,12 @@ def _error_frame(code: str, message: str) -> Frame:
     return Frame(FrameType.ERROR, {"code": code, "message": message})
 
 
+async def _refuse(connection: Connection, message: str) -> None:
+    """Answer a frame this loop cannot serve with ERROR, then fail."""
+    await connection.send(_error_frame("bad-frame", message))
+    raise WireError(message)
+
+
 #: Cap on READ replies coalesced into one vectored burst (bounds both
 #: reply latency and the number of pooled buffers held at once).
 _REPLY_BURST = 64
@@ -904,10 +917,14 @@ async def _read_under(
     Served under the READ's span, so any request this read triggers (an
     upstream pull, a downstream push) parents itself on it.  A buffer
     hands back records deposited under another trace; that ``origin``
-    is forwarded so the reader joins the datum's trace.
+    is forwarded so the reader joins the datum's trace.  (An untraced
+    READ in a task serving no span has nothing to bind.)
     """
     started = connection.clock()
-    with bind_span(frame_trace(request)):
+    if TRACE_KEY in request.body or current_span() is not None:
+        with bind_span(frame_trace(request)):
+            transfer = await readable.read(batch)
+    else:
         transfer = await readable.read(batch)
     connection.stats.observe(
         "serve_read_ms", (connection.clock() - started) * 1000.0
@@ -981,17 +998,20 @@ async def serve_pull(
     cursors: dict[Any, int] = {}
     #: channel key -> the idempotent END reply, once the END was served.
     ended: dict[Any, Frame] = {}
+    # One stream answers every channel id; only a table is looked up.
+    single = None if isinstance(readables, Mapping) else readables
 
-    async def answer(request: Frame) -> Frame:
+    async def answer(request: Frame, batch: int) -> Frame:
         channel = request.body.get("channel")
-        batch = max(1, int(request.body.get("batch", 1)))
         key = channel_key(channel)
         if key in ended:
             return ended[key]
-        try:
-            readable = _resolve_channel(readables, channel)
-        except NoSuchChannelError as error:
-            return _error_frame("no-such-channel", str(error))
+        readable = single
+        if readable is None:
+            try:
+                readable = _resolve_channel(readables, channel)
+            except NoSuchChannelError as error:
+                return _error_frame("no-such-channel", str(error))
         body: dict[str, Any] = {"channel": channel}
         if logs is None:
             transfer, origin = await _read_under(
@@ -1008,10 +1028,11 @@ async def serve_pull(
             return Frame(FrameType.END, attach_trace(body, origin))
         if logs is not None:
             cursors[key] = body["seq"] + len(items)
-        connection.stats.bump("records_out", len(items))
-        return Frame(
-            FrameType.DATA, attach_trace({"items": items, **body}, origin)
-        )
+        connection.stats.counters["records_out"] += len(items)
+        body = {"items": items, **body}
+        if origin is not None:
+            attach_trace(body, origin)
+        return Frame(FrameType.DATA, body)
 
     while True:
         frame = await connection.recv()
@@ -1020,10 +1041,14 @@ async def serve_pull(
         replies: list[Frame] = []
         fatal: WireError | None = None
         while frame is not None:
-            if frame.type is FrameType.READ:
-                replies.append(await answer(frame))
-            else:
+            batch = frame.body.get("batch", 1)
+            if frame.type is not FrameType.READ:
                 fatal = WireError(f"pull connection got {frame.type.name}")
+            elif type(batch) is not int:
+                fatal = WireError(f"READ batch must be an int, got {type(batch).__name__}")
+            else:
+                replies.append(await answer(frame, max(1, batch)))
+            if fatal is not None:
                 replies.append(_error_frame("bad-frame", str(fatal)))
             if fatal is not None or len(replies) >= _REPLY_BURST:
                 break
@@ -1074,6 +1099,8 @@ async def serve_push(
             raise WireError("peer closed mid-stream (no END received)")
         if frame.type is FrameType.WRITE:
             items = frame.body.get("items", [])
+            if type(items) is not list:
+                await _refuse(connection, f"WRITE items must be a list, got {type(items).__name__}")
             seq = frame.body.get("seq")
             skip = 0
             if isinstance(seq, int):
@@ -1089,7 +1116,7 @@ async def serve_push(
                 with bind_span(frame_trace(frame)):
                     await writable.write(Transfer.of(fresh))
                 state.received += len(fresh)
-                connection.stats.bump("records_in", len(fresh))
+                connection.stats.counters["records_in"] += len(fresh)
             connection.stats.observe(
                 "serve_write_ms", (connection.clock() - started) * 1000.0
             )
@@ -1111,7 +1138,4 @@ async def serve_push(
                 pass  # writer may close the instant END is out
             return True
         else:
-            await connection.send(_error_frame(
-                "bad-frame", f"push connection got {frame.type.name}"
-            ))
-            raise WireError(f"push connection got {frame.type.name}")
+            await _refuse(connection, f"push connection got {frame.type.name}")

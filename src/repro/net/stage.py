@@ -97,7 +97,7 @@ from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SPAN_KIND, SpanIds
 from repro.transput.filterbase import Transducer, identity_transducer
-from repro.transput.flow import FlowAutotuner, FlowPolicy
+from repro.transput.flow import FlowPolicy
 
 __all__ = [
     "StageConfig",
@@ -308,14 +308,6 @@ class _Stage:
                     "resume": config.resume,
                 },
             )
-        # One autotuner per stage: every active read feeds it, and its
-        # current values surface as gauges for eden-top.
-        self.tuner = FlowAutotuner(config.flow) if config.flow.adaptive else None
-        if self.tuner is not None:
-            self.stats.set_gauge("autotune_batch", float(self.tuner.batch))
-            self.stats.set_gauge(
-                "autotune_credit", float(self.tuner.credit_window)
-            )
 
     # -- building blocks ----------------------------------------------------
 
@@ -339,7 +331,6 @@ class _Stage:
             injector=self.injector,
             codec=self.config.codec,
             pipeline_depth=self.config.flow.effective_pipeline_depth(),
-            tuner=self.tuner,
             flight=self.flight,
         ))
 
@@ -683,8 +674,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="explicit push credit window (default: derived)")
     parser.add_argument("--pipeline-depth", type=int, default=None,
                         help="READ requests kept in flight (default: derived)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="autotune batch/credit from observed RTT (AIMD)")
     parser.add_argument("--codec", default=CODEC_JSON, choices=CODECS,
                         help="preferred frame body codec (negotiated per link)")
     parser.add_argument("--shard", type=int, default=None,
@@ -752,7 +741,6 @@ def config_from_args(argv: Sequence[str] | None = None) -> StageConfig:
             inbox_capacity=options.inbox_capacity,
             credit_window=options.credit_window,
             pipeline_depth=options.pipeline_depth,
-            adaptive=options.adaptive,
         ),
         ticket_space=options.ticket_space,
         ticket_seed=options.ticket_seed,

@@ -2,10 +2,8 @@
 
 Polls every stage's control port (``health`` + ``stats``) and renders
 one row per stage: role, shard, uptime, request/reply counts, bytes
-moved, credit-window occupancy, per-stage record throughput, the
-adaptive autotuner's live batch/credit choice (``AUTO b/w``, shown
-when the stage runs ``--adaptive``), read-latency quantiles and the
-stage's CPU pin (``CPU`` — the planned core, suffixed ``?`` when the
+moved, credit-window occupancy, per-stage record throughput,
+read-latency quantiles and the stage's CPU pin (``CPU`` — the planned core, suffixed ``?`` when the
 pin did not take, e.g. off Linux).  A footer line aggregates the
 fleet-wide frame-buffer pool hit rate when any stage exports
 ``bufpool_*`` gauges.  Point it at the ``fleet.json`` manifest
@@ -48,7 +46,6 @@ class StageRow:
     bytes_moved: int = 0
     credit: str = "-"
     throughput: float | None = None
-    autotune: str = "-"
     read_p50_ms: float | None = None
     read_p95_ms: float | None = None
     #: Logical channels currently open (brokers and stage hosts).
@@ -92,10 +89,6 @@ def _row_from_payloads(
     )
     if moved and row.uptime_s > 0:
         row.throughput = moved / row.uptime_s
-    if "autotune_batch" in gauges and "autotune_credit" in gauges:
-        row.autotune = (
-            f"{int(gauges['autotune_batch'])}/{int(gauges['autotune_credit'])}"
-        )
     if health.get("channels_open") is not None:
         row.channels = str(int(health["channels_open"]))
     elif "mux_channels_open" in gauges:
@@ -152,7 +145,7 @@ def gather_fleet(
 def render_fleet(rows: Sequence[StageRow]) -> str:
     """The fleet table as text (pure, so tests can assert on it)."""
     headers = ("STAGE", "ROLE", "SHARD", "UP", "INVOKES", "REPLIES", "BYTES",
-               "CREDIT", "TPUT rec/s", "AUTO b/w", "READ p50/p95",
+               "CREDIT", "TPUT rec/s", "READ p50/p95",
                "CHAN", "HOST", "CPU", "FLIGHT")
     table: list[tuple[str, ...]] = [headers]
     for row in rows:
@@ -168,7 +161,7 @@ def render_fleet(rows: Sequence[StageRow]) -> str:
         table.append((
             row.label, row.role, row.shard, f"{row.uptime_s:.1f}s",
             str(row.invocations), str(row.replies), str(row.bytes_moved),
-            row.credit, throughput, row.autotune, latency,
+            row.credit, throughput, latency,
             row.channels, row.hosted, row.cpu, row.flight,
         ))
     widths = [

@@ -11,13 +11,10 @@ size, and the passive-buffer capacity used in the conventional
 discipline.  Experiment T4 sweeps the lookahead and shows the
 serialization → pipeline-parallel transition the paper predicts.
 
-Two additions serve the TCP data plane: ``pipeline_depth`` lets an
+One addition serves the TCP data plane: ``pipeline_depth`` lets an
 active reader keep several READ requests in flight (overlapping the
-round trip that otherwise stalls every batch), and ``adaptive`` turns
-on the :class:`FlowAutotuner` — an AIMD loop that grows the batch size
-and credit window while latency holds and backs off multiplicatively
-when the round-trip time inflates (classic congestion-window probing,
-applied to record flow instead of TCP segments).
+round trip that otherwise stalls every batch).  Every knob is fixed
+for the run, so every edge's invocation count is predictable.
 """
 
 from __future__ import annotations
@@ -50,9 +47,6 @@ class FlowPolicy:
             :meth:`effective_pipeline_depth`).  1 is the paper's
             strict request/response alternation; deeper overlaps the
             round trip without changing pull semantics.
-        adaptive: autotune ``batch`` and ``credit_window`` at runtime
-            from observed RTT (the static values become the floor the
-            tuner starts from).
     """
 
     lookahead: int = 0
@@ -61,7 +55,6 @@ class FlowPolicy:
     inbox_capacity: int | None = None
     credit_window: int | None = None
     pipeline_depth: int | None = None
-    adaptive: bool = False
 
     #: Pure demand-driven flow: nothing moves until the sink asks.
     @staticmethod
@@ -128,7 +121,6 @@ class FlowPolicy:
             "inbox_capacity": self.inbox_capacity,
             "credit_window": self.effective_credit_window(),
             "pipeline_depth": self.effective_pipeline_depth(),
-            "adaptive": self.adaptive,
         }
 
     def __post_init__(self) -> None:
@@ -156,79 +148,6 @@ class FlowPolicy:
             raise ValueError(
                 f"pipeline_depth must be >= 1 or None, got {self.pipeline_depth}"
             )
-
-
-class FlowAutotuner:
-    """AIMD autotuning of batch size and credit window from RTT.
-
-    The tuner treats the static :class:`FlowPolicy` values as a floor
-    and probes upward: every ``epoch`` completed reads it compares the
-    epoch's mean READ round-trip against the best (lowest) mean it has
-    ever seen.  While latency stays within ``tolerance`` of that floor
-    the batch and window grow additively (we were not the bottleneck;
-    ask for more per trip).  When latency inflates past the tolerance
-    the tuner halves both (multiplicative decrease — the classic AIMD
-    shape, so the loop converges instead of oscillating).  Current
-    values are exported as the ``autotune_batch`` / ``autotune_credit``
-    gauges so ``eden-top`` can watch the tuner breathe.
-    """
-
-    def __init__(
-        self,
-        policy: FlowPolicy,
-        max_batch: int = 1024,
-        epoch: int = 8,
-        tolerance: float = 2.0,
-        increment: int = 2,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if epoch < 1:
-            raise ValueError(f"epoch must be >= 1, got {epoch}")
-        if tolerance <= 1.0:
-            raise ValueError(f"tolerance must be > 1.0, got {tolerance}")
-        self._floor_batch = policy.batch
-        self._floor_credit = policy.effective_credit_window()
-        self.batch = policy.batch
-        self.credit_window = self._floor_credit
-        self.max_batch = max_batch
-        self.epoch = epoch
-        self.tolerance = tolerance
-        self.increment = increment
-        self._samples: list[float] = []
-        self._best_rtt: float | None = None
-
-    def observe(self, rtt_s: float) -> bool:
-        """Record one read round-trip; True when the epoch retuned."""
-        self._samples.append(max(0.0, rtt_s))
-        if len(self._samples) < self.epoch:
-            return False
-        mean = sum(self._samples) / len(self._samples)
-        self._samples.clear()
-        # Normalise by batch so growing the batch (which legitimately
-        # lengthens each trip) is not read as congestion.
-        per_record = mean / max(1, self.batch)
-        if self._best_rtt is None or per_record < self._best_rtt:
-            self._best_rtt = per_record
-        if per_record > self._best_rtt * self.tolerance:
-            self.batch = max(self._floor_batch, self.batch // 2)
-            self.credit_window = max(self._floor_credit, self.credit_window // 2)
-        else:
-            self.batch = min(self.max_batch, self.batch + self.increment)
-            self.credit_window = min(
-                self.max_batch, self.credit_window + self.increment
-            )
-        return True
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-safe snapshot (mirrors the exported gauges)."""
-        return {
-            "batch": self.batch,
-            "credit_window": self.credit_window,
-            "best_rtt_ms": (
-                None if self._best_rtt is None else self._best_rtt * 1000.0
-            ),
-        }
 
 
 def shard_of(record: Any, shards: int) -> int:

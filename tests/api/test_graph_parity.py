@@ -234,8 +234,7 @@ class TestKnobRejection:
     @pytest.mark.parametrize("knob", [
         {"timeout": 5.0}, {"max_restarts": 1}, {"resume": True},
         {"io_timeout": 1.0}, {"trace": True}, {"workdir": "/tmp/x"},
-        {"codec": "json"}, {"pipeline_depth": 2}, {"adaptive": True},
-        {"flight": "/tmp/flight"},
+        {"codec": "json"}, {"pipeline_depth": 2}, {"flight": "/tmp/flight"},
     ])
     def test_run_knobs_need_the_fleet(self, runtime, knob):
         with pytest.raises(ValueError, match="need the supervised fleet"):
@@ -252,10 +251,7 @@ class TestKnobRejection:
             graph.run(runtime=runtime)
 
     @pytest.mark.parametrize("runtime", ["sim", "aio"])
-    @pytest.mark.parametrize("policy", [
-        FlowPolicy(pipeline_depth=2),
-        FlowPolicy(adaptive=True),
-    ])
+    @pytest.mark.parametrize("policy", [FlowPolicy(pipeline_depth=2)])
     def test_flow_policy_cannot_smuggle_tcp_knobs(self, runtime, policy):
         with pytest.raises(ValueError,
                            match=r"FlowPolicy knob\(s\) .* need the "

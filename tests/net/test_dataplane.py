@@ -1,5 +1,5 @@
 """The fast data plane, end to end: negotiated binary framing, read
-pipelining, adaptive autotuning and sharded fleets on real sockets.
+pipelining and sharded fleets on real sockets.
 
 Four contracts:
 
@@ -117,22 +117,6 @@ class TestPipelinedReads:
         assert report.ok, report.summary() + "".join(
             f"\n  - {problem}" for problem in report.problems
         )
-
-
-class TestAdaptiveFlow:
-    def test_adaptive_fleet_drains_and_exports_gauges(self, tmp_path):
-        _, result = run_identity_fleet(
-            tmp_path, "binary",
-            flow=FlowPolicy(batch=2, credit_window=2, adaptive=True),
-        )
-        assert result.output == ITEMS
-        tuned = [
-            stage["gauges"] for stage in result.stats
-            if "autotune_batch" in stage.get("gauges", {})
-        ]
-        assert tuned, "no stage exported autotuner gauges"
-        assert all(g["autotune_batch"] >= 2 for g in tuned)
-        assert all(g["autotune_credit"] >= 2 for g in tuned)
 
 
 class TestShardedPipelines:

@@ -1,15 +1,21 @@
-"""Unit tests for the wire frame codec."""
+"""Unit tests for the wire frame codec and the frame protocol."""
 
+import asyncio
+import socket
 import struct
 
 import pytest
 
 from repro.core.capability import ChannelCapability
 from repro.core.uid import UIDFactory
+from repro.aio.streams import AioSource
 from repro.net.framing import (
+    FRAMES_HIGH_WATER,
+    READ_CHUNK,
     Frame,
     FrameDecoder,
     FrameError,
+    FrameProtocol,
     FrameType,
     HEADER,
     MAGIC,
@@ -18,7 +24,10 @@ from repro.net.framing import (
     decode_payload,
     encode_frame,
     encode_payload,
+    read_frame,
 )
+from repro.net.handshake import TicketBook, expect_hello, hello_frame
+from repro.net.protocol import Connection, serve_pull
 
 
 def roundtrip(frame: Frame) -> Frame:
@@ -319,124 +328,211 @@ class TestDecoderShrink:
         assert decoder.feed_sized(memoryview(wire)) == [(frame, len(wire))]
 
 
-class TestBufferedFrameReader:
-    """Segment-oriented reads: one read() call amortises over every
-    frame the segment carried."""
+async def loopback(handle):
+    """A loopback server running ``handle(reader, writer)`` and a client
+    connection to it: ``(server, client reader, client writer)``."""
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    return server, reader, writer
 
-    def _serve(self, payload: bytes):
-        import asyncio
 
-        from repro.net.framing import BufferedFrameReader
+async def close_all(server, *writers):
+    for writer in writers:
+        writer.close()
+    server.close()
+    await server.wait_closed()
+
+
+class TestFrameProtocol:
+    """The one receive path of the data plane, over real loopback
+    sockets: adopted from a stream pair, reading into its own buffer."""
+
+    def _receive(self, payload: bytes):
+        """What a FrameProtocol hands out for ``payload`` sent then closed:
+        ``(pairs, error)``."""
 
         async def run():
-            received = []
-            errors = []
+            received, errors = [], []
             done = asyncio.Event()
 
-            async def handle(reader, _writer):
-                frames = BufferedFrameReader(reader)
+            async def handle(reader, writer):
+                frames = FrameProtocol(reader, writer)
                 try:
                     while True:
                         frame, size = await frames.recv()
                         if frame is None:
                             break
                         received.append((frame, size))
-                        # Drain whatever the segment already decoded.
-                        while True:
-                            extra = frames.recv_nowait()
-                            if extra is None:
-                                break
-                            received.append(extra)
                 except FrameError as error:
                     errors.append(error)
                 finally:
                     done.set()
+                    writer.close()
 
-            server = await asyncio.start_server(handle, "127.0.0.1", 0)
-            port = server.sockets[0].getsockname()[1]
-            _reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            server, _reader, writer = await loopback(handle)
             writer.write(payload)
             writer.close()
             await writer.wait_closed()
             await asyncio.wait_for(done.wait(), 5.0)
-            server.close()
-            await server.wait_closed()
-            if errors:
-                raise errors[0]
-            return received
+            await close_all(server)
+            return received, (errors[0] if errors else None)
 
-        import asyncio as _asyncio
-
-        return _asyncio.run(run())
+        return asyncio.run(run())
 
     def test_roundtrips_with_wire_sizes(self):
         frames = [
             Frame(FrameType.DATA, {"items": [f"r{i}"]}) for i in range(20)
         ]
         wire = [encode_frame(frame) for frame in frames]
-        received = self._serve(b"".join(wire))
+        received, error = self._receive(b"".join(wire))
+        assert error is None
         assert [frame for frame, _size in received] == frames
         assert [size for _frame, size in received] == [len(w) for w in wire]
 
     def test_eof_mid_frame_raises(self):
         wire = encode_frame(Frame(FrameType.DATA, {"items": ["cut"]}))
-        with pytest.raises(FrameError, match="mid-frame"):
-            self._serve(wire[:-3])
+        received, error = self._receive(wire[:-3])
+        assert received == []
+        assert isinstance(error, FrameError) and "mid-frame" in str(error)
 
+    def test_good_frames_come_before_the_error(self):
+        good = [Frame(FrameType.DATA, {"items": [i]}) for i in range(3)]
+        wire = b"".join(encode_frame(frame) for frame in good)
+        received, error = self._receive(wire + b"JUNK" + wire)
+        assert [frame for frame, _size in received] == good
+        assert isinstance(error, FrameError) and "bad magic" in str(error)
 
-class TestCapTransportReads:
-    def test_a_live_transport_reads_a_chunk_at_a_time(self):
-        """asyncio's 256 KiB-per-wake-up recv buffer is what made the
-        same chain run at 35k or 46k records/s by heap layout."""
-        import asyncio
-        import socket
+    def test_a_huge_declared_length_is_refused_unbuffered(self):
+        """A 2^31-byte body is refused from its header alone: nothing is
+        buffered for it and the socket is no longer read."""
 
-        from repro.net.framing import READ_CHUNK, cap_transport_reads
+        async def run():
+            outcome = asyncio.get_running_loop().create_future()
 
-        async def scenario():
-            left, right = socket.socketpair()
-            _reader, writer = await asyncio.open_connection(sock=left)
-            before = writer.transport.max_size
-            cap_transport_reads(writer)
-            after = writer.transport.max_size
-            writer.close()
-            right.close()
-            return before, after
+            async def handle(reader, writer):
+                frames = FrameProtocol(reader, writer)
+                try:
+                    await frames.recv()
+                except FrameError as error:
+                    outcome.set_result((error, frames))
 
-        before, after = asyncio.run(scenario())
-        assert before > READ_CHUNK and after == READ_CHUNK
+            server, _reader, writer = await loopback(handle)
+            writer.write(HEADER.pack(MAGIC, int(FrameType.DATA), 2**31))
+            writer.write(b"x" * 256 * 1024)  # the start of the "body"
+            error, frames = await asyncio.wait_for(outcome, 5.0)
+            await asyncio.sleep(0.05)  # the body keeps arriving
+            state = (error, frames._decoder.pending,
+                     frames.transport.is_reading())
+            frames.transport.close()
+            await close_all(server, writer)
+            return state
 
-    def test_a_transport_without_the_knob_is_left_alone(self):
-        from repro.net.framing import cap_transport_reads
+        error, pending, reading = asyncio.run(run())
+        assert "exceeds cap" in str(error)
+        assert pending <= READ_CHUNK
+        assert not reading
 
-        class Bare:
-            transport = object()
+    def test_a_flooding_peer_meets_the_socket_buffers(self):
+        """10 000 READs from a peer that never reads its replies: the
+        server stops reading the socket, and what it decoded meanwhile
+        stays within the high-water mark."""
 
-        cap_transport_reads(Bare())  # a test double: no error
-        cap_transport_reads(object())  # no transport at all
-        assert not hasattr(Bare.transport, "max_size")
+        async def run():
+            connected = asyncio.get_running_loop().create_future()
+            record = "x" * 4096
 
+            async def handle(reader, writer):
+                connection = Connection(reader, writer)
+                connected.set_result(connection)
+                try:
+                    await serve_pull(connection, AioSource([record] * 10_000))
+                except (ConnectionError, OSError, asyncio.CancelledError):
+                    pass
 
-class TestSocketFrameReader:
-    def test_recv_into_roundtrip(self):
-        import socket
-
-        from repro.net.framing import SocketFrameReader
-
-        frames = [
-            Frame(FrameType.DATA, {"items": ["s", i]}) for i in range(10)
-        ]
-        left, right = socket.socketpair()
-        try:
-            left.sendall(b"".join(encode_frame(frame) for frame in frames))
-            left.close()
-            reader = SocketFrameReader(right, chunk=32)
-            received = []
-            while True:
-                frame, _size = reader.recv()
-                if frame is None:
+            server, _reader, writer = await loopback(handle)
+            read = encode_frame(Frame(FrameType.READ, {"batch": 1}))
+            writer.write(read * 10_000)
+            connection = await asyncio.wait_for(connected, 5.0)
+            for _ in range(500):
+                await asyncio.sleep(0.01)
+                frames = connection._frames
+                if frames is not None and not frames.transport.is_reading():
                     break
-                received.append(frame)
-            assert received == frames
-        finally:
-            right.close()
+            state = (frames.transport.is_reading(), len(frames.ready))
+            frames.transport.abort()
+            writer.transport.abort()
+            await close_all(server)
+            return state
+
+        reading, backlog = asyncio.run(run())
+        assert not reading
+        assert 0 < backlog <= FRAMES_HIGH_WATER
+
+    def test_frames_behind_the_hello_are_decoded_first(self):
+        """HELLO and the first READ in one segment: the handshake reads
+        the HELLO off the stream, the adopted connection finds the READ
+        the ``StreamReader`` already held."""
+        book = TicketBook()
+
+        async def run():
+            got = asyncio.get_running_loop().create_future()
+
+            async def handle(reader, writer):
+                await expect_hello(reader, writer, book, book.ticket(0))
+                connection = Connection(reader, writer)
+                got.set_result(await connection.recv())
+                await connection.close()
+
+            server, reader, writer = await loopback(handle)
+            hello = hello_frame(book.ticket(1), "pull")
+            read = Frame(FrameType.READ, {"batch": 2, "channel": "Output"})
+            writer.write(encode_frame(hello) + encode_frame(read))
+            welcome = await read_frame(reader)
+            frame = await asyncio.wait_for(got, 5.0)
+            await close_all(server, writer)
+            return welcome, frame, read
+
+        welcome, frame, read = asyncio.run(run())
+        assert welcome.type is FrameType.WELCOME
+        assert frame == read
+
+    def test_a_channel_mux_over_an_adopted_transport(self):
+        """Frames that reach the stream before the mux starts, then frames
+        after it, all arrive; drain and close still work on the stream."""
+        from repro.net.mux import ChannelMux
+
+        async def run():
+            left_sock, right_sock = socket.socketpair()
+            left = ChannelMux(*await asyncio.open_connection(sock=left_sock))
+            right_streams = await asyncio.open_connection(sock=right_sock)
+            got = []
+
+            async def on_control(frame):
+                got.append(frame.body["n"])
+
+            left.start()
+            early = left.attach(1)
+            await early.send(Frame(FrameType.DATA, {"items": ["early"]}))
+            await left.send_control(Frame(FrameType.CTRL, {"n": 1}))
+            await asyncio.sleep(0.05)  # now held by the right StreamReader
+            right = ChannelMux(*right_streams, on_control=on_control)
+            channel = right.attach(1)
+            right.start()
+            first = await asyncio.wait_for(channel.recv(), 5.0)
+            await early.send(Frame(FrameType.DATA, {"items": ["late"]}))
+            second = await asyncio.wait_for(channel.recv(), 5.0)
+            await channel.send(Frame(FrameType.ACK, {"credit": 2}))
+            ack = await asyncio.wait_for(early.recv(), 5.0)
+            adopted = isinstance(
+                right_streams[1].transport.get_protocol(), FrameProtocol)
+            await left.close()
+            await right.close()
+            return first, second, ack, got, adopted
+
+        first, second, ack, got, adopted = asyncio.run(run())
+        assert first.body == {"items": ["early"]}
+        assert second.body == {"items": ["late"]}
+        assert ack.body == {"credit": 2}
+        assert got == [1]
+        assert adopted

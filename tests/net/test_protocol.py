@@ -21,7 +21,7 @@ from repro.net.framing import (
     read_frame,
     write_frame,
 )
-from repro.net.handshake import ROLE_PUSH, send_hello
+from repro.net.handshake import ROLE_PULL, ROLE_PUSH, expect_hello, send_hello
 from repro.net.protocol import (
     PushState,
     RemoteReadable,
@@ -582,6 +582,85 @@ class TestPushHangUp:
         # may reach it as a reset instead of an EOF.
         assert isinstance(sink_outcome, (WireError, ConnectionError)), \
             sink_outcome
+
+
+class TestHostileFields:
+    """A well-formed frame whose field has the wrong type is refused: the
+    serving side answers ``ERROR bad-frame`` and fails with a
+    ``WireError``, the reading side raises one.  Never a bare
+    ``TypeError`` that leaves the peer waiting, never a coercion."""
+
+    @staticmethod
+    async def exchange(port, role, frame):
+        """HELLO as ``role``, then ``frame``: the one reply (None at EOF)."""
+        reader, writer = await connect_with_backoff("127.0.0.1", port)
+        await send_hello(reader, writer, client_book().ticket(1), role,
+                         book=client_book())
+        await write_frame(writer, frame)
+        try:
+            return await asyncio.wait_for(read_frame(reader), 5.0)
+        finally:
+            writer.close()
+
+    def refused(self, port_of, role, frame):
+        async def scenario():
+            failures = []
+            server, port, _stats = await start_stage_server(
+                failures=failures, **port_of)
+            reply = await self.exchange(port, role, frame)
+            server.close()
+            await server.wait_closed()
+            return reply, failures
+
+        reply, failures = run(scenario())
+        assert reply is not None and reply.type is FrameType.ERROR, reply
+        assert reply.body["code"] == "bad-frame"
+        (failure,) = failures
+        assert isinstance(failure, WireError)
+        return str(failure)
+
+    @pytest.mark.parametrize("batch", ["x", [1], None, 2.5, True])
+    def test_a_read_batch_must_be_an_int(self, batch):
+        message = self.refused(
+            {"readables": AioSource(ITEMS)}, ROLE_PULL,
+            Frame(FrameType.READ, {"batch": batch, "channel": "Output"}))
+        assert "READ batch must be an int" in message
+
+    @pytest.mark.parametrize("items", [5, None, "abc", {"a": 1}])
+    def test_write_items_must_be_a_list(self, items):
+        collector = AioCollector()
+        message = self.refused(
+            {"writable": collector}, ROLE_PUSH,
+            Frame(FrameType.WRITE, {"items": items, "channel": "Output"}))
+        assert "WRITE items must be a list" in message
+        assert collector.items == []
+
+    @pytest.mark.parametrize("items", ["abc", 5, None, {"a": 1}])
+    def test_data_items_must_be_a_list(self, items):
+        async def scenario():
+            book = client_book()
+
+            async def handle(reader, writer):
+                await expect_hello(reader, writer, book, book.ticket(0))
+                await read_frame(reader)
+                await write_frame(writer, Frame(
+                    FrameType.DATA, {"items": items, "channel": "Output"}))
+                await read_frame(reader)  # until the reader hangs up
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            remote = RemoteReadable(
+                "127.0.0.1", server.sockets[0].getsockname()[1],
+                uid=client_book().ticket(1), book=client_book())
+            try:
+                await remote.read()
+            finally:
+                await remote.aclose()
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(WireError, match="DATA items must be a list"):
+            run(scenario())
 
 
 class TestConnectBackoff:

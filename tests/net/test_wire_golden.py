@@ -150,13 +150,17 @@ class TestTheRedialIsPinnedToo:
     def test_a_corrupted_burst_is_replayed_whole(self):
         """Depth 8: the 8 READs arrive in one segment and are answered
         in one burst, so the corrupted second DATA shares a segment with
-        the first, and the reader's segment decoder raises before it
-        hands out either.  The redial therefore asks from ``seq`` 0.
-        The serving side had computed the whole burst before sending
-        it: ``replayed_records`` and ``records_out`` count replies
-        *computed*, not replies delivered.  (Before PR 24 the resume
-        loop sent one reply per write, the first DATA arrived alone,
-        and this row read 4 and 11.)"""
+        the first.  The reader's frame protocol hands out the good first
+        DATA before it raises on the corrupted one, so the redial asks
+        from ``seq`` 3, not 0: the serving side replays 4 records, not
+        the whole burst's 7 (the name is from when it did), and 11
+        records out, not 14.  Those are the figures of the code before
+        PR 24, whose resume loop wrote one reply at a time; PR 24's
+        segment reader raised before handing out either DATA.  The one
+        READ the reader sent after the good DATA, refilling its window
+        before it met the error, is answered with a sixth END on the
+        first link.  ``replayed_records`` and ``records_out`` count
+        replies *computed*, not replies delivered."""
         chain = asyncio.run(pull_chain(
             True, 8, injector=self.corrupting("data"), io_timeout=2.0))
         assert chain.output == ITEMS
@@ -164,12 +168,14 @@ class TestTheRedialIsPinnedToo:
         serving, sent = chain.ends["filter-serving"]
         assert driver.get("reconnects") == 1
         assert driver.get("duplicate_records") == 0
-        assert driver.get("invocations_sent") == 8 + 11
-        burst = [(name, body) for name, body, *_crcs in (
-            *DATA_SEQ, *[END_SEQ] * 5)]
-        assert sent == [*burst, *burst, *[END_SEQ[:2]] * 3]
-        assert serving.get("replayed_records") == 7
-        assert serving.get("records_out") == 14
+        assert driver.get("invocations_sent") == 9 + 10
+        first = [(name, body) for name, body, *_crcs in (
+            *DATA_SEQ, *[END_SEQ] * 6)]
+        replay = [(name, body) for name, body, *_crcs in (
+            *DATA_SEQ[1:], *[END_SEQ] * 8)]
+        assert sent == [*first, *replay]
+        assert serving.get("replayed_records") == 4
+        assert serving.get("records_out") == 11
         assert chain.ends["filter-client"][0].get("reconnects") == 0
 
     def test_push_replays_the_corrupted_write_frame(self):

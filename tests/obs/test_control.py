@@ -302,7 +302,7 @@ class TestEdenTop:
             "label": "sink#4", "alive": False, "role": "?", "shard": "-",
             "uptime_s": 0.0, "invocations": 0, "replies": 0,
             "bytes_moved": 0, "credit": "-", "throughput": None,
-            "autotune": "-", "read_p50_ms": None, "read_p95_ms": None,
+            "read_p50_ms": None, "read_p95_ms": None,
             "channels": "-", "hosted": "-", "cpu": "-", "flight": "-",
             "gauges": {},
         }

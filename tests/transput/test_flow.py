@@ -106,74 +106,8 @@ class TestPipelineDepth:
             FlowPolicy().with_pipeline_depth(0)
 
     def test_describe_includes_the_new_knobs(self):
-        described = FlowPolicy(pipeline_depth=3, adaptive=True).describe()
+        described = FlowPolicy(pipeline_depth=3).describe()
         assert described["pipeline_depth"] == 3
-        assert described["adaptive"] is True
-
-
-class TestAutotuner:
-    def make(self, **kwargs):
-        from repro.transput.flow import FlowAutotuner
-        policy = kwargs.pop("policy", FlowPolicy(batch=2, credit_window=4))
-        return FlowAutotuner(policy, **kwargs)
-
-    def test_starts_at_the_policy_floor(self):
-        tuner = self.make()
-        assert tuner.batch == 2
-        assert tuner.credit_window == 4
-
-    def test_grows_additively_while_latency_holds(self):
-        tuner = self.make(epoch=4, increment=2)
-        for _ in range(4):
-            assert tuner.observe(0.001) in (False, True)
-        assert tuner.batch == 4
-        assert tuner.credit_window == 6
-
-    def test_no_retune_mid_epoch(self):
-        tuner = self.make(epoch=8)
-        assert not any(tuner.observe(0.001) for _ in range(7))
-        assert tuner.batch == 2
-
-    def test_halves_when_rtt_inflates(self):
-        tuner = self.make(epoch=2, increment=4)
-        for _ in range(4):       # two fast epochs: batch 2 -> 6 -> 10
-            tuner.observe(0.001)
-        grown = tuner.batch
-        for _ in range(2):       # one slow epoch: multiplicative decrease
-            tuner.observe(1.0)
-        assert tuner.batch == grown // 2
-
-    def test_never_sinks_below_the_floor(self):
-        tuner = self.make(epoch=1)
-        tuner.observe(0.0001)    # establish a low best-RTT
-        for _ in range(20):
-            tuner.observe(5.0)
-        assert tuner.batch >= 2
-        assert tuner.credit_window >= 4
-
-    def test_growth_capped_at_max_batch(self):
-        tuner = self.make(epoch=1, max_batch=5, increment=10)
-        tuner.observe(0.001)
-        tuner.observe(0.001)
-        assert tuner.batch == 5
-        assert tuner.credit_window == 5
-
-    def test_describe_is_json_safe(self):
-        import json
-        tuner = self.make(epoch=1)
-        tuner.observe(0.002)
-        snapshot = tuner.describe()
-        json.dumps(snapshot)
-        assert snapshot["batch"] == tuner.batch
-        assert snapshot["credit_window"] == tuner.credit_window
-
-    def test_bad_constructor_args_rejected(self):
-        with pytest.raises(ValueError, match="epoch"):
-            self.make(epoch=0)
-        with pytest.raises(ValueError, match="max_batch"):
-            self.make(max_batch=0)
-        with pytest.raises(ValueError, match="tolerance"):
-            self.make(tolerance=1.0)
 
 
 class TestShardOf:

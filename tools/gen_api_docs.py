@@ -162,8 +162,8 @@ All knobs use one vocabulary (`batch`, `credit_window`, `lookahead`,
 `timeout`, `max_restarts`, ...) and are validated eagerly: a knob the
 chosen runtime cannot honour raises `ValueError`, never a silent
 no-op — uniformly, whether it arrives as a `run()` keyword, a per-edge
-setting, or inside a `FlowPolicy` (`pipeline_depth` / `adaptive` are
-TCP-only however they are spelled).  The fault-tolerance knobs
+setting, or inside a `FlowPolicy` (`pipeline_depth` is TCP-only
+however it is spelled).  The fault-tolerance knobs
 (`faults`, `resume`, `max_restarts`, `io_timeout`, `trace`, `workdir`,
 `timeout`) belong to the supervised TCP fleet; `placement` to the
 simulator.  See `docs/fault_tolerance.md` for the chaos/recovery
@@ -177,7 +177,6 @@ wire-level detail):
 | `shards=N` | `Pipeline(...)` | partition the stream by content hash across N parallel copies of the pipeline — the graph runner's parallel block: one shared kernel on `sim`, one `asyncio.gather` on `aio`, per-shard sub-fleets (`<workdir>/branch-<i>`) under one supervisor on `tcp`; `result.branch_outputs["shards"]` keeps each shard's ordered output, `result.output` concatenates them in shard order |
 | `codec="binary"` | `run(runtime="tcp")` | negotiate the compact binary frame body per link (JSON fallback for legacy peers) |
 | `pipeline_depth=k` | `run(runtime="tcp")` | keep up to k READs in flight per link; 1 (default) is the paper's strict alternation |
-| `adaptive=True` | `run(runtime="tcp")` | AIMD-autotune batch and credit window from observed RTT; exported as `autotune_*` gauges |
 | `placement="hosted"` | `Pipeline(...)` | run every stage inside one `eden-host` process attached to an `eden-broker` control plane — same stream semantics, restarts and span traces, but 2 processes however long the pipeline (readonly/writeonly, unsharded, TCP runtime only; `docs/protocol.md` has the broker handshake) |
 | `broker="host:port"` | `Pipeline(...)` | with `placement="hosted"`, attach to an externally running `eden-broker` instead of planning one |
 | `placement_policy="cores"` | `run(runtime="tcp")` | pin each shard's sub-fleet (or each stage host) to its own CPU core, round-robin over the cores the container allows — the multi-core scaling path `docs/performance.md` measures; `"none"` restores free scheduling, and a 1-core machine pins nothing (needs `shards > 1` or `placement="hosted"`) |
