@@ -12,6 +12,11 @@ The batched rows pin the push side of the same law: with
 ``FlowPolicy(batch=b)`` a write-only chain must measure exactly
 ``(n+1)(ceil(m/b)+1)`` — one WRITE per ``b`` records on *every* hop,
 filters included — as the simulator and the cost model count it.
+
+The lookahead rows pin C5's knob to the same count: a read-only chain
+with ``lookahead=k`` buffers k records ahead with one READ in flight,
+so it measures ``(n+1)(ceil(m/b)+1)`` too — not the k − 1 extra
+READ/END pairs per hop it measured while lookahead pipelined READs.
 """
 
 from repro.analysis import predicted_invocations
@@ -24,6 +29,8 @@ LENGTHS = (1, 2, 3)
 ITEMS = 10
 BATCHES = (4, 32)
 BATCHED_ITEMS = 100  # a short last batch at 32
+#: (lookahead, batch) of the read-only lookahead rows, n = 2.
+LOOKAHEADS = ((32, 1), (8, 4))
 
 
 def sweep(workdir):
@@ -57,9 +64,24 @@ def batched_push_sweep(workdir):
     return rows
 
 
+def lookahead_sweep(workdir):
+    rows = []
+    for lookahead, batch in LOOKAHEADS:
+        plans = plan_linear_fleet(
+            "readonly", [IDENTITY] * 2,
+            f"{workdir}/readonly-k{lookahead}-b{batch}",
+            source_items=list(range(BATCHED_ITEMS)),
+            flow=FlowPolicy(lookahead=lookahead, batch=batch),
+        )
+        result = run_fleet(plans, timeout=60)
+        rows.append((lookahead, batch, 2, result.invocations))
+    return rows
+
+
 def test_bench_wire_counts(benchmark, tmp_path):
     rows = benchmark.pedantic(sweep, args=(str(tmp_path),), rounds=1)
     batched_rows = batched_push_sweep(str(tmp_path))
+    lookahead_rows = lookahead_sweep(str(tmp_path))
 
     table_rows = []
     for n_filters, measured in rows:
@@ -97,4 +119,17 @@ def test_bench_wire_counts(benchmark, tmp_path):
         title=f"T10: write-only request frames to move m={BATCHED_ITEMS} "
               "records at batch b (model: (n+1)(ceil(m/b)+1); measured "
               "exactly)",
+    )
+
+    for _lookahead, batch, n_filters, invocations in lookahead_rows:
+        assert invocations == predicted_invocations(
+            "readonly", n_filters, BATCHED_ITEMS, batch
+        ), (_lookahead, batch)
+    publish(
+        "t10_wire_counts_lookahead",
+        ["lookahead", "batch", "n filters", "RO requests"],
+        [list(row) for row in lookahead_rows],
+        title=f"T10: read-only request frames to move m={BATCHED_ITEMS} "
+              "records with lookahead k (model: (n+1)(ceil(m/b)+1), one "
+              "READ in flight; measured exactly)",
     )

@@ -27,10 +27,11 @@ One broker daemon owns the control plane of a hosted fleet:
   channel has its own id, allocated from its own connection's
   namespace, so two stages in the *same* host process converse
   through the broker exactly like stages in different hosts.  Data
-  frames are relayed **without decoding**: the broker reads the fixed
-  header plus the 4-byte channel extension, rewrites the extension to
-  the peer's id, and forwards header+extension+body bytes verbatim —
-  codec-blind (binary and JSON alike) and O(bytes).  Relay counters
+  frames are relayed **without decoding**: the link's
+  :class:`~repro.net.framing.FrameProtocol` (the one its admission
+  installed) hands over each frame's wire bytes, the broker rewrites
+  the 4-byte channel extension to the peer's id, and forwards the rest
+  verbatim — codec-blind (binary and JSON alike) and O(bytes).  Relay counters
   (``relayed_frames``/``relayed_bytes``) are deliberately *not* named
   like stage counters, so summing a fleet's stats never double-counts
   invocations through the broker.
@@ -70,11 +71,9 @@ from repro.net.framing import (
     CODEC_JSON,
     Frame,
     FrameError,
+    FrameProtocol,
     FrameType,
     HEADER,
-    MAGIC,
-    MAX_FRAME_BODY,
-    READ_CHUNK,
     decode_frame,
     encode_frame_into,
 )
@@ -115,19 +114,6 @@ _CHAN_EXT = struct.Struct("!I")
 
 class BrokerError(EdenError):
     """The broker refused a control command."""
-
-
-def _cap_transport_reads(writer: Any) -> None:
-    """Make ``writer``'s transport read ``READ_CHUNK`` bytes per wake-up.
-
-    Under a stream, asyncio's selector transport reads 256 KiB per
-    event, an allocation glibc may trim back on every read, depending on
-    heap layout (``docs/performance.md``, "One path per verb").
-    ``max_size`` is CPython's attribute, not asyncio API.
-    """
-    transport = getattr(writer, "transport", None)
-    if getattr(transport, "max_size", 0) > READ_CHUNK:
-        transport.max_size = READ_CHUNK
 
 
 class _Registration:
@@ -181,12 +167,12 @@ class _Parked:
 
 
 class _HostLink:
-    """One attached host connection: its writer, names, and channels."""
+    """One attached host connection: its frames, writer, names, and channels."""
 
-    def __init__(self, index: int, reader: asyncio.StreamReader,
+    def __init__(self, index: int, frames: FrameProtocol,
                  writer: asyncio.StreamWriter) -> None:
         self.index = index
-        self.reader = reader
+        self.frames = frames
         self.writer = writer
         self.fair = FairWriter(writer)
         self.fair.start()
@@ -324,10 +310,11 @@ class Broker:
             self.stats.bump("rejected_attachments")
             self.log(f"rejected attachment: {error}")
             return
-        except (ConnectionError, OSError, FrameError, EOFError):
+        except (ConnectionError, OSError, FrameError):
             return
-        _cap_transport_reads(writer)
-        link = _HostLink(self._next_link, reader, writer)
+        frames = FrameProtocol.of(reader, writer)
+        frames.decoding = False  # relayed bodies stay undecoded
+        link = _HostLink(self._next_link, frames, writer)
         link.task = asyncio.current_task()
         if link.task is not None:
             self._handler_tasks.add(link.task)
@@ -339,59 +326,48 @@ class Broker:
         self.log(f"{link.label} attached")
         try:
             await self._relay_loop(link)
-        except (ConnectionError, OSError, FrameError, EOFError) as error:
+        except (ConnectionError, OSError, FrameError) as error:
             self.log(f"{link.label} link failed: {error}")
         finally:
             await self._drop_link(link)
 
     async def _relay_loop(self, link: _HostLink) -> None:
-        """Read frames from one host; relay or handle control.
+        """Take frames from one host; relay or handle control.
 
-        The fast path never decodes a body: header + channel extension
-        in, extension rewritten to the peer's id, bytes out.
+        The relay path never decodes a body: a frame's own wire bytes in,
+        channel extension rewritten to the peer's id, bytes out.
         """
-        reader = link.reader
+        frames = link.frames
+        head = HEADER.size  # the channel extension follows the header
         while True:
-            try:
-                header = await reader.readexactly(HEADER.size)
-            except asyncio.IncompleteReadError as error:
-                if not error.partial:
-                    return  # clean EOF
-                raise FrameError("connection closed mid-header") from error
-            magic, type_code, length = HEADER.unpack(header)
-            if magic != MAGIC:
-                raise FrameError(f"bad magic {magic!r}")
-            if length > MAX_FRAME_BODY:
-                raise FrameError(f"declared body of {length} bytes exceeds cap")
+            wire = await frames.recv_wire()
+            if wire is None:
+                return  # clean EOF
             chan = None
-            if type_code & CHAN_FLAG:
-                ext = await reader.readexactly(_CHAN_EXT.size)
-                chan = _CHAN_EXT.unpack(ext)[0]
-            body = await reader.readexactly(length)
-            if chan is not None and chan != CONTROL_CHANNEL:
-                route = link.routes.get(chan)
-                if route is None:
-                    self.stats.bump("orphan_frames")
-                    continue
-                peer_conn, peer_chan = route.peer_of(link, chan)
-                if not peer_conn.alive:
-                    self.stats.bump("orphan_frames")
-                    continue
-                wire = header + _CHAN_EXT.pack(peer_chan) + body
-                if self.flight is not None:
-                    self.flight.on_received(header + ext + body)
-                    self.flight.on_sent(wire)
-                await peer_conn.fair.enqueue(peer_chan, wire)
-                route.frames += 1
-                route.bytes += len(wire)
-                self.stats.bump("relayed_frames")
-                self.stats.bump("relayed_bytes", len(wire))
-            else:
-                frame, _used = decode_frame(
-                    header + (b"" if chan is None
-                              else _CHAN_EXT.pack(chan)) + body
-                )
+            if wire[4] & CHAN_FLAG:  # the type byte, after the magic
+                chan = _CHAN_EXT.unpack_from(wire, head)[0]
+            if chan is None or chan == CONTROL_CHANNEL:
+                frame, _used = decode_frame(wire)
                 await self._handle_control(link, frame)
+                continue
+            route = link.routes.get(chan)
+            if route is None:
+                self.stats.bump("orphan_frames")
+                continue
+            peer_conn, peer_chan = route.peer_of(link, chan)
+            if not peer_conn.alive:
+                self.stats.bump("orphan_frames")
+                continue
+            relayed = b"".join((wire[:head], _CHAN_EXT.pack(peer_chan),
+                                wire[head + _CHAN_EXT.size:]))
+            if self.flight is not None:
+                self.flight.on_received(wire)
+                self.flight.on_sent(relayed)
+            await peer_conn.fair.enqueue(peer_chan, relayed)
+            route.frames += 1
+            route.bytes += len(relayed)
+            self.stats.bump("relayed_frames")
+            self.stats.bump("relayed_bytes", len(relayed))
 
     # -- control commands ----------------------------------------------------
 

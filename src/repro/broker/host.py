@@ -548,7 +548,7 @@ class StageHost:
                       file=sys.stderr)
                 await self.client.release(channel)
                 return False
-            except (ConnectionError, OSError, FrameError, EOFError) as error:
+            except (ConnectionError, OSError, FrameError) as error:
                 await self.client.release(channel)
                 if not resume:
                     raise

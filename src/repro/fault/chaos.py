@@ -3,10 +3,12 @@
 ``ChaosProxy`` listens on a local port, dials the real stage, and
 relays protocol frames in both directions — applying a
 :class:`~repro.fault.plan.FaultPlan`'s frame rules to the traffic
-without either endpoint's cooperation.  Because it parses the actual
+without either endpoint's cooperation.  Because it splits the actual
 frame stream (rather than splicing raw bytes), its drop/duplicate/
 corrupt faults land on whole protocol messages, which is what the
-resume protocol must survive.
+resume protocol must survive.  It forwards each frame's own wire bytes
+without decoding the body — a binary frame crosses it byte-identical —
+and its injector reads only the type byte.
 
 Use it in-process::
 
@@ -31,7 +33,13 @@ from typing import Sequence
 from repro.core.errors import EdenError
 from repro.fault.inject import FaultInjector
 from repro.fault.plan import FaultPlan
-from repro.net.framing import FrameError, encode_frame, read_frame_sized
+from repro.net.framing import (
+    BINARY_FLAG,
+    CHAN_FLAG,
+    FrameError,
+    FrameProtocol,
+    FrameType,
+)
 from repro.net.metrics import NetStats
 
 __all__ = ["ChaosProxy", "main"]
@@ -96,8 +104,10 @@ class ChaosProxy:
             writer.close()
             return
         await asyncio.gather(
-            self._pump(reader, up_writer, self._forward),
-            self._pump(up_reader, writer, self._reverse),
+            self._pump(FrameProtocol(reader, writer, decoding=False),
+                       up_writer, self._forward),
+            self._pump(FrameProtocol(up_reader, up_writer, decoding=False),
+                       writer, self._reverse),
             return_exceptions=True,
         )
         for half in (writer, up_writer):
@@ -109,23 +119,23 @@ class ChaosProxy:
 
     async def _pump(
         self,
-        reader: asyncio.StreamReader,
+        frames: FrameProtocol,
         writer: asyncio.StreamWriter,
         injector: FaultInjector,
     ) -> None:
         """Relay one direction frame-by-frame until EOF or link error."""
         try:
             while True:
-                frame, _wire = await read_frame_sized(reader)
-                if frame is None:
+                wire = await frames.recv_wire()
+                if wire is None:
                     break
                 self.stats.bump("frames_relayed")
-                for chunk in await injector.outgoing(
-                    frame.type.name, encode_frame(frame)
-                ):
+                # The type byte, after the magic, with its flags off.
+                name = FrameType(wire[4] & ~(BINARY_FLAG | CHAN_FLAG)).name
+                for chunk in await injector.outgoing(name, wire):
                     writer.write(chunk)
                     await writer.drain()
-        except (ConnectionError, OSError, FrameError, asyncio.IncompleteReadError):
+        except (ConnectionError, OSError, FrameError):
             self.stats.bump("link_errors")
         finally:
             try:

@@ -33,7 +33,7 @@ __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.net.framing": (
         "Frame", "FrameDecoder", "FrameError", "FrameType", "MAX_FRAME_BODY",
         "decode_frame", "decode_payload", "encode_frame", "encode_payload",
-        "read_frame", "write_frame",
+        "write_frame",
     ),
     "repro.net.handshake": (
         "HandshakeError", "HandshakeLinkDown", "TicketBook", "expect_hello",

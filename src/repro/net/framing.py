@@ -35,11 +35,17 @@ Encoders append into caller-supplied ``bytearray`` buffers
 (:func:`encode_frame_into`) so several frames can be coalesced into
 one ``write``.
 
-**Reading frames.**  Every :class:`~repro.net.protocol.Connection` and
-:class:`~repro.net.mux.ChannelMux` receives through a
-:class:`FrameProtocol`, which decodes frames straight out of one owned
-receive buffer.  The handshake, the control server and the chaos proxy
-read with :func:`read_frame` on an ``asyncio.StreamReader``.
+**Reading frames.**  Every socket receives through one
+:class:`FrameProtocol`, installed by the first frame it reads — a
+HELLO or WELCOME, a control request or reply, the chaos proxy's first
+frame, a broker admission — and kept by the
+:class:`~repro.net.protocol.Connection` or
+:class:`~repro.net.mux.ChannelMux` that takes the socket over.  It
+splits each read into frames in one owned receive buffer, checking
+every header in one place (:meth:`FrameDecoder._feed`), and decodes
+each body as it is split.  The broker relay and the chaos proxy turn
+decoding off and forward each frame's own wire bytes
+(:meth:`FrameProtocol.recv_wire`) without decoding its body.
 
 Frame types map one-to-one onto the protocol's messages:
 
@@ -54,10 +60,10 @@ Frame types map one-to-one onto the protocol's messages:
   request when pushed by a writer;
 - ``CTRL`` / ``CTRL_REPLY`` — out-of-band introspection (STATS /
   SPANS / HEALTH; see :mod:`repro.obs.control`).  Control frames are
-  exchanged on a separate listener with the raw :func:`read_frame` /
-  :func:`write_frame` helpers, never through a counted
-  :class:`~repro.net.protocol.Connection`, so observing a fleet does
-  not perturb the frame counts the paper's cost model predicts.
+  exchanged on a separate listener, written with :func:`write_frame`
+  and read through a bare :class:`FrameProtocol`, never through a
+  counted :class:`~repro.net.protocol.Connection`, so observing a fleet
+  does not perturb the frame counts the paper's cost model predicts.
 
 Any frame body may additionally carry a ``trace`` field (see
 :data:`TRACE_KEY`): the causal span context ``[trace, span, parent]``
@@ -85,7 +91,7 @@ import json
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from repro.core.capability import ChannelCapability
 from repro.core.errors import EdenError
@@ -117,10 +123,7 @@ __all__ = [
     "encode_frame",
     "encode_frame_into",
     "decode_frame",
-    "read_frame",
-    "read_frame_sized",
     "write_frame",
-    "write_frames",
     "TRACE_KEY",
     "attach_trace",
     "frame_trace",
@@ -554,8 +557,7 @@ def encode_frame_into(frame: Frame, out: bytearray,
                       codec: str = CODEC_JSON) -> int:
     """Append one frame's wire form to ``out``; return its byte length.
 
-    Appending into a caller-owned buffer lets several frames coalesce
-    into one socket write (see :func:`write_frames`) and avoids the
+    Appending into a caller-owned (pooled) buffer avoids the
     header-plus-body concatenation copy of the one-shot path.
     """
     start = len(out)
@@ -599,79 +601,56 @@ def encode_frame(frame: Frame, codec: str = CODEC_JSON) -> bytes:
     return bytes(out)
 
 
-def _frame_type(type_code: int) -> FrameType:
-    """The type byte's :class:`FrameType`, flags stripped.
-
-    Checked *before* any flag-driven header-extension parsing, so a
-    garbage type byte whose bits happen to include :data:`CHAN_FLAG`
-    reports "unknown frame type", not a misleading extension error.
-    """
-    frame_type = _TYPE_OF[type_code]
-    if frame_type is None:
-        raise FrameError(f"unknown frame type {type_code & ~_FLAG_MASK}")
-    return frame_type
-
-
-def _decode_body(frame_type: FrameType, type_code: int, data: bytes,
-                 chan: int | None = None) -> Frame:
-    """Build a Frame from its type, raw type byte and body bytes.
+def _decode(wire: bytes) -> Frame:
+    """The frame whose whole wire form is ``wire``, its header already
+    checked by :meth:`FrameDecoder._feed`.
 
     The codec is read off the type byte's :data:`BINARY_FLAG`, so
     every frame is self-describing — a connection can switch codecs
-    after negotiation without a parser mode change.  ``chan`` is the
-    already-parsed channel-id header extension, if the type byte
-    carried :data:`CHAN_FLAG`.
+    after negotiation without a parser mode change.  The body is the
+    tail of ``wire``, decoded where it lies.
     """
+    type_code = wire[4]
+    head = HEADER.size
+    chan = None
+    if type_code & CHAN_FLAG:
+        chan = _CHAN_EXT.unpack_from(wire, head)[0]
+        head += _CHAN_EXT.size
     try:
         if type_code & BINARY_FLAG:
-            body, end = _GET[data[0]](data, 1, 0)
-            if end != len(data):
-                raise FrameError(f"binary body has {len(data) - end} trailing byte(s)")
+            body, end = _GET[wire[head]](wire, head + 1, 0)
+            if end != len(wire):
+                raise FrameError(f"binary body has {len(wire) - end} trailing byte(s)")
         else:
-            text = data.decode("utf-8")
+            text = wire[head:].decode("utf-8")
             try:
                 body, end = _JSON_SCAN(text, 0)
             except StopIteration:
                 end = -1
             if end != len(text):  # whitespace around it, or not JSON at all
                 body = _JSON_DECODER.decode(text)
-            if data.count(b"[") + data.count(b"{") > MAX_NESTING:
+            if len(text) > MAX_NESTING and text.count("[") + text.count("{") > MAX_NESTING:
                 _to_json(body, 0)  # enough brackets to pass the cap: encode's own check
     except (IndexError, TypeError, ValueError, RecursionError, struct.error) as error:
         # Ran off the end; bad UTF-8 or JSON; an unhashable key; brackets past the stack.
         raise FrameError(f"truncated or malformed frame body: {error!r}") from error
     if type(body) is not dict:
         raise FrameError(f"frame body must be an object, got {type(body).__name__}")
-    return Frame(frame_type, body, chan)
+    return Frame(_TYPE_OF[type_code], body, chan)
 
 
-def decode_frame(buffer: bytes) -> tuple[Frame, int]:
-    """Decode one frame from the head of ``buffer``.
+def decode_frame(buffer: Any) -> tuple[Frame, int]:
+    """Decode the frame at the head of ``buffer``: ``(frame, consumed)``.
 
-    Returns ``(frame, consumed)``.  Raises :class:`FrameError` on a
-    malformed header and ``IndexError``-free ``None`` handling is the
-    caller's job via :class:`FrameDecoder`; this low-level form demands
-    the buffer hold at least one complete frame.
+    ``buffer`` must hold at least one whole frame; a malformed header
+    or body, or too few bytes, raises :class:`FrameError`.
     """
-    if len(buffer) < HEADER.size:
-        raise FrameError(f"truncated header: {len(buffer)} bytes")
-    magic, type_code, length = HEADER.unpack_from(buffer)
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r} (expected {MAGIC!r})")
-    if length > MAX_FRAME_BODY:
-        raise FrameError(f"declared body of {length} bytes exceeds MAX_FRAME_BODY")
-    frame_type = _frame_type(type_code)
-    head = HEADER.size
-    chan: int | None = None
-    if type_code & CHAN_FLAG:
-        head += _CHAN_EXT.size
-        if len(buffer) < head:
-            raise FrameError("truncated channel-id extension")
-        chan = _CHAN_EXT.unpack_from(buffer, HEADER.size)[0]
-    if len(buffer) < head + length:
-        raise FrameError("truncated body")
-    body = bytes(memoryview(buffer)[head : head + length])
-    return _decode_body(frame_type, type_code, body, chan), head + length
+    frames: list[tuple[Frame, bytes]] = []
+    FrameDecoder()._feed(buffer, frames, 1)
+    if not frames:
+        raise FrameError(f"truncated frame: {len(buffer)} bytes hold no whole frame")
+    frame, wire = frames[0]
+    return frame, len(wire)
 
 
 #: Residual-buffer size above which :class:`FrameDecoder` right-sizes
@@ -696,18 +675,21 @@ class FrameDecoder:
     that peak, the residue is rebuilt in a fresh right-sized
     ``bytearray`` — one 16 MB frame no longer pins 16 MB for the life
     of the connection.
+
+    ``cap`` bounds a declared body (default :data:`MAX_FRAME_BODY`); a
+    reader that expects less, such as a control client, refuses more at
+    the header.
     """
 
     def __init__(self, shrink_threshold: int = DECODER_SHRINK,
-                 tee: Any = None) -> None:
+                 tee: Any = None, cap: int = MAX_FRAME_BODY) -> None:
         self._buffer = bytearray()
         self._offset = 0
         self._shrink = max(1, shrink_threshold)
         self._peak = 0
-        #: Optional per-frame raw-bytes observer: called with a
-        #: ``memoryview`` of each decoded frame's full wire form (the
-        #: flight recorder's inbound hook).  The view borrows the
-        #: decoder's buffer — consume it synchronously, never store it.
+        self.cap = cap
+        #: Optional per-frame raw-bytes observer (the flight recorder's
+        #: inbound hook): called with each decoded frame's wire bytes.
         self.tee = tee
 
     def feed_sized(self, data: Any) -> list[tuple[Frame, int]]:
@@ -717,17 +699,26 @@ class FrameDecoder:
         any channel extension plus body), so byte accounting survives
         segment-oriented reads.  Accepts ``bytes``, ``bytearray`` or
         ``memoryview`` — a ``recv_into`` scratch slice feeds directly.
-        While no partial frame is pending, frames are decoded straight
+        While no partial frame is pending, frames are split straight
         out of ``data`` and only an incomplete tail is copied.
         """
-        frames: list[tuple[Frame, int]] = []
+        frames: list[tuple[Frame, bytes]] = []
         self._feed(data, frames)
-        return frames
+        if self.tee is not None:
+            for _frame, wire in frames:
+                self.tee(wire)
+        return [(frame, len(wire)) for frame, wire in frames]
 
-    def _feed(self, data: Any, out: Any, room: int = -1) -> None:
-        """Append ``(frame, wire_bytes)`` to ``out`` for up to ``room``
-        frames (no limit when negative), keeping the rest pending.  A
-        malformed frame raises once the frames before it are in ``out``.
+    def _feed(self, data: Any, out: Any, room: int = -1,
+              decoding: bool = True) -> None:
+        """Append ``(frame, wire bytes)`` for each whole frame to ``out``
+        — up to ``room`` frames, no limit when negative — keeping the
+        rest pending.  ``frame`` is ``None`` unless ``decoding``.
+
+        The one place a header is checked: magic, type, the declared
+        length against ``cap`` and the channel extension.  A bad header
+        raises once the frames before it are in ``out``, before a byte
+        of its body is awaited; so does a body that does not decode.
         """
         buffer = self._buffer
         offset = self._offset
@@ -740,31 +731,25 @@ class FrameDecoder:
         size = len(source)
         view = memoryview(source)
         push = out.append
-        tee = self.tee
+        cap = self.cap
         try:
             while room and size - offset >= HEADER.size:
                 magic, type_code, length = HEADER.unpack_from(source, offset)
                 if magic != MAGIC:
-                    raise FrameError(f"bad magic {bytes(magic)!r}")
-                if length > MAX_FRAME_BODY:
-                    raise FrameError(f"declared body of {length} bytes exceeds cap")
-                frame_type = _TYPE_OF[type_code]
-                if frame_type is None:
+                    raise FrameError(f"bad magic {bytes(magic)!r} (expected {MAGIC!r})")
+                if length > cap:
+                    raise FrameError(
+                        f"declared body of {length} bytes exceeds cap: over the "
+                        f"{cap}-byte bound (MAX_FRAME_BODY is {MAX_FRAME_BODY})")
+                if _TYPE_OF[type_code] is None:
                     raise FrameError(f"unknown frame type {type_code & ~_FLAG_MASK}")
-                start = offset + HEADER.size
-                chan = None
+                end = offset + HEADER.size + length
                 if type_code & CHAN_FLAG:
-                    if size - start < _CHAN_EXT.size:
-                        break
-                    chan = _CHAN_EXT.unpack_from(source, start)[0]
-                    start += _CHAN_EXT.size
-                end = start + length
+                    end += _CHAN_EXT.size
                 if end > size:
                     break
-                push((_decode_body(frame_type, type_code, bytes(view[start:end]), chan),
-                      end - offset))
-                if tee is not None:
-                    tee(view[offset:end])
+                wire = bytes(view[offset:end])
+                push((_decode(wire) if decoding else None, wire))
                 offset = end
                 room -= 1
         finally:
@@ -801,7 +786,7 @@ class FrameDecoder:
 
 
 # ---------------------------------------------------------------------------
-# The data plane's receive side.
+# The receive side of every socket.
 # ---------------------------------------------------------------------------
 
 
@@ -810,52 +795,75 @@ class FrameDecoder:
 #: recycles it instead of trimming the heap on every read.
 READ_CHUNK = 64 * 1024
 
-#: Decoded frames a :class:`FrameProtocol` holds for its reader before
-#: it stops reading the socket; it reads again once half are taken.
+#: Frames a :class:`FrameProtocol` holds for its reader before it stops
+#: reading the socket; it reads again once half are taken.
 FRAMES_HIGH_WATER = 256
 
 
 class FrameProtocol(asyncio.BufferedProtocol):
-    """The receive side of one framed connection: socket to frames.
+    """The receive side of one framed socket: bytes to frames.
 
-    Built from a stream pair once the handshake on it is over, it takes
-    the transport over and first decodes what the ``StreamReader``
-    already held.  Then each read lands in one owned
-    :data:`READ_CHUNK` buffer and is decoded in place: no
-    ``StreamReader``, no ``bytes`` per read, and :meth:`recv` awaits
-    only when no decoded frame is waiting.
+    The first frame a socket reads installs it (:meth:`of`): a
+    handshake's HELLO or WELCOME, a control request or reply, a relay's
+    first frame.  Whatever takes the socket over afterwards — a
+    :class:`~repro.net.protocol.Connection`, a
+    :class:`~repro.net.mux.ChannelMux`, the broker relay — keeps the same
+    instance.  It takes the transport from the stream pair and first
+    splits what the ``StreamReader`` already held; then each read lands
+    in one owned :data:`READ_CHUNK` buffer and is split into frames
+    there, every header checked by :meth:`FrameDecoder._feed`.  Each
+    frame's body is decoded as it is split, while its bytes are hot,
+    unless ``decoding`` is off: a relay takes each frame's own wire
+    bytes with :meth:`recv_wire` and never decodes a body.
 
-    - A declared body past :data:`MAX_FRAME_BODY` fails at its header.
+    - A declared body past ``cap`` (:data:`MAX_FRAME_BODY` unless the
+      reader expects less) fails at its header, and the socket is read
+      no further.
     - At :data:`FRAMES_HIGH_WATER` frames not yet taken it stops
       reading, so backpressure reaches the kernel's socket buffers.
-    - Frames decoded ahead of a malformed one, or of EOF inside a
-      frame, are handed out before the :class:`FrameError`.
+    - Frames ahead of a malformed header, of a body that does not
+      decode, or of EOF inside a frame are handed out before the
+      :class:`FrameError`.
     - The stream's ``StreamWriter`` keeps writing, draining and
       closing: flow-control and connection-lost events are passed on
       to the stream's protocol.
-
-    ``tee`` is the :class:`FrameDecoder` hook; it borrows the buffer.
     """
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, tee: Any = None) -> None:
+                 writer: asyncio.StreamWriter, cap: int = MAX_FRAME_BODY,
+                 decoding: bool = True) -> None:
         self.transport = transport = writer.transport
         self._stream = transport.get_protocol()
         self._loop = asyncio.get_running_loop()
-        self._decoder = FrameDecoder(tee=tee)
+        self._decoder = FrameDecoder(cap=cap)
         self._chunk = memoryview(bytearray(READ_CHUNK))
-        #: Decoded ``(frame, wire_bytes)`` pairs not yet taken.
-        self.ready: deque[tuple[Frame, int]] = deque()
+        #: Decode bodies as frames are split; a relay turns this off.
+        self.decoding = decoding
+        #: Optional observer (the flight recorder's inbound hook) of the
+        #: wire bytes of every frame :meth:`recv` or :meth:`recv_nowait`
+        #: hands out.
+        self.tee: Any = None
+        #: ``(frame, wire bytes)`` of each frame read and not yet taken;
+        #: ``frame`` is ``None`` when it was split without ``decoding``.
+        self.ready: deque[tuple[Frame | None, bytes]] = deque()
         self._waiter: asyncio.Future[None] | None = None
         self._paused = self._eof = False
         self._error: BaseException | None = None
         transport.set_protocol(self)
         transport.resume_reading()  # the stream reader may have paused it
         held = reader._buffer  # asyncio has no non-blocking read
-        self._decode(bytes(held))
+        self._split(bytes(held))
         del held[:]
         self._eof = reader.at_eof()
         self._error = self._error or reader.exception()
+
+    @classmethod
+    def of(cls, reader: asyncio.StreamReader,
+           writer: asyncio.StreamWriter) -> "FrameProtocol":
+        """The protocol receiving on this stream pair's socket, installed
+        now if the socket has read no frame yet."""
+        frames = writer.transport.get_protocol()
+        return frames if isinstance(frames, cls) else cls(reader, writer)
 
     # -- asyncio.BufferedProtocol -------------------------------------------
 
@@ -863,7 +871,7 @@ class FrameProtocol(asyncio.BufferedProtocol):
         return self._chunk
 
     def buffer_updated(self, nbytes: int) -> None:
-        self._decode(self._chunk[:nbytes])
+        self._split(self._chunk[:nbytes])
 
     def eof_received(self) -> bool:
         self._eof = True
@@ -886,23 +894,14 @@ class FrameProtocol(asyncio.BufferedProtocol):
     # -- the reader's side ---------------------------------------------------
 
     async def recv(self) -> tuple[Frame | None, int]:
-        """Next ``(frame, wire_bytes)``; ``(None, 0)`` at a clean EOF."""
-        ready = self.ready
-        while not ready:
-            if self._paused:
-                self._resume()
-            elif self._error is not None:
-                raise self._error
-            elif self._eof:
-                if self._decoder.pending:
-                    raise FrameError("connection closed mid-frame")
+        """Next decoded ``(frame, wire_bytes)``; ``(None, 0)`` at a clean EOF."""
+        while not self.ready:
+            if self._error is not None or self._eof:
+                self._end()
                 return None, 0
-            else:
-                self._waiter = self._loop.create_future()
-                await self._waiter
-        if self._paused and len(ready) <= FRAMES_HIGH_WATER // 2:
-            self._resume()
-        return ready.popleft()
+            self._waiter = self._loop.create_future()
+            await self._waiter
+        return self.recv_nowait()
 
     def recv_nowait(self) -> tuple[Frame, int] | None:
         """A decoded ``(frame, wire_bytes)`` if one is waiting (no I/O)."""
@@ -911,28 +910,60 @@ class FrameProtocol(asyncio.BufferedProtocol):
             return None
         if self._paused and len(ready) <= FRAMES_HIGH_WATER // 2:
             self._resume()
-        return ready.popleft()
+        frame, wire = ready.popleft()
+        if self.tee is not None:
+            self.tee(wire)
+        return frame, len(wire)
+
+    async def recv_wire(self) -> bytes | None:
+        """The next frame's own wire bytes; ``None`` at a clean EOF."""
+        ready = self.ready
+        while not ready:
+            if self._error is not None or self._eof:
+                self._end()
+                return None
+            self._waiter = self._loop.create_future()
+            await self._waiter
+        if self._paused and len(ready) <= FRAMES_HIGH_WATER // 2:
+            self._resume()
+        return ready.popleft()[1]
 
     # -- internals -----------------------------------------------------------
 
-    def _decode(self, data: Any) -> None:
+    def _end(self) -> None:
+        """Every frame is taken and no more will come: return at a clean
+        EOF, else raise what broke the stream."""
+        if self._error is not None:
+            raise self._error
+        pending = self._decoder.pending
+        if pending:
+            got = (f" mid-header: got {pending} of {HEADER.size}"
+                   if pending < HEADER.size else f": got {pending}")
+            raise FrameError(f"connection closed mid-frame (truncated{got} bytes)")
+
+    def _split(self, data: Any) -> None:
         if self._error is not None:
             return  # the stream is broken past this point
         ready = self.ready
         try:
-            self._decoder._feed(data, ready, FRAMES_HIGH_WATER - len(ready))
+            self._decoder._feed(data, ready, FRAMES_HIGH_WATER - len(ready),
+                                self.decoding)
         except FrameError as error:
             self._error = error
             self.transport.pause_reading()
         if len(ready) >= FRAMES_HIGH_WATER:
             self._paused = True
             self.transport.pause_reading()
-        self._wake()
+        waiter = self._waiter  # _wake, inline: this runs once per read
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
 
     def _resume(self) -> None:
-        """Decode what the high-water mark held back; then read again."""
+        """Split what the high-water mark held back; then read again."""
         self._paused = False
-        self._decode(b"")
+        self._split(b"")
         if not self._paused and self._error is None:
             self.transport.resume_reading()
 
@@ -945,46 +976,8 @@ class FrameProtocol(asyncio.BufferedProtocol):
 
 
 # ---------------------------------------------------------------------------
-# asyncio stream helpers (handshake, control server, chaos proxy).
+# Sending one frame on a stream.
 # ---------------------------------------------------------------------------
-
-
-async def read_frame_sized(
-    reader: asyncio.StreamReader,
-) -> tuple[Frame | None, int]:
-    """Read one frame; returns ``(frame, wire_bytes)``, frame None on EOF."""
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None, 0
-        raise FrameError("connection closed mid-header") from error
-    magic, type_code, length = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if length > MAX_FRAME_BODY:
-        raise FrameError(f"declared body of {length} bytes exceeds cap")
-    frame_type = _frame_type(type_code)
-    head = HEADER.size
-    chan: int | None = None
-    if type_code & CHAN_FLAG:
-        try:
-            ext = await reader.readexactly(_CHAN_EXT.size)
-        except asyncio.IncompleteReadError as error:
-            raise FrameError("connection closed mid-channel-id") from error
-        chan = _CHAN_EXT.unpack(ext)[0]
-        head += _CHAN_EXT.size
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise FrameError("connection closed mid-body") from error
-    return _decode_body(frame_type, type_code, body, chan), head + length
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Frame | None:
-    """Read exactly one frame; ``None`` on clean EOF at a frame edge."""
-    frame, _wire_bytes = await read_frame_sized(reader)
-    return frame
 
 
 def _release_after_write(pool: BufferPool | None,
@@ -1021,38 +1014,15 @@ async def write_frame(
     flight recorder's outbound hook, reusing the pooled buffer rather
     than re-encoding or copying the frame.
     """
-    return await write_frames(writer, (frame,), codec, pool, tee)
-
-
-async def write_frames(
-    writer: asyncio.StreamWriter,
-    frames: Sequence[Frame],
-    codec: str = CODEC_JSON,
-    pool: BufferPool | None = POOL,
-    tee: Any = None,
-) -> int:
-    """Send several frames in one coalesced write; returns wire bytes.
-
-    One pooled buffer, one ``write``, one ``drain`` — a pipelined
-    burst of READs (or a credit window of WRITEs) costs a single
-    syscall instead of one per frame.  ``tee`` observes each frame's
-    wire slice of the shared buffer individually, so a coalesced burst
-    still records one flight event per frame.
-    """
     out = pool.acquire() if pool is not None else bytearray()
     try:
-        sizes = [encode_frame_into(frame, out, codec) for frame in frames]
+        size = encode_frame_into(frame, out, codec)
     except BaseException:
         if pool is not None:
             pool.release(out)  # nothing was written: the buffer is still ours
         raise
-    size = len(out)
     if tee is not None:
-        with memoryview(out) as view:
-            position = 0
-            for frame_size in sizes:
-                tee(view[position:position + frame_size])
-                position += frame_size
+        tee(out)
     writer.write(out)
     await writer.drain()
     _release_after_write(pool, writer, out)

@@ -16,7 +16,10 @@ its role (``"pull"`` — it will issue READs — or ``"push"`` — it will
 send WRITEs), and the channel it addresses.  The accepting side
 verifies the ticket and answers ``WELCOME`` (carrying the granted
 write credit and its own ticket, so authentication is mutual) or
-``ERROR`` + close.
+``ERROR`` + close.  Over a stream pair, the HELLO or WELCOME a side
+reads is the first frame of its socket: it installs the socket's
+:class:`~repro.net.framing.FrameProtocol`, which the connection that
+follows keeps.
 
 **Session resume** (``docs/fault_tolerance.md``): a reconnecting pull
 client adds ``"resume": {"next_seq": k}`` to its HELLO — "I have
@@ -48,8 +51,8 @@ from repro.net.framing import (
     CODEC_JSON,
     CODECS,
     Frame,
+    FrameProtocol,
     FrameType,
-    read_frame,
     write_frame,
 )
 
@@ -207,7 +210,7 @@ async def send_hello(
         hello_frame(uid, role, channel, next_seq=next_seq, codecs=codecs,
                     roles=roles),
     )
-    reply = await read_frame(reader)
+    reply, _wire_bytes = await FrameProtocol.of(reader, writer).recv()
     return _check_welcome(reply, book)
 
 
@@ -347,8 +350,9 @@ async def expect_hello(
     as ``resume_seq`` so a reconnecting pusher can skip records the
     server already has.
     """
-    hello, reply = _admit(await read_frame(reader), book, server_uid, credit,
-                          resume_seq_for, codec_offer, roles)
+    first, _wire_bytes = await FrameProtocol.of(reader, writer).recv()
+    hello, reply = _admit(first, book, server_uid, credit, resume_seq_for,
+                          codec_offer, roles)
     if hello is None:
         try:
             await write_frame(writer, reply)

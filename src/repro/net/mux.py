@@ -435,10 +435,9 @@ class ChannelMux:
     async def _read_loop(self) -> None:
         error: BaseException | None = None
         try:
-            frames = FrameProtocol(
-                self.reader, self.writer,
-                tee=self.flight.on_received if self.flight is not None else None,
-            )
+            frames = FrameProtocol.of(self.reader, self.writer)
+            if self.flight is not None:
+                frames.tee = self.flight.on_received
             while True:
                 frame, wire_bytes = await frames.recv()
                 if frame is None:
@@ -455,7 +454,7 @@ class ChannelMux:
                     self.stats.bump("mux_orphan_frames")
         except asyncio.CancelledError:
             raise
-        except (ConnectionError, OSError, FrameError, EOFError) as exc:
+        except (ConnectionError, OSError, FrameError) as exc:
             error = exc
         finally:
             self._shut(error)
@@ -479,7 +478,7 @@ class ChannelMux:
             try:
                 await self._read_task
             except (asyncio.CancelledError, ConnectionError, OSError,
-                    FrameError, EOFError):
+                    FrameError):
                 pass
             self._read_task = None
         await self._fair.close()

@@ -130,13 +130,11 @@ class LinkDown(WireError):
 
 
 #: Transport-level failures a resuming peer treats as retryable.
-#: (``asyncio.IncompleteReadError`` is an ``EOFError``;
-#: ``asyncio.TimeoutError`` aliases ``TimeoutError`` from 3.11 on.)
+#: (``asyncio.TimeoutError`` aliases ``TimeoutError`` from 3.11 on.)
 _LINK_FAULTS = (
     ConnectionError,
     OSError,
     FrameError,
-    EOFError,
     asyncio.TimeoutError,
     TimeoutError,
 )
@@ -187,8 +185,8 @@ class Connection:
         #: frames are self-describing, so only sending needs a mode).
         self.codec = codec
         self._transport = writer.transport
-        #: The frame protocol this connection receives through, adopted
-        #: on first recv — after the handshake's stream reads are done.
+        #: The socket's frame protocol, taken up on first recv: the one
+        #: the handshake's first read installed, or a new one.
         self._frames: FrameProtocol | None = None
 
     async def send(self, frame: Frame) -> None:
@@ -282,11 +280,10 @@ class Connection:
             )
 
     def _adopt(self) -> FrameProtocol:
-        self._frames = FrameProtocol(
-            self.reader, self.writer,
-            tee=self.flight.on_received if self.flight is not None else None,
-        )
-        return self._frames
+        self._frames = frames = FrameProtocol.of(self.reader, self.writer)
+        if self.flight is not None:
+            frames.tee = self.flight.on_received
+        return frames
 
     async def recv(self) -> Frame | None:
         frame, wire_bytes = await (self._frames or self._adopt()).recv()

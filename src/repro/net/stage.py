@@ -458,7 +458,7 @@ class _Stage:
                       file=sys.stderr)
             except Exception as error:
                 if resume and isinstance(
-                        error, (ConnectionError, OSError, FrameError, EOFError)):
+                        error, (ConnectionError, OSError, FrameError)):
                     # The peer died mid-connection; it (or its restarted
                     # successor) will be back — drop this connection only.
                     self.stats.bump("client_disconnects")

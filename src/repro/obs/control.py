@@ -7,12 +7,16 @@ gets one ``CTRL_REPLY`` back: ``{"ok": true, "payload": ...}`` on
 success, ``{"ok": false, "error": ...}`` otherwise.
 
 Control traffic deliberately bypasses :class:`repro.net.protocol.
-Connection`: frames go through the raw :func:`repro.net.framing.
-read_frame` / :func:`~repro.net.framing.write_frame` helpers, so
-**observing a stage never perturbs the frame counts** the paper's cost
-model predicts (C1/C2 hold with or without a watcher attached).  No
-handshake is required either — the control port carries no stream
-data, only locally produced snapshots.
+Connection`: requests and replies are written with
+:func:`~repro.net.framing.write_frame` and read through a bare
+:class:`~repro.net.framing.FrameProtocol`, with no counting layer on
+top, so **observing a stage never perturbs the frame counts** the
+paper's cost model predicts (C1/C2 hold with or without a watcher
+attached).  No handshake is required either — the control port carries
+no stream data, only locally produced snapshots.  The client's
+protocol refuses a reply longer than :data:`MAX_CONTROL_REPLY` at its
+header, and every way a reply can fail to arrive whole is a
+:class:`ControlError`.
 
 Commands are an open vocabulary: the server is built from a mapping of
 command name to handler, and ``eden-stage`` installs:
@@ -30,14 +34,10 @@ from typing import Any, Callable, Mapping
 
 from repro.core.errors import EdenError
 from repro.net.framing import (
-    CHAN_FLAG,
-    HEADER,
-    MAGIC,
     Frame,
     FrameError,
+    FrameProtocol,
     FrameType,
-    decode_frame,
-    read_frame,
     write_frame,
 )
 
@@ -68,8 +68,9 @@ async def _serve_client(
     handlers: Mapping[str, ControlHandler],
 ) -> None:
     try:
+        frames = FrameProtocol(reader, writer)
         while True:
-            frame = await read_frame(reader)
+            frame, _wire_bytes = await frames.recv()
             if frame is None:
                 return
             if frame.type is not FrameType.CTRL:
@@ -127,47 +128,6 @@ async def start_control_server(
     return await asyncio.start_server(handle, host=host, port=port)
 
 
-async def _read_reply(reader: asyncio.StreamReader) -> Frame | None:
-    """One reply frame, size-bounded, with truncation surfaced cleanly.
-
-    A stage dying mid-reply (or a port that is not a control port at
-    all) is a verdict on the *stage* and must come back as a
-    :class:`ControlError`, never as a frame-decode traceback.  The
-    declared body length is checked against :data:`MAX_CONTROL_REPLY`
-    before a single body byte is buffered.
-    """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ControlError(
-            f"reply truncated mid-header ({len(error.partial)} of "
-            f"{HEADER.size} bytes)"
-        ) from error
-    magic, type_code, length = HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ControlError(f"not a control reply: bad magic {magic!r}")
-    if length > MAX_CONTROL_REPLY:
-        raise ControlError(
-            f"control reply declares {length} bytes, over the "
-            f"{MAX_CONTROL_REPLY}-byte bound (runaway handler or "
-            f"corrupt length)"
-        )
-    rest = length + (4 if type_code & CHAN_FLAG else 0)  # chan-id ext
-    try:
-        body = await reader.readexactly(rest)
-    except asyncio.IncompleteReadError as error:
-        raise ControlError(
-            f"reply truncated: got {len(error.partial)} of {rest} body bytes"
-        ) from error
-    try:
-        frame, _used = decode_frame(header + body)
-    except FrameError as error:
-        raise ControlError(f"undecodable control reply: {error}") from error
-    return frame
-
-
 async def query_async(
     host: str, port: int, cmd: str, timeout: float = 5.0, **args: Any
 ) -> Any:
@@ -184,7 +144,10 @@ async def query_async(
         raise ControlError(f"cannot reach {host}:{port}: {error}") from error
     try:
         await write_frame(writer, Frame(FrameType.CTRL, {"cmd": cmd, **args}))
-        reply = await asyncio.wait_for(_read_reply(reader), timeout=timeout)
+        frames = FrameProtocol(reader, writer, cap=MAX_CONTROL_REPLY)
+        reply, _wire_bytes = await asyncio.wait_for(frames.recv(), timeout=timeout)
+    except FrameError as error:  # truncated, oversized, not a frame at all
+        raise ControlError(f"undecodable control reply: {error}") from error
     except (ConnectionError, OSError, asyncio.TimeoutError) as error:
         raise ControlError(f"control request failed: {error}") from error
     finally:

@@ -13,8 +13,11 @@ serialization → pipeline-parallel transition the paper predicts.
 
 One addition serves the TCP data plane: ``pipeline_depth`` lets an
 active reader keep several READ requests in flight (overlapping the
-round trip that otherwise stalls every batch).  Every knob is fixed
-for the run, so every edge's invocation count is predictable.
+round trip that otherwise stalls every batch).  It is an explicit,
+TCP-only knob: ``lookahead`` buffers (C5) and never pipelines READs,
+so it leaves every invocation count where the model puts it.  Every
+knob is fixed for the run, so every edge's invocation count is
+predictable.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ class FlowPolicy:
             ``eden-stage --credit-window``, and this policy all mean
             the same number by it.
         pipeline_depth: READ requests an active reader keeps in flight
-            over TCP (``None`` = derive; see
-            :meth:`effective_pipeline_depth`).  1 is the paper's
-            strict request/response alternation; deeper overlaps the
-            round trip without changing pull semantics.
+            over TCP (``None`` = 1, the paper's strict request/response
+            alternation).  Deeper overlaps the round trip without
+            changing pull semantics, but each READ still on the wire at
+            END is answered END and counted.
     """
 
     lookahead: int = 0
@@ -97,16 +100,11 @@ class FlowPolicy:
     def effective_pipeline_depth(self) -> int:
         """READ requests an active reader keeps in flight over TCP.
 
-        Explicit ``pipeline_depth`` wins; otherwise the lookahead knob
-        plays its anticipatory role here too (capped at the credit
-        window's scale); fully lazy degenerates to 1 — the strict
-        READ→DATA alternation whose invocation counts match the paper.
+        Only an explicit ``pipeline_depth`` pipelines; otherwise 1, the
+        strict READ→DATA alternation whose invocation counts match the
+        paper.  ``lookahead`` buffers ahead with one READ in flight.
         """
-        if self.pipeline_depth is not None:
-            return self.pipeline_depth
-        if self.lookahead > 0:
-            return self.lookahead
-        return 1
+        return self.pipeline_depth or 1
 
     def with_pipeline_depth(self, pipeline_depth: int | None) -> "FlowPolicy":
         """The same policy keeping ``pipeline_depth`` READs in flight."""

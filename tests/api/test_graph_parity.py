@@ -227,6 +227,36 @@ class TestWriteonlyBatchParity:
         assert result.invocations == 2 * (len(ITEMS) + 1)
 
 
+class TestReadonlyLookaheadParity:
+    """``lookahead`` buffers on every runtime; it never pipelines READs.
+
+    A read-only filter keeps ``lookahead`` records ready with one READ
+    in flight, so the counts stay the model's.  While ``lookahead=k``
+    also meant ``pipeline_depth=k`` on TCP, each hop had k − 1 READs on
+    the wire at END, each answered END and counted: TCP read 3 096 /
+    285 / 774 on these rows.
+    """
+
+    @pytest.mark.parametrize("lookahead, batch, expected", [
+        (32, 1, 3003),   # 3 hops x (1000 + END)
+        (32, 16, 192),   # 3 hops x (63 + END)
+        (8, 4, 753),     # 3 hops x (250 + END)
+    ])
+    def test_identity_chain_counts_match_the_model(self, lookahead, batch,
+                                                   expected, tmp_path):
+        items = [f"r{i:04d}" for i in range(1000)]
+        graph = (GraphBuilder(source=items, discipline="readonly",
+                              flow=FlowPolicy(lookahead=lookahead, batch=batch))
+                 .chain(IDENTITY).chain(IDENTITY)
+                 .build())
+        assert predicted_total(graph) == expected
+        for runtime in ("sim", "aio", "tcp"):
+            result = graph.run(runtime=runtime, **(
+                {"workdir": str(tmp_path)} if runtime == "tcp" else {}))
+            assert result.output == items, runtime
+            assert result.invocations == expected, runtime
+
+
 class TestKnobRejection:
     """TCP-only knobs fail eagerly and identically on sim and aio."""
 

@@ -3,7 +3,9 @@
 import asyncio
 
 from repro.fault import ChaosProxy, FaultPlan, FrameFault
-from repro.net.framing import Frame, FrameType, encode_frame, read_frame_sized
+from repro.net.framing import CODEC_BINARY, Frame, FrameType, encode_frame
+
+from tests.net.peer import read_frame_sized
 
 
 async def _echo_server():
@@ -11,7 +13,7 @@ async def _echo_server():
 
     async def handle(reader, writer):
         while True:
-            frame, _wire = await read_frame_sized(reader)
+            frame, _wire = await read_frame_sized(reader, writer)
             if frame is None:
                 break
             writer.write(encode_frame(frame))
@@ -30,7 +32,7 @@ async def _exchange(proxy_port, frames, replies_expected):
     writer.write_eof()
     got = []
     for _ in range(replies_expected):
-        frame, _wire = await asyncio.wait_for(read_frame_sized(reader), 5.0)
+        frame, _wire = await asyncio.wait_for(read_frame_sized(reader, writer), 5.0)
         if frame is None:
             break
         got.append(frame)
@@ -82,3 +84,37 @@ def test_forward_drop_swallows_the_nth_request():
     assert [frame.body["seq"] for frame in echoed] == [0, 2]
     assert counters["fault_drop"] == 1
     assert counters["frames_relayed"] >= 5  # 3 in, 2 echoed back
+
+
+def test_a_binary_frame_crosses_byte_identical():
+    """The proxy forwards a frame's own wire bytes: a binary DATA frame
+    (type byte 0x84) reaches the target as sent, not re-encoded as JSON
+    (type byte 0x04, four bytes longer)."""
+    wire = encode_frame(Frame(FrameType.DATA, {"items": ["a", "b"], "seq": 3}),
+                        CODEC_BINARY)
+
+    async def scenario():
+        received = asyncio.get_running_loop().create_future()
+
+        async def target(reader, writer):
+            received.set_result(await reader.read())
+            writer.close()
+
+        server = await asyncio.start_server(target, "127.0.0.1", 0)
+        proxy = await ChaosProxy(
+            "127.0.0.1", server.sockets[0].getsockname()[1], FaultPlan()
+        ).start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", proxy.port)
+        writer.write(wire)
+        writer.write_eof()
+        try:
+            forwarded = await asyncio.wait_for(received, 5.0)
+            await asyncio.wait_for(reader.read(), 5.0)  # both directions ended
+            return forwarded
+        finally:
+            writer.close()
+            await proxy.stop()
+            server.close()
+            await server.wait_closed()
+
+    assert asyncio.run(scenario()) == wire

@@ -161,7 +161,7 @@ SURFACE = {
         "repro.net.framing": (
             "Frame FrameDecoder FrameError FrameType MAX_FRAME_BODY "
             "decode_frame decode_payload encode_frame encode_payload "
-            "read_frame write_frame"
+            "write_frame"
         ),
         "repro.net.handshake": (
             "HandshakeError HandshakeLinkDown TicketBook expect_hello "

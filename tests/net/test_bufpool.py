@@ -12,8 +12,9 @@ from repro.net.framing import (
     FrameType,
     encode_frame,
     write_frame,
-    write_frames,
 )
+
+from tests.net.peer import write_frames
 
 
 class TestAcquireRelease:

@@ -24,10 +24,11 @@ from repro.net.framing import (
     decode_payload,
     encode_frame,
     encode_payload,
-    read_frame,
 )
 from repro.net.handshake import TicketBook, expect_hello, hello_frame
 from repro.net.protocol import Connection, serve_pull
+
+from tests.net.peer import read_frame
 
 
 def roundtrip(frame: Frame) -> Frame:
@@ -488,7 +489,7 @@ class TestFrameProtocol:
             hello = hello_frame(book.ticket(1), "pull")
             read = Frame(FrameType.READ, {"batch": 2, "channel": "Output"})
             writer.write(encode_frame(hello) + encode_frame(read))
-            welcome = await read_frame(reader)
+            welcome = await read_frame(reader, writer)
             frame = await asyncio.wait_for(got, 5.0)
             await close_all(server, writer)
             return welcome, frame, read

@@ -5,7 +5,7 @@ import asyncio
 import pytest
 
 from repro.core.uid import UID
-from repro.net.framing import Frame, FrameType, read_frame, write_frame
+from repro.net.framing import Frame, FrameType, write_frame
 from repro.net.handshake import (
     HandshakeError,
     HandshakeLinkDown,
@@ -16,6 +16,8 @@ from repro.net.handshake import (
     expect_hello_over,
     send_hello,
 )
+
+from tests.net.peer import read_frame
 
 
 class TestTicketBook:
@@ -117,7 +119,7 @@ class TestHandshakeOverSockets:
             server, port, result = await _serve_one(book, book.ticket(0))
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             await write_frame(writer, Frame(FrameType.READ, {"batch": 1}))
-            reply = await read_frame(reader)
+            reply = await read_frame(reader, writer)
             server.close()
             await server.wait_closed()
             return reply, result
@@ -135,7 +137,7 @@ class TestHandshakeOverSockets:
             await write_frame(writer, Frame(FrameType.HELLO, {
                 "uid": book.ticket(1), "role": "teleport", "channel": "Output",
             }))
-            reply = await read_frame(reader)
+            reply = await read_frame(reader, writer)
             server.close()
             await server.wait_closed()
             return reply
@@ -216,7 +218,7 @@ class TestOneAdmissionOnBothTransports:
             server, port, result = await _serve_one(book, book.ticket(0))
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             await write_frame(writer, first)
-            reply = await read_frame(reader)
+            reply = await read_frame(reader, writer)
             error = await _error_of(result)
             server.close()
             await server.wait_closed()

@@ -18,7 +18,6 @@ from repro.net.framing import (
     Frame,
     FrameType,
     encode_frame,
-    read_frame,
     write_frame,
 )
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, expect_hello, send_hello
@@ -40,6 +39,7 @@ from repro.transput.filterbase import identity_transducer, make_transducer
 from repro.transput.flow import FlowPolicy
 from repro.transput.stream import END_TRANSFER, Transfer
 
+from tests.net.peer import read_frame
 from tests.net.wiretap import (
     BOOK_ARGS,
     ITEMS,
@@ -519,7 +519,7 @@ async def vanishing_pusher(port, items, resume=False):
     body = {"items": items, "channel": "Output"}
     await write_frame(writer, Frame(
         FrameType.WRITE, {**body, "seq": 0} if resume else body))
-    ack = await read_frame(reader)
+    ack = await read_frame(reader, writer)
     assert ack.type is FrameType.ACK and ack.body["credit"] == len(items)
     writer.close()
     await writer.wait_closed()
@@ -598,7 +598,7 @@ class TestHostileFields:
                          book=client_book())
         await write_frame(writer, frame)
         try:
-            return await asyncio.wait_for(read_frame(reader), 5.0)
+            return await asyncio.wait_for(read_frame(reader, writer), 5.0)
         finally:
             writer.close()
 
@@ -642,10 +642,10 @@ class TestHostileFields:
 
             async def handle(reader, writer):
                 await expect_hello(reader, writer, book, book.ticket(0))
-                await read_frame(reader)
+                await read_frame(reader, writer)
                 await write_frame(writer, Frame(
                     FrameType.DATA, {"items": items, "channel": "Output"}))
-                await read_frame(reader)  # until the reader hangs up
+                await read_frame(reader, writer)  # until the reader hangs up
                 writer.close()
 
             server = await asyncio.start_server(handle, "127.0.0.1", 0)

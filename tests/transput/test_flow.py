@@ -92,8 +92,8 @@ class TestPipelineDepth:
         policy = FlowPolicy(lookahead=4, pipeline_depth=8)
         assert policy.effective_pipeline_depth() == 8
 
-    def test_lookahead_is_the_fallback(self):
-        assert FlowPolicy.eager(lookahead=5).effective_pipeline_depth() == 5
+    def test_lookahead_buffers_without_pipelining_reads(self):
+        assert FlowPolicy.eager(lookahead=5).effective_pipeline_depth() == 1
 
     @pytest.mark.parametrize("depth", [0, -3])
     def test_bad_depth_rejected(self, depth):
