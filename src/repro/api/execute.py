@@ -238,6 +238,11 @@ def _run_program(
             f"edge knob(s) need the supervised fleet ({detail}); "
             f"run(runtime='tcp', ...) instead of {runtime!r}"
         )
+    io_timeout = fleet.get("io_timeout")
+    if io_timeout is not None and (
+        not isinstance(io_timeout, (int, float)) or io_timeout <= 0
+    ):
+        raise ValueError(f"io_timeout must be > 0 or None, got {io_timeout!r}")
     placement_policy = fleet.get("placement_policy")
     if placement_policy is not None:
         from repro.net.affinity import PLACEMENT_POLICIES
@@ -548,18 +553,26 @@ def _fleet_fields(fleets: Sequence[Any]) -> dict[str, Any]:
     """The :class:`GraphResult` fields of a TCP run's fleets.
 
     Stage counters and supervisor counters are *summed* over every
-    fleet the run supervised, so ``restarts`` and
-    ``supervisor["counters"]["restarts"]`` are one number.
+    fleet the run supervised.  A stage host restarts its stages itself,
+    counting under the supervisor's restart-rule names; those counters
+    join the supervisor's, so ``restarts`` and
+    ``supervisor["counters"]["restarts"]`` are one number on either
+    placement.
     """
     from repro.core.stats import KernelStats
+    from repro.fault.plan import RestartRule
     from repro.net.metrics import merge_stats
     from repro.obs.registry import snapshot_payload, stats_from_payload
 
     supervisor = KernelStats()
     for fleet in fleets:
         stats_from_payload(fleet.supervisor, into=supervisor)
+    totals = merge_stats(*(f.totals for f in fleets))
+    for name in totals.names():
+        if name.partition("[")[0] in RestartRule.COUNTERS:
+            supervisor.bump(name, totals.get(name))
     return {
-        "stats": snapshot_payload(merge_stats(*(f.totals for f in fleets))),
+        "stats": snapshot_payload(totals),
         "restarts": supervisor.get("restarts"),
         "supervisor": snapshot_payload(supervisor),
         "stderr": [text for fleet in fleets for text in fleet.stderr],

@@ -1,13 +1,16 @@
 """eden-host: hundreds of pipeline stages in one asyncio process.
 
 ``python -m repro.broker.host`` (installed as ``eden-host``) runs many
-lightweight stages — the same transducers, flow policies, and resume
-machinery :mod:`repro.net.stage` hosts one-per-process — inside a
-single event loop, over a *single* TCP connection to the broker.
-Every inter-stage link is a logical channel (:mod:`repro.net.mux`)
-opened by fleet-scoped *name* through the broker, so the host never
-binds a data port and two stages in the same host talk through the
-broker exactly like stages on different machines.
+lightweight stages inside a single event loop, over a *single* TCP
+connection to the broker.  Each hosted stage is the stage
+:mod:`repro.net.stage` runs one-per-process — the same role table,
+serve loop, transducers, flow policies and resume machinery — whose
+links are logical channels (:mod:`repro.net.mux`) opened by
+fleet-scoped *name* through the broker, so the host never binds a
+data port and two stages in the same host talk through the broker
+exactly like stages on different machines.  The host adds only the
+broker client, registration, accept routing, the per-stage
+incarnation loop, control handlers and output/stats emission.
 
 What survives the density jump:
 
@@ -15,16 +18,18 @@ What survives the density jump:
   broker and receives its own serial, hence its own ticket UID; every
   channel handshake still verifies tickets (C4), and span ids keep
   their ``s<serial>-`` fleet-unique prefixes.
-- **Supervision.**  Each stage runs under its own in-process
-  supervise loop with the FleetSupervisor's semantics: a crash (a
+- **Supervision.**  Each stage runs incarnation by incarnation under
+  the FleetSupervisor's own :class:`~repro.fault.plan.RestartRule`
+  (backoff, per-stage budget, the same counter names): a crash (a
   ``kill_after`` fault, a non-resumable link error) tears down only
-  that stage's incarnation, which restarts with backoff against a
-  restart budget.  Mid-stream peers observe a channel hangup and
-  reopen by name — the broker parks their opens until the stage's
-  next incarnation re-registers its serve loop.
+  that stage's incarnation.  Mid-stream peers observe a channel hangup
+  and reopen by name — their opens park in the stage's accept queue
+  until its next incarnation serves them.
 - **Fault plans.**  ``kill_after`` trips an in-process kill (the
   stage dies; the host lives), frame faults inject per-channel, and
   ``refuse_accepts`` declines accepted channels before the handshake.
+  A restarted stage runs the plan's survivor, as a restarted process
+  does.
 - **Observability.**  One tracer carries every stage's spans (one
   trace file for the whole host; the merger groups evidence by each
   span's own stage label), and the host serves live STATS / HEALTH /
@@ -39,52 +44,29 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, AsyncIterator, Mapping, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.errors import EdenError
 from repro.core.tracing import Tracer
-from repro.aio.streams import (
-    AioCollector,
-    AioReadOnlyStage,
-    AioSource,
-    AioWriteOnlyStage,
-    collect,
-)
-from repro.fault.plan import FaultPlan
+from repro.fault.plan import FaultPlan, RestartRefused, RestartRule
 from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
-from repro.net.framing import CODEC_JSON, CODECS, FrameError
-from repro.net.handshake import (
-    ROLE_PULL,
-    ROLE_PUSH,
-    HandshakeError,
-    Hello,
-    TicketBook,
-    expect_hello_over,
-)
+from repro.net.framing import CODEC_JSON, CODECS
+from repro.net.handshake import ROLE_PULL, ROLE_PUSH, Hello, TicketBook
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
-from repro.net.protocol import (
-    PushState,
-    ReplayLog,
-    channel_key,
-    serve_pull,
-    serve_push,
-)
-from repro.net.stage import load_transducer, pump
+from repro.net.stage import StageConfig, _Stage
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
-from repro.transput.filterbase import identity_transducer
+from repro.transput.flow import FlowPolicy
 from repro.broker.client import BrokerClient
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.fault.inject import KillSwitch
 
 __all__ = [
     "HostConfig",
@@ -159,26 +141,6 @@ class HostedStageSpec:
             fault=FaultPlan.from_dict(fault) if fault else FaultPlan(),
         )
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "role": self.role,
-            "upstream": self.upstream,
-            "downstream": self.downstream,
-            "transducer_spec": self.transducer_spec,
-            "transducer_args": list(self.transducer_args),
-            "source_items": self.source_items,
-            "expected_clients": self.expected_clients,
-            "channel": self.channel,
-            "fault": self.fault.as_dict(),
-        }
-
-
-_FLOW_KEYS = (
-    "lookahead", "batch", "buffer_capacity", "inbox_capacity",
-    "credit_window", "pipeline_depth",
-)
-
 
 @dataclass
 class HostConfig:
@@ -193,11 +155,10 @@ class HostConfig:
     serial: int = 2
     resume: bool = False
     codec: str = CODEC_JSON
-    flow: "FlowPolicy" = None  # type: ignore[assignment]
+    flow: FlowPolicy = field(default_factory=FlowPolicy)
     io_timeout: float | None = None
     connect_deadline: float = 15.0
     max_restarts: int = 0
-    restart_backoff: float = 0.05
     stats_file: str | None = None
     trace_file: str | None = None
     output_file: str | None = None
@@ -208,10 +169,6 @@ class HostConfig:
     flight_mode: str = MODE_FULL
 
     def __post_init__(self) -> None:
-        from repro.transput.flow import FlowPolicy
-
-        if self.flow is None:
-            self.flow = FlowPolicy()
         if self.flight_mode not in FLIGHT_MODES:
             raise ValueError(
                 f"flight_mode must be one of {FLIGHT_MODES}, "
@@ -230,14 +187,9 @@ class HostConfig:
         names = [spec.name for spec in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HostConfig":
-        from repro.transput.flow import FlowPolicy
-
-        flow_data = data.get("flow") or {}
         return cls(
             broker_host=data["broker_host"],
             broker_port=int(data["broker_port"]),
@@ -248,13 +200,10 @@ class HostConfig:
             serial=int(data.get("serial", 2)),
             resume=bool(data.get("resume", False)),
             codec=data.get("codec", CODEC_JSON),
-            flow=FlowPolicy(**{
-                key: flow_data[key] for key in _FLOW_KEYS if key in flow_data
-            }),
+            flow=FlowPolicy(**(data.get("flow") or {})),
             io_timeout=data.get("io_timeout"),
             connect_deadline=float(data.get("connect_deadline", 15.0)),
             max_restarts=int(data.get("max_restarts", 0)),
-            restart_backoff=float(data.get("restart_backoff", 0.05)),
             stats_file=data.get("stats_file"),
             trace_file=data.get("trace_file"),
             output_file=data.get("output_file"),
@@ -263,31 +212,6 @@ class HostConfig:
             flight_dir=data.get("flight_dir"),
             flight_mode=data.get("flight_mode", MODE_FULL),
         )
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "broker_host": self.broker_host,
-            "broker_port": self.broker_port,
-            "stages": [spec.as_dict() for spec in self.stages],
-            "discipline": self.discipline,
-            "ticket_space": self.ticket_space,
-            "ticket_seed": self.ticket_seed,
-            "serial": self.serial,
-            "resume": self.resume,
-            "codec": self.codec,
-            "flow": self.flow.describe(),
-            "io_timeout": self.io_timeout,
-            "connect_deadline": self.connect_deadline,
-            "max_restarts": self.max_restarts,
-            "restart_backoff": self.restart_backoff,
-            "stats_file": self.stats_file,
-            "trace_file": self.trace_file,
-            "output_file": self.output_file,
-            "control_port": self.control_port,
-            "cpu": self.cpu,
-            "flight_dir": self.flight_dir,
-            "flight_mode": self.flight_mode,
-        }
 
 
 def serves_roles(role: str, discipline: str) -> tuple[str, ...]:
@@ -300,7 +224,7 @@ def serves_roles(role: str, discipline: str) -> tuple[str, ...]:
 
 
 class _HostedStage:
-    """The runtime state of one stage inside the host."""
+    """One hosted stage across its incarnations: what the host keeps."""
 
     def __init__(self, spec: HostedStageSpec, host: "StageHost") -> None:
         self.spec = spec
@@ -309,23 +233,12 @@ class _HostedStage:
         self.uid = None  # ticket minted once the serial is known
         self.label = f"{spec.role}/{host.config.discipline}"
         self.spans: SpanIds | None = None
-        self.accepts: asyncio.Queue[tuple[MuxChannel, dict[str, Any]]] = (
-            asyncio.Queue()
-        )
-        self.ready = asyncio.Event()
+        # Accepted channels wait here between incarnations, so a
+        # restart's clients park instead of failing.
+        self.accepts: asyncio.Queue[MuxChannel] = asyncio.Queue()
         self.collected: list[Any] | None = None
         self.restarts = 0
         self.state = "pending"
-        # The fault machinery, the flight recorder and the control
-        # server are imported by the host that switches them on.
-        self.injector = None
-        if spec.fault.frame_faults:
-            from repro.fault.inject import build_injector
-
-            self.injector = build_injector(
-                spec.fault, stats=host.stats, label=spec.name
-            )
-        self._refusals_left = spec.fault.refuse_accepts
 
     def adopt_serial(self, serial: int) -> None:
         self.serial = serial
@@ -338,27 +251,68 @@ class _HostedStage:
         if self.host.tracer.enabled:
             self.spans = SpanIds(prefix=f"s{serial}-")
 
-    def kill_switch(self) -> KillSwitch | None:
-        """The incarnation's kill switch, if the fault plan arms one.
+    def config(self, fault: FaultPlan) -> StageConfig:
+        """The :class:`StageConfig` of one incarnation under ``fault``."""
+        spec, host = self.spec, self.host.config
+        return StageConfig(
+            role=spec.role, discipline=host.discipline,
+            upstream=spec.upstream, downstream=spec.downstream,
+            channel=spec.channel, transducer_spec=spec.transducer_spec,
+            transducer_args=spec.transducer_args,
+            source_items=spec.source_items, flow=host.flow,
+            ticket_space=host.ticket_space, ticket_seed=host.ticket_seed,
+            serial=self.serial, expected_clients=spec.expected_clients,
+            connect_deadline=host.connect_deadline, fault=fault,
+            resume=host.resume, io_timeout=host.io_timeout, codec=host.codec,
+        )
 
-        One-shot semantics match the process supervisor, which strips
-        ``kill_after`` from a survivor's argv: only the first
-        incarnation is armed, so a restarted stage does not die again
-        on schedule.
-        """
-        if self.spec.fault.kill_after is None or self.restarts > 0:
-            return None
 
-        def trip() -> None:
-            raise _InjectedKill(
-                f"[{self.spec.name}] fault: killed "
-                f"(kill_after={self.spec.fault.kill_after})"
-            )
+class _Incarnation(_Stage):
+    """One lifetime of a hosted stage: ``net.stage``'s own runtime.
 
-        from repro.fault.inject import KillSwitch
+    As :class:`repro.net.mux.HostedReadable` is a ``RemoteReadable``
+    that dials a broker channel, this is a stage whose links are broker
+    channels: active ends are opened by name, passive links arrive on
+    the stage's accept queue, and a tripped kill switch kills the stage
+    instead of the process.  Everything else — the role table, the
+    serve loop, resume, fault injection — is the process stage's.
+    Resume state lives and dies with the incarnation, exactly what a
+    process restart loses.
+    """
 
-        return KillSwitch(
-            self.spec.fault.kill_after, label=self.spec.name, on_kill=trip
+    def __init__(self, record: _HostedStage, fault: FaultPlan) -> None:
+        host = record.host
+        super().__init__(record.config(fault), stats=host.stats,
+                         tracer=host.tracer, book=host.book)
+        self.record = record
+        self.opener = host.client.opener()
+        # One allocator across incarnations: span ids stay unique in
+        # the host's single trace.
+        self.spans = record.spans
+
+    def _remote_readable(self) -> HostedReadable:
+        return self._linked(HostedReadable(
+            self.opener, self.config.upstream, **self._end_options(True)))
+
+    def _remote_writable(self) -> HostedWritable:
+        return self._linked(HostedWritable(
+            self.opener, self.config.downstream, **self._end_options(False)))
+
+    @contextlib.asynccontextmanager
+    async def _accepting(self) -> AsyncIterator[asyncio.Queue]:
+        yield self.record.accepts
+
+    async def _admit(self, channel: MuxChannel, **offer: Any) -> Hello:
+        channel.stats = self.stats
+        channel.tracer = self.tracer
+        channel.label = self.label
+        channel.injector = self.injector
+        return await super()._admit(channel, **offer)
+
+    def _on_kill(self) -> None:
+        raise _InjectedKill(
+            f"[{self.record.spec.name}] fault: killed "
+            f"(kill_after={self.config.fault.kill_after})"
         )
 
 
@@ -405,6 +359,8 @@ class StageHost:
             on_accept=self._on_accept,
             flight=self.flight,
         )
+        self.restart_rule = RestartRule(self.stats,
+                                        max_restarts=config.max_restarts)
         self.stages = [_HostedStage(spec, self) for spec in config.stages]
         self._by_name = {stage.spec.name: stage for stage in self.stages}
         self.started_mono = time.monotonic()
@@ -426,7 +382,7 @@ class StageHost:
             self.stats.bump("host_orphan_accepts")
             asyncio.ensure_future(channel.close())
             return
-        stage.accepts.put_nowait((channel, notice))
+        stage.accepts.put_nowait(channel)
 
     async def _register_all(self) -> None:
         for stage in self.stages:
@@ -437,272 +393,47 @@ class StageHost:
             stage.adopt_serial(serial)
         self.stats.set_gauge("hosted_stages", float(len(self.stages)))
 
-    # -- per-stage stream plumbing -------------------------------------------
+    # -- one stage, incarnation by incarnation -----------------------------
 
-    def _hosted_readable(self, stage: _HostedStage) -> HostedReadable:
-        config = self.config
-        return HostedReadable(
-            self.client.opener(), stage.spec.upstream,
-            uid=stage.uid, book=self.book, channel=stage.spec.channel,
-            stats=self.stats, tracer=self.tracer, label=stage.label,
-            connect_deadline=config.connect_deadline, spans=stage.spans,
-            resume=config.resume, io_timeout=config.io_timeout,
-            injector=stage.injector, codec=config.codec,
-            pipeline_depth=config.flow.effective_pipeline_depth(),
-        )
+    async def _supervise(self, record: _HostedStage) -> None:
+        """Run a stage to completion, restarting crashed incarnations.
 
-    def _hosted_writable(self, stage: _HostedStage) -> HostedWritable:
-        config = self.config
-        return HostedWritable(
-            self.client.opener(), stage.spec.downstream,
-            uid=stage.uid, book=self.book, channel=stage.spec.channel,
-            stats=self.stats, tracer=self.tracer, label=stage.label,
-            connect_deadline=config.connect_deadline, spans=stage.spans,
-            resume=config.resume, io_timeout=config.io_timeout,
-            injector=stage.injector, codec=config.codec,
-        )
-
-    def _transducer(self, stage: _HostedStage, switch: KillSwitch | None):
-        if stage.spec.transducer_spec is None:
-            made = identity_transducer()
-        else:
-            made = load_transducer(
-                stage.spec.transducer_spec, stage.spec.transducer_args
-            )
-        if switch is not None and stage.spec.role == "filter":
-            from repro.fault.inject import killing_transducer
-
-            made = killing_transducer(made, switch)
-        return made
-
-    async def _serve_accepts(
-        self,
-        stage: _HostedStage,
-        readables: Any = None,
-        writable: Any = None,
-        clients: int = 1,
-        replay_logs: dict[Any, ReplayLog] | None = None,
-        push_states: dict[Any, PushState] | None = None,
-    ) -> None:
-        """Serve accepted channels until ``clients`` streams complete.
-
-        The hosted analogue of eden-stage's ``_serve``: channels come
-        from the broker's accept notices instead of a TCP listener,
-        and a crash in any serve task (an injected kill, a
-        non-resumable link failure) propagates out to the stage's
-        supervise loop rather than killing a process.  The push credit
-        granted per channel is the same ``effective_credit_window()``
-        (one ``batch``-sized WRITE in flight unless configured wider).
+        The first incarnation runs the stage's fault plan, every later
+        one its :meth:`~repro.fault.plan.FaultPlan.survivor` — as a
+        restarted stage process does.
         """
-        config = self.config
-        credit = config.flow.effective_credit_window()
-        resume = config.resume
-        codec_offer = (
-            CODECS if config.codec != CODEC_JSON else (CODEC_JSON,)
-        )
-
-        def push_state_for(hello: Hello) -> PushState:
-            assert push_states is not None
-            return push_states.setdefault(channel_key(hello.channel), PushState())
-
-        resume_seq_for = None
-        if resume and push_states is not None:
-            def resume_seq_for(hello: Hello) -> int | None:
-                if hello.role != ROLE_PUSH:
-                    return None
-                return push_state_for(hello).received
-
-        async def serve_one(channel: MuxChannel) -> bool:
-            if stage._refusals_left > 0:
-                stage._refusals_left -= 1
-                self.stats.bump("refused_accepts")
-                await self.client.release(channel)
-                return False
-            channel.stats = self.stats
-            channel.tracer = self.tracer
-            channel.label = stage.label
-            channel.injector = stage.injector
-            try:
-                hello = await expect_hello_over(
-                    channel, self.book, stage.uid, credit=credit,
-                    resume_seq_for=resume_seq_for, codec_offer=codec_offer,
-                )
-                channel.codec = hello.codec
-                if hello.role == ROLE_PULL and readables is not None:
-                    completed = await serve_pull(
-                        channel, readables, hello,
-                        logs=replay_logs if resume else None,
-                    )
-                elif hello.role == ROLE_PUSH and writable is not None:
-                    completed = await serve_push(
-                        channel, writable, hello,
-                        state=push_state_for(hello) if resume else None,
-                    )
-                else:
-                    await self.client.release(channel)
-                    return False
-                await self.client.release(channel)
-                return completed
-            except HandshakeError as error:
-                print(f"[{stage.label}] rejected channel: {error}",
-                      file=sys.stderr)
-                await self.client.release(channel)
-                return False
-            except (ConnectionError, OSError, FrameError) as error:
-                await self.client.release(channel)
-                if not resume:
-                    raise
-                self.stats.bump("client_disconnects")
-                print(f"[{stage.label}] client channel failed: {error}",
-                      file=sys.stderr)
-                return False
-            except BaseException:
-                # A crash mid-serve: free the route so the peer sees a
-                # hangup (and reopens by name into the next
-                # incarnation), then let the supervisor have it.
-                await self.client.release(channel)
-                raise
-
-        completed_count = 0
-        serving: set[asyncio.Task[bool]] = set()
-        intake: asyncio.Task[Any] = asyncio.ensure_future(stage.accepts.get())
-        try:
-            while completed_count < clients:
-                done, _pending = await asyncio.wait(
-                    {intake, *serving}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if intake in done:
-                    done.discard(intake)
-                    channel, _notice = intake.result()
-                    serving.add(asyncio.ensure_future(serve_one(channel)))
-                    intake = asyncio.ensure_future(stage.accepts.get())
-                for task in done:
-                    serving.discard(task)
-                    if task.result():  # re-raises a crashed serve
-                        completed_count += 1
-        finally:
-            intake.cancel()
-            for task in serving:
-                task.cancel()
-            for task in (intake, *serving):
-                try:
-                    await task
-                except BaseException:
-                    pass
-
-    # -- one incarnation of one stage ----------------------------------------
-
-    async def _run_incarnation(self, stage: _HostedStage) -> None:
-        """One lifetime of a stage, ending in completion or a crash.
-
-        Resume state (replay logs, push dedup cursors) is scoped to
-        the incarnation — exactly what a process restart loses — so
-        the recovery guarantees tested against eden-stage fleets hold
-        unchanged here.
-        """
-        spec = stage.spec
-        config = self.config
-        flow = config.flow
-        switch = stage.kill_switch()
-        replay_logs: dict[Any, ReplayLog] = {}
-        push_states: dict[Any, PushState] = {}
-
-        def killing_readable(readable: Any) -> Any:
-            if switch is None:
-                return readable
-            from repro.fault.inject import KillingReadable
-
-            return KillingReadable(readable, switch)
-
-        def killing_writable(writable: Any) -> Any:
-            if switch is None:
-                return writable
-            from repro.fault.inject import KillingWritable
-
-            return KillingWritable(writable, switch)
-
-        if spec.role == "source":
-            items = spec.source_items or []
-            if config.discipline == "readonly":
-                await self._serve_accepts(
-                    stage, readables=killing_readable(AioSource(items)),
-                    clients=spec.expected_clients or 1,
-                    replay_logs=replay_logs,
-                )
-            else:
-                await pump(
-                    killing_readable(AioSource(items)),
-                    self._hosted_writable(stage), flow.batch,
-                )
-        elif spec.role == "filter":
-            transducer = self._transducer(stage, switch)
-            if config.discipline == "readonly":
-                body = AioReadOnlyStage(
-                    transducer, self._hosted_readable(stage),
-                    lookahead=flow.lookahead, batch_in=flow.batch,
-                )
-                await self._serve_accepts(
-                    stage, readables=body,
-                    clients=spec.expected_clients or 1,
-                    replay_logs=replay_logs,
-                )
-            else:
-                body = AioWriteOnlyStage(
-                    transducer, [self._hosted_writable(stage)]
-                )
-                await self._serve_accepts(
-                    stage, writable=body,
-                    clients=spec.expected_clients or 1,
-                    push_states=push_states,
-                )
-        else:  # sink
-            if config.discipline == "writeonly":
-                collector = AioCollector()
-                await self._serve_accepts(
-                    stage, writable=killing_writable(collector),
-                    clients=spec.expected_clients or 1,
-                    push_states=push_states,
-                )
-                await collector.done.wait()
-                stage.collected = list(collector.items)
-            else:
-                stage.collected = await collect(
-                    killing_readable(self._hosted_readable(stage)),
-                    batch=flow.batch,
-                )
-
-    async def _supervise(self, stage: _HostedStage) -> None:
-        """Run a stage to completion, restarting crashed incarnations."""
-        config = self.config
+        fault = record.spec.fault
         while True:
-            stage.state = "running"
-            stage.ready.set()
+            record.state = "running"
+            stage = _Incarnation(record, fault)
             try:
-                await self._run_incarnation(stage)
-                stage.state = "done"
-                return
+                await stage.run()
             except asyncio.CancelledError:
-                stage.state = "cancelled"
+                record.state = "cancelled"
                 raise
             except (_InjectedKill, Exception) as error:
-                stage.ready.clear()
-                stage.restarts += 1
-                self.stats.bump("stage_crashes")
-                kind = ("killed" if isinstance(error, _InjectedKill)
-                        else type(error).__name__)
-                print(f"[{stage.label}] incarnation died ({kind}): {error}",
-                      file=sys.stderr)
-                if stage.restarts > config.max_restarts:
-                    stage.state = "failed"
+                killed = isinstance(error, _InjectedKill)
+                print(f"[{record.label}] incarnation died "
+                      f"({'killed' if killed else type(error).__name__}): "
+                      f"{error}", file=sys.stderr)
+                try:
+                    delay = self.restart_rule.crashed(
+                        record.spec.name, record.restarts, time.monotonic(),
+                        killed=killed)
+                except RestartRefused:
+                    record.state = "failed"
                     raise HostError(
-                        f"stage {stage.spec.name!r} spent its restart "
-                        f"budget ({config.max_restarts}): {error}"
-                    ) from (error if isinstance(error, Exception) else None)
-                stage.state = "restarting"
-                self.stats.bump("stage_restarts")
-                await asyncio.sleep(
-                    config.restart_backoff * min(stage.restarts, 8)
-                )
+                        f"stage {record.spec.name!r} spent its restart "
+                        f"budget ({self.config.max_restarts}): {error}"
+                    ) from (None if killed else error)
+                record.restarts += 1
+                record.state = "restarting"
+                fault = fault.survivor()
+                await asyncio.sleep(delay)
+            else:
+                record.collected = stage.collected
+                record.state = "done"
+                return
 
     # -- whole-host lifecycle ------------------------------------------------
 

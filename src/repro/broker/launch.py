@@ -66,7 +66,6 @@ def plan_hosted_fleet(
     hosts: int = 1,
     broker: str | None = None,
     max_restarts: int = 0,
-    restart_backoff: float = 0.05,
     park_deadline: float = 10.0,
     placement_policy: str = "cores",
     flight_dir: str | None = None,
@@ -218,7 +217,6 @@ def plan_hosted_fleet(
             "io_timeout": io_timeout,
             "connect_deadline": connect_deadline,
             "max_restarts": max_restarts,
-            "restart_backoff": restart_backoff,
             "stats_file": stats_file,
             "trace_file": trace_file,
             "control_port": control_port,

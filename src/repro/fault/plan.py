@@ -5,7 +5,9 @@ A :class:`FaultPlan` travels from the orchestrator to a stage as JSON
 scripted from one place — :func:`repro.net.launch.plan_linear_fleet` assigns
 plans per stage, the supervisor strips the one-shot faults on restart,
 and the chaos proxy (:mod:`repro.fault.chaos`) applies the same plans
-to a link instead of a stage.
+to a link instead of a stage.  :class:`RestartRule` decides whether,
+and after what backoff, a crashed stage comes back — the one rule of
+both supervisors.
 
 Every field is validated eagerly: a malformed plan raises
 :class:`FaultError` at construction, never silently defaults — the
@@ -26,6 +28,8 @@ __all__ = [
     "FaultError",
     "FrameFault",
     "FaultPlan",
+    "RestartRefused",
+    "RestartRule",
 ]
 
 #: The frame-level misbehaviours a fault can inflict.
@@ -237,3 +241,95 @@ class FaultPlan:
                 f"fault plan must be a JSON object, got {type(data).__name__}"
             )
         return cls.from_dict(data)
+
+
+class RestartRefused(EdenError):
+    """A crashed member may not restart.
+
+    ``reason`` is ``"budget"`` (the member spent its own restart
+    budget) or ``"restart-storm"`` (too many restarts fleet-wide).
+    """
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
+
+
+class RestartRule:
+    """Whether a crashed member comes back, and after what backoff.
+
+    The one restart policy of the fleet supervisor (stage processes)
+    and of a stage host (the stages it runs).  Each member gets
+    ``max_restarts`` restarts.  With ``storm_max_restarts`` set, more
+    restarts than that across all members inside a sliding
+    ``storm_window`` stop the fleet: a correlated failure (a dead
+    broker, a bad deploy) burns every budget at once.  The rule reads
+    no clock and sleeps for nobody — callers pass ``now`` and wait out
+    the backoff — so a virtual-time loop can drive it.  It counts the
+    :attr:`COUNTERS` and a ``backoff_s[<label>]`` gauge into ``stats``.
+    """
+
+    #: The backoff before restart ``n`` (0-based) is
+    #: ``min(BACKOFF_BASE * 2**n, BACKOFF_MAX)`` seconds.
+    BACKOFF_BASE = 0.1
+    BACKOFF_MAX = 2.0
+    #: What the rule counts, each plain and per ``[<label>]``.
+    COUNTERS = ("crashes", "restarts", "injected_kills", "restart_storms")
+
+    def __init__(self, stats: Any, max_restarts: int = 0,
+                 storm_window: float = 5.0,
+                 storm_max_restarts: int | None = None) -> None:
+        if not isinstance(max_restarts, int) or max_restarts < 0:
+            raise ValueError(
+                f"max_restarts must be an integer >= 0, got {max_restarts!r}"
+            )
+        if storm_window <= 0:
+            raise ValueError(f"storm_window must be > 0, got {storm_window!r}")
+        if storm_max_restarts is not None and (
+            not isinstance(storm_max_restarts, int) or storm_max_restarts < 1
+        ):
+            raise ValueError(
+                f"storm_max_restarts must be an integer >= 1 or None, got "
+                f"{storm_max_restarts!r}"
+            )
+        self.stats = stats
+        self.max_restarts = max_restarts
+        self.storm_window = storm_window
+        self.storm_max_restarts = storm_max_restarts
+        self._restart_times: list[float] = []
+
+    def crashed(self, label: str, restarts: int, now: float,
+                killed: bool = False) -> float:
+        """Count a crash of ``label``, restarted ``restarts`` times so far.
+
+        Returns the seconds to wait before its next incarnation, or
+        raises :class:`RestartRefused`.  ``killed`` marks a crash a
+        ``kill_after`` fault injected.
+        """
+        stats = self.stats
+        stats.bump("crashes")
+        stats.bump(f"crashes[{label}]")
+        if killed:
+            stats.bump("injected_kills")
+        if restarts >= self.max_restarts:
+            raise RestartRefused(
+                "budget",
+                f"{label} spent its restart budget ({self.max_restarts})",
+            )
+        delay = min(self.BACKOFF_BASE * 2 ** restarts, self.BACKOFF_MAX)
+        stats.bump("restarts")
+        stats.bump(f"restarts[{label}]")
+        stats.set_gauge(f"backoff_s[{label}]", delay)
+        if self.storm_max_restarts is not None:
+            horizon = now - self.storm_window
+            self._restart_times = [
+                t for t in self._restart_times if t >= horizon] + [now]
+            if len(self._restart_times) > self.storm_max_restarts:
+                stats.bump("restart_storms")
+                raise RestartRefused(
+                    "restart-storm",
+                    f"restart storm: {len(self._restart_times)} restarts "
+                    f"across the fleet within {self.storm_window:.1f}s "
+                    f"(limit {self.storm_max_restarts}); last crash: {label}",
+                )
+        return delay

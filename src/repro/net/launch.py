@@ -44,7 +44,12 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro
-from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan
+from repro.fault.plan import (
+    KILLED_EXIT_CODE,
+    FaultPlan,
+    RestartRefused,
+    RestartRule,
+)
 from repro.net.framing import CODEC_JSON
 from repro.net.metrics import NetStats, merge_stats
 from repro.net.stage import pick_free_ports
@@ -65,6 +70,9 @@ __all__ = [
 TransducerSpec = tuple[str, Sequence[Any]]
 
 IDENTITY: TransducerSpec = ("repro.transput:identity_transducer", ())
+
+#: Seconds between the supervisor's polls of its processes.
+_POLL_S = 0.02
 
 
 @dataclass(frozen=True)
@@ -414,11 +422,12 @@ class FleetSupervisor:
     Every stage's stdout/stderr goes to files (``<stage>.stdout.log`` /
     ``<stage>.stderr.log`` beside its stats dump), so diagnostics
     survive kills and restarts append rather than truncate.  A stage
-    exiting non-zero is restarted with exponential backoff
-    (``backoff_base * 2^n``, capped at ``backoff_max``) until its
-    ``max_restarts`` budget runs out; exhaustion — or blowing the
-    fleet-wide ``timeout`` — kills everything and raises
-    :class:`FleetError` with a diagnosis.
+    exiting non-zero is restarted under the
+    :class:`~repro.fault.plan.RestartRule` (exponential backoff, a
+    ``max_restarts`` budget per stage, the optional storm guard) — the
+    rule a stage host applies to the stages it runs.  A refused
+    restart — or blowing the fleet-wide ``timeout`` — kills everything
+    and raises :class:`FleetError` with a diagnosis.
 
     The knobs carry the harmonised names (`timeout`, `max_restarts`)
     used by :class:`repro.api.Pipeline`; all are validated eagerly.
@@ -430,51 +439,22 @@ class FleetSupervisor:
         timeout: float = 60.0,
         python: str | None = None,
         max_restarts: int = 0,
-        backoff_base: float = 0.1,
-        backoff_max: float = 2.0,
-        poll_interval: float = 0.02,
         storm_window: float = 5.0,
         storm_max_restarts: int | None = None,
     ) -> None:
         if not plans:
             raise ValueError("cannot supervise an empty fleet")
-        if storm_window <= 0:
-            raise ValueError(f"storm_window must be > 0, got {storm_window!r}")
-        if storm_max_restarts is not None and (
-            not isinstance(storm_max_restarts, int) or storm_max_restarts < 1
-        ):
-            raise ValueError(
-                f"storm_max_restarts must be an integer >= 1 or None, got "
-                f"{storm_max_restarts!r}"
-            )
         if not isinstance(timeout, (int, float)) or timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout!r}")
-        if not isinstance(max_restarts, int) or max_restarts < 0:
-            raise ValueError(
-                f"max_restarts must be an integer >= 0, got {max_restarts!r}"
-            )
-        if backoff_base < 0 or backoff_max < backoff_base:
-            raise ValueError(
-                f"need 0 <= backoff_base <= backoff_max, got "
-                f"{backoff_base!r}/{backoff_max!r}"
-            )
-        if poll_interval <= 0:
-            raise ValueError(f"poll_interval must be > 0, got {poll_interval!r}")
         self.plans = list(plans)
         self.timeout = timeout
         self.python = python or sys.executable
-        self.max_restarts = max_restarts
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.poll_interval = poll_interval
-        self.storm_window = storm_window
-        self.storm_max_restarts = storm_max_restarts
         self.stats = KernelStats()
+        self.rule = RestartRule(
+            self.stats, max_restarts=max_restarts, storm_window=storm_window,
+            storm_max_restarts=storm_max_restarts,
+        )
         self._members = [_Member(plan, i) for i, plan in enumerate(self.plans)]
-        # Sliding window of restart timestamps across *all* members —
-        # the per-stage budget cannot see a fleet-wide crash loop
-        # (e.g. a dead broker taking every hosted stage down with it).
-        self._restart_times: list[float] = []
 
     # -- process plumbing ---------------------------------------------------
 
@@ -540,7 +520,7 @@ class FleetSupervisor:
         return (
             f"{member.plan.label} rc={rc} ({kind}) after "
             f"{member.restarts} restart(s) of a budget of "
-            f"{self.max_restarts}: {tail}"
+            f"{self.rule.max_restarts}: {tail}"
         )
 
     # -- the supervision loop -----------------------------------------------
@@ -583,8 +563,8 @@ class FleetSupervisor:
                     # A daemon exiting — even cleanly — while the
                     # stream still runs is a failure of the fleet's
                     # substrate: restart it like any crash.
-                    self._note_crash(member, rc)
-                time.sleep(self.poll_interval)
+                    self._note_crash(member, rc, now)
+                time.sleep(_POLL_S)
             self._stop_daemons()
         except FleetError:
             raise
@@ -613,56 +593,20 @@ class FleetSupervisor:
             member.done = True
             member.rc = process.returncode if process is not None else None
 
-    def _note_crash(self, member: _Member, rc: int) -> None:
-        label = member.plan.label
-        self.stats.bump("crashes")
-        self.stats.bump(f"crashes[{label}]")
-        if rc == KILLED_EXIT_CODE:
-            self.stats.bump("injected_kills")
-        if member.restarts >= self.max_restarts:
-            diagnosis = self._diagnose(member, rc)
+    def _note_crash(self, member: _Member, rc: int, now: float) -> None:
+        try:
+            delay = self.rule.crashed(member.plan.label, member.restarts, now,
+                                      killed=rc == KILLED_EXIT_CODE)
+        except RestartRefused as refused:
+            message = str(refused)
+            if refused.reason == "budget":
+                message = "stage failures:\n" + self._diagnose(member, rc)
             self._kill_all()
-            raise FleetError(
-                "stage failures:\n" + diagnosis,
-                result=self._partial_result(),
-                reason="budget",
-            )
-        delay = min(self.backoff_base * (2 ** member.restarts),
-                    self.backoff_max)
+            raise FleetError(message, result=self._partial_result(),
+                             reason=refused.reason) from None
         member.restarts += 1
         member.process = None
-        member.restart_at = time.monotonic() + delay
-        self.stats.bump("restarts")
-        self.stats.bump(f"restarts[{label}]")
-        self.stats.set_gauge(f"backoff_s[{label}]", delay)
-        self._note_storm(label)
-
-    def _note_storm(self, label: str) -> None:
-        """The aggregate guard: too many restarts fleet-wide, too fast.
-
-        Each member's budget bounds *its own* crash loop; a correlated
-        failure (a dead broker, a bad deploy) burns every member's
-        budget in parallel and can thrash for the whole fleet timeout.
-        When more than ``storm_max_restarts`` restarts land inside a
-        sliding ``storm_window``, the fleet is stopped with a distinct
-        ``restart-storm`` reason instead.
-        """
-        if self.storm_max_restarts is None:
-            return
-        now = time.monotonic()
-        self._restart_times.append(now)
-        horizon = now - self.storm_window
-        self._restart_times = [t for t in self._restart_times if t >= horizon]
-        if len(self._restart_times) > self.storm_max_restarts:
-            self.stats.bump("restart_storms")
-            self._kill_all()
-            raise FleetError(
-                f"restart storm: {len(self._restart_times)} restarts across "
-                f"the fleet within {self.storm_window:.1f}s (limit "
-                f"{self.storm_max_restarts}); last crash: {label}",
-                result=self._partial_result(),
-                reason="restart-storm",
-            )
+        member.restart_at = now + delay
 
     def _gather(self) -> FleetResult:
         # A parallel block's fleet has one sink per shard label:
@@ -704,8 +648,6 @@ def run_fleet(
     timeout: float = 60.0,
     python: str | None = None,
     max_restarts: int = 0,
-    backoff_base: float = 0.1,
-    backoff_max: float = 2.0,
     storm_window: float = 5.0,
     storm_max_restarts: int | None = None,
 ) -> FleetResult:
@@ -720,7 +662,6 @@ def run_fleet(
     """
     supervisor = FleetSupervisor(
         plans, timeout=timeout, python=python, max_restarts=max_restarts,
-        backoff_base=backoff_base, backoff_max=backoff_max,
         storm_window=storm_window, storm_max_restarts=storm_max_restarts,
     )
     return supervisor.run()

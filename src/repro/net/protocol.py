@@ -1031,31 +1031,43 @@ async def serve_pull(
             attach_trace(body, origin)
         return Frame(FrameType.DATA, body)
 
-    while True:
-        frame = await connection.recv()
-        if frame is None:
-            return logs is None or bool(ended)
-        replies: list[Frame] = []
-        fatal: WireError | None = None
-        while frame is not None:
-            batch = frame.body.get("batch", 1)
-            if frame.type is not FrameType.READ:
-                fatal = WireError(f"pull connection got {frame.type.name}")
-            elif type(batch) is not int:
-                fatal = WireError(f"READ batch must be an int, got {type(batch).__name__}")
+    # Once a burst carrying the END went out, the stream is complete
+    # however the client hangs up: its READs may run ahead of the
+    # replies (a duplicated reply re-pairs them), so it can close on
+    # idempotent END replies still owed to it.
+    end_sent = False
+    try:
+        while True:
+            frame = await connection.recv()
+            if frame is None:
+                return logs is None or end_sent
+            replies: list[Frame] = []
+            fatal: WireError | None = None
+            while frame is not None:
+                batch = frame.body.get("batch", 1)
+                if frame.type is not FrameType.READ:
+                    fatal = WireError(f"pull connection got {frame.type.name}")
+                elif type(batch) is not int:
+                    fatal = WireError(f"READ batch must be an int, got {type(batch).__name__}")
+                else:
+                    replies.append(await answer(frame, max(1, batch)))
+                if fatal is not None:
+                    replies.append(_error_frame("bad-frame", str(fatal)))
+                if fatal is not None or len(replies) >= _REPLY_BURST:
+                    break
+                frame = connection.recv_nowait()
+            if len(replies) == 1:
+                await connection.send(replies[0])
             else:
-                replies.append(await answer(frame, max(1, batch)))
+                await connection.send_many(replies)
+            if ended:
+                end_sent = True
             if fatal is not None:
-                replies.append(_error_frame("bad-frame", str(fatal)))
-            if fatal is not None or len(replies) >= _REPLY_BURST:
-                break
-            frame = connection.recv_nowait()
-        if len(replies) == 1:
-            await connection.send(replies[0])
-        else:
-            await connection.send_many(replies)
-        if fatal is not None:
-            raise fatal
+                raise fatal
+    except (ConnectionError, OSError):
+        if end_sent:
+            return True
+        raise
 
 
 async def serve_push(

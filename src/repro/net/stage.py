@@ -56,7 +56,7 @@ import socket
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, AsyncIterator, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.tracing import Tracer
@@ -79,6 +79,7 @@ from repro.net.handshake import (
     Hello,
     TicketBook,
     expect_hello,
+    expect_hello_over,
 )
 from repro.net.metrics import NetStats
 from repro.net.protocol import (
@@ -173,7 +174,11 @@ def load_transducer(spec: str, args: Sequence[Any] = ()) -> Transducer:
 
 @dataclass
 class StageConfig:
-    """Everything one stage process needs to know."""
+    """Everything one stage needs to know.
+
+    ``upstream`` / ``downstream`` are ``(host, port)`` addresses; a
+    stage hosted by :mod:`repro.broker.host` names its peers instead.
+    """
 
     role: str
     discipline: str
@@ -239,13 +244,21 @@ class StageConfig:
 
 
 class _Stage:
-    """The running form of one :class:`StageConfig`."""
+    """The running form of one :class:`StageConfig`.
 
-    def __init__(self, config: StageConfig) -> None:
+    A hosted stage (:mod:`repro.broker.host`) is a subclass sharing its
+    host's ``stats``, ``tracer`` and ticket ``book``.
+    """
+
+    def __init__(self, config: StageConfig, stats: NetStats | None = None,
+                 tracer: Tracer | None = None,
+                 book: TicketBook | None = None) -> None:
         self.config = config
-        self.stats = NetStats()
-        self.tracer = Tracer(enabled=config.trace_file is not None)
-        self.book = TicketBook(space=config.ticket_space, seed=config.ticket_seed)
+        self.stats = stats if stats is not None else NetStats()
+        self.tracer = (tracer if tracer is not None
+                       else Tracer(enabled=config.trace_file is not None))
+        self.book = book or TicketBook(space=config.ticket_space,
+                                       seed=config.ticket_seed)
         self.uid = self.book.ticket(config.serial)
         self.label = f"{config.role}/{config.discipline}#{config.serial}"
         if config.shard is not None:
@@ -278,7 +291,8 @@ class _Stage:
             from repro.fault.inject import KillSwitch
 
             self.kill_switch = KillSwitch(config.fault.kill_after,
-                                          label=self.label)
+                                          label=self.label,
+                                          on_kill=self._on_kill)
         self._refusals_left = config.fault.refuse_accepts
         # Resume state outlives individual connections (restarted or
         # reconnecting peers pick up where their predecessor stopped).
@@ -309,6 +323,10 @@ class _Stage:
                 },
             )
 
+    #: What a tripped kill switch does; ``None`` is the switch's own
+    #: ``os._exit`` — a process stage dies the way a real crash does.
+    _on_kill: Any = None
+
     # -- building blocks ----------------------------------------------------
 
     def _connection(self, reader, writer, end_is_request: bool = False) -> Connection:
@@ -318,36 +336,27 @@ class _Stage:
             flight=self.flight,
         )
 
+    def _end_options(self, readable: bool) -> dict[str, Any]:
+        """What every active end this stage dials is built with."""
+        config = self.config
+        options = dict(
+            uid=self.uid, book=self.book, channel=config.channel,
+            stats=self.stats, tracer=self.tracer, label=self.label,
+            connect_deadline=config.connect_deadline, spans=self.spans,
+            resume=config.resume, io_timeout=config.io_timeout,
+            injector=self.injector, codec=config.codec, flight=self.flight,
+        )
+        if readable:
+            options["pipeline_depth"] = config.flow.effective_pipeline_depth()
+        return options
+
     def _remote_readable(self) -> RemoteReadable:
-        host, port = self.config.upstream
-        return self._linked(RemoteReadable(
-            host, port, uid=self.uid, book=self.book,
-            channel=self.config.channel, stats=self.stats,
-            tracer=self.tracer, label=self.label,
-            connect_deadline=self.config.connect_deadline,
-            spans=self.spans,
-            resume=self.config.resume,
-            io_timeout=self.config.io_timeout,
-            injector=self.injector,
-            codec=self.config.codec,
-            pipeline_depth=self.config.flow.effective_pipeline_depth(),
-            flight=self.flight,
-        ))
+        return self._linked(RemoteReadable(*self.config.upstream,
+                                           **self._end_options(True)))
 
     def _remote_writable(self) -> RemoteWritable:
-        host, port = self.config.downstream
-        return self._linked(RemoteWritable(
-            host, port, uid=self.uid, book=self.book,
-            channel=self.config.channel, stats=self.stats,
-            tracer=self.tracer, label=self.label,
-            connect_deadline=self.config.connect_deadline,
-            spans=self.spans,
-            resume=self.config.resume,
-            io_timeout=self.config.io_timeout,
-            injector=self.injector,
-            codec=self.config.codec,
-            flight=self.flight,
-        ))
+        return self._linked(RemoteWritable(*self.config.downstream,
+                                           **self._end_options(False)))
 
     def _linked(self, remote: Any) -> Any:
         self.links.append(remote)
@@ -385,104 +394,149 @@ class _Stage:
         return self._push_states.setdefault(
             channel_key(hello.channel), PushState())
 
+    @contextlib.asynccontextmanager
+    async def _accepting(self) -> AsyncIterator[asyncio.Queue]:
+        """Listen on TCP; every accepted socket lands on the yielded queue.
+
+        Each socket is queued as its :class:`Connection`, which keeps
+        the stream pair referenced until the link's serve task ends.
+        """
+        links: asyncio.Queue = asyncio.Queue()
+        server = await asyncio.start_server(
+            lambda reader, writer: links.put_nowait(
+                self._connection(reader, writer)),
+            host=self.config.host, port=self.config.listen_port or 0,
+        )
+        try:
+            yield links
+        finally:
+            server.close()
+            while not links.empty():
+                await links.get_nowait().close()
+            await server.wait_closed()
+
+    async def _admit(self, link: Any, **offer: Any) -> Hello:
+        """Demand a genuine ticket on one accepted link.
+
+        A socket's HELLO / WELCOME travel beneath its ``Connection``,
+        uncounted; a hosted stage's broker channel is
+        ``Connection``-shaped and carries its own handshake.
+        """
+        if isinstance(link, Connection):
+            return await expect_hello(link.reader, link.writer, self.book,
+                                      self.uid, **offer)
+        return await expect_hello_over(link, self.book, self.uid, **offer)
+
     async def _serve(self, readables: Any = None, writable: Any = None,
                      clients: int = 1) -> None:
-        """Accept ``clients`` connections and serve them to completion.
+        """Accept links and serve them until ``clients`` streams complete.
 
-        Under resume, a connection only counts toward ``clients`` when
-        it finished its stream (its END crossed the wire): a peer that
-        crashed mid-stream will reconnect as a *new* connection, and
-        transport faults merely drop the connection, never the stage.
-        Any other failure of a connection's serve loop — without
-        resume that includes a pusher that hangs up before END — is
-        the stage's failure, raised from here.
+        One task per accepted link, so a crash inside any serve (an
+        injected kill, or a link failure the stage cannot survive)
+        raises out of here.  Under resume, a link only counts toward
+        ``clients`` when it finished its stream (its END crossed the
+        wire): a peer that crashed mid-stream will come back as a *new*
+        link, and transport faults merely drop the link, never the
+        stage.  Without resume a failed link — including a pusher that
+        hangs up before END — fails the stage.
 
         Every WELCOME grants ``flow.effective_credit_window()`` records
         of push credit: unless a wider window is configured, exactly
         one ``batch``-sized WRITE in flight per pusher.
         """
-        done = asyncio.Semaphore(0)
-        failures: list[Exception] = []
-        credit = self.config.flow.effective_credit_window()
         resume = self.config.resume
-        # A json-configured stage only ever grants json, so one legacy
-        # stage in a binary fleet degrades its own links and no others.
-        codec_offer = (
-            CODECS if self.config.codec != CODEC_JSON else (CODEC_JSON,)
-        )
-        resume_seq_for = None
+        offer: dict[str, Any] = {
+            "credit": self.config.flow.effective_credit_window(),
+            # A json-configured stage only ever grants json, so one
+            # legacy stage in a binary fleet degrades its own links.
+            "codec_offer": (CODECS if self.config.codec != CODEC_JSON
+                            else (CODEC_JSON,)),
+        }
         if resume:
             def resume_seq_for(hello: Hello) -> int | None:
                 if hello.role != ROLE_PUSH:
                     return None
                 return self._push_state_for(hello).received
 
-        async def handle(reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-            if self._refusals_left > 0:
-                # A refuse_accepts fault: close before any handshake.
-                self._refusals_left -= 1
-                self.stats.bump("refused_accepts")
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-                return
-            try:
-                hello = await expect_hello(
-                    reader, writer, self.book, self.uid, credit=credit,
-                    resume_seq_for=resume_seq_for, codec_offer=codec_offer,
-                )
-                connection = self._connection(reader, writer)
-                connection.codec = hello.codec
-                try:
-                    if hello.role == ROLE_PULL and readables is not None:
-                        completed = await serve_pull(
-                            connection, readables, hello,
-                            logs=self._replay_logs if resume else None,
-                        )
-                    elif hello.role == ROLE_PUSH and writable is not None:
-                        completed = await serve_push(
-                            connection, writable, hello,
-                            state=self._push_state_for(hello) if resume else None,
-                        )
-                    else:
-                        return  # role this stage does not serve: not counted
-                finally:
-                    await connection.close()
-                if completed:
-                    done.release()
-            except HandshakeError as error:
-                print(f"[{self.label}] rejected connection: {error}",
-                      file=sys.stderr)
-            except Exception as error:
-                if resume and isinstance(
-                        error, (ConnectionError, OSError, FrameError)):
-                    # The peer died mid-connection; it (or its restarted
-                    # successor) will be back — drop this connection only.
-                    self.stats.bump("client_disconnects")
-                    print(f"[{self.label}] client link failed: {error}",
-                          file=sys.stderr)
-                    return
-                failures.append(error)
-                done.release()
+            offer["resume_seq_for"] = resume_seq_for
 
-        server = await asyncio.start_server(
-            handle, host=self.config.host, port=self.config.listen_port or 0
-        )
-        try:
-            for _ in range(clients):
-                await done.acquire()
-                if failures:
-                    raise failures[0]
-        finally:
-            server.close()
-            await server.wait_closed()
+        async def serve(link: Any) -> bool:
+            try:
+                if self._refusals_left > 0:
+                    # A refuse_accepts fault: close before any handshake.
+                    self._refusals_left -= 1
+                    self.stats.bump("refused_accepts")
+                    return False
+                hello = await self._admit(link, **offer)
+                link.codec = hello.codec
+                if hello.role == ROLE_PULL and readables is not None:
+                    return await serve_pull(
+                        link, readables, hello,
+                        logs=self._replay_logs if resume else None,
+                    )
+                if hello.role == ROLE_PUSH and writable is not None:
+                    return await serve_push(
+                        link, writable, hello,
+                        state=self._push_state_for(hello) if resume else None,
+                    )
+                return False  # a role this stage does not serve
+            except HandshakeError as error:
+                print(f"[{self.label}] rejected link: {error}",
+                      file=sys.stderr)
+                return False
+            except (ConnectionError, OSError, FrameError) as error:
+                if not resume:
+                    raise
+                # The peer died mid-stream; it (or its restarted
+                # successor) will be back — drop this link only.
+                self.stats.bump("client_disconnects")
+                print(f"[{self.label}] client link failed: {error}",
+                      file=sys.stderr)
+                return False
+            finally:
+                # However the serve ended — a crash included — the peer
+                # sees a hangup, and redials.
+                await link.close()
+
+        completed = 0
+        serving: set[asyncio.Task[bool]] = set()
+        async with self._accepting() as links:
+            intake = asyncio.ensure_future(links.get())
+            try:
+                while completed < clients:
+                    done, _pending = await asyncio.wait(
+                        {intake, *serving},
+                        return_when=asyncio.FIRST_COMPLETED,
+                    )
+                    if intake in done:
+                        done.discard(intake)
+                        serving.add(asyncio.ensure_future(
+                            serve(intake.result())))
+                        intake = asyncio.ensure_future(links.get())
+                    for task in done:
+                        serving.discard(task)
+                        completed += task.result()  # re-raises a crash
+            finally:
+                for task in (intake, *serving):
+                    task.cancel()
+                await asyncio.gather(intake, *serving,
+                                     return_exceptions=True)
 
     # -- role bodies --------------------------------------------------------
 
     async def run(self) -> None:
+        """Play the stage's role to stream completion.
+
+        However it ends, the active ends it dialled are hung up, so a
+        failed stage does not leave its neighbours waiting.
+        """
+        try:
+            await self._play_role()
+        finally:
+            for link in self.links:
+                await link.aclose()
+
+    async def _play_role(self) -> None:
         config = self.config
         flow = config.flow
         if config.role == "source":
@@ -622,8 +676,6 @@ async def run_stage(config: StageConfig) -> _Stage:
     try:
         await stage.run()
     finally:
-        for link in stage.links:
-            await link.aclose()
         if stage.flight is not None:
             stage.flight.close()
         if control is not None:

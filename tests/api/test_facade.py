@@ -7,6 +7,8 @@ runs on the simulated kernel, on asyncio coroutines, or as one OS
 process per stage over TCP.
 """
 
+import time
+
 import pytest
 
 from repro.analysis import predicted_invocations
@@ -169,6 +171,19 @@ class TestValidation:
     def test_tcp_only_knobs_rejected_elsewhere(self, runtime, knob):
         with pytest.raises(ValueError, match="tcp"):
             identity_pipeline("readonly").run(runtime=runtime, **knob)
+
+    @pytest.mark.parametrize("placement", ["processes", "hosted"])
+    @pytest.mark.parametrize("io_timeout", [0, -1.0])
+    def test_bad_io_timeout_rejected_before_anything_is_planned(
+            self, tmp_path, placement, io_timeout):
+        workdir = tmp_path / "fleet"
+        pipeline = Pipeline([IDENTITY], source=ITEMS, placement=placement)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="io_timeout"):
+            pipeline.run(runtime="tcp", io_timeout=io_timeout,
+                         workdir=str(workdir), timeout=10.0)
+        assert time.monotonic() - started < 1.0
+        assert not workdir.exists()
 
     def test_placement_is_simulator_only(self):
         with pytest.raises(ValueError, match="placement"):

@@ -136,14 +136,14 @@ class TestInProcessSupervision:
         faults = {"filter1": FaultPlan(kill_after=3)}
         _broker, host = run(hosted_run(
             "readonly", faults=faults, resume=True,
-            max_restarts=2, restart_backoff=0.01,
+            max_restarts=2,
         ))
         assert sink_output(host) == [item.upper() for item in ITEMS]
         filter_stage = host.stages[1]
         assert filter_stage.restarts >= 1
         assert filter_stage.state == "done"
-        assert host.stats.get("stage_crashes") >= 1
-        assert host.stats.get("stage_restarts") >= 1
+        assert host.stats.get("crashes") >= 1
+        assert host.stats.get("restarts") >= 1
 
     def test_spent_restart_budget_fails_the_host(self):
         # With budget 0 the first crash is final and names the stage.
@@ -151,7 +151,7 @@ class TestInProcessSupervision:
         with pytest.raises(HostError, match="filter1.*restart"):
             run(hosted_run(
                 "readonly", faults=faults, resume=True,
-                max_restarts=0, restart_backoff=0.01,
+                max_restarts=0,
             ))
 
     def test_frame_faults_inject_on_hosted_channels(self):
@@ -172,7 +172,7 @@ class TestInProcessSupervision:
         faults = {"filter1": FaultPlan(refuse_accepts=1)}
         _broker, host = run(hosted_run(
             "readonly", faults=faults, resume=True,
-            max_restarts=0, restart_backoff=0.01,
+            max_restarts=0,
         ))
         assert sink_output(host) == [item.upper() for item in ITEMS]
         assert host.stats.get("refused_accepts") == 1

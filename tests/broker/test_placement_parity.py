@@ -1,0 +1,54 @@
+"""Fault semantics do not depend on where a stage runs.
+
+One 2-filter readonly chain under resume suffers the same fault plan
+on its first filter twice: once as stage processes under the fleet
+supervisor, once hosted in a stage host.  Both placements run the same
+stage runtime under the same restart rule, so the output, the restart
+count and the fault counters are the same literals on both — a
+restarted stage runs its plan's survivor either way, so a periodic
+frame rule starts counting afresh.
+"""
+
+import pytest
+
+from repro.api import Pipeline
+from repro.fault.plan import FaultPlan, FrameFault
+
+ITEMS = [f"record-{i}" for i in range(12)]
+IDENTITY = "repro.transput:identity_transducer"
+EVERY_SECOND_DATA_TWICE = FrameFault(action="duplicate", frame="data",
+                                     every=2)
+
+#: case -> (the first filter's plan, restarts, refused/fault counters)
+CASES = {
+    "kill_after": (FaultPlan(kill_after=3), 1, {}),
+    "refuse_accepts": (FaultPlan(refuse_accepts=1), 0,
+                       {"refused_accepts": 1}),
+    "duplicate_and_kill": (
+        FaultPlan(kill_after=2, frame_faults=[EVERY_SECOND_DATA_TWICE]),
+        1, {"fault_duplicate": 5},
+    ),
+}
+
+
+def fault_counters(result):
+    return {
+        name: value for name, value in result.stats["counters"].items()
+        if name == "refused_accepts" or name.startswith("fault_")
+    }
+
+
+class TestFaultsAreTheSameOnBothPlacements:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("placement", ["processes", "hosted"])
+    def test_output_restarts_and_fault_counters(self, tmp_path, placement,
+                                                case):
+        fault, restarts, counters = CASES[case]
+        result = Pipeline(
+            [IDENTITY, IDENTITY], source=ITEMS, placement=placement,
+        ).run(runtime="tcp", faults={1: fault}, resume=True,
+              max_restarts=2, workdir=str(tmp_path), timeout=60.0)
+        assert result.output == ITEMS
+        assert result.restarts == restarts
+        assert result.supervisor["counters"].get("restarts", 0) == restarts
+        assert fault_counters(result) == counters

@@ -1,8 +1,11 @@
-"""FaultPlan / FrameFault: eager validation, survivors, JSON portability."""
+"""FaultPlan / FrameFault: eager validation, survivors, JSON portability;
+the restart rule both supervisors share."""
 
 import pytest
 
+from repro.core.stats import KernelStats
 from repro.fault import FAULT_ACTIONS, FaultError, FaultPlan, FrameFault
+from repro.fault.plan import RestartRefused, RestartRule
 
 
 class TestFrameFaultValidation:
@@ -124,3 +127,42 @@ class TestFaultPlan:
             FaultPlan.from_json("[1, 2]")
         with pytest.raises(FaultError, match="unknown"):
             FaultPlan.from_json('{"explode_at": 3}')
+
+
+class TestRestartRule:
+    def test_backoff_doubles_from_a_tenth_up_to_two_seconds(self):
+        rule = RestartRule(KernelStats(), max_restarts=8)
+        delays = [rule.crashed("filter#1", n, now=0.0) for n in range(8)]
+        assert delays == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0, 2.0]
+
+    def test_a_spent_budget_is_refused_and_every_crash_counted(self):
+        stats = KernelStats()
+        rule = RestartRule(stats, max_restarts=1)
+        assert rule.crashed("filter#1", 0, now=0.0, killed=True) == 0.1
+        with pytest.raises(RestartRefused, match="filter#1") as info:
+            rule.crashed("filter#1", 1, now=1.0)
+        assert info.value.reason == "budget"
+        assert {name: stats.get(name) for name in stats.names()} == {
+            "crashes": 2, "crashes[filter#1]": 2, "injected_kills": 1,
+            "restarts": 1, "restarts[filter#1]": 1,
+        }
+        assert stats.get_gauge("backoff_s[filter#1]") == 0.1
+
+    def test_the_storm_window_slides_with_the_callers_clock(self):
+        stats = KernelStats()
+        rule = RestartRule(stats, max_restarts=9, storm_window=5.0,
+                           storm_max_restarts=2)
+        for now in (0.0, 1.0, 6.5, 7.0):  # never 3 inside 5 s
+            rule.crashed("a", 0, now=now)
+        with pytest.raises(RestartRefused, match="restart storm") as info:
+            rule.crashed("b", 0, now=8.0)
+        assert info.value.reason == "restart-storm"
+        assert stats.get("restart_storms") == 1
+
+    @pytest.mark.parametrize("knob, bad", [
+        ("max_restarts", -1), ("max_restarts", 1.5), ("storm_window", 0),
+        ("storm_max_restarts", 0),
+    ])
+    def test_knobs_validated_eagerly(self, knob, bad):
+        with pytest.raises(ValueError, match=knob):
+            RestartRule(KernelStats(), **{knob: bad})
