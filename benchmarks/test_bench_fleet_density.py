@@ -94,17 +94,18 @@ def test_bench_fleet_density(benchmark, tmp_path):
     # Aggregate work: every link delivers the full stream once.
     links = N_STAGES - 1
     deliveries = N_ITEMS * links
-    relayed = broker_stats[0]["counters"]["relayed_frames"]
+    relayed = broker_stats[0]["counters"].get("relayed_frames", 0)
+    spliced = host_stats[0]["counters"]["mux_frames_spliced"]
     p50, p99 = register_quantiles(result)
 
     publish(
         "fleet_density",
         ["stages hosted", "processes", "links", "elapsed s",
          "deliveries/s", "register p50 ms", "register p99 ms",
-         "relayed frames"],
+         "spliced frames"],
         [[stages_hosted, 2, links, f"{elapsed:.2f}",
           f"{deliveries / elapsed:.0f}", f"{p50:.2f}", f"{p99:.2f}",
-          relayed]],
+          spliced]],
         title=(
             f"T15: {stages_hosted}-stage pipeline hosted by one "
             f"eden-broker + one eden-host process "
@@ -121,6 +122,8 @@ def test_bench_fleet_density(benchmark, tmp_path):
     )
 
     assert stages_hosted >= (80 if QUICK else 500)
-    # Every link's stream crossed the broker: at least one DATA frame
-    # per batch per link (plus READs, ENDs and handshakes on top).
-    assert relayed >= links * (N_ITEMS // FLOW.batch)
+    # Every link's stream was spliced inside the host: at least one
+    # DATA frame per batch per link (plus READs, ENDs and handshakes on
+    # top), and the broker, which issued every link, relayed none.
+    assert spliced >= links * (N_ITEMS // FLOW.batch)
+    assert relayed == 0

@@ -12,6 +12,12 @@ before the control handler yields.  :meth:`_on_control` therefore
 attaches synchronously and only then invokes ``on_accept``, which is
 expected to *schedule* serving (``asyncio.ensure_future``), never to
 block the read loop.
+
+A route whose two ends are both on this connection is never relayed:
+the broker's ``open`` reply names the peer end, and :meth:`open`
+splices the two channels (:attr:`~repro.net.mux.MuxChannel.peer`) so
+their frames cross in-process.  Closing either end still goes through
+the broker, whose ``hangup`` notice reaches the other.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ class BrokerClient:
         self.mux: ChannelMux | None = None
         self._pending: dict[int, asyncio.Future[dict[str, Any]]] = {}
         self._next_req = 0
+        #: The latest channel id an ``accept`` attached (ids only grow).
+        self._last_accept = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -156,6 +164,19 @@ class BrokerClient:
         assert self.mux is not None
         channel = self.mux.attach(int(payload["chan"]), **channel_options)
         channel.on_closed = self._channel_closed
+        if "peer" in payload:
+            # A same-host route: the broker issued it, this host splices
+            # its two ends.  The broker queued the target end's
+            # ``accept`` ahead of this reply on the same FIFO control
+            # queue, so the read loop attached that end first.  Its
+            # stage may have closed it since (a refused accept); what
+            # this end sends is then an orphan, as on a relayed route.
+            peer = int(payload["peer"])
+            assert peer <= self._last_accept, "open reply overtook its accept"
+            channel.peer = peer
+            accepted = self.mux.channels.get(peer)
+            if accepted is not None:
+                accepted.peer = channel.chan
         return channel
 
     def opener(self, **channel_options: Any) -> ChannelOpener:
@@ -212,8 +233,10 @@ class BrokerClient:
         if cmd == "accept":
             assert self.mux is not None
             # Attach BEFORE yielding: the opener's HELLO is already
-            # behind this notice in the connection's frame order.
-            channel = self.mux.attach(int(body["chan"]))
+            # behind this notice in the connection's frame order (or,
+            # on a same-host route, the opener's reply is).
+            self._last_accept = int(body["chan"])
+            channel = self.mux.attach(self._last_accept)
             channel.on_closed = self._channel_closed
             if self.on_accept is not None:
                 self.on_accept(channel, dict(body))

@@ -23,18 +23,22 @@ One broker daemon owns the control plane of a hosted fleet:
   ``park_deadline`` expires (``no-such-name``) — restart transparency
   for free, since a dead stage's clients just re-open and wait.
 
-- **Relay.**  Channel ids are per-connection: each endpoint of a
+- **Relay, for cross-host routes only.**  The broker issues every
+  route, and channel ids are per-connection: each endpoint of a
   channel has its own id, allocated from its own connection's
-  namespace, so two stages in the *same* host process converse
-  through the broker exactly like stages in different hosts.  Data
-  frames are relayed **without decoding**: the link's
-  :class:`~repro.net.framing.FrameProtocol` (the one its admission
-  installed) hands over each frame's wire bytes, the broker rewrites
-  the 4-byte channel extension to the peer's id, and forwards the rest
-  verbatim — codec-blind (binary and JSON alike) and O(bytes).  Relay counters
-  (``relayed_frames``/``relayed_bytes``) are deliberately *not* named
-  like stage counters, so summing a fleet's stats never double-counts
-  invocations through the broker.
+  namespace.  When both ends are on the *same* host connection, the
+  ``open`` reply also names the peer's id and the host splices the two
+  channels in-process (:mod:`repro.broker.client`): the relay would
+  buy no reachability there, only two socket crossings.  The broker
+  still counts, lists (``"local": true``) and hangs up such a route.
+  Frames of a cross-host route are relayed **without decoding**: the
+  link's :class:`~repro.net.framing.FrameProtocol` (the one its
+  admission installed) hands over each frame's wire bytes, the broker
+  rewrites the 4-byte channel extension to the peer's id, and forwards
+  the rest verbatim — codec-blind (binary and JSON alike) and
+  O(bytes).  Relay counters (``relayed_frames``/``relayed_bytes``) are
+  deliberately *not* named like stage counters, so summing a fleet's
+  stats never double-counts invocations through the broker.
 
 Wire protocol (all control on logical channel 0, JSON codec):
 
@@ -42,7 +46,10 @@ Wire protocol (all control on logical channel 0, JSON codec):
 command        request body                          reply payload
 =============  ====================================  ======================
 ``register``   ``name``, ``serves`` (role list)      ``serial``
-``open``       ``to`` (name), ``role``               ``chan`` (caller's id)
+``open``       ``to`` (name), ``role``               ``chan`` (caller's id),
+                                                     ``serial``; ``peer``
+                                                     (the target end's id)
+                                                     on a same-host route
 ``close-chan`` ``chan``                              ``{}``
 ``ping``       —                                     ``{}``
 =============  ====================================  ======================
@@ -76,6 +83,7 @@ from repro.net.framing import (
     HEADER,
     decode_frame,
     encode_frame_into,
+    readdress,
 )
 from repro.net.handshake import (
     ROLE_HOST,
@@ -358,8 +366,7 @@ class Broker:
             if not peer_conn.alive:
                 self.stats.bump("orphan_frames")
                 continue
-            relayed = b"".join((wire[:head], _CHAN_EXT.pack(peer_chan),
-                                wire[head + _CHAN_EXT.size:]))
+            relayed = readdress(wire, peer_chan)
             if self.flight is not None:
                 self.flight.on_received(wire)
                 self.flight.on_sent(relayed)
@@ -501,8 +508,12 @@ class Broker:
             "cmd": "accept", "chan": b_chan,
             "name": registration.name, "role": role,
         })
-        await self._reply(link, req, {"chan": a_chan,
-                                      "serial": registration.serial})
+        payload = {"chan": a_chan, "serial": registration.serial}
+        if target is link:
+            # A same-host route: the host splices its two ends, so it
+            # needs the peer's id; the relay never carries the route.
+            payload["peer"] = b_chan
+        await self._reply(link, req, payload)
 
     async def _cmd_close_chan(self, link: _HostLink, req: Any,
                               body: dict[str, Any]) -> None:
@@ -614,6 +625,7 @@ class Broker:
                         "name": route.name, "role": route.role,
                         "a": f"{route.a_conn.label}:{route.a_chan}",
                         "b": f"{route.b_conn.label}:{route.b_chan}",
+                        "local": route.a_conn is route.b_conn,
                         "frames": route.frames, "bytes": route.bytes,
                     })
             return rows
@@ -631,7 +643,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eden-broker",
         description="Run the hosted-fleet control plane: naming, "
-                    "channel issuance, and frame relay.",
+                    "channel issuance, and cross-host frame relay.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,

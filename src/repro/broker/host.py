@@ -7,8 +7,10 @@ connection to the broker.  Each hosted stage is the stage
 serve loop, transducers, flow policies and resume machinery — whose
 links are logical channels (:mod:`repro.net.mux`) opened by
 fleet-scoped *name* through the broker, so the host never binds a
-data port and two stages in the same host talk through the broker
-exactly like stages on different machines.  The host adds only the
+data port.  The broker issues every route; a route to a stage in
+another host is relayed by the broker, while one between two stages
+of this host is spliced in-process (same encode, fault injection,
+decode and counts, no socket crossing).  The host adds only the
 broker client, registration, accept routing, the per-stage
 incarnation loop, control handlers and output/stats emission.
 
@@ -325,8 +327,9 @@ class StageHost:
         self.tracer = Tracer(enabled=config.trace_file is not None)
         self.book = TicketBook(space=config.ticket_space, seed=config.ticket_seed)
         # One recorder for the whole host: every hosted stage's frames
-        # cross the single broker connection, so hooking the mux sees
-        # them all (the channel id in each record says whose they are).
+        # pass through the single broker mux — relayed or spliced — so
+        # hooking it sees them all (the channel id in each record says
+        # whose they are).
         self.flight = None
         if config.flight_dir is not None:
             from repro.obs.flight import FlightRecorder

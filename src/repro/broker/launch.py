@@ -15,8 +15,12 @@ the point.
 The broker plan is marked ``daemon=True``: the supervisor terminates
 it once every host has drained its streams (the broker dumps its
 stats on SIGTERM), and restarts it like a crashed stage if it dies
-mid-run — hosts ride out the gap through connect backoff and
-re-registration.
+mid-run.  An attached host does not re-attach: losing its broker
+connection hangs up every channel, each hosted stage's redial retries
+the broker open on the connect-backoff schedule and fails with a
+``WireError`` at ``connect_deadline``, and the host exits with
+``HostError`` — a whole-process crash the supervisor restarts against
+the restarted broker only if the fleet's restart budget allows.
 """
 
 from __future__ import annotations

@@ -123,6 +123,7 @@ __all__ = [
     "encode_frame",
     "encode_frame_into",
     "decode_frame",
+    "readdress",
     "write_frame",
     "TRACE_KEY",
     "attach_trace",
@@ -599,6 +600,18 @@ def encode_frame(frame: Frame, codec: str = CODEC_JSON) -> bytes:
     out = bytearray()
     encode_frame_into(frame, out, codec)
     return bytes(out)
+
+
+def readdress(wire: Any, chan: int) -> bytes:
+    """The channel-addressed frame ``wire`` moved to channel ``chan``.
+
+    Only the channel extension changes; the body is copied as it was
+    encoded, never decoded — how a relay or a splice hands a frame from
+    one end of a route to the other.
+    """
+    head = HEADER.size
+    return b"".join((wire[:head], _CHAN_EXT.pack(chan),
+                     wire[head + _CHAN_EXT.size:]))
 
 
 def _decode(wire: bytes) -> Frame:

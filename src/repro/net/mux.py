@@ -17,9 +17,17 @@ Design rules:
   :func:`~repro.net.protocol.serve_push`, and the HELLO/WELCOME
   handshake (:func:`~repro.net.handshake.send_hello_over` /
   :func:`~repro.net.handshake.expect_hello_over`) run *unchanged* over
-  a logical channel.  Pull-stream semantics — demand-driven transfer,
-  early termination, no read after END — therefore hold per channel by
-  construction, independent of what the other channels do.
+  a logical channel.
+
+- **Same-host channels are spliced.**  When the broker issues a route
+  whose two ends are both channels of this connection, the opener's
+  :class:`MuxChannel` and its peer are *spliced* (:attr:`MuxChannel.peer`):
+  a frame is encoded, recorded and offered to the fault injector
+  exactly as before, then handed to the peer in-process
+  (:meth:`ChannelMux.splice`), which decodes it into its own bytes as
+  its socket would have.  The broker stays the naming and admission
+  authority — it issues, counts and hangs up the route — and relays
+  only what crosses hosts.
 
 - **Fair writing.**  All channels share one socket, so a hot channel
   could starve the rest at the send buffer.  The :class:`FairWriter`
@@ -59,12 +67,18 @@ from repro.net.framing import (
     FrameProtocol,
     FrameType,
     _release_after_write,
+    decode_frame,
     encode_frame_into,
+    readdress,
 )
 from repro.net.vectored import write_vectored
 from repro.net.handshake import ROLE_PUSH, send_hello_over
 from repro.net.metrics import NetStats
-from repro.net.protocol import RemoteReadable, RemoteWritable
+from repro.net.protocol import (
+    RemoteReadable,
+    RemoteWritable,
+    retry_with_backoff,
+)
 
 __all__ = [
     "CONTROL_CHANNEL",
@@ -214,10 +228,13 @@ class MuxChannel:
     Every outgoing frame is stamped with the channel id (and offered
     to the fault ``injector``, which can target this channel
     specifically); incoming frames arrive from the mux's reader via
-    :meth:`_deliver`.  ``recv`` returns ``None`` once the channel is
-    hung up — the per-channel analogue of a peer closing a socket,
-    which is how stream code observes a crashed peer or a dying mux
-    without any new error vocabulary.
+    :meth:`_deliver`, or from a spliced peer via :meth:`_take`.
+    ``recv`` returns ``None`` once the channel is hung up — the
+    per-channel analogue of a peer closing a socket, which is how
+    stream code observes a crashed peer or a dying mux without any new
+    error vocabulary — and raises the :class:`FrameError` instead when
+    a chunk from a spliced peer did not decode, as a socket's
+    ``Connection`` does.
     """
 
     def __init__(
@@ -247,6 +264,12 @@ class MuxChannel:
         #: client uses it to tell the broker the route is dead, which
         #: is how the *peer* endpoint comes to observe a hangup.
         self.on_closed: Callable[["MuxChannel"], None] | None = None
+        #: The id of the channel on this same connection that this one
+        #: is spliced to (a same-host route), or ``None``: frames then
+        #: leave through the fair writer.
+        self.peer: int | None = None
+        #: What broke a spliced stream: ``recv`` raises it at the end.
+        self.error: FrameError | None = None
 
     # -- Connection surface --------------------------------------------------
 
@@ -258,20 +281,26 @@ class MuxChannel:
         except FrameError:
             POOL.release(out)
             raise
-        if self.mux.flight is not None:
+        mux = self.mux
+        if mux.flight is not None:
             # What the stage believes it sent, pre-injection.
-            self.mux.flight.on_sent(out)
-        if self.injector is None:
-            # Ownership of the pooled buffer passes to the fair
-            # writer, which recycles it after the socket write.
-            await self.mux.send_wire(self.chan, out)
-        else:
-            for chunk in await self.injector.outgoing(
-                    frame.type.name, bytes(out), self.chan):
-                await self.mux.send_wire(self.chan, chunk)
+            mux.flight.on_sent(out)
+        chunks = (out,) if self.injector is None else (
+            await self.injector.outgoing(frame.type.name, bytes(out),
+                                         self.chan))
+        peer = self.peer
+        for chunk in chunks:
+            if peer is None:
+                # A pooled buffer's ownership passes to the fair
+                # writer, which recycles it after the socket write.
+                await mux.send_wire(self.chan, chunk)
+            else:
+                mux.splice(peer, chunk)
+        if peer is not None:
+            POOL.release(out)  # the peer decoded its own copy
         if frame.type not in _HANDSHAKE_TYPES:
             self.stats.note_sent(frame, wire_bytes, self.end_is_request)
-        self.mux.stats.counters["mux_frames_sent"] += 1
+        mux.stats.counters["mux_frames_sent"] += 1
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(
                 self.clock(), "send", self.label,
@@ -292,15 +321,16 @@ class MuxChannel:
             )
 
     async def recv(self) -> Frame | None:
-        if self._hung_up and self._inbox.empty():
-            return None
-        item = await self._inbox.get()
-        if item is None:
-            self._hung_up = True
-            return None
-        frame, wire_bytes = item
-        self._note_received(frame, wire_bytes)
-        return frame
+        if not (self._hung_up and self._inbox.empty()):
+            item = await self._inbox.get()
+            if item is not None:
+                frame, wire_bytes = item
+                self._note_received(frame, wire_bytes)
+                return frame
+        self._hung_up = True
+        if self.error is not None:
+            raise self.error
+        return None
 
     def recv_nowait(self) -> Frame | None:
         """An inbound frame already queued on this channel, else ``None``.
@@ -333,6 +363,31 @@ class MuxChannel:
     def _deliver(self, frame: Frame, wire_bytes: int) -> None:
         if not self._hung_up:
             self._inbox.put_nowait((frame, wire_bytes))
+
+    def _take(self, chunk: Any) -> None:
+        """Receive one chunk the spliced peer sent, as a socket would.
+
+        The chunk is re-addressed to this channel (the extension the
+        broker relay would have rewritten) and decoded from this
+        channel's own copy, so no body keeps a view into the sender's
+        pooled buffer.  A chunk that does not decode breaks this
+        channel alone: ``recv`` raises the :class:`FrameError` after
+        the frames queued before it.
+        """
+        if self.error is not None:
+            return  # the stream is broken past this point
+        wire = readdress(chunk, self.chan)
+        try:
+            frame, _used = decode_frame(wire)
+        except FrameError as error:
+            self.error = error
+            self.hangup()
+            return
+        mux = self.mux
+        if mux.flight is not None:
+            mux.flight.on_received(wire)
+        mux.stats.counters["mux_frames_received"] += 1
+        self._deliver(frame, len(wire))
 
     def hangup(self) -> None:
         """Make ``recv`` return ``None`` after any already-queued frames."""
@@ -413,6 +468,24 @@ class ChannelMux:
 
     async def send_wire(self, chan: int, wire: bytes) -> None:
         await self._fair.enqueue(chan, wire)
+
+    def splice(self, chan: int, wire: Any) -> None:
+        """Hand one sent chunk to channel ``chan`` of this connection.
+
+        The read loop's demultiplexing without the socket round trip: a
+        closed channel makes the chunk an orphan, and a dead connection
+        fails the sender as its fair writer would.
+        """
+        if self._closed:
+            raise ConnectionResetError(
+                f"{self.label} is closed{f': {self.error}' if self.error else ''}"
+            )
+        self.stats.counters["mux_frames_spliced"] += 1
+        channel = self.channels.get(chan)
+        if channel is not None:
+            channel._take(wire)
+        else:
+            self.stats.bump("mux_orphan_frames")
 
     async def send_control(self, frame: Frame,
                            queue_on: int = CONTROL_CHANNEL) -> None:
@@ -506,7 +579,9 @@ class _HostedEnd:
     Only how a "connection" comes to exist differs: instead of dialing
     ``host:port``, the end asks the broker for a channel to ``target``
     (a fleet-scoped name) and runs the ordinary ticket handshake
-    inside it.
+    inside it.  An open that fails for want of a broker connection is
+    retried on the TCP dial's schedule and is a fatal
+    :class:`~repro.net.protocol.WireError` at ``connect_deadline``.
     """
 
     def __init__(self, open_channel: ChannelOpener, target: str,
@@ -516,7 +591,10 @@ class _HostedEnd:
         self.target = target
 
     async def _dial(self, offer: Any) -> tuple[MuxChannel, Frame]:
-        channel = await self._open_channel(self.target, self.role)
+        channel = await retry_with_backoff(
+            lambda: self._open_channel(self.target, self.role),
+            f"{self.target!r} through the broker", self.connect_deadline,
+        )
         channel.stats = self.stats
         channel.end_is_request = self.role == ROLE_PUSH
         channel.tracer = self.tracer

@@ -64,7 +64,9 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, MutableMapping, Sequence, Union
+from typing import (
+    Any, Awaitable, Callable, Mapping, MutableMapping, Sequence, Union,
+)
 
 from repro.core.errors import (
     EdenError,
@@ -316,40 +318,60 @@ class Connection:
             pass
 
 
+#: The retry schedule of every dial: the first sleep, doubled up to the
+#: cap.  It starts at 2 ms because the common miss is a listener task in
+#: the same loop (or a process spawned a moment ago) that binds within
+#: milliseconds — a refused loopback dial costs microseconds, a 50 ms
+#: first sleep was the whole set-up time of an in-loop fleet.
+_FIRST_RETRY_DELAY = 0.002
+_MAX_RETRY_DELAY = 1.0
+
+
+async def retry_with_backoff(
+    attempt: Callable[[], Awaitable[Any]],
+    what: str,
+    deadline: float = 15.0,
+) -> Any:
+    """Await ``attempt()`` until it stops failing with a transient error.
+
+    A ``ConnectionError`` / ``OSError`` sleeps and retries on the dial
+    schedule (2 ms, doubling, capped at 1 s); one that would outlast
+    ``deadline`` seconds is a fatal :class:`WireError` naming ``what``.
+    """
+    started = time.monotonic()
+    delay = _FIRST_RETRY_DELAY
+    while True:
+        try:
+            return await attempt()
+        except (ConnectionError, OSError) as error:
+            if time.monotonic() - started + delay > deadline:
+                raise WireError(
+                    f"could not connect to {what} "
+                    f"within {deadline:.1f}s: {error}"
+                ) from error
+            await asyncio.sleep(delay)
+            delay = min(delay * 2, _MAX_RETRY_DELAY)
+
+
 async def connect_with_backoff(
     host: str,
     port: int,
     deadline: float = 15.0,
-    first_delay: float = 0.002,
-    max_delay: float = 1.0,
 ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
     """Dial ``host:port``, retrying transient failures with backoff.
 
     Stages of one pipeline are spawned concurrently, so a client may
-    dial before its server listens; exponential backoff up to
+    dial before its server listens; :func:`retry_with_backoff` up to
     ``deadline`` seconds absorbs that (and transient RSTs) without any
-    start-order coordination.  The doubling starts at 2 ms because the
-    common miss is a listener task in the same loop (or a process
-    spawned a moment ago) that binds within milliseconds — a refused
-    loopback dial costs microseconds, a 50 ms first sleep was the whole
-    set-up time of an in-loop fleet.  The same deadline bounds resume: a
+    start-order coordination.  The same deadline bounds resume: a
     client reconnecting to a crashed stage waits this long for the
     supervisor to restart it before giving up with a fatal
     :class:`WireError`.
     """
-    started = time.monotonic()
-    delay = first_delay
-    while True:
-        try:
-            return await asyncio.open_connection(host, port)
-        except (ConnectionError, OSError) as error:
-            if time.monotonic() - started + delay > deadline:
-                raise WireError(
-                    f"could not connect to {host}:{port} "
-                    f"within {deadline:.1f}s: {error}"
-                ) from error
-            await asyncio.sleep(delay)
-            delay = min(delay * 2, max_delay)
+    return await retry_with_backoff(
+        lambda: asyncio.open_connection(host, port), f"{host}:{port}",
+        deadline,
+    )
 
 
 class _RemoteEnd:

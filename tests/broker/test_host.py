@@ -1,17 +1,19 @@
 """In-process tests of the eden-host stage runtime.
 
 One event loop carries the broker *and* a :class:`StageHost` running
-a whole pipeline: stages register by name, open channels through the
-relay, and the host's in-process supervision restarts a crashed stage
-without touching its neighbours.
+a whole pipeline: stages register by name, open channels the broker
+issues and the host splices, and the host's in-process supervision
+restarts a crashed stage without touching its neighbours.
 """
 
 import asyncio
+import time
 
 import pytest
 
 from repro.fault.plan import FaultPlan
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, TicketBook
+from repro.net.protocol import WireError
 from repro.broker.daemon import Broker, FIRST_STAGE_SERIAL
 from repro.broker.host import (
     HostConfig,
@@ -86,8 +88,10 @@ class TestHostedPipelines:
     def test_pipeline_completes_through_the_broker(self, discipline):
         broker, host = run(hosted_run(discipline))
         assert sink_output(host) == [item.upper() for item in ITEMS]
-        # Every link went through the relay; nothing bound a data port.
-        assert broker.stats.get("relayed_frames") > 0
+        # The broker issued every link and the host spliced each one:
+        # nothing bound a data port, and nothing crossed the relay.
+        assert host.stats.get("mux_frames_spliced") > 0
+        assert broker.stats.get("relayed_frames") == 0
         assert broker.stats.get("registrations") == 3
 
     def test_stages_get_broker_minted_serials_and_uids(self):
@@ -176,6 +180,48 @@ class TestInProcessSupervision:
         ))
         assert sink_output(host) == [item.upper() for item in ITEMS]
         assert host.stats.get("refused_accepts") == 1
+
+
+class TestBrokerLoss:
+    def test_a_lost_broker_fails_the_host_within_its_deadlines(self):
+        # The host's broker connection dies mid-stream.  Every hosted
+        # reader's redial backs off and gives up at connect_deadline
+        # with a typed error; it used to spin the loop forever, since
+        # an open on a dead mux fails without ever suspending.
+        connect_deadline, io_timeout = 2.0, 1.0
+
+        async def scenario():
+            broker = Broker(TicketBook(**BOOK_ARGS))
+            await broker.start()
+            specs = [
+                HostedStageSpec(name="source", role="source",
+                                source_items=[f"r{i}" for i in range(20000)]),
+                HostedStageSpec(name="filter1", role="filter",
+                                upstream="source"),
+                HostedStageSpec(name="sink", role="sink", upstream="filter1"),
+            ]
+            host = StageHost(HostConfig(
+                broker_host=broker.host, broker_port=broker.port,
+                stages=specs, ticket_space=BOOK_ARGS["space"],
+                ticket_seed=BOOK_ARGS["seed"], resume=True,
+                io_timeout=io_timeout, connect_deadline=connect_deadline,
+            ))
+            running = asyncio.ensure_future(host.run())
+            await asyncio.sleep(0.3)
+            await broker.close()
+            cut = time.monotonic()
+            done, _pending = await asyncio.wait(
+                [running], timeout=connect_deadline + io_timeout + 2)
+            if not done:
+                running.cancel()
+                await asyncio.gather(running, return_exceptions=True)
+                return None, time.monotonic() - cut
+            return running.exception(), time.monotonic() - cut
+
+        error, elapsed = run(scenario())
+        assert isinstance(error, (HostError, WireError)), (error, elapsed)
+        assert "could not connect" in str(error)
+        assert elapsed < connect_deadline + io_timeout + 2
 
 
 class TestIntrospection:

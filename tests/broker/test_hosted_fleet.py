@@ -4,8 +4,8 @@
 plus ``eden-host`` processes; the ordinary :func:`run_fleet` runs it.
 The observability bar is the same one the process placement passes:
 merged span logs must show exactly the paper's C1/C2 causal chains,
-span by span, even though every link now rides a multiplexed broker
-connection.
+span by span, even though every link is now a broker-issued logical
+channel (spliced in-process within a host, relayed between hosts).
 """
 
 import json
@@ -58,7 +58,11 @@ class TestHostedFleet:
             stats = json.load(handle)
         assert stats["role"] == "broker"
         assert stats["counters"]["registrations"] == 3
-        assert stats["counters"]["relayed_frames"] > 0
+        # One host: the broker issued both links and relayed neither.
+        assert stats["counters"].get("relayed_frames", 0) == 0
+        with open(tmp_path / "host-0.stats.json", encoding="utf-8") as handle:
+            host = json.load(handle)
+        assert host["counters"]["mux_frames_spliced"] > 0
 
     def test_stages_spread_over_multiple_hosts(self, tmp_path):
         plans = hosted_plans(tmp_path, transducers=[UPPER, IDENTITY],

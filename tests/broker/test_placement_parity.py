@@ -28,6 +28,14 @@ CASES = {
         FaultPlan(kill_after=2, frame_faults=[EVERY_SECOND_DATA_TWICE]),
         1, {"fault_duplicate": 5},
     ),
+    # The second DATA's body arrives mangled: the reader's link fails
+    # and resumes (no restart), whether the link is a socket or a
+    # spliced same-host channel.
+    "corrupt_data": (
+        FaultPlan(frame_faults=[
+            FrameFault(action="corrupt", frame="data", nth=2)]),
+        0, {"fault_corrupt": 1},
+    ),
 }
 
 
