@@ -42,7 +42,6 @@ as ``run()`` keywords, per-edge codec settings, or smuggled inside a
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
@@ -516,7 +515,7 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
     """
     from repro.net.affinity import assign_cores
     from repro.net.framing import CODEC_JSON
-    from repro.net.launch import _manifest_entry, plan_linear_fleet
+    from repro.net.launch import plan_linear_fleet, write_manifest
 
     directory = pathlib.Path(directory)
     cores = assign_cores(len(block.branches), placement_policy)
@@ -537,15 +536,9 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
             **knobs,
         ))
     if knobs.get("trace"):
-        manifest = {
-            "resume": knobs.get("resume", False),
-            "shards": len(block.branches),
-            "placement_policy": placement_policy,
-            "shard_cores": cores,
-            "stages": [_manifest_entry(plan, plan.serial) for plan in plans],
-        }
-        (directory / "fleet.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+        write_manifest(directory, plans, resume=knobs.get("resume", False),
+                       shards=len(block.branches),
+                       placement_policy=placement_policy, shard_cores=cores)
     return plans
 
 

@@ -28,6 +28,6 @@ from repro._lazy import lazy_front
 __getattr__, __dir__, __all__ = lazy_front(globals(), {
     "repro.broker.client": ("BrokerClient",),
     "repro.broker.daemon": ("Broker", "BrokerError"),
-    "repro.broker.host": ("HostConfig", "HostedStageSpec", "StageHost"),
+    "repro.broker.host": ("HostConfig", "StageHost"),
     "repro.broker.launch": ("plan_hosted_fleet",),
 })

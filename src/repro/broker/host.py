@@ -44,36 +44,32 @@ hosted placement exists to avoid (the paper's §1 argument, inverted).
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import contextlib
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Any, AsyncIterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, AsyncIterator, Sequence
 
-from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.errors import EdenError
 from repro.core.tracing import Tracer
 from repro.fault.plan import FaultPlan, RestartRefused, RestartRule
 from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
-from repro.net.framing import CODEC_JSON, CODECS
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, Hello, TicketBook
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
-from repro.net.stage import StageConfig, _Stage
+from repro.net.stage import StageConfig, _Stage, plan_values, read_plan
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
-from repro.transput.flow import FlowPolicy
 from repro.broker.client import BrokerClient
 
 __all__ = [
     "HostConfig",
     "HostError",
-    "HostedStageSpec",
     "StageHost",
     "run_host",
     "main",
@@ -97,73 +93,24 @@ class _InjectedKill(BaseException):
 
 
 @dataclass
-class HostedStageSpec:
-    """One stage's entry in a host plan.
-
-    ``upstream`` / ``downstream`` are fleet-scoped *names*, not
-    addresses: the host opens channels to them through the broker, so
-    a spec is placement-free — the named peer may live in this host,
-    another host, or (future) anywhere the broker can reach.
-    """
-
-    name: str
-    role: str
-    upstream: str | None = None
-    downstream: str | None = None
-    transducer_spec: str | None = None
-    transducer_args: list[Any] = field(default_factory=list)
-    source_items: list[Any] | None = None
-    expected_clients: int | None = None
-    channel: Any = PRIMARY_CHANNEL
-    fault: FaultPlan = field(default_factory=FaultPlan)
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("every hosted stage needs a non-empty name")
-        if self.role not in HOSTED_ROLES:
-            raise ValueError(
-                f"role must be one of {HOSTED_ROLES}, got {self.role!r}"
-            )
-        if not isinstance(self.fault, FaultPlan):
-            raise ValueError(f"fault must be a FaultPlan, got {self.fault!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HostedStageSpec":
-        fault = data.get("fault")
-        return cls(
-            name=data["name"],
-            role=data["role"],
-            upstream=data.get("upstream"),
-            downstream=data.get("downstream"),
-            transducer_spec=data.get("transducer_spec"),
-            transducer_args=list(data.get("transducer_args") or []),
-            source_items=data.get("source_items"),
-            expected_clients=data.get("expected_clients"),
-            channel=data.get("channel", PRIMARY_CHANNEL),
-            fault=FaultPlan.from_dict(fault) if fault else FaultPlan(),
-        )
-
-
-@dataclass
 class HostConfig:
-    """Everything one stage-host process needs to know."""
+    """Everything one stage-host process needs to know.
+
+    The per-process fields, plus the :class:`~repro.net.stage.
+    StageConfig` of every stage the host runs — the description a
+    process stage gets, with fleet-scoped names for peers.  A host has
+    one ticket book and one label shape, so its stages share one
+    discipline and one ``ticket_space`` / ``ticket_seed``; the broker
+    mints each stage's serial at registration.
+    """
 
     broker_host: str
     broker_port: int
-    stages: list[HostedStageSpec]
-    discipline: str = "readonly"
-    ticket_space: int = 0
-    ticket_seed: int = 0
+    stages: list[StageConfig]
     serial: int = 2
-    resume: bool = False
-    codec: str = CODEC_JSON
-    flow: FlowPolicy = field(default_factory=FlowPolicy)
-    io_timeout: float | None = None
-    connect_deadline: float = 15.0
     max_restarts: int = 0
     stats_file: str | None = None
     trace_file: str | None = None
-    output_file: str | None = None
     control_port: int | None = None
     #: CPU core this host process pins itself to (None = unpinned).
     cpu: int | None = None
@@ -176,44 +123,37 @@ class HostConfig:
                 f"flight_mode must be one of {FLIGHT_MODES}, "
                 f"got {self.flight_mode!r}"
             )
+        if not self.stages:
+            raise ValueError("a host plan needs at least one stage")
+        for key in ("discipline", "ticket_space", "ticket_seed"):
+            values = sorted({getattr(stage, key) for stage in self.stages})
+            if len(values) > 1:
+                raise ValueError(f"a host's stages share one {key}, "
+                                 f"got {values}")
         if self.discipline not in HOSTED_DISCIPLINES:
             raise ValueError(
                 f"hosted discipline must be one of {HOSTED_DISCIPLINES}, got "
                 f"{self.discipline!r} (conventional needs a pipe process per "
                 f"link; use the process placement)"
             )
-        if self.codec not in CODECS:
-            raise ValueError(f"codec must be one of {CODECS}, got {self.codec!r}")
-        if not self.stages:
-            raise ValueError("a host plan needs at least one stage")
-        names = [spec.name for spec in self.stages]
+        for stage in self.stages:
+            if not stage.name:
+                raise ValueError("every hosted stage needs a non-empty name")
+            if stage.role not in HOSTED_ROLES:
+                raise ValueError(
+                    f"role must be one of {HOSTED_ROLES}, got {stage.role!r}"
+                )
+            for peer in (stage.upstream, stage.downstream):
+                if peer is not None and not isinstance(peer, str):
+                    raise ValueError(f"stage {stage.name!r} must name its "
+                                     f"peers for the broker, got {peer!r}")
+        names = [stage.name for stage in self.stages]
         if len(set(names)) != len(names):
             raise ValueError(f"stage names must be unique, got {names}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HostConfig":
-        return cls(
-            broker_host=data["broker_host"],
-            broker_port=int(data["broker_port"]),
-            stages=[HostedStageSpec.from_dict(raw) for raw in data["stages"]],
-            discipline=data.get("discipline", "readonly"),
-            ticket_space=int(data.get("ticket_space", 0)),
-            ticket_seed=int(data.get("ticket_seed", 0)),
-            serial=int(data.get("serial", 2)),
-            resume=bool(data.get("resume", False)),
-            codec=data.get("codec", CODEC_JSON),
-            flow=FlowPolicy(**(data.get("flow") or {})),
-            io_timeout=data.get("io_timeout"),
-            connect_deadline=float(data.get("connect_deadline", 15.0)),
-            max_restarts=int(data.get("max_restarts", 0)),
-            stats_file=data.get("stats_file"),
-            trace_file=data.get("trace_file"),
-            output_file=data.get("output_file"),
-            control_port=data.get("control_port"),
-            cpu=data.get("cpu"),
-            flight_dir=data.get("flight_dir"),
-            flight_mode=data.get("flight_mode", MODE_FULL),
-        )
+    @property
+    def discipline(self) -> str:
+        return self.stages[0].discipline
 
 
 def serves_roles(role: str, discipline: str) -> tuple[str, ...]:
@@ -228,12 +168,12 @@ def serves_roles(role: str, discipline: str) -> tuple[str, ...]:
 class _HostedStage:
     """One hosted stage across its incarnations: what the host keeps."""
 
-    def __init__(self, spec: HostedStageSpec, host: "StageHost") -> None:
-        self.spec = spec
+    def __init__(self, config: StageConfig, host: "StageHost") -> None:
+        self.config = config
         self.host = host
         self.serial = 0  # assigned by broker registration
         self.uid = None  # ticket minted once the serial is known
-        self.label = f"{spec.role}/{host.config.discipline}"
+        self.label = f"{config.role}/{config.discipline}"
         self.spans: SpanIds | None = None
         # Accepted channels wait here between incarnations, so a
         # restart's clients park instead of failing.
@@ -247,26 +187,9 @@ class _HostedStage:
         self.uid = self.host.book.ticket(serial)
         # The same label shape eden-stage uses, so merged traces read
         # identically whatever the placement was.
-        self.label = (
-            f"{self.spec.role}/{self.host.config.discipline}#{serial}"
-        )
+        self.label = f"{self.config.role}/{self.config.discipline}#{serial}"
         if self.host.tracer.enabled:
             self.spans = SpanIds(prefix=f"s{serial}-")
-
-    def config(self, fault: FaultPlan) -> StageConfig:
-        """The :class:`StageConfig` of one incarnation under ``fault``."""
-        spec, host = self.spec, self.host.config
-        return StageConfig(
-            role=spec.role, discipline=host.discipline,
-            upstream=spec.upstream, downstream=spec.downstream,
-            channel=spec.channel, transducer_spec=spec.transducer_spec,
-            transducer_args=spec.transducer_args,
-            source_items=spec.source_items, flow=host.flow,
-            ticket_space=host.ticket_space, ticket_seed=host.ticket_seed,
-            serial=self.serial, expected_clients=spec.expected_clients,
-            connect_deadline=host.connect_deadline, fault=fault,
-            resume=host.resume, io_timeout=host.io_timeout, codec=host.codec,
-        )
 
 
 class _Incarnation(_Stage):
@@ -284,8 +207,10 @@ class _Incarnation(_Stage):
 
     def __init__(self, record: _HostedStage, fault: FaultPlan) -> None:
         host = record.host
-        super().__init__(record.config(fault), stats=host.stats,
-                         tracer=host.tracer, book=host.book)
+        super().__init__(
+            dataclasses.replace(record.config, serial=record.serial,
+                                fault=fault),
+            stats=host.stats, tracer=host.tracer, book=host.book)
         self.record = record
         self.opener = host.client.opener()
         # One allocator across incarnations: span ids stay unique in
@@ -313,7 +238,7 @@ class _Incarnation(_Stage):
 
     def _on_kill(self) -> None:
         raise _InjectedKill(
-            f"[{self.record.spec.name}] fault: killed "
+            f"[{self.record.config.name}] fault: killed "
             f"(kill_after={self.config.fault.kill_after})"
         )
 
@@ -325,7 +250,8 @@ class StageHost:
         self.config = config
         self.stats = NetStats()
         self.tracer = Tracer(enabled=config.trace_file is not None)
-        self.book = TicketBook(space=config.ticket_space, seed=config.ticket_seed)
+        first = config.stages[0]
+        self.book = TicketBook(space=first.ticket_space, seed=first.ticket_seed)
         # One recorder for the whole host: every hosted stage's frames
         # pass through the single broker mux — relayed or spliced — so
         # hooking it sees them all (the channel id in each record says
@@ -341,16 +267,16 @@ class StageHost:
                     "role": "host",
                     "discipline": config.discipline,
                     "serial": config.serial,
-                    "codec": config.codec,
-                    "resume": config.resume,
                     "stages": [
                         {
-                            "name": spec.name,
-                            "role": spec.role,
-                            "transducer_spec": spec.transducer_spec,
-                            "transducer_args": list(spec.transducer_args),
+                            "name": stage.name,
+                            "role": stage.role,
+                            "transducer_spec": stage.transducer_spec,
+                            "transducer_args": list(stage.transducer_args),
+                            "codec": stage.codec,
+                            "resume": stage.resume,
                         }
-                        for spec in config.stages
+                        for stage in config.stages
                     ],
                 },
             )
@@ -358,14 +284,15 @@ class StageHost:
             config.broker_host, config.broker_port, self.book,
             serial=config.serial, label=f"host#{config.serial}",
             stats=self.stats, tracer=self.tracer,
-            connect_deadline=config.connect_deadline,
+            connect_deadline=max(stage.connect_deadline
+                                 for stage in config.stages),
             on_accept=self._on_accept,
             flight=self.flight,
         )
         self.restart_rule = RestartRule(self.stats,
                                         max_restarts=config.max_restarts)
-        self.stages = [_HostedStage(spec, self) for spec in config.stages]
-        self._by_name = {stage.spec.name: stage for stage in self.stages}
+        self.stages = [_HostedStage(stage, self) for stage in config.stages]
+        self._by_name = {stage.config.name: stage for stage in self.stages}
         self.started_mono = time.monotonic()
         self.pinned = False
 
@@ -390,8 +317,8 @@ class StageHost:
     async def _register_all(self) -> None:
         for stage in self.stages:
             serial = await self.client.register(
-                stage.spec.name,
-                serves=serves_roles(stage.spec.role, self.config.discipline),
+                stage.config.name,
+                serves=serves_roles(stage.config.role, stage.config.discipline),
             )
             stage.adopt_serial(serial)
         self.stats.set_gauge("hosted_stages", float(len(self.stages)))
@@ -405,7 +332,7 @@ class StageHost:
         one its :meth:`~repro.fault.plan.FaultPlan.survivor` — as a
         restarted stage process does.
         """
-        fault = record.spec.fault
+        fault = record.config.fault
         while True:
             record.state = "running"
             stage = _Incarnation(record, fault)
@@ -421,12 +348,12 @@ class StageHost:
                       f"{error}", file=sys.stderr)
                 try:
                     delay = self.restart_rule.crashed(
-                        record.spec.name, record.restarts, time.monotonic(),
+                        record.config.name, record.restarts, time.monotonic(),
                         killed=killed)
                 except RestartRefused:
                     record.state = "failed"
                     raise HostError(
-                        f"stage {record.spec.name!r} spent its restart "
+                        f"stage {record.config.name!r} spent its restart "
                         f"budget ({self.config.max_restarts}): {error}"
                     ) from (None if killed else error)
                 record.restarts += 1
@@ -508,8 +435,6 @@ class StageHost:
                     self.stats.gauges().get("mux_channels_open", 0.0)
                 ),
                 "tracing": self.tracer.enabled,
-                "resume": self.config.resume,
-                "codec": self.config.codec,
                 "cpu": self.config.cpu,
                 "pinned": self.pinned,
                 "affinity": current_affinity(),
@@ -521,8 +446,8 @@ class StageHost:
             limit = max(1, int(body.get("limit", 1000)))
             return [
                 {
-                    "name": stage.spec.name,
-                    "role": stage.spec.role,
+                    "name": stage.config.name,
+                    "role": stage.config.role,
                     "serial": stage.serial,
                     "state": stage.state,
                     "restarts": stage.restarts,
@@ -540,14 +465,8 @@ class StageHost:
             if stage.collected is None:
                 continue
             lines.extend(f"{item}\n" for item in stage.collected)
-        if not lines:
-            return
-        text = "".join(lines)
-        if self.config.output_file:
-            with open(self.config.output_file, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        if lines:
+            sys.stdout.write("".join(lines))
             sys.stdout.flush()
 
     def emit_stats(self) -> None:
@@ -578,48 +497,14 @@ async def run_host(config: HostConfig) -> StageHost:
 # ---------------------------------------------------------------------------
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eden-host",
-        description="Host many pipeline stages in one process via a broker.",
-    )
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--plan-file", default=None,
-                       help="JSON host plan (HostConfig shape)")
-    group.add_argument("--plan-json", default=None,
-                       help="the same plan, inline")
-    parser.add_argument("--stats-file", default=None)
-    parser.add_argument("--trace-file", default=None)
-    parser.add_argument("--output-file", default=None)
-    parser.add_argument("--control-port", type=int, default=None)
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="record the host's frames to segment files")
-    parser.add_argument("--flight-mode", default=None,
-                        choices=sorted(FLIGHT_MODES))
-    return parser
-
-
 def config_from_args(argv: Sequence[str] | None = None) -> HostConfig:
-    options = _parser().parse_args(argv)
-    if options.plan_file is not None:
-        with open(options.plan_file, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        data = json.loads(options.plan_json)
-    config = HostConfig.from_dict(data)
-    if options.stats_file is not None:
-        config.stats_file = options.stats_file
-    if options.trace_file is not None:
-        config.trace_file = options.trace_file
-    if options.output_file is not None:
-        config.output_file = options.output_file
-    if options.control_port is not None:
-        config.control_port = options.control_port
-    if options.flight_dir is not None:
-        config.flight_dir = options.flight_dir
-    if options.flight_mode is not None:
-        config.flight_mode = options.flight_mode
-    return config
+    """The :class:`HostConfig` in the ``--plan-file`` ``argv`` names."""
+    values = plan_values(HostConfig, read_plan(
+        argv, "eden-host",
+        "Host many pipeline stages in one process via a broker."))
+    values["stages"] = [StageConfig.from_dict(stage)
+                        for stage in values["stages"]]
+    return HostConfig(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

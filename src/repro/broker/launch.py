@@ -1,16 +1,16 @@
 """Plan a *hosted* fleet: one broker, few host processes, many stages.
 
-:func:`plan_hosted_fleet` is the hosted placement's analogue of
-:func:`repro.net.launch.plan_linear_fleet`: it turns the same pipeline
-description (discipline, transducers, source, faults) into
+:func:`plan_hosted_fleet` is the hosted grouping of the one planner
+(:func:`repro.net.launch.pipeline_configs`): the same stage configs
+:func:`repro.net.launch.plan_linear_fleet` runs one per process become
 :class:`~repro.net.launch.StagePlan` entries the ordinary
-:class:`~repro.net.launch.FleetSupervisor` can run — except the
-processes are one ``eden-broker`` daemon plus ``hosts`` ``eden-host``
-processes, each hosting a contiguous run of the pipeline's stages over
-a single multiplexed broker connection.  Stage-level fault plans,
-resume, tracing, and per-position fault addressing all carry over;
-process count is ``hosts + 1`` regardless of pipeline length, which is
-the point.
+:class:`~repro.net.launch.FleetSupervisor` can run — one
+``eden-broker`` daemon plus ``hosts`` ``eden-host`` processes, each
+hosting a contiguous run of the pipeline's stages over a single
+multiplexed broker connection.  Stage-level fault plans, resume,
+tracing, and per-position fault addressing are the process
+placement's by construction; process count is ``hosts + 1`` regardless
+of pipeline length, which is the point.
 
 The broker plan is marked ``daemon=True``: the supervisor terminates
 it once every host has drained its streams (the broker dumps its
@@ -25,27 +25,24 @@ the restarted broker only if the fleet's restart budget allows.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Any, Mapping, Sequence
 
-from repro.devices.workload import random_lines
 from repro.fault.plan import FaultPlan
 from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON
-from repro.net.launch import StagePlan, TransducerSpec, _manifest_entry
+from repro.net.launch import (
+    StagePlan,
+    TransducerSpec,
+    pipeline_configs,
+    process_plan,
+    write_manifest,
+)
 from repro.net.stage import pick_free_ports
 from repro.transput.flow import FlowPolicy
 from repro.broker.daemon import FIRST_HOST_SERIAL, MAX_HOST_SERIAL
 
 __all__ = ["plan_hosted_fleet"]
-
-
-def _stage_names(count: int) -> list[str]:
-    """Fleet-scoped names by pipeline position: source, f1..fn, sink."""
-    return (["source"]
-            + [f"filter{i}" for i in range(1, count - 1)]
-            + ["sink"])
 
 
 def plan_hosted_fleet(
@@ -77,13 +74,16 @@ def plan_hosted_fleet(
 ) -> list[StagePlan]:
     """Plan broker + stage hosts for one pipeline.
 
-    ``faults`` addresses stages by pipeline position exactly as
-    :func:`~repro.net.launch.plan_linear_fleet` does (source = 0, filters
-    1..n, sink = n+1).  ``hosts`` spreads the stages over that many
+    The stages are :func:`~repro.net.launch.pipeline_configs`' — the
+    process placement's, ``faults`` by position included (source = 0,
+    filters 1..n, sink = n+1) — with their peers left as names for the
+    broker to resolve.  ``hosts`` spreads them over that many
     ``eden-host`` processes (contiguous runs, so a cut crosses as few
-    links as possible).  ``broker`` as ``"host:port"`` attaches the
-    fleet to an externally-run broker instead of planning one;
-    ``max_restarts`` is each hosted stage's *in-process* restart
+    links as possible), each reading its per-process fields and its
+    run of :class:`~repro.net.stage.StageConfig` dicts from
+    ``<workdir>/host-<i>.plan.json``.  ``broker`` as ``"host:port"``
+    attaches the fleet to an externally-run broker instead of planning
+    one; ``max_restarts`` is each hosted stage's *in-process* restart
     budget (the supervisor's own budget still governs whole
     processes).  ``placement_policy`` (``"cores"`` / ``"none"``)
     round-robins each host process onto its own CPU core exactly as a
@@ -101,58 +101,19 @@ def plan_hosted_fleet(
             f"at most {MAX_HOST_SERIAL - FIRST_HOST_SERIAL + 1} hosts per "
             f"ticket space, got {hosts}"
         )
-    flow = flow or FlowPolicy()
-    faults = dict(faults or {})
-    if source_items is None:
-        if source_count is None:
-            raise ValueError("give source_items or source_count")
-        source_items = random_lines(
-            count=source_count, width=source_width, seed=source_seed
+    configs = pipeline_configs(
+        discipline, transducers, source_items, source_count, source_width,
+        source_seed, faults, flow, ticket_space=ticket_space,
+        ticket_seed=ticket_seed, connect_deadline=connect_deadline,
+        resume=resume, io_timeout=io_timeout, codec=codec,
+    )
+    if hosts > len(configs):
+        raise ValueError(
+            f"{hosts} hosts for {len(configs)} stages: at most one host "
+            f"per stage"
         )
     workpath = pathlib.Path(workdir)
     workpath.mkdir(parents=True, exist_ok=True)
-
-    names = _stage_names(len(transducers) + 2)
-    stage_count = len(names)
-    if hosts > stage_count:
-        raise ValueError(
-            f"{hosts} hosts for {stage_count} stages: at most one host "
-            f"per stage"
-        )
-
-    # One spec dict per pipeline position, in HostedStageSpec shape.
-    specs: list[dict[str, Any]] = []
-    for position, name in enumerate(names):
-        if position == 0:
-            role = "source"
-            spec_name, spec_args = None, []
-        elif position == stage_count - 1:
-            role = "sink"
-            spec_name, spec_args = None, []
-        else:
-            role = "filter"
-            spec_name, spec_args = transducers[position - 1]
-        entry: dict[str, Any] = {
-            "name": name,
-            "role": role,
-            "transducer_spec": spec_name,
-            "transducer_args": list(spec_args),
-        }
-        if role == "source":
-            entry["source_items"] = list(source_items)
-        if discipline == "readonly" and role != "source":
-            entry["upstream"] = names[position - 1]
-        if discipline == "writeonly" and role != "sink":
-            entry["downstream"] = names[position + 1]
-        fault = faults.pop(position, None)
-        if fault is not None and not fault.is_benign:
-            entry["fault"] = fault.as_dict()
-        specs.append(entry)
-    if faults:
-        raise ValueError(
-            f"faults named positions that do not exist: {sorted(faults)} "
-            f"(the pipeline has positions 0..{stage_count - 1})"
-        )
 
     plans: list[StagePlan] = []
     # One draw for the whole plan, so its ports are distinct: the
@@ -196,68 +157,42 @@ def plan_hosted_fleet(
 
     # Contiguous runs of stages per host, remainder to the early hosts.
     host_cores = assign_cores(hosts, placement_policy)
-    per_host, extra = divmod(stage_count, hosts)
+    per_host, extra = divmod(len(configs), hosts)
     cursor = 0
     for index in range(hosts):
         take = per_host + (1 if index < extra else 0)
-        chunk = specs[cursor:cursor + take]
+        chunk = configs[cursor:cursor + take]
         cursor += take
         serial = FIRST_HOST_SERIAL + index
         stem = f"host-{index}"
         stats_file = str(workpath / f"{stem}.stats.json")
         trace_file = str(workpath / f"{stem}.trace.jsonl") if trace else None
         control_port = next(free_ports) if control else None
-        plan_data = {
-            "broker_host": broker_host,
-            "broker_port": broker_port,
-            "stages": chunk,
-            "discipline": discipline,
-            "ticket_space": ticket_space,
-            "ticket_seed": ticket_seed,
-            "serial": serial,
-            "resume": resume,
-            "codec": codec,
-            "flow": flow.describe(),
-            "io_timeout": io_timeout,
-            "connect_deadline": connect_deadline,
-            "max_restarts": max_restarts,
-            "stats_file": stats_file,
-            "trace_file": trace_file,
-            "control_port": control_port,
-            "cpu": host_cores[index],
-            "flight_dir": flight_dir,
-            "flight_mode": flight_mode,
-        }
-        plan_file = workpath / f"{stem}.plan.json"
-        with open(plan_file, "w", encoding="utf-8") as handle:
-            json.dump(plan_data, handle, indent=2, sort_keys=True)
-        plans.append(StagePlan(
-            role="host",
-            argv=("--plan-file", str(plan_file)),
-            stats_file=stats_file,
-            trace_file=trace_file,
-            control_port=control_port,
-            serial=serial,
-            stdout_file=str(workpath / f"{stem}.stdout.log"),
-            stderr_file=str(workpath / f"{stem}.stderr.log"),
-            module="repro.broker.host",
-            cpu=host_cores[index],
+        plans.append(process_plan(
+            workpath, stem, {
+                "broker_host": broker_host,
+                "broker_port": broker_port,
+                "serial": serial,
+                "max_restarts": max_restarts,
+                "stats_file": stats_file,
+                "trace_file": trace_file,
+                "control_port": control_port,
+                "cpu": host_cores[index],
+                "flight_dir": flight_dir,
+                "flight_mode": flight_mode,
+                "stages": [config.to_dict() for config in chunk],
+            },
+            role="host", stats_file=stats_file, trace_file=trace_file,
+            control_port=control_port, serial=serial,
+            module="repro.broker.host", cpu=host_cores[index],
         ))
 
     if trace or control:
-        manifest = {
-            "discipline": discipline,
-            "host": host,
-            "resume": resume,
-            "codec": codec,
-            "placement": "hosted",
-            "flight_dir": flight_dir,
-            "flight_mode": flight_mode if flight_dir is not None else None,
-            "placement_policy": placement_policy,
-            "host_cores": host_cores,
-            "broker": f"{broker_host}:{broker_port}",
-            "stages": [_manifest_entry(plan, plan.serial) for plan in plans],
-        }
-        with open(workpath / "fleet.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
+        write_manifest(
+            workpath, plans, discipline=discipline, host=host, resume=resume,
+            codec=codec, placement="hosted", flight_dir=flight_dir,
+            flight_mode=flight_mode if flight_dir is not None else None,
+            placement_policy=placement_policy, host_cores=host_cores,
+            broker=f"{broker_host}:{broker_port}",
+        )
     return plans

@@ -1,9 +1,8 @@
 """Host-side workload generation: needs nothing of the simulator.
 
-The wire runtime (``eden-stage``, the fleet planners) builds its
-``--source-count`` workloads here, so a stage process can make its
-input without importing the Eject machinery behind
-:mod:`repro.devices.sources`.
+The fleet planner (:func:`repro.net.launch.pipeline_configs`) builds
+its ``source_count`` workloads here, without importing the Eject
+machinery behind :mod:`repro.devices.sources`.
 """
 
 from __future__ import annotations

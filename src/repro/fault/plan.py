@@ -1,9 +1,9 @@
 """Declarative fault plans: what should go wrong, where, and when.
 
 A :class:`FaultPlan` travels from the orchestrator to a stage as JSON
-(the ``eden-stage --fault-json`` flag), so chaos experiments are fully
-scripted from one place — :func:`repro.net.launch.plan_linear_fleet` assigns
-plans per stage, the supervisor strips the one-shot faults on restart,
+(the ``fault`` of the stage's plan file), so chaos experiments are
+fully scripted from one place — :func:`repro.net.launch.pipeline_configs`
+assigns plans per stage, the supervisor strips the one-shot faults on restart,
 and the chaos proxy (:mod:`repro.fault.chaos`) applies the same plans
 to a link instead of a stage.  :class:`RestartRule` decides whether,
 and after what backoff, a crashed stage comes back — the one rule of

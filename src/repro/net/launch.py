@@ -1,8 +1,17 @@
 """Orchestration: plan, spawn, and *supervise* a pipeline of processes.
 
-The planner (:func:`plan_linear_fleet`) turns "this source, these transducers,
-this discipline" into one ``eden-stage`` command line per process, with
-ports, ticket serials, stats files and fault plans assigned.  The
+One planner decides what every placement shares:
+:func:`pipeline_configs` turns "this source, these transducers, this
+discipline" into one :class:`~repro.net.stage.StageConfig` per stage —
+pipeline positions, ticket serials, names, roles, faults by position
+and the source records — with peers *named*, not addressed.  A
+placement only groups those configs into processes and gives them
+addresses: :func:`plan_linear_fleet` runs one ``eden-stage`` process
+per stage, each reading one JSON plan file, with a port per listener;
+:func:`repro.broker.launch.plan_hosted_fleet` groups contiguous runs
+into ``eden-host`` processes beside a broker; and a graph's parallel
+block plans one sub-fleet per branch.  :func:`write_manifest` is the
+one writer of the ``fleet.json`` manifest the tools read.  The
 conventional discipline gets a *pipe process between every adjacent
 pair* — the paper's passive buffers made into real servers — which is
 why its process count is ``2n + 3`` against the asymmetric disciplines'
@@ -12,8 +21,8 @@ why its process count is ``2n + 3`` against the asymmetric disciplines'
 The supervisor (:class:`FleetSupervisor`, front door :func:`run_fleet`)
 spawns the plan and watches it: a stage that exits non-zero is
 restarted — under exponential backoff, against a per-stage
-``max_restarts`` budget, with the one-shot faults stripped from its
-plan (:meth:`repro.fault.plan.FaultPlan.survivor`) — while the
+``max_restarts`` budget, with the one-shot faults stripped from every
+stage of its plan (:meth:`repro.fault.plan.FaultPlan.survivor`) — while the
 session-resume protocol (:mod:`repro.net.protocol`) lets its neighbours
 reconnect and continue the stream with no datum duplicated or lost.
 When the budget is exhausted, or the fleet exceeds its ``timeout``, the
@@ -34,6 +43,7 @@ branch of a parallel block).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -44,6 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import repro
+from repro.devices.workload import random_lines
 from repro.fault.plan import (
     KILLED_EXIT_CODE,
     FaultPlan,
@@ -52,7 +63,7 @@ from repro.fault.plan import (
 )
 from repro.net.framing import CODEC_JSON
 from repro.net.metrics import NetStats, merge_stats
-from repro.net.stage import pick_free_ports
+from repro.net.stage import StageConfig, pick_free_ports
 from repro.obs.registry import snapshot_payload
 from repro.core.stats import KernelStats
 from repro.transput.flow import FlowPolicy
@@ -62,8 +73,11 @@ __all__ = [
     "FleetResult",
     "FleetError",
     "FleetSupervisor",
+    "pipeline_configs",
     "plan_linear_fleet",
+    "process_plan",
     "run_fleet",
+    "write_manifest",
 ]
 
 #: Transducer spec: (``module:factory``, [args...]).
@@ -77,7 +91,7 @@ _POLL_S = 0.02
 
 @dataclass(frozen=True)
 class StagePlan:
-    """One process of the plan: its role and full command line."""
+    """One process of the plan: its role, command line and plan file."""
 
     role: str
     argv: tuple[str, ...]
@@ -101,6 +115,16 @@ class StagePlan:
     #: which point daemons are terminated; a daemon exiting on its own
     #: mid-run is treated as a crash (and restarted on budget).
     daemon: bool = False
+    #: The JSON plan ``argv``'s ``--plan-file`` holds: one
+    #: :meth:`StageConfig.to_dict` for ``eden-stage``, the per-process
+    #: fields plus a ``stages`` list of them for ``eden-host`` (None
+    #: for the broker, which runs from its argv).
+    plan: dict[str, Any] | None = field(default=None, compare=False)
+
+    @property
+    def plan_file(self) -> str | None:
+        """Where :attr:`plan` is written: the ``--plan-file`` of ``argv``."""
+        return None if self.plan is None else self.argv[-1]
 
     @property
     def label(self) -> str:
@@ -108,25 +132,26 @@ class StagePlan:
             return f"s{self.shard}:{self.role}#{self.serial}"
         return f"{self.role}#{self.serial}"
 
-    def survivor_argv(self) -> tuple[str, ...]:
-        """The command line a *restarted* incarnation should run.
+    def survivor_plan(self) -> dict[str, Any] | None:
+        """The plan a *restarted* incarnation should run.
 
-        Identical to :attr:`argv` except the fault plan is reduced to
-        its :meth:`~repro.fault.plan.FaultPlan.survivor` — the injected
-        kill already happened; a restart that re-kills itself forever
-        would turn every chaos experiment into a budget exhaustion.
+        :attr:`plan` with every stage's fault plan — each hosted stage's
+        included — reduced to its :meth:`~repro.fault.plan.FaultPlan.
+        survivor`: the injected kill already happened; a restart that
+        re-kills itself forever would turn every chaos experiment into
+        a budget exhaustion.
         """
-        survivor = self.fault.survivor()
-        argv = list(self.argv)
-        try:
-            at = argv.index("--fault-json")
-        except ValueError:
-            return self.argv
-        if survivor.is_benign:
-            del argv[at:at + 2]
-        else:
-            argv[at + 1] = survivor.to_json()
-        return tuple(argv)
+        if self.plan is None:
+            return None
+
+        def survive(stage: dict[str, Any]) -> dict[str, Any]:
+            fault = FaultPlan.from_dict(stage.get("fault", {}))
+            return {**stage, "fault": fault.survivor().as_dict()}
+
+        if "stages" in self.plan:
+            return {**self.plan,
+                    "stages": [survive(one) for one in self.plan["stages"]]}
+        return survive(self.plan)
 
 
 @dataclass
@@ -184,6 +209,119 @@ class FleetError(RuntimeError):
         self.reason = reason
 
 
+def pipeline_configs(
+    discipline: str,
+    transducers: Sequence[TransducerSpec],
+    source_items: Sequence[Any] | None = None,
+    source_count: int | None = None,
+    source_width: int = 8,
+    source_seed: int = 0,
+    faults: Mapping[int, FaultPlan] | None = None,
+    flow: FlowPolicy | None = None,
+    **common: Any,
+) -> list[StageConfig]:
+    """Every stage of one linear pipeline, in serial order.
+
+    The one place positions, serials, names, roles, faults and the
+    source are decided, whatever the placement.  Serials count source
+    = 0, filters 1..n, sink = n+1, then the conventional discipline's
+    pipes; names are ``source``, ``filter1``..``filter<n>``, ``sink``
+    and ``pipe0``..``pipe<n>``.  ``faults`` maps serials to the
+    :class:`FaultPlan` each stage should suffer.  The source is always
+    materialised: explicit ``source_items`` (JSON-encodable), or
+    ``source_count`` (+width/seed) lines of the deterministic
+    ``random_lines`` workload the simulator examples use.
+
+    Peers are *named*: a stage's ``upstream`` / ``downstream`` is the
+    name of the stage it dials.  ``common`` holds the other
+    :class:`StageConfig` fields every stage shares.
+    """
+    if source_items is None:
+        if source_count is None:
+            raise ValueError("give source_items or source_count")
+        source_items = random_lines(count=source_count, width=source_width,
+                                    seed=source_seed)
+    faults = dict(faults or {})
+    count = len(transducers)
+    names = ["source", *(f"filter{i}" for i in range(1, count + 1)), "sink"]
+    peers: list[dict[str, str]] = [{} for _ in names]
+    pipes = []
+    for index in range(count + 1):
+        if discipline == "readonly":  # demand flows sink -> source
+            peers[index + 1]["upstream"] = names[index]
+        elif discipline == "writeonly":  # data is pushed source -> sink
+            peers[index]["downstream"] = names[index + 1]
+        elif discipline == "conventional":  # a pipe between each pair
+            pipes.append(f"pipe{index}")
+            peers[index]["downstream"] = peers[index + 1]["upstream"] = \
+                pipes[-1]
+        else:
+            raise ValueError(f"unknown discipline {discipline!r}")
+    names += pipes
+    peers += [{}] * len(pipes)
+    roles = ["source"] + ["filter"] * count + ["sink"] + ["pipe"] * len(pipes)
+    specs = [(None, []), *((spec, list(args)) for spec, args in transducers)]
+    specs += [(None, [])] * (len(names) - len(specs))
+    configs = [
+        StageConfig(
+            role=role, discipline=discipline, name=name, serial=serial,
+            transducer_spec=spec, transducer_args=args,
+            source_items=list(source_items) if role == "source" else None,
+            fault=faults.pop(serial, None) or FaultPlan(),
+            flow=flow or FlowPolicy(), **link, **common,
+        )
+        for serial, (role, name, (spec, args), link)
+        in enumerate(zip(roles, names, specs, peers))
+    ]
+    if faults:
+        raise ValueError(
+            f"faults named serials that do not exist: {sorted(faults)} "
+            f"(the fleet has serials 0..{len(configs) - 1})"
+        )
+    return configs
+
+
+def process_plan(workdir: str | pathlib.Path, stem: str, plan: dict[str, Any],
+                 **fields: Any) -> StagePlan:
+    """One process reading ``plan`` from ``<workdir>/<stem>.plan.json``."""
+    workpath = pathlib.Path(workdir)
+    plan_file = str(workpath / f"{stem}.plan.json")
+    with open(plan_file, "w", encoding="utf-8") as handle:
+        json.dump(plan, handle)
+    return StagePlan(
+        argv=("--plan-file", plan_file), plan=plan,
+        stdout_file=str(workpath / f"{stem}.stdout.log"),
+        stderr_file=str(workpath / f"{stem}.stderr.log"), **fields)
+
+
+def write_manifest(workdir: str | pathlib.Path, plans: Sequence[StagePlan],
+                   **header: Any) -> None:
+    """Write the ``fleet.json`` manifest ``eden-top`` / ``eden-trace`` read.
+
+    ``header`` describes the fleet (discipline, placement, cores, ...);
+    ``stages`` gets one entry per process of ``plans``.
+    """
+    stages = []
+    for plan in plans:
+        entry = {
+            "role": plan.role,
+            "serial": plan.serial,
+            "stats_file": plan.stats_file,
+            "trace_file": plan.trace_file,
+            "control_port": plan.control_port,
+            "fault": plan.fault.as_dict(),
+        }
+        if plan.shard is not None:
+            entry["shard"] = plan.shard
+        if plan.cpu is not None:
+            entry["cpu"] = plan.cpu
+        stages.append(entry)
+    with open(pathlib.Path(workdir) / "fleet.json", "w",
+              encoding="utf-8") as handle:
+        json.dump({**header, "stages": stages}, handle, indent=2,
+                  sort_keys=True)
+
+
 def plan_linear_fleet(
     discipline: str,
     transducers: Sequence[TransducerSpec],
@@ -208,187 +346,72 @@ def plan_linear_fleet(
     flight_dir: str | None = None,
     flight_mode: str = "full",
 ) -> list[StagePlan]:
-    """Assign ports/serials and build every stage's command line.
+    """Plan one ``eden-stage`` process per stage of a pipeline.
 
-    Give the source either explicit ``source_items`` (JSON-encodable)
-    or ``source_count`` (+width/seed) for the deterministic
-    ``random_lines`` workload the simulator examples use.
+    :func:`pipeline_configs` describes the stages (source, serials,
+    ``faults`` by serial); this grouping gives every dialled stage a
+    listening port, resolves peer names to addresses, and writes each
+    stage's :class:`StageConfig` to ``<workdir>/stage-<serial>-<role>
+    .plan.json``, which its process reads.
 
-    ``trace=True`` gives every stage a ``--trace-file`` (span tracing
-    on, logs mergeable with :func:`repro.obs.merge.merge_span_logs`);
-    ``control=True`` gives every stage a ``--control-port`` for live
+    ``trace=True`` gives every stage a trace file (span tracing on,
+    logs mergeable with :func:`repro.obs.merge.merge_span_logs`);
+    ``control=True`` gives every stage a control port for live
     introspection.  Either also writes a ``fleet.json`` manifest into
     ``workdir`` so ``eden-top`` / ``eden-trace`` can find the fleet.
-
-    ``faults`` maps stage serials to the :class:`FaultPlan` each
-    should suffer (serials count source = 0, filters 1..n, sink = n+1,
-    then conventional pipes).  ``resume=True`` switches on the
-    session-resume protocol fleet-wide — required for any fault you
-    expect the pipeline to *survive* — and ``io_timeout`` bounds how
-    long a stage waits on a silent peer before treating the link as
-    down.
+    ``resume=True`` switches on the session-resume protocol fleet-wide
+    — required for any fault you expect the pipeline to *survive* —
+    and ``io_timeout`` bounds how long a stage waits on a silent peer
+    before treating the link as down.
     """
-    flow = flow or FlowPolicy()
-    faults = dict(faults or {})
     workpath = pathlib.Path(workdir)
     workpath.mkdir(parents=True, exist_ok=True)
-
-    base = [
-        "--discipline", discipline,
-        "--ticket-space", str(ticket_space),
-        "--ticket-seed", str(ticket_seed),
-        "--batch", str(flow.batch),
-        "--lookahead", str(flow.lookahead),
-        "--connect-deadline", str(connect_deadline),
-    ]
-    if flow.inbox_capacity is not None:
-        base += ["--inbox-capacity", str(flow.inbox_capacity)]
-    if flow.buffer_capacity is not None:
-        base += ["--buffer-capacity", str(flow.buffer_capacity)]
-    if flow.credit_window is not None:
-        base += ["--credit-window", str(flow.credit_window)]
-    if flow.pipeline_depth is not None:
-        base += ["--pipeline-depth", str(flow.pipeline_depth)]
-    if codec != CODEC_JSON:
-        base += ["--codec", codec]
-    if shard is not None:
-        base += ["--shard", str(shard)]
-    if cpu is not None:
-        base += ["--cpu", str(cpu)]
-    if resume:
-        base += ["--resume"]
-    if io_timeout is not None:
-        base += ["--io-timeout", str(io_timeout)]
-    if flight_dir is not None:
-        base += ["--flight-dir", flight_dir, "--flight-mode", flight_mode]
-
-    if source_items is not None:
-        source_args = ["--source-json", json.dumps(list(source_items))]
-    elif source_count is not None:
-        source_args = [
-            "--source-count", str(source_count),
-            "--source-width", str(source_width),
-            "--source-seed", str(source_seed),
-        ]
-    else:
-        raise ValueError("give source_items or source_count")
-
-    plans: list[StagePlan] = []
-    serial = 0
+    configs = pipeline_configs(
+        discipline, transducers, source_items, source_count, source_width,
+        source_seed, faults, flow, ticket_space=ticket_space,
+        ticket_seed=ticket_seed, connect_deadline=connect_deadline,
+        resume=resume, io_timeout=io_timeout, codec=codec, shard=shard,
+        cpu=cpu, flight_dir=flight_dir, flight_mode=flight_mode, host=host,
+    )
     # Every port of the plan is drawn in one call, so no two stages can
-    # be handed the same one: a listener per link (the pipe process's,
-    # under the conventional discipline), then a control port per stage.
-    links = len(transducers) + 1
-    stage_count = links + 1 + (links if discipline == "conventional" else 0)
-    drawn = pick_free_ports(links + (stage_count if control else 0), host)
-    ports, control_ports = drawn[:links], iter(drawn[links:])
+    # be handed the same one: a listener per dialled stage, then a
+    # control port per stage.
+    dialled = {peer for config in configs
+               for peer in (config.upstream, config.downstream)}
+    listeners = [config.name for config in configs if config.name in dialled]
+    drawn = pick_free_ports(
+        len(listeners) + (len(configs) if control else 0), host)
+    ports = dict(zip(listeners, drawn))
+    control_ports = iter(drawn[len(listeners):])
 
-    def add(role: str, extra: list[str]) -> StagePlan:
-        nonlocal serial
-        stem = f"stage-{serial}-{role}"
-        stats_file = str(workpath / f"{stem}.stats.json")
-        argv = ["--role", role, "--serial", str(serial),
-                "--stats-file", stats_file]
-        trace_file = None
-        if trace:
-            trace_file = str(workpath / f"{stem}.trace.jsonl")
-            argv += ["--trace-file", trace_file]
-        control_port = None
-        if control:
-            control_port = next(control_ports)
-            argv += ["--control-port", str(control_port)]
-        fault = faults.pop(serial, None) or FaultPlan()
-        if not fault.is_benign:
-            argv += ["--fault-json", fault.to_json()]
-        plan = StagePlan(
-            role=role,
-            argv=tuple(argv + base + extra),
-            stats_file=stats_file,
-            trace_file=trace_file,
-            control_port=control_port,
-            serial=serial,
-            fault=fault,
-            stdout_file=str(workpath / f"{stem}.stdout.log"),
-            stderr_file=str(workpath / f"{stem}.stderr.log"),
-            shard=shard,
-            cpu=cpu,
+    def address(name: str | None) -> tuple[str, int] | None:
+        return None if name is None else (host, ports[name])
+
+    plans = []
+    for config in configs:
+        stem = f"stage-{config.serial}-{config.role}"
+        config = dataclasses.replace(
+            config, listen_port=ports.get(config.name),
+            upstream=address(config.upstream),
+            downstream=address(config.downstream),
+            stats_file=str(workpath / f"{stem}.stats.json"),
+            trace_file=(str(workpath / f"{stem}.trace.jsonl")
+                        if trace else None),
+            control_port=next(control_ports) if control else None,
         )
-        plans.append(plan)
-        serial += 1
-        return plan
-
-    def spec_args(spec: TransducerSpec) -> list[str]:
-        name, args = spec
-        extra = ["--transducer", name]
-        if list(args):
-            extra += ["--transducer-args", json.dumps(list(args))]
-        return extra
-
-    at = lambda port: f"{host}:{port}"  # noqa: E731 — tiny local alias
-
-    if discipline == "readonly":
-        # source and filters listen; demand flows sink -> source.
-        add("source", ["--listen", str(ports[0])] + source_args)
-        for index, spec in enumerate(transducers):
-            add("filter", ["--listen", str(ports[index + 1]),
-                           "--upstream", at(ports[index])] + spec_args(spec))
-        add("sink", ["--upstream", at(ports[-1])])
-    elif discipline == "writeonly":
-        # filters and sink listen; data is pushed source -> sink.
-        # ports[i] is filter i's listener, ports[-1] the sink's.
-        add("source", ["--downstream", at(ports[0])] + source_args)
-        for index, spec in enumerate(transducers):
-            add("filter", ["--listen", str(ports[index]),
-                           "--downstream", at(ports[index + 1])]
-                + spec_args(spec))
-        add("sink", ["--listen", str(ports[-1])])
-    elif discipline == "conventional":
-        # a pipe process between every adjacent active pair.
-        add("source", ["--downstream", at(ports[0])] + source_args)
-        for index, spec in enumerate(transducers):
-            add("filter", ["--upstream", at(ports[index]),
-                           "--downstream", at(ports[index + 1])]
-                + spec_args(spec))
-        add("sink", ["--upstream", at(ports[-1])])
-        for port in ports:
-            add("pipe", ["--listen", str(port)])
-    else:
-        raise ValueError(f"unknown discipline {discipline!r}")
-    if faults:
-        raise ValueError(
-            f"faults named serials that do not exist: {sorted(faults)} "
-            f"(the fleet has serials 0..{serial - 1})"
-        )
+        plans.append(process_plan(
+            workpath, stem, config.to_dict(), role=config.role,
+            stats_file=config.stats_file, trace_file=config.trace_file,
+            control_port=config.control_port, serial=config.serial,
+            fault=config.fault, shard=shard, cpu=cpu,
+        ))
     if trace or control:
-        manifest = {
-            "discipline": discipline,
-            "host": host,
-            "resume": resume,
-            "codec": codec,
-            "flight_dir": flight_dir,
-            "flight_mode": flight_mode if flight_dir is not None else None,
-            "stages": [_manifest_entry(plan, index)
-                       for index, plan in enumerate(plans)],
-        }
-        with open(workpath / "fleet.json", "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
+        write_manifest(
+            workpath, plans, discipline=discipline, host=host, resume=resume,
+            codec=codec, flight_dir=flight_dir,
+            flight_mode=flight_mode if flight_dir is not None else None,
+        )
     return plans
-
-
-def _manifest_entry(plan: StagePlan, serial: int) -> dict[str, Any]:
-    entry = {
-        "role": plan.role,
-        "serial": serial,
-        "stats_file": plan.stats_file,
-        "trace_file": plan.trace_file,
-        "control_port": plan.control_port,
-        "fault": plan.fault.as_dict(),
-    }
-    if plan.shard is not None:
-        entry["shard"] = plan.shard
-    if plan.cpu is not None:
-        entry["cpu"] = plan.cpu
-    return entry
 
 
 class _Member:
@@ -468,14 +491,16 @@ class FleetSupervisor:
 
     def _spawn(self, member: _Member, env: dict[str, str]) -> None:
         restart = member.restarts > 0
-        argv = member.plan.survivor_argv() if restart else member.plan.argv
+        if restart and member.plan.plan is not None:
+            with open(member.plan.plan_file, "w", encoding="utf-8") as handle:
+                json.dump(member.plan.survivor_plan(), handle)
         mode = "a" if restart else "w"
         with open(member.stdout_path, mode, encoding="utf-8") as out, \
                 open(member.stderr_path, mode, encoding="utf-8") as err:
             if restart:
                 err.write(f"--- restart #{member.restarts} ---\n")
             member.process = subprocess.Popen(
-                [self.python, "-m", member.plan.module, *argv],
+                [self.python, "-m", member.plan.module, *member.plan.argv],
                 stdout=out, stderr=err, text=True, env=env,
             )
         member.restart_at = None

@@ -32,17 +32,20 @@ pipe), doubling the number of servers and the per-datum message count
 real sockets.
 
 Clients reconnect with exponential backoff, so the stages of one
-pipeline can be spawned in any order.  Every stage verifies peers'
-ticket UIDs against the deterministic :class:`~repro.net.handshake.
-TicketBook` named by ``--ticket-space/--ticket-seed`` and rejects
-forgeries (C4).  On exit a stage can dump its on-wire counters
-(``--stats-file``) and a frame-level trace in the simulator's JSONL
-trace format (``--trace-file``); ``--trace-file`` also turns on span
-tracing, attaching causal span contexts to every READ/WRITE frame so
-the fleet's logs merge into end-to-end traces (:mod:`repro.obs`).
-While running, a stage can additionally serve live STATS / SPANS /
-HEALTH requests on ``--control-port`` (:mod:`repro.obs.control`);
-control traffic never touches the data path's frame counts.
+pipeline can be spawned in any order.  A stage is described by one
+:class:`StageConfig`, and ``eden-stage --plan-file P`` runs the one
+whose JSON form (:meth:`StageConfig.to_dict`) ``P`` holds.  Every stage
+verifies peers' ticket UIDs against the deterministic
+:class:`~repro.net.handshake.TicketBook` its ``ticket_space`` /
+``ticket_seed`` name and rejects forgeries (C4).  On exit a stage can
+dump its on-wire counters (``stats_file``) and a frame-level trace in
+the simulator's JSONL trace format (``trace_file``); a ``trace_file``
+also turns on span tracing, attaching causal span contexts to every
+READ/WRITE frame so the fleet's logs merge into end-to-end traces
+(:mod:`repro.obs`).  While running, a stage can additionally serve live
+STATS / SPANS / HEALTH requests on its ``control_port``
+(:mod:`repro.obs.control`); control traffic never touches the data
+path's frame counts.
 """
 
 from __future__ import annotations
@@ -55,12 +58,11 @@ import json
 import socket
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, AsyncIterator, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.tracing import Tracer
-from repro.devices.workload import random_lines
 from repro.aio.streams import (
     AioCollector,
     AioPipe,
@@ -69,7 +71,7 @@ from repro.aio.streams import (
     AioWriteOnlyStage,
     collect,
 )
-from repro.fault.plan import FaultPlan
+from repro.fault.plan import FaultError, FaultPlan
 from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
 from repro.net.handshake import (
@@ -102,6 +104,7 @@ from repro.transput.flow import FlowPolicy
 
 __all__ = [
     "StageConfig",
+    "plan_values",
     "run_stage",
     "pump",
     "load_transducer",
@@ -172,20 +175,63 @@ def load_transducer(spec: str, args: Sequence[Any] = ()) -> Transducer:
     return made
 
 
+#: The JSON values each field annotation admits in a plan file.
+_JSON_KINDS: dict[str, tuple[type, ...]] = {
+    "str": (str,), "int": (int,), "float": (int, float), "bool": (bool,),
+    "None": (type(None),), "Any": (str, int, float, list, dict),
+    "list[Any]": (list,), "tuple[str, int]": (list,),
+    "FlowPolicy": (dict,), "FaultPlan": (dict,), "list[StageConfig]": (list,),
+}
+
+
+def plan_values(cls: type, data: Any, where: str = "") -> dict[str, Any]:
+    """The fields of a ``cls`` dataclass in a plan object, type-checked.
+
+    A plan file is outside input, so an unknown key, a missing required
+    key or a value of the wrong JSON type is a ``ValueError`` naming
+    the key (``where`` prefixes nested keys, e.g. ``"flow."``).  The
+    field annotations are the schema: there is no second list to keep
+    in step with the dataclass.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a {cls.__name__} plan must be a JSON object, "
+                         f"got {type(data).__name__}")
+    known = {spec.name: spec for spec in fields(cls)}
+    for key, value in data.items():
+        if key not in known:
+            raise ValueError(f"unknown plan key '{where}{key}'")
+        annotation = known[key].type
+        kinds = sum((_JSON_KINDS[part] for part in annotation.split(" | ")), ())
+        if not isinstance(value, kinds) or (
+                isinstance(value, bool) and bool not in kinds):
+            raise ValueError(f"plan key '{where}{key}' must be {annotation}, "
+                             f"got {value!r:.60}")
+    for name, spec in known.items():
+        if name not in data and spec.default is MISSING \
+                and spec.default_factory is MISSING:
+            raise ValueError(f"plan is missing key '{where}{name}'")
+    return dict(data)
+
+
 @dataclass
 class StageConfig:
-    """Everything one stage needs to know.
+    """Everything one stage needs to know: the one description of a stage.
 
-    ``upstream`` / ``downstream`` are ``(host, port)`` addresses; a
-    stage hosted by :mod:`repro.broker.host` names its peers instead.
+    ``upstream`` / ``downstream`` are ``(host, port)`` addresses for a
+    stage that owns its process, or the fleet-scoped ``name`` of the
+    peer for one hosted by :mod:`repro.broker.host`, which opens its
+    peers through the broker.  :meth:`to_dict` / :meth:`from_dict` are the JSON form
+    both placements ship: an ``eden-stage`` plan file holds one, an
+    ``eden-host`` plan file a list.
     """
 
     role: str
     discipline: str
+    name: str | None = None
     host: str = "127.0.0.1"
     listen_port: int | None = None
-    upstream: tuple[str, int] | None = None
-    downstream: tuple[str, int] | None = None
+    upstream: tuple[str, int] | str | None = None
+    downstream: tuple[str, int] | str | None = None
     channel: Any = PRIMARY_CHANNEL
     transducer_spec: str | None = None
     transducer_args: list[Any] = field(default_factory=list)
@@ -194,10 +240,8 @@ class StageConfig:
     ticket_space: int = 0
     ticket_seed: int = 0
     serial: int = 0
-    expected_clients: int | None = None
     stats_file: str | None = None
     trace_file: str | None = None
-    output_file: str | None = None
     connect_deadline: float = 15.0
     control_port: int | None = None
     fault: FaultPlan = field(default_factory=FaultPlan)
@@ -241,6 +285,40 @@ class StageConfig:
             raise ValueError(
                 f"io_timeout must be > 0 or None, got {self.io_timeout!r}"
             )
+
+    def to_dict(self) -> dict[str, Any]:
+        """This stage as a JSON-portable plan object, field for field."""
+        data = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        for key in ("upstream", "downstream"):
+            if isinstance(data[key], tuple):
+                data[key] = list(data[key])
+        data["transducer_args"] = list(self.transducer_args)
+        data["flow"] = asdict(self.flow)
+        data["fault"] = self.fault.as_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "StageConfig":
+        """The stage a plan object describes (see :func:`plan_values`)."""
+        values = plan_values(cls, data)
+        for key in ("upstream", "downstream"):
+            peer = values.get(key)
+            if isinstance(peer, list):
+                if len(peer) != 2 or not isinstance(peer[0], str) \
+                        or type(peer[1]) is not int:
+                    raise ValueError(
+                        f"plan key '{key}' must be a [host, port] pair or a "
+                        f"stage name, got {peer!r:.60}")
+                values[key] = tuple(peer)
+        if "flow" in values:
+            values["flow"] = FlowPolicy(
+                **plan_values(FlowPolicy, values["flow"], "flow."))
+        if "fault" in values:
+            try:
+                values["fault"] = FaultPlan.from_dict(values["fault"])
+            except (FaultError, TypeError) as error:
+                raise ValueError(f"plan key 'fault': {error}") from None
+        return cls(**values)
 
 
 class _Stage:
@@ -543,9 +621,7 @@ class _Stage:
             items = config.source_items or []
             if config.discipline == "readonly":
                 await self._serve(
-                    readables=self._killing_readable(AioSource(items)),
-                    clients=config.expected_clients or 1,
-                )
+                    readables=self._killing_readable(AioSource(items)))
             else:  # writeonly and conventional sources both push
                 await pump(
                     self._killing_readable(AioSource(items)),
@@ -558,20 +634,17 @@ class _Stage:
                     transducer, self._remote_readable(),
                     lookahead=flow.lookahead, batch_in=flow.batch,
                 )
-                await self._serve(readables=stage,
-                                  clients=config.expected_clients or 1)
+                await self._serve(readables=stage)
             elif config.discipline == "writeonly":
                 stage = AioWriteOnlyStage(transducer, [self._remote_writable()])
-                await self._serve(writable=stage,
-                                  clients=config.expected_clients or 1)
+                await self._serve(writable=stage)
             else:  # conventional: active at both ends
                 stage = AioWriteOnlyStage(transducer, [self._remote_writable()])
                 await pump(self._remote_readable(), stage, flow.batch)
         elif config.role == "sink":
             if config.discipline == "writeonly":
                 collector = AioCollector()
-                await self._serve(writable=self._killing_writable(collector),
-                                  clients=config.expected_clients or 1)
+                await self._serve(writable=self._killing_writable(collector))
                 await collector.done.wait()
                 self.collected = list(collector.items)
             else:  # readonly and conventional sinks both pull
@@ -583,8 +656,7 @@ class _Stage:
             capacity = flow.buffer_capacity or 64
             pipe = AioPipe(capacity=capacity)
             await self._serve(readables=pipe,
-                              writable=self._killing_writable(pipe),
-                              clients=config.expected_clients or 2)
+                              writable=self._killing_writable(pipe), clients=2)
 
     # -- introspection ------------------------------------------------------
 
@@ -630,13 +702,8 @@ class _Stage:
     def emit_output(self) -> None:
         if self.collected is None:
             return
-        lines = "".join(f"{item}\n" for item in self.collected)
-        if self.config.output_file:
-            with open(self.config.output_file, "w", encoding="utf-8") as handle:
-                handle.write(lines)
-        else:
-            sys.stdout.write(lines)
-            sys.stdout.flush()
+        sys.stdout.write("".join(f"{item}\n" for item in self.collected))
+        sys.stdout.flush()
 
     def emit_stats(self) -> None:
         if self.config.stats_file:
@@ -690,129 +757,20 @@ async def run_stage(config: StageConfig) -> _Stage:
 # ---------------------------------------------------------------------------
 
 
-def _address(text: str) -> tuple[str, int]:
-    host, _sep, port = text.rpartition(":")
-    return (host or "127.0.0.1", int(port))
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eden-stage",
-        description="Host one asymmetric-stream pipeline stage over TCP.",
-    )
-    parser.add_argument("--role", required=True, choices=ROLES)
-    parser.add_argument("--discipline", required=True, choices=DISCIPLINES)
-    parser.add_argument("--listen", type=int, default=None, metavar="PORT",
-                        help="port to accept connections on (server roles)")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--upstream", type=_address, default=None,
-                        metavar="HOST:PORT", help="stage to read from")
-    parser.add_argument("--downstream", type=_address, default=None,
-                        metavar="HOST:PORT", help="stage to write to")
-    parser.add_argument("--channel", default=PRIMARY_CHANNEL)
-    parser.add_argument("--transducer", default=None, metavar="MODULE:FACTORY")
-    parser.add_argument("--transducer-args", default="[]", metavar="JSON")
-    parser.add_argument("--source-json", default=None, metavar="JSON",
-                        help="explicit source records as a JSON array")
-    parser.add_argument("--source-count", type=int, default=None,
-                        help="generate this many random lines instead")
-    parser.add_argument("--source-width", type=int, default=8)
-    parser.add_argument("--source-seed", type=int, default=0)
-    parser.add_argument("--batch", type=int, default=1)
-    parser.add_argument("--lookahead", type=int, default=0)
-    parser.add_argument("--inbox-capacity", type=int, default=None)
-    parser.add_argument("--buffer-capacity", type=int, default=64)
-    parser.add_argument("--credit-window", type=int, default=None,
-                        help="explicit push credit window (default: derived)")
-    parser.add_argument("--pipeline-depth", type=int, default=None,
-                        help="READ requests kept in flight (default: derived)")
-    parser.add_argument("--codec", default=CODEC_JSON, choices=CODECS,
-                        help="preferred frame body codec (negotiated per link)")
-    parser.add_argument("--shard", type=int, default=None,
-                        help="shard index of this stage's sub-pipeline")
-    parser.add_argument("--cpu", type=int, default=None, metavar="CORE",
-                        help="pin this stage to a CPU core (Linux; no-op "
-                             "elsewhere)")
-    parser.add_argument("--ticket-space", type=int, default=0)
-    parser.add_argument("--ticket-seed", type=int, default=0)
-    parser.add_argument("--serial", type=int, default=0,
-                        help="this stage's ticket serial in the book")
-    parser.add_argument("--expected-clients", type=int, default=None)
-    parser.add_argument("--stats-file", default=None)
-    parser.add_argument("--trace-file", default=None)
-    parser.add_argument("--output-file", default=None)
-    parser.add_argument("--connect-deadline", type=float, default=15.0)
-    parser.add_argument("--control-port", type=int, default=None, metavar="PORT",
-                        help="serve STATS/SPANS/HEALTH control requests here")
-    parser.add_argument("--fault-json", default=None, metavar="JSON",
-                        help="FaultPlan this stage should suffer")
-    parser.add_argument("--resume", action="store_true",
-                        help="enable session resume (seq numbers + replay)")
-    parser.add_argument("--io-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="reply silence treated as a dead link (resume)")
-    parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                        help="record every frame to rotating segment files "
-                             "under DIR (the flight recorder)")
-    parser.add_argument("--flight-mode", default=MODE_FULL,
-                        choices=sorted(FLIGHT_MODES),
-                        help="full payloads (replayable) or digests only "
-                             "(cheapest; timing + conformance)")
-    return parser
+def read_plan(argv: Sequence[str] | None, prog: str, what: str) -> Any:
+    """The JSON object in the one plan file a process's argv names."""
+    parser = argparse.ArgumentParser(prog=prog, description=what)
+    parser.add_argument("--plan-file", required=True, metavar="PATH",
+                        help="the JSON plan this process runs")
+    with open(parser.parse_args(argv).plan_file, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def config_from_args(argv: Sequence[str] | None = None) -> StageConfig:
-    """Parse a command line into a :class:`StageConfig`."""
-    parser = _parser()
-    options = parser.parse_args(argv)
-    source_items = None
-    if options.source_json is not None:
-        source_items = json.loads(options.source_json)
-    elif options.source_count is not None:
-        source_items = random_lines(
-            count=options.source_count, width=options.source_width,
-            seed=options.source_seed,
-        )
-    elif options.role == "source":
-        parser.error("--role source requires --source-json or --source-count")
-    return StageConfig(
-        role=options.role,
-        discipline=options.discipline,
-        host=options.host,
-        listen_port=options.listen,
-        upstream=options.upstream,
-        downstream=options.downstream,
-        channel=options.channel,
-        transducer_spec=options.transducer,
-        transducer_args=json.loads(options.transducer_args),
-        source_items=source_items,
-        flow=FlowPolicy(
-            lookahead=options.lookahead,
-            batch=options.batch,
-            buffer_capacity=options.buffer_capacity,
-            inbox_capacity=options.inbox_capacity,
-            credit_window=options.credit_window,
-            pipeline_depth=options.pipeline_depth,
-        ),
-        ticket_space=options.ticket_space,
-        ticket_seed=options.ticket_seed,
-        serial=options.serial,
-        expected_clients=options.expected_clients,
-        stats_file=options.stats_file,
-        trace_file=options.trace_file,
-        output_file=options.output_file,
-        connect_deadline=options.connect_deadline,
-        control_port=options.control_port,
-        fault=(FaultPlan.from_json(options.fault_json)
-               if options.fault_json is not None else FaultPlan()),
-        resume=options.resume,
-        io_timeout=options.io_timeout,
-        codec=options.codec,
-        shard=options.shard,
-        cpu=options.cpu,
-        flight_dir=options.flight_dir,
-        flight_mode=options.flight_mode,
-    )
+    """The :class:`StageConfig` in the ``--plan-file`` ``argv`` names."""
+    return StageConfig.from_dict(read_plan(
+        argv, "eden-stage",
+        "Host one asymmetric-stream pipeline stage over TCP."))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

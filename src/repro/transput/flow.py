@@ -42,9 +42,9 @@ class FlowPolicy:
         credit_window: explicit record credit a passive input grants a
             remote pusher (``None`` = derive it; see
             :meth:`effective_credit_window`).  This is the harmonised
-            name every layer uses — :class:`repro.api.Pipeline`,
-            ``eden-stage --credit-window``, and this policy all mean
-            the same number by it.
+            name every layer uses — :class:`repro.api.Pipeline`, a
+            stage plan's ``flow.credit_window``, and this policy all
+            mean the same number by it.
         pipeline_depth: READ requests an active reader keeps in flight
             over TCP (``None`` = 1, the paper's strict request/response
             alternation).  Deeper overlaps the round trip without

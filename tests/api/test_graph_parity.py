@@ -314,8 +314,6 @@ class TestSupervisorCounters:
 
     def test_restarts_of_the_first_fleet_survive(self, monkeypatch,
                                                  tmp_path):
-        import json
-
         import repro.net.launch as launch
 
         fleets = []
@@ -323,10 +321,8 @@ class TestSupervisorCounters:
         def run_fleet(plans, **_knobs):
             """Deliver every source's records; report 2 restarts in the
             first fleet only."""
-            sources = [
-                json.loads(plan.argv[plan.argv.index("--source-json") + 1])
-                for plan in plans if plan.role == "source"
-            ]
+            sources = [plan.plan["source_items"]
+                       for plan in plans if plan.role == "source"]
             fleets.append(plans)
             counters = {"restarts": 2} if len(fleets) == 1 else {}
             return launch.FleetResult(

@@ -7,6 +7,7 @@ restarts a crashed stage without touching its neighbours.
 """
 
 import asyncio
+import dataclasses
 import time
 
 import pytest
@@ -15,10 +16,10 @@ from repro.fault.plan import FaultPlan
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, TicketBook
 from repro.net.protocol import WireError
 from repro.broker.daemon import Broker, FIRST_STAGE_SERIAL
+from repro.net.stage import StageConfig
 from repro.broker.host import (
     HostConfig,
     HostError,
-    HostedStageSpec,
     StageHost,
     serves_roles,
 )
@@ -32,41 +33,36 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def pipeline_specs(discipline, faults=None, transducer=UPPER):
+def pipeline_stages(discipline, faults=None, transducer=UPPER,
+                    items=ITEMS, **stage_options):
+    """source -> filter1 -> sink, peers named as the broker knows them."""
     faults = faults or {}
-    links = (
-        {"upstream": True} if discipline == "readonly"
-        else {"downstream": True}
-    )
-    source = HostedStageSpec(
-        name="source", role="source", source_items=list(ITEMS),
-        downstream="filter1" if "downstream" in links else None,
-        fault=faults.get("source", FaultPlan()),
-    )
-    filter1 = HostedStageSpec(
-        name="filter1", role="filter", transducer_spec=transducer,
-        upstream="source" if "upstream" in links else None,
-        downstream="sink" if "downstream" in links else None,
-        fault=faults.get("filter1", FaultPlan()),
-    )
-    sink = HostedStageSpec(
-        name="sink", role="sink",
-        upstream="filter1" if "upstream" in links else None,
-        fault=faults.get("sink", FaultPlan()),
-    )
-    return [source, filter1, sink]
+    pull = discipline == "readonly"
+    common = dict(discipline=discipline, ticket_space=BOOK_ARGS["space"],
+                  ticket_seed=BOOK_ARGS["seed"], connect_deadline=5.0,
+                  **stage_options)
+    return [
+        StageConfig(name="source", role="source", source_items=list(items),
+                    downstream=None if pull else "filter1",
+                    fault=faults.get("source", FaultPlan()), **common),
+        StageConfig(name="filter1", role="filter", transducer_spec=transducer,
+                    upstream="source" if pull else None,
+                    downstream=None if pull else "sink",
+                    fault=faults.get("filter1", FaultPlan()), **common),
+        StageConfig(name="sink", role="sink",
+                    upstream="filter1" if pull else None,
+                    fault=faults.get("sink", FaultPlan()), **common),
+    ]
 
 
-async def hosted_run(discipline, faults=None, **config_options):
+async def hosted_run(discipline, faults=None, max_restarts=0,
+                     **stage_options):
     broker = Broker(TicketBook(**BOOK_ARGS))
     await broker.start()
     config = HostConfig(
         broker_host=broker.host, broker_port=broker.port,
-        stages=pipeline_specs(discipline, faults),
-        discipline=discipline,
-        ticket_space=BOOK_ARGS["space"], ticket_seed=BOOK_ARGS["seed"],
-        connect_deadline=5.0,
-        **config_options,
+        stages=pipeline_stages(discipline, faults, **stage_options),
+        max_restarts=max_restarts,
     )
     host = StageHost(config)
     try:
@@ -79,7 +75,7 @@ async def hosted_run(discipline, faults=None, **config_options):
 def sink_output(host):
     return next(
         stage.collected for stage in host.stages
-        if stage.spec.role == "sink"
+        if stage.config.role == "sink"
     )
 
 
@@ -107,19 +103,40 @@ class TestHostedPipelines:
         with pytest.raises(ValueError, match="conventional|readonly"):
             HostConfig(
                 broker_host="127.0.0.1", broker_port=1,
-                stages=pipeline_specs("readonly"),
-                discipline="conventional",
+                stages=pipeline_stages("conventional"),
             )
 
     def test_duplicate_stage_names_refused(self):
-        specs = pipeline_specs("readonly")
-        specs[2] = HostedStageSpec(
-            name="source", role="sink", upstream="filter1"
-        )
+        stages = pipeline_stages("readonly")
+        stages[2] = dataclasses.replace(stages[2], name="source")
         with pytest.raises(ValueError, match="unique"):
             HostConfig(
-                broker_host="127.0.0.1", broker_port=1, stages=specs,
+                broker_host="127.0.0.1", broker_port=1, stages=stages,
             )
+
+    @pytest.mark.parametrize("key, value", [
+        ("ticket_space", 6), ("ticket_seed", 22), ("discipline", "writeonly"),
+    ])
+    def test_stages_share_one_book_and_discipline(self, key, value):
+        # One host, one ticket book, one label shape.
+        stages = pipeline_stages("readonly")
+        stages[1] = dataclasses.replace(stages[1], **{key: value})
+        with pytest.raises(ValueError, match=key):
+            HostConfig(broker_host="127.0.0.1", broker_port=1, stages=stages)
+
+    def test_unnamed_stage_refused(self):
+        stages = pipeline_stages("readonly")
+        stages[0] = dataclasses.replace(stages[0], name=None)
+        with pytest.raises(ValueError, match="name"):
+            HostConfig(broker_host="127.0.0.1", broker_port=1, stages=stages)
+
+    def test_addressed_peer_refused(self):
+        # The broker resolves names; a hosted stage dials no address.
+        stages = pipeline_stages("readonly")
+        stages[2] = dataclasses.replace(stages[2],
+                                        upstream=("127.0.0.1", 9000))
+        with pytest.raises(ValueError, match="name its peers"):
+            HostConfig(broker_host="127.0.0.1", broker_port=1, stages=stages)
 
 
 class TestServesRoles:
@@ -193,18 +210,16 @@ class TestBrokerLoss:
         async def scenario():
             broker = Broker(TicketBook(**BOOK_ARGS))
             await broker.start()
-            specs = [
-                HostedStageSpec(name="source", role="source",
-                                source_items=[f"r{i}" for i in range(20000)]),
-                HostedStageSpec(name="filter1", role="filter",
-                                upstream="source"),
-                HostedStageSpec(name="sink", role="sink", upstream="filter1"),
-            ]
+            stages = pipeline_stages(
+                "readonly", transducer=None,
+                items=[f"r{i}" for i in range(20000)], resume=True,
+                io_timeout=io_timeout,
+            )
             host = StageHost(HostConfig(
                 broker_host=broker.host, broker_port=broker.port,
-                stages=specs, ticket_space=BOOK_ARGS["space"],
-                ticket_seed=BOOK_ARGS["seed"], resume=True,
-                io_timeout=io_timeout, connect_deadline=connect_deadline,
+                stages=[dataclasses.replace(
+                    stage, connect_deadline=connect_deadline)
+                    for stage in stages],
             ))
             running = asyncio.ensure_future(host.run())
             await asyncio.sleep(0.3)

@@ -9,8 +9,11 @@ restarted stage runs its plan's survivor either way, so a periodic
 frame rule starts counting afresh.
 """
 
+import json
+
 import pytest
 
+from repro.analysis import predicted_invocations
 from repro.api import Pipeline
 from repro.fault.plan import FaultPlan, FrameFault
 
@@ -60,3 +63,24 @@ class TestFaultsAreTheSameOnBothPlacements:
         assert result.restarts == restarts
         assert result.supervisor["counters"].get("restarts", 0) == restarts
         assert fault_counters(result) == counters
+
+
+class TestASourcePastArgvLimits:
+    """A source travels in the plan file on both placements.
+
+    12 000 records are ~190 KiB of JSON, past Linux's 128 KiB limit on
+    one argument: a source shipped on the command line cannot spawn.
+    """
+
+    RECORDS = [f"large-source-record-{i:05d}" for i in range(12_000)]
+
+    @pytest.mark.parametrize("placement", ["processes", "hosted"])
+    def test_every_record_arrives_at_the_predicted_cost(self, tmp_path,
+                                                        placement):
+        assert len(json.dumps(self.RECORDS)) > 140 * 1024
+        result = Pipeline(
+            [IDENTITY, IDENTITY], source=self.RECORDS, placement=placement,
+        ).run(runtime="tcp", batch=64, workdir=str(tmp_path), timeout=90.0)
+        assert result.output == self.RECORDS
+        assert result.invocations == predicted_invocations(
+            "readonly", 2, len(self.RECORDS), 64)

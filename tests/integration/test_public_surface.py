@@ -71,7 +71,7 @@ SURFACE = {
     "repro.broker": {
         "repro.broker.client": "BrokerClient",
         "repro.broker.daemon": "Broker BrokerError",
-        "repro.broker.host": "HostConfig HostedStageSpec StageHost",
+        "repro.broker.host": "HostConfig StageHost",
         "repro.broker.launch": "plan_hosted_fleet",
     },
     "repro.core": {

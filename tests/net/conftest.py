@@ -1,8 +1,8 @@
 """Debug-artifact capture for the wire-runtime tests.
 
 When ``EDEN_NET_DEBUG_DIR`` is set and a test in this package fails,
-the per-stage span logs, stats snapshots, flight-recorder segments,
-and fleet manifest the test left in its ``tmp_path`` are copied there
+the per-stage span logs, stats snapshots, plan files, flight-recorder
+segments, and fleet manifest the test left in its ``tmp_path`` are copied there
 under the test's node id.  CI points the variable at a directory it
 uploads on failure, so a red run ships the traces needed to diagnose
 it.  Copies keep their path relative to ``tmp_path``: flight segments
@@ -17,7 +17,8 @@ import shutil
 
 import pytest
 
-ARTIFACT_GLOBS = ("*.trace.jsonl", "*.stats.json", "fleet.json", "*.efl")
+ARTIFACT_GLOBS = ("*.trace.jsonl", "*.stats.json", "*.plan.json",
+                  "fleet.json", "*.efl")
 
 
 def _sanitize(nodeid: str) -> str:

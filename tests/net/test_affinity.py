@@ -12,6 +12,7 @@ from repro.net.affinity import (
     current_affinity,
     pin_to_core,
 )
+from repro.net.stage import config_from_args
 
 
 class TestAssignCores:
@@ -95,17 +96,17 @@ class TestPlannedPlacement:
             by_shard = {plan.shard: plan.cpu for plan in plans}
             assert by_shard == {0: cores[0], 1: cores[1]}
             for plan in plans:
-                assert plan.argv[plan.argv.index("--cpu") + 1] == str(plan.cpu)
+                assert config_from_args(plan.argv).cpu == plan.cpu
         else:
-            # Single-core machine: command lines stay byte-identical
-            # to the unpinned ones.
+            # Single-core machine: every stage stays unpinned.
             assert cores == [None, None]
-            assert all("--cpu" not in plan.argv for plan in plans)
+            assert all(config_from_args(plan.argv).cpu is None
+                       for plan in plans)
 
-    def test_policy_none_emits_no_cpu_flags(self, tmp_path):
+    def test_policy_none_plans_no_cpu(self, tmp_path):
         plans = self.plan_shards(tmp_path, ["a", "b"],
                                  placement_policy="none")
-        assert all("--cpu" not in plan.argv for plan in plans)
+        assert all(config_from_args(plan.argv).cpu is None for plan in plans)
         assert all(plan.cpu is None for plan in plans)
 
     def test_hosted_fleet_records_placement(self, tmp_path):

@@ -17,7 +17,6 @@ Four contracts:
    exposed.
 """
 
-import dataclasses
 import json
 
 import pytest
@@ -55,19 +54,16 @@ class TestBinaryFleet:
         assert 0 < binary_bytes < json_bytes
 
     def test_legacy_json_stage_in_a_binary_fleet(self, tmp_path):
-        """Per-link degradation: strip --codec from one filter (as if an
-        old build were still deployed) and the fleet still drains."""
+        """Per-link degradation: set one filter's plan back to the json
+        codec (as if an old build were still deployed) and the fleet
+        still drains."""
         plans = plan_linear_fleet(
             "readonly", [IDENTITY] * 2, str(tmp_path),
             source_items=ITEMS, codec="binary",
         )
         legacy = next(p for p in plans if p.role == "filter")
-        argv = list(legacy.argv)
-        at = argv.index("--codec")
-        del argv[at:at + 2]
-        plans[plans.index(legacy)] = dataclasses.replace(
-            legacy, argv=tuple(argv)
-        )
+        with open(legacy.plan_file, "w", encoding="utf-8") as handle:
+            json.dump({**legacy.plan, "codec": "json"}, handle)
         result = run_fleet(plans, timeout=60)
         assert result.output == ITEMS
 

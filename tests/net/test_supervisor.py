@@ -3,8 +3,8 @@
 The recovery happy path (kill a stage mid-stream, watch the supervisor
 restart it and the stream finish lossless) lives in
 ``tests/net/test_chaos_recovery.py``; these tests cover the
-supervisor's contract edges — eager knob validation, survivor command
-lines, and the property the old ``execute`` lacked: every stage's
+supervisor's contract edges — eager knob validation, survivor plans,
+and the property the old ``execute`` lacked: every stage's
 stderr survives the fleet being killed, because it goes to files.
 """
 
@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.broker.launch import plan_hosted_fleet
 from repro.fault import FaultPlan, FrameFault
 from repro.net.launch import (
     FleetError,
@@ -19,6 +20,7 @@ from repro.net.launch import (
     plan_linear_fleet,
     run_fleet,
 )
+from repro.net.stage import StageConfig
 
 ITEMS = [f"line-{i}" for i in range(12)]
 IDENTITY = ("repro.transput:identity_transducer", [])
@@ -49,17 +51,18 @@ class TestValidation:
             plan(tmp_path, faults={9: FaultPlan(kill_after=1)})
 
 
-class TestSurvivorArgv:
+class TestSurvivorPlan:
     def test_plain_plan_is_unchanged(self, tmp_path):
         for stage in plan(tmp_path):
-            assert stage.survivor_argv() == stage.argv
+            assert stage.survivor_plan() == stage.plan
 
-    def test_one_shot_fault_is_stripped_on_restart(self, tmp_path):
+    def test_survivor_plan_drops_kill_after(self, tmp_path):
         stage = plan(tmp_path, faults={1: FaultPlan(kill_after=3)})[1]
-        assert "--fault-json" in stage.argv
-        survivor = stage.survivor_argv()
-        assert "--fault-json" not in survivor
-        assert len(survivor) == len(stage.argv) - 2
+        assert stage.plan["fault"] == {"kill_after": 3}
+        survivor = stage.survivor_plan()
+        assert survivor["fault"] == {}
+        # Nothing but the fault changes.
+        assert {**survivor, "fault": stage.plan["fault"]} == stage.plan
 
     def test_periodic_faults_persist_across_restart(self, tmp_path):
         fault = FaultPlan(
@@ -67,11 +70,38 @@ class TestSurvivorArgv:
             frame_faults=[FrameFault(action="duplicate", every=4)],
         )
         stage = plan(tmp_path, faults={1: fault})[1]
-        survivor = stage.survivor_argv()
-        at = survivor.index("--fault-json")
-        shipped = FaultPlan.from_json(survivor[at + 1])
+        shipped = StageConfig.from_dict(stage.survivor_plan()).fault
         assert shipped == fault.survivor()
         assert shipped.kill_after is None and shipped.frame_faults
+
+    def test_host_process_survivor_reduces_every_hosted_stage(self, tmp_path):
+        periodic = FrameFault(action="duplicate", every=4)
+        plans = plan_hosted_fleet(
+            "readonly", [IDENTITY, IDENTITY], str(tmp_path),
+            source_items=ITEMS, faults={
+                1: FaultPlan(kill_after=3),
+                2: FaultPlan(refuse_accepts=1, frame_faults=[periodic]),
+            },
+        )
+        host = plans[1]
+        assert host.role == "host"
+        survivor = host.survivor_plan()
+        assert [stage["fault"] for stage in survivor["stages"]] == [
+            {}, {}, FaultPlan(frame_faults=[periodic]).as_dict(), {},
+        ]
+        assert {**survivor, "stages": host.plan["stages"]} == host.plan
+        assert plans[0].survivor_plan() is None  # the broker has no plan
+
+    def test_a_restart_respawns_the_survivor_plan(self, tmp_path):
+        # Were the kill re-armed, the one restart the budget allows
+        # would die again and the fleet fail.
+        plans = plan(tmp_path, faults={1: FaultPlan(kill_after=4)},
+                     resume=True, io_timeout=5.0)
+        result = run_fleet(plans, timeout=60.0, max_restarts=1)
+        assert result.output == ITEMS
+        assert result.restarts == 1
+        with open(plans[1].plan_file, encoding="utf-8") as handle:
+            assert json.load(handle)["fault"] == {}
 
 
 class TestFailureDiagnostics:
@@ -114,7 +144,7 @@ class TestFailureDiagnostics:
         assert result.output == []
 
     def test_budget_exhaustion_counts_every_crash(self, tmp_path):
-        # kill_after survives restarts?  No: the survivor argv strips
+        # kill_after survives restarts?  No: the survivor plan strips
         # it, so a restarted stage runs clean — but *without* resume the
         # stream cannot continue after the first death, so neighbours
         # fail and the run ends in stage failures.  The supervisor's
