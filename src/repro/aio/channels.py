@@ -15,6 +15,7 @@ other channels accumulate in their buffers meanwhile.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import Any
 
 from repro.core.errors import NoSuchChannelError
@@ -43,8 +44,8 @@ class AioReportingStage:
         self.transducer = as_reporting(transducer)
         self.upstream = upstream
         self.batch_in = max(1, batch_in)
-        self._buffers: dict[str, list[Any]] = {
-            channel: [] for channel in self.transducer.channels
+        self._buffers: dict[str, deque[Any]] = {
+            channel: deque() for channel in self.transducer.channels
         }
         self._started = False
         self._done = False
@@ -88,9 +89,9 @@ class AioReportingStage:
         buffer = self._buffers[channel]
         if not buffer:
             return END_TRANSFER
-        batch = max(1, batch)
-        taken, self._buffers[channel] = buffer[:batch], buffer[batch:]
-        return Transfer.of(taken)
+        # O(records taken), however many this channel holds.
+        return Transfer.of([buffer.popleft()
+                            for _ in range(min(max(1, batch), len(buffer)))])
 
 
 class ChannelReader:

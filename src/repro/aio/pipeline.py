@@ -4,14 +4,16 @@ The canonical entry points are :func:`stream_readonly`,
 :func:`stream_writeonly`, :func:`stream_conventional` and the by-name
 dispatcher :func:`stream_segment`.  Each accepts an optional
 ``stats`` (:class:`~repro.core.stats.KernelStats`) and, when given
-one, counts an ``invocations_sent`` for every transfer request that
+one, adds an ``invocations_sent`` for every transfer request that
 crosses a stage boundary — a ``read()`` on a pull boundary, a
-``write()`` on a push boundary, both sides of a conventional pipe —
-which is the same thing the simulator's kernel and the TCP runtime's
-frame counters measure.  That shared definition is what lets
-:class:`repro.api.Pipeline` assert invocation *parity* across all
-three runtimes (paper claims C1/C2: ``(n+1)(m+1)`` asymmetric vs
-``(2n+2)(m+1)`` conventional).
+``write()`` on a push boundary, both sides of a conventional pipe.
+Every endpoint counts the invocations it answers (its
+``invocations``), and the driver sums them once the segment ends:
+there is no counting layer between two stages.  That is the same thing
+the simulator's kernel and the TCP runtime's frame counters measure,
+and that shared definition is what lets :class:`repro.api.Pipeline`
+assert invocation *parity* across all three runtimes (paper claims
+C1/C2: ``(n+1)(m+1)`` asymmetric vs ``(2n+2)(m+1)`` conventional).
 """
 
 from __future__ import annotations
@@ -41,30 +43,11 @@ __all__ = [
 ]
 
 
-class _CountingReadable:
-    """Bumps ``invocations_sent`` for every READ crossing a boundary."""
-
-    def __init__(self, inner: Readable, stats: KernelStats | None) -> None:
-        self._inner = inner
-        self._stats = stats
-
-    async def read(self, batch: int = 1) -> Transfer:
-        if self._stats is not None:
-            self._stats.bump("invocations_sent")
-        return await self._inner.read(batch)
-
-
-class _CountingWritable:
-    """Bumps ``invocations_sent`` for every WRITE crossing a boundary."""
-
-    def __init__(self, inner: Writable, stats: KernelStats | None) -> None:
-        self._inner = inner
-        self._stats = stats
-
-    async def write(self, transfer: Transfer) -> None:
-        if self._stats is not None:
-            self._stats.bump("invocations_sent")
-        await self._inner.write(transfer)
+def _count(stats: KernelStats | None, endpoints: Iterable[Any]) -> None:
+    """Add the invocations ``endpoints`` answered to ``stats``."""
+    if stats is not None:
+        stats.bump("invocations_sent",
+                   sum(endpoint.invocations for endpoint in endpoints))
 
 
 async def stream_readonly(
@@ -75,15 +58,14 @@ async def stream_readonly(
     stats: KernelStats | None = None,
 ) -> list[Any]:
     """Read-only pipeline: chain stages, then pump from the tail."""
-    upstream: Readable = AioSource(items)
+    endpoints: list[Readable] = [AioSource(items)]
     for transducer in transducers:
-        upstream = AioReadOnlyStage(
-            transducer,
-            _CountingReadable(upstream, stats),
-            lookahead=lookahead,
-            batch_in=batch,
-        )
-    return await collect(_CountingReadable(upstream, stats), batch=batch)
+        endpoints.append(AioReadOnlyStage(
+            transducer, endpoints[-1], lookahead=lookahead, batch_in=batch,
+        ))
+    output = await collect(endpoints[-1], batch=batch)
+    _count(stats, endpoints)
+    return output
 
 
 async def stream_writeonly(
@@ -94,18 +76,17 @@ async def stream_writeonly(
 ) -> list[Any]:
     """Write-only pipeline: build sink-first, push from the head."""
     sink = AioCollector()
-    downstream: Writable = sink
+    endpoints: list[Writable] = [sink]
     for transducer in reversed(list(transducers)):
-        downstream = AioWriteOnlyStage(
-            transducer, [_CountingWritable(downstream, stats)]
-        )
-    head = _CountingWritable(downstream, stats)
+        endpoints.append(AioWriteOnlyStage(transducer, [endpoints[-1]]))
+    head = endpoints[-1]
     pending = list(items)
     for start in range(0, len(pending), max(1, batch)):
         chunk = pending[start : start + max(1, batch)]
         await head.write(Transfer.of(chunk))
     await head.write(END_TRANSFER)
     await sink.done.wait()
+    _count(stats, endpoints)
     return list(sink.items)
 
 
@@ -126,27 +107,22 @@ async def stream_conventional(
     """
     transducers = list(transducers)
     pipes = [AioPipe(capacity=capacity) for _ in range(len(transducers) + 1)]
-    write_side = [_CountingWritable(pipe, stats) for pipe in pipes]
-    read_side = [_CountingReadable(pipe, stats) for pipe in pipes]
 
     async def source_task() -> None:
         pending = list(items)
         for start in range(0, len(pending), max(1, batch)):
             chunk = pending[start : start + max(1, batch)]
-            await write_side[0].write(Transfer.of(chunk))
-        await write_side[0].write(END_TRANSFER)
+            await pipes[0].write(Transfer.of(chunk))
+        await pipes[0].write(END_TRANSFER)
 
     async def filter_task(index: int, transducer: Transducer) -> None:
         # The active-output half is the write-only stage: one inbound
         # transfer becomes one outbound write (start() output rides the
         # first, finish() output goes out as one transfer before END).
-        stage = AioWriteOnlyStage(transducer, [write_side[index + 1]])
-        while not (transfer := await read_side[index].read(batch)).at_end:
+        stage = AioWriteOnlyStage(transducer, [pipes[index + 1]])
+        while not (transfer := await pipes[index].read(batch)).at_end:
             await stage.write(transfer)
         await stage.write(END_TRANSFER)
-
-    async def sink_task() -> list[Any]:
-        return await collect(read_side[-1], batch=batch)
 
     tasks = [
         asyncio.create_task(source_task()),
@@ -155,8 +131,9 @@ async def stream_conventional(
             for index, transducer in enumerate(transducers)
         ),
     ]
-    output = await sink_task()
+    output = await collect(pipes[-1], batch=batch)
     await asyncio.gather(*tasks)
+    _count(stats, pipes)
     return output
 
 

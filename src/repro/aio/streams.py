@@ -19,12 +19,14 @@ An invocation means the same on both sides: one ``read(batch)`` is
 answered by one transfer of up to ``batch`` records, and one ``write``
 of a ``batch``-record transfer crosses a write-only stage as one
 ``write`` downstream — so the invocation counts of the two disciplines
-stay comparable at every batch size (paper claims C1/C2).
+stay comparable at every batch size (paper claims C1/C2).  Every endpoint
+counts the invocations it answers in its ``invocations``.
 """
 
 from __future__ import annotations
 
 import asyncio
+from itertools import islice
 from typing import Any, AsyncIterator, Iterable, Protocol, runtime_checkable
 
 from repro.core.errors import StreamProtocolError
@@ -67,21 +69,12 @@ class AioSource:
 
     def __init__(self, items: Iterable[Any]) -> None:
         self._iterator = iter(items)
-        self._exhausted = False
+        self.invocations = 0
 
     async def read(self, batch: int = 1) -> Transfer:
-        if self._exhausted:
-            return END_TRANSFER
-        taken: list[Any] = []
-        for _ in range(max(1, batch)):
-            try:
-                taken.append(next(self._iterator))
-            except StopIteration:
-                self._exhausted = True
-                break
-        if not taken:
-            return END_TRANSFER
-        return Transfer.of(taken)
+        self.invocations += 1
+        taken = tuple(islice(self._iterator, max(1, batch)))
+        return Transfer.of(taken) if taken else END_TRANSFER
 
 
 class AioReadOnlyStage:
@@ -104,18 +97,12 @@ class AioReadOnlyStage:
         self.lookahead = max(0, lookahead)
         self.batch_in = max(1, batch_in)
         self._buffer: list[Any] = list(transducer.start())
+        #: How many of ``_buffer``'s records have been handed out.
+        self._taken = 0
         self._done = False
         self._queue: asyncio.Queue | None = None
         self._task: asyncio.Task | None = None
-
-    async def _pull_once(self) -> None:
-        transfer = await self.upstream.read(self.batch_in)
-        if transfer.at_end:
-            self._buffer.extend(self.transducer.finish())
-            self._done = True
-            return
-        for item in transfer.items:
-            self._buffer.extend(self.transducer.step(item))
+        self.invocations = 0
 
     async def _prefetch_loop(self) -> None:
         assert self._queue is not None
@@ -136,15 +123,28 @@ class AioReadOnlyStage:
             self._task = asyncio.create_task(self._prefetch_loop())
 
     async def read(self, batch: int = 1) -> Transfer:
-        batch = max(1, batch)
+        self.invocations += 1
         if self.lookahead > 0:
-            return await self._read_prefetched(batch)
-        while not self._buffer and not self._done:
-            await self._pull_once()
-        if not self._buffer:
-            return END_TRANSFER
-        taken, self._buffer = self._buffer[:batch], self._buffer[batch:]
-        return Transfer.of(taken)
+            return await self._read_prefetched(max(1, batch))
+        buffer = self._buffer
+        # Pull only once every buffered record is handed out: a read is one
+        # slice, O(records taken) however many records one input made.
+        while self._taken == len(buffer):
+            if self._done:
+                return END_TRANSFER
+            buffer.clear()
+            self._taken = 0
+            transfer = await self.upstream.read(self.batch_in)
+            if transfer.at_end:
+                buffer.extend(self.transducer.finish())
+                self._done = True
+            else:
+                step = self.transducer.step
+                for item in transfer.items:
+                    buffer.extend(step(item))
+        start = self._taken
+        self._taken = min(start + max(1, batch), len(buffer))
+        return Transfer.of(buffer[start:self._taken])
 
     async def _read_prefetched(self, batch: int) -> Transfer:
         self._ensure_prefetch()
@@ -184,8 +184,10 @@ class AioWriteOnlyStage:
         self.outputs = list(outputs)
         self._started = False
         self._ended = False
+        self.invocations = 0
 
     async def write(self, transfer: Transfer) -> None:
+        self.invocations += 1
         if self._ended:
             raise StreamProtocolError("write after END")
         produced: list[Any] = []
@@ -212,8 +214,10 @@ class AioCollector:
     def __init__(self) -> None:
         self.items: list[Any] = []
         self.done = asyncio.Event()
+        self.invocations = 0
 
     async def write(self, transfer: Transfer) -> None:
+        self.invocations += 1
         if self.done.is_set():
             raise StreamProtocolError("write after END")
         if transfer.at_end:
@@ -242,8 +246,11 @@ class AioPipe:
         self._ended = False
         #: Span context under which the last-read record was deposited.
         self.last_read_origin: Any = None
+        #: READs and WRITEs answered: both ends of a pipe are invocations.
+        self.invocations = 0
 
     async def write(self, transfer: Transfer) -> None:
+        self.invocations += 1
         if self._ended:
             raise StreamProtocolError("write after END")
         origin = _deposit_origin()
@@ -255,6 +262,7 @@ class AioPipe:
             await self._queue.put((item, origin))
 
     async def read(self, batch: int = 1) -> Transfer:
+        self.invocations += 1
         first, origin = await self._queue.get()
         self.last_read_origin = origin
         if first is END_TRANSFER:

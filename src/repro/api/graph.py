@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.transput.filterbase import Transducer
@@ -857,19 +858,10 @@ def join_records(branch_outputs: Sequence[Sequence[Any]], op: str) \
     live branch per round — both deterministic."""
     if op == "gather":
         return [record for lines in branch_outputs for record in lines]
-    queues = [list(lines) for lines in branch_outputs]
-    merged: list[Any] = []
-    cursor = 0
-    while any(queues):
-        queue = queues[cursor % len(queues)]
-        if queue:
-            merged.append(queue.pop(0))
-        cursor += 1
-        # Drop exhausted queues so the round-robin stays fair.
-        if cursor % len(queues) == 0:
-            queues = [q for q in queues if q]
-            cursor = 0
-    return merged
+    gap = object()  # what zip_longest pads a finished branch with
+    return [record
+            for layer in zip_longest(*branch_outputs, fillvalue=gap)
+            for record in layer if record is not gap]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from operator import is_, itemgetter
 from typing import Any, Iterable
 
 from repro.core.capability import ChannelId
@@ -29,27 +31,38 @@ class StreamStatus(enum.Enum):
     END = "end"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(tuple):
     """One protocol interaction's worth of stream content.
 
     A ``DATA`` transfer carries one or more records; an ``END`` transfer
     carries none and terminates the stream.  (A Read may also return an
     empty DATA transfer if the responder chooses, but the standard
     library routines never produce one.)
+
+    An immutable ``(status, items)`` pair: every invocation on every
+    runtime moves one, so building and reading it are C-level tuple
+    operations.  Every END transfer is :data:`END_TRANSFER` itself,
+    which is what lets ``at_end`` be an identity test.
     """
 
-    status: StreamStatus
-    items: tuple[Any, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status is StreamStatus.END and self.items:
-            raise StreamProtocolError("END transfer must not carry items")
+    def __new__(cls, status: StreamStatus, items: Iterable[Any] = ()) -> "Transfer":
+        items = tuple(items)
+        if status is StreamStatus.END:
+            if items:
+                raise StreamProtocolError("END transfer must not carry items")
+            return END_TRANSFER
+        return _new(cls, (status, items))
 
-    @property
-    def at_end(self) -> bool:
-        """Whether this transfer terminates the stream."""
-        return self.status is StreamStatus.END
+    status = property(itemgetter(0), doc="DATA or END.")
+    items = property(itemgetter(1), doc="The records, a tuple.")
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return Transfer, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Transfer(status={self.status!r}, items={self.items!r})"
 
     @staticmethod
     def of(items: Iterable[Any]) -> "Transfer":
@@ -57,16 +70,23 @@ class Transfer:
         batch = tuple(items)
         if not batch:
             raise StreamProtocolError("DATA transfer must carry items")
-        return Transfer(status=StreamStatus.DATA, items=batch)
+        return _new(Transfer, (_DATA, batch))
 
     @staticmethod
     def single(item: Any) -> "Transfer":
         """A DATA transfer of exactly one record."""
-        return Transfer(status=StreamStatus.DATA, items=(item,))
+        return _new(Transfer, (_DATA, (item,)))
 
 
-#: The canonical end-of-stream transfer.
-END_TRANSFER = Transfer(status=StreamStatus.END)
+_new = tuple.__new__
+_DATA = StreamStatus.DATA
+
+#: The canonical end-of-stream transfer: the only END there is.
+END_TRANSFER = _new(Transfer, (StreamStatus.END, ()))
+
+# An identity test run by C code, no Python frame: every read asks it.
+Transfer.at_end = property(  # type: ignore[attr-defined]
+    partial(is_, END_TRANSFER), doc="Whether this transfer terminates the stream.")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,10 @@ from repro.aio import (
     AioWriteOnlyStage,
     collect,
     iterate,
+    stream_readonly,
     stream_segment,
 )
+from repro.aio.streams import reference
 from repro.core.errors import StreamProtocolError
 from repro.filters import comment_stripper, sort_lines, upper_case, word_count
 from repro.transput import compose_apply
@@ -173,6 +175,42 @@ class TestSourcesAndStages:
                 await sink.write(Transfer.single(1))
 
         asyncio.run(scenario())
+
+
+def fan_out():
+    """One input record becomes 100 000."""
+    return make_transducer(lambda x: [f"{x}-{i}" for i in range(100_000)])
+
+
+async def drain_by_ones(readable):
+    """``collect`` at batch 1, yielding to the loop every 1 000 reads:
+    a chain whose reads never suspend would otherwise run past any
+    ``wait_for`` deadline before the loop could fire it."""
+    items = []
+    while not (transfer := await readable.read(1)).at_end:
+        items.extend(transfer.items)
+        if len(items) % 1000 == 0:
+            await asyncio.sleep(0)
+    return items
+
+
+class TestOneToManyFilter:
+    """A read takes O(records taken), not a copy of everything still
+    buffered: 100 000 reads of one record each took ~40 s that way."""
+
+    def test_fan_out_at_batch_one_is_linear(self):
+        stage = AioReadOnlyStage(fan_out(), AioSource(["r"]), batch_in=1)
+        out = asyncio.run(asyncio.wait_for(drain_by_ones(stage), timeout=10))
+        assert out == reference([fan_out()], ["r"])
+        assert asyncio.run(stream_readonly(["r"], [fan_out()], batch=1)) == out
+
+    def test_fan_out_on_a_channel_at_batch_one_is_linear(self):
+        from repro.aio import AioReportingStage
+
+        stage = AioReportingStage(fan_out(), AioSource(["r"]))
+        out = asyncio.run(asyncio.wait_for(
+            drain_by_ones(stage.reader("Output")), timeout=10))
+        assert out == reference([fan_out()], ["r"])
 
 
 class TestAioPipe:

@@ -23,6 +23,7 @@ from repro.api import (
     GraphNode,
     SCATTER_POLICIES,
 )
+from repro.api.graph import join_records
 from repro.transput import FlowPolicy, identity_transducer
 
 IDENTITY = "repro.transput:identity_transducer"
@@ -289,3 +290,21 @@ class TestSpecRoundTrip:
         spec["edges"].append({"src": "stage-1", "dst": "ghost"})
         with pytest.raises(GraphError, match="dangling edge"):
             Graph.from_spec(spec)
+
+
+def reference_interleave(branches):
+    """Round ``r`` takes the ``r``-th record of every branch that has
+    one, in branch order."""
+    merged, depth = [], 0
+    while any(depth < len(branch) for branch in branches):
+        merged.extend(branch[depth] for branch in branches if depth < len(branch))
+        depth += 1
+    return merged
+
+
+class TestMergeJoin:
+    @settings(max_examples=200, deadline=None)
+    @given(branches=st.lists(st.lists(st.integers(), max_size=12),
+                             min_size=2, max_size=5))
+    def test_merge_is_the_round_robin_interleave(self, branches):
+        assert join_records(branches, "merge") == reference_interleave(branches)
