@@ -19,7 +19,7 @@ assumption the linear C1/C2 model makes — so the filters here are
 one-record-in, one-record-out.)
 
 Each runs on the simulator and on asyncio (swap in ``runtime="tcp"``
-for one OS process per stage), prints the outputs, and checks the
+for one OS process per filter), prints the outputs, and checks the
 measured invocation total against the per-edge analytic prediction
 from :func:`repro.analysis.predict_graph_invocations` — the C1/C2
 economics, hop by hop, on a non-linear topology.
@@ -96,7 +96,7 @@ def main():
     show(fan())
     print("identical records and exactly-predicted per-edge invocation")
     print("counts on both in-process runtimes; runtime='tcp' runs the")
-    print("same graphs as one OS process per stage.")
+    print("same graphs as one OS process per filter.")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ no buffer Ejects and roughly half the invocations: the paper's
 headline result, visible from the very first run.
 
 The same ``Pipeline`` object also runs on the asyncio runtime (and,
-with ``runtime="tcp"``, as one OS process per stage) — same output,
+with ``runtime="tcp"``, as one OS process per filter) — same output,
 same invocation count.  ``examples/tcp_pipeline.py`` shows that.
 """
 

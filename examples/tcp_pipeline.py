@@ -3,21 +3,22 @@
 
 ``examples/distributed_pipeline.py`` spreads a pipeline over *simulated*
 nodes and predicts the costs; this is its twin on real sockets, driven
-through the one :class:`repro.api.Pipeline` facade.  Every stage —
-source, each filter, sink, and (for the conventional emulation) every
-pipe — is a separate ``eden-stage`` process, speaking the framed wire
-protocol of :mod:`repro.net`.  The run prints the measured on-wire
+through the one :class:`repro.api.Pipeline` facade.  Every stage
+between the ends — each filter and (for the conventional emulation)
+every pipe — is a separate ``eden-stage`` process; the source and sink
+run in this script's own event loop.  All of them speak the framed wire
+protocol of :mod:`repro.net`, and the run prints the measured on-wire
 request count next to the paper's closed-form prediction:
 
 - read-only / write-only: ``(n+1)(m+1)`` requests (claim C1);
 - conventional (a pipe process between every adjacent pair): ``(2n+2)
-  (m+1)`` — twice the traffic, and ``2n+3`` processes instead of
-  ``n+2``.
+  (m+1)`` — twice the traffic, and ``2n+1`` stage processes instead
+  of ``n``.
 
 It then re-runs the read-only pipeline with real filters on *both*
 runtimes — ``runtime="tcp"`` and ``runtime="sim"`` — and checks the
-bytes coming out of the TCP sink equal the simulator's output for the
-same seed.
+records coming out of the TCP sink equal the simulator's output for
+the same seed.
 """
 
 import tempfile
@@ -57,7 +58,7 @@ def measure(discipline: str, workdir: str) -> None:
 def main() -> None:
     print(
         f"moving m={ITEMS} records through n={N_FILTERS} identity filters, "
-        "one OS process per stage:\n"
+        "one OS process per filter or pipe:\n"
     )
     with tempfile.TemporaryDirectory() as workdir:
         for discipline in ("readonly", "writeonly", "conventional"):
@@ -73,7 +74,7 @@ def main() -> None:
                            timeout=60)
         simulated = pipeline.run(runtime="sim")
 
-        match = tcp.output == [str(line) for line in simulated.output]
+        match = tcp.output == simulated.output
         for line in tcp.output:
             print("  ", line)
         print(

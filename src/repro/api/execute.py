@@ -22,9 +22,13 @@ steps —
   segment; a block drives every branch concurrently under one
   ``asyncio.gather``.
 - ``tcp``: :func:`repro.net.launch.plan_linear_fleet` per linear
-  segment (``plan_hosted_fleet`` under hosted placement); a block plans
-  each branch as its own sub-fleet (:func:`_plan_block`: own directory,
-  own ticket space, labelled by branch index) under **one** supervisor.
+  segment, and per branch of a block (:func:`_plan_block`: own
+  directory, own ticket space, labelled by branch index), every
+  segment planned before the first runs.  **One** supervisor spawns
+  the stages between the ends of every segment in one phase; each
+  segment's sources and sinks run in the driver's event loop, so the
+  records never leave the driver as text.  Hosted placement plans
+  ``plan_hosted_fleet`` per linear segment when it runs.
 
 Routing is identical everywhere, which is what makes "identical output
 on all three runtimes" hold for non-linear topologies, and each edge's
@@ -41,6 +45,7 @@ as ``run()`` keywords, per-edge codec settings, or smuggled inside a
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pathlib
 import tempfile
@@ -118,9 +123,9 @@ def check_flow_policy_runtime(runtime: str, policy: FlowPolicy) -> None:
 class GraphResult:
     """What one graph or pipeline run produced, on any runtime.
 
-    ``output`` is the sink's collected records — the TCP runtime
-    transports records as text lines, so use string records when
-    comparing outputs across runtimes.  ``invocations`` counts every
+    ``output`` is the sink's collected records, the same values on
+    every runtime (the wire carries JSON values, so a TCP run's records
+    must be JSON-encodable).  ``invocations`` counts every
     transfer request that crossed a stage boundary (READs + WRITEs +
     pushed ENDs, the paper's C1/C2 cost metric), summed over all
     segments — compare against the sum of
@@ -283,34 +288,34 @@ def _run_program(
         return policy
 
     if runtime == "sim":
-        linear, block, fields = _sim_steps(flow_of, placement)
+        steps = contextlib.nullcontext(_sim_steps(flow_of, placement))
     elif runtime == "aio":
-        linear, block, fields = _aio_steps(flow_of)
+        steps = contextlib.nullcontext(_aio_steps(flow_of))
     else:
-        linear, block, fields = _tcp_steps(
-            flow_of, len(program.segments) > 1, hosted, broker, **fleet)
+        steps = _tcp_steps(program, flow_of, hosted, broker, **fleet)
 
     per_segment: dict[str, int] = {}
     branch_outputs: dict[str, list[list[Any]]] = {}
     records: list[Any] = list(source)
-    for segment in program.segments:
-        if isinstance(segment, LinearSegment):
-            records, per_segment[segment.name] = linear(segment, records)
-            continue
-        buckets = partition_records(records, segment.op, segment.policy,
-                                    len(segment.branches))
-        outputs, per_segment[segment.name] = block(segment, buckets)
-        branch_outputs[segment.name] = outputs
-        records = join_records(outputs, segment.join)
-    return GraphResult(
-        runtime=runtime,
-        graph=name,
-        output=records,
-        invocations=sum(per_segment.values()),
-        segment_invocations=per_segment,
-        branch_outputs=branch_outputs,
-        **fields(),
-    )
+    with steps as (linear, block, fields):
+        for segment in program.segments:
+            if isinstance(segment, LinearSegment):
+                records, per_segment[segment.name] = linear(segment, records)
+                continue
+            buckets = partition_records(records, segment.op, segment.policy,
+                                        len(segment.branches))
+            outputs, per_segment[segment.name] = block(segment, buckets)
+            branch_outputs[segment.name] = outputs
+            records = join_records(outputs, segment.join)
+        return GraphResult(
+            runtime=runtime,
+            graph=name,
+            output=records,
+            invocations=sum(per_segment.values()),
+            segment_invocations=per_segment,
+            branch_outputs=branch_outputs,
+            **fields(),
+        )
 
 
 def _spec_pair(spec: Any) -> tuple[str, list[Any]]:
@@ -428,21 +433,35 @@ def _aio_steps(flow_of):
 # -- tcp ---------------------------------------------------------------------
 
 
-def _tcp_steps(flow_of, nested: bool, hosted: bool, broker: str | None, *,
-               timeout: float | None = None, max_restarts: int | None = None,
+@contextlib.contextmanager
+def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
+               broker: str | None, *, timeout: float | None = None,
+               max_restarts: int | None = None,
                faults: Mapping[int, Any] | None = None,
                resume: bool | None = None, io_timeout: float | None = None,
                trace: bool | None = None, workdir: str | None = None,
                codec: str | None = None, flight: Any = None,
                placement_policy: str | None = None):
+    """The TCP steps, around one supervisor and one event loop.
+
+    Every segment a process fleet runs is planned before the first one
+    runs, and one :class:`~repro.net.launch.FleetSupervisor` spawns all
+    their processes in one phase.  A segment then runs when its records
+    are known: its ends play in this loop, fed and drained here.  A
+    hosted segment's host carries its source records, so it is planned
+    and supervised when it runs, one fleet per segment.
+    """
+    import asyncio
+
     from repro.net.framing import CODEC_JSON
-    from repro.net.launch import plan_linear_fleet, run_fleet
+    from repro.net.launch import FleetSupervisor, plan_linear_fleet, run_fleet
 
     flight_dir, flight_mode = normalize_flight(flight)
     workpath = pathlib.Path(workdir or tempfile.mkdtemp(prefix="eden-fleet-"))
     timeout = 60.0 if timeout is None else timeout
     max_restarts = max_restarts or 0
     resume, trace = bool(resume), bool(trace)
+    nested = len(program.segments) > 1
     fleets: list[Any] = []
 
     # A one-segment program (every Pipeline, sharded or not) plans into
@@ -454,64 +473,107 @@ def _tcp_steps(flow_of, nested: bool, hosted: bool, broker: str | None, *,
             return None
         return str(pathlib.Path(root) / (segment.name if nested else ""))
 
-    def supervised(plans: list[Any]) -> Any:
-        fleets.append(run_fleet(plans, timeout=timeout,
-                                max_restarts=max_restarts))
+    def hosted_linear(segment: LinearSegment, records: list[Any]):
+        from repro.broker.launch import plan_hosted_fleet
+
+        fleets.append(run_fleet(plan_hosted_fleet(
+            segment.discipline, _wire_specs(segment.specs, segment.name),
+            under(workpath, segment), source_items=records,
+            flow=flow_of(segment), trace=trace, faults=faults, resume=resume,
+            io_timeout=io_timeout, codec=segment.codec or codec or CODEC_JSON,
+            flight_dir=under(flight_dir, segment), flight_mode=flight_mode,
+            broker=broker, max_restarts=max_restarts,
+            placement_policy=placement_policy,
+        ), timeout=timeout, max_restarts=max_restarts))
+        return fleets[-1].output, fleets[-1].invocations
+
+    # A process plan depends on no data but its sources' records, and
+    # those stay here: each segment's sources are planned empty.  Every
+    # port of the graph is drawn in one call, so no two of its stages
+    # can be handed the same one.
+    spawned = [segment for segment in program.segments
+               if not (hosted and isinstance(segment, LinearSegment))]
+    ports = _draw_ports([
+        pipeline for segment in spawned for pipeline in (
+            [segment] if isinstance(segment, LinearSegment)
+            else segment.branches)])
+    knobs = dict(trace=trace, resume=resume, io_timeout=io_timeout,
+                 flight_mode=flight_mode, ports=ports)
+    plans: dict[str, list[Any]] = {}
+    for segment in spawned:
+        if isinstance(segment, ParallelSegment):
+            plans[segment.name] = _plan_block(
+                segment, [[] for _ in segment.branches],
+                under(workpath, segment), flow_of,
+                placement_policy=placement_policy or "none", codec=codec,
+                flight_dir=under(flight_dir, segment), **knobs)
+            continue
+        plans[segment.name] = plan_linear_fleet(
+            segment.discipline, _wire_specs(segment.specs, segment.name),
+            under(workpath, segment), source_items=[], flow=flow_of(segment),
+            faults=faults, codec=segment.codec or codec or CODEC_JSON,
+            flight_dir=under(flight_dir, segment), **knobs)
+    supervisor = None
+    if plans:
+        supervisor = FleetSupervisor(
+            [plan for group in plans.values() for plan in group],
+            timeout=timeout, max_restarts=max_restarts)
+    loop = asyncio.new_event_loop()
+
+    def supervised(segment: Any, sources: Sequence[Sequence[Any]]) -> Any:
+        fleets.append(loop.run_until_complete(
+            supervisor.run_segment(plans[segment.name], sources)))
         return fleets[-1]
 
     def linear(segment: LinearSegment, records: list[Any]):
-        plan, extra = plan_linear_fleet, {}
         if hosted:
-            from repro.broker.launch import plan_hosted_fleet as plan
-
-            extra = {"broker": broker, "max_restarts": max_restarts,
-                     "placement_policy": placement_policy}
-        fleet = supervised(plan(
-            segment.discipline,
-            _wire_specs(segment.specs, segment.name),
-            under(workpath, segment),
-            source_items=records,
-            flow=flow_of(segment),
-            trace=trace,
-            faults=faults,
-            resume=resume,
-            io_timeout=io_timeout,
-            codec=segment.codec or codec or CODEC_JSON,
-            flight_dir=under(flight_dir, segment),
-            flight_mode=flight_mode,
-            **extra,
-        ))
-        return list(fleet.output), fleet.invocations
+            return hosted_linear(segment, records)
+        fleet = supervised(segment, [records])
+        return fleet.output, fleet.invocations
 
     def block(segment: ParallelSegment, buckets: list[list[Any]]):
-        fleet = supervised(_plan_block(
-            segment, buckets, under(workpath, segment), flow_of,
-            placement_policy=placement_policy or "none", trace=trace,
-            resume=resume, io_timeout=io_timeout, codec=codec,
-            flight_dir=under(flight_dir, segment), flight_mode=flight_mode,
-        ))
-        # run_fleet orders sink outputs by shard label — here, branch
-        # index — so this is branch order, i.e. channel order.
-        return ([list(lines) for lines in fleet.shard_outputs],
-                fleet.invocations)
+        fleet = supervised(segment, buckets)
+        # Sink outputs come in shard label — here, branch index — order,
+        # so this is branch order, i.e. channel order.
+        return fleet.shard_outputs, fleet.invocations
 
-    return linear, block, lambda: _fleet_fields(fleets)
+    try:
+        if supervisor is not None:
+            supervisor.spawn()
+        yield linear, block, lambda: _fleet_fields(fleets)
+    finally:
+        if supervisor is not None:
+            supervisor.close()
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.close()
+
+
+def _draw_ports(pipelines: Sequence[LinearSegment]) -> Any:
+    """One draw of every listening port ``pipelines`` plan: a pipeline
+    of ``n`` transducers listens on ``n + 1`` ports, whatever its
+    discipline."""
+    from repro.net import launch
+
+    return iter(launch.pick_free_ports(
+        sum(len(pipeline.specs) + 1 for pipeline in pipelines)))
 
 
 def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
                 directory: str | pathlib.Path, flow_of, *,
                 placement_policy: str, codec: str | None = None,
-                flight_dir: str | None = None, **knobs: Any) -> list[Any]:
+                flight_dir: str | None = None, ports: Any = None,
+                **knobs: Any) -> list[Any]:
     """Plan a parallel block as one sub-fleet per branch.
 
     Branch ``i`` plans into ``directory/branch-<i>`` with ticket space
-    ``i``, labelled shard ``i`` (the order ``run_fleet`` gathers sink
+    ``i``, labelled shard ``i`` (the order the supervisor gathers sink
     outputs in) and pinned to ``assign_cores(N, placement_policy)[i]``
     (:mod:`repro.net.affinity`; ``"none"`` never pins).  With
     ``trace`` on, a combined ``fleet.json`` covering every stage — with
     ``shards``, ``placement_policy`` and ``shard_cores`` — is written
-    to ``directory`` for ``eden-top``.  ``knobs`` go to every branch's
-    :func:`~repro.net.launch.plan_linear_fleet`.
+    to ``directory`` for ``eden-top``.  ``ports`` are drawn for the
+    whole graph (by default, for this block, in one call); ``knobs``
+    go to every branch's :func:`~repro.net.launch.plan_linear_fleet`.
     """
     from repro.net.affinity import assign_cores
     from repro.net.framing import CODEC_JSON
@@ -519,6 +581,8 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
 
     directory = pathlib.Path(directory)
     cores = assign_cores(len(block.branches), placement_policy)
+    if ports is None:
+        ports = _draw_ports(block.branches)
     plans = []
     for index, (branch, bucket) in enumerate(zip(block.branches, buckets)):
         plans.extend(plan_linear_fleet(
@@ -533,6 +597,7 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
             cpu=cores[index],
             flight_dir=(None if flight_dir is None
                         else str(pathlib.Path(flight_dir) / f"branch-{index}")),
+            ports=ports,
             **knobs,
         ))
     if knobs.get("trace"):
@@ -546,7 +611,7 @@ def _fleet_fields(fleets: Sequence[Any]) -> dict[str, Any]:
     """The :class:`GraphResult` fields of a TCP run's fleets.
 
     Stage counters and supervisor counters are *summed* over every
-    fleet the run supervised.  A stage host restarts its stages itself,
+    segment the run supervised.  A stage host restarts its stages itself,
     counting under the supervisor's restart-rule names; those counters
     join the supervisor's, so ``restarts`` and
     ``supervisor["counters"]["restarts"]`` are one number on either

@@ -11,8 +11,9 @@ data port.  The broker issues every route; a route to a stage in
 another host is relayed by the broker, while one between two stages
 of this host is spliced in-process (same encode, fault injection,
 decode and counts, no socket crossing).  The host adds only the
-broker client, registration, accept routing, the per-stage
-incarnation loop, control handlers and output/stats emission.
+broker client, registration, accept routing, control handlers and
+output/stats emission; its stages restart through ``net.stage``'s one
+incarnation loop, which a process fleet's in-loop ends also use.
 
 What survives the density jump:
 
@@ -55,13 +56,25 @@ from typing import Any, AsyncIterator, Sequence
 
 from repro.core.errors import EdenError
 from repro.core.tracing import Tracer
-from repro.fault.plan import FaultPlan, RestartRefused, RestartRule
+from repro.fault.plan import (
+    FaultPlan,
+    InjectedKill,
+    RestartRefused,
+    RestartRule,
+)
 from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, Hello, TicketBook
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
-from repro.net.stage import StageConfig, _Stage, plan_values, read_plan
+from repro.net.stage import (
+    StageConfig,
+    _Stage,
+    emit_records,
+    plan_values,
+    read_plan,
+    supervise_incarnations,
+)
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
@@ -81,15 +94,6 @@ HOSTED_DISCIPLINES = ("readonly", "writeonly")
 
 class HostError(EdenError):
     """A stage host failed (restart budget spent, broker lost, ...)."""
-
-
-class _InjectedKill(BaseException):
-    """A kill_after fault tripped: kills the *stage*, not the host.
-
-    Derives from ``BaseException`` so stream-level ``except Exception``
-    recovery paths cannot swallow a scheduled crash — the same reason
-    the process runtime uses ``os._exit``.
-    """
 
 
 @dataclass
@@ -197,9 +201,8 @@ class _Incarnation(_Stage):
 
     As :class:`repro.net.mux.HostedReadable` is a ``RemoteReadable``
     that dials a broker channel, this is a stage whose links are broker
-    channels: active ends are opened by name, passive links arrive on
-    the stage's accept queue, and a tripped kill switch kills the stage
-    instead of the process.  Everything else — the role table, the
+    channels: active ends are opened by name and passive links arrive
+    on the stage's accept queue.  Everything else — the role table, the
     serve loop, resume, fault injection — is the process stage's.
     Resume state lives and dies with the incarnation, exactly what a
     process restart loses.
@@ -235,12 +238,6 @@ class _Incarnation(_Stage):
         channel.label = self.label
         channel.injector = self.injector
         return await super()._admit(channel, **offer)
-
-    def _on_kill(self) -> None:
-        raise _InjectedKill(
-            f"[{self.record.config.name}] fault: killed "
-            f"(kill_after={self.config.fault.kill_after})"
-        )
 
 
 class StageHost:
@@ -326,44 +323,21 @@ class StageHost:
     # -- one stage, incarnation by incarnation -----------------------------
 
     async def _supervise(self, record: _HostedStage) -> None:
-        """Run a stage to completion, restarting crashed incarnations.
-
-        The first incarnation runs the stage's fault plan, every later
-        one its :meth:`~repro.fault.plan.FaultPlan.survivor` — as a
-        restarted stage process does.
-        """
-        fault = record.config.fault
-        while True:
-            record.state = "running"
-            stage = _Incarnation(record, fault)
-            try:
-                await stage.run()
-            except asyncio.CancelledError:
-                record.state = "cancelled"
-                raise
-            except (_InjectedKill, Exception) as error:
-                killed = isinstance(error, _InjectedKill)
-                print(f"[{record.label}] incarnation died "
-                      f"({'killed' if killed else type(error).__name__}): "
-                      f"{error}", file=sys.stderr)
-                try:
-                    delay = self.restart_rule.crashed(
-                        record.config.name, record.restarts, time.monotonic(),
-                        killed=killed)
-                except RestartRefused:
-                    record.state = "failed"
-                    raise HostError(
-                        f"stage {record.config.name!r} spent its restart "
-                        f"budget ({self.config.max_restarts}): {error}"
-                    ) from (None if killed else error)
-                record.restarts += 1
-                record.state = "restarting"
-                fault = fault.survivor()
-                await asyncio.sleep(delay)
-            else:
-                record.collected = stage.collected
-                record.state = "done"
-                return
+        """Run a stage to completion, restarting crashed incarnations
+        (:func:`~repro.net.stage.supervise_incarnations`); a refused
+        restart fails the host."""
+        try:
+            stage = await supervise_incarnations(
+                record, self.restart_rule, record.config.name,
+                record.config.fault,
+                lambda fault: _Incarnation(record, fault))
+        except RestartRefused as refused:
+            crash = refused.__context__
+            raise HostError(
+                f"stage {record.config.name!r} spent its restart budget "
+                f"({self.config.max_restarts}): {crash}"
+            ) from (None if isinstance(crash, InjectedKill) else crash)
+        record.collected = stage.collected
 
     # -- whole-host lifecycle ------------------------------------------------
 
@@ -460,14 +434,8 @@ class StageHost:
     # -- reporting -----------------------------------------------------------
 
     def emit_output(self) -> None:
-        lines: list[str] = []
-        for stage in self.stages:
-            if stage.collected is None:
-                continue
-            lines.extend(f"{item}\n" for item in stage.collected)
-        if lines:
-            sys.stdout.write("".join(lines))
-            sys.stdout.flush()
+        emit_records([item for stage in self.stages
+                      for item in stage.collected or ()])
 
     def emit_stats(self) -> None:
         if self.config.stats_file:

@@ -24,7 +24,12 @@ import sys
 from typing import Any, Awaitable, Callable, Iterable, Sequence
 
 from repro.core.stats import KernelStats
-from repro.fault.plan import KILLED_EXIT_CODE, FaultPlan, FrameFault
+from repro.fault.plan import (
+    KILLED_EXIT_CODE,
+    FaultPlan,
+    FrameFault,
+    InjectedKill,
+)
 from repro.transput.filterbase import Transducer
 from repro.transput.stream import Transfer
 
@@ -103,7 +108,10 @@ class KillSwitch:
     The default trip handler is ``os._exit`` with
     :data:`~repro.fault.plan.KILLED_EXIT_CODE` — no Python cleanup, no
     END frames, no stats dump, exactly what a real stage crash looks
-    like to the rest of the fleet.  Tests override ``on_kill``.
+    like to the rest of the fleet.  A stage that shares its process
+    trips :meth:`raise_kill` instead
+    (:func:`repro.net.stage.supervise_incarnations` sets it), and tests
+    override ``on_kill``.
     """
 
     def __init__(
@@ -119,13 +127,17 @@ class KillSwitch:
         self.count = 0
         self.on_kill = on_kill if on_kill is not None else self._exit
 
+    def describe(self) -> str:
+        return f"fault: killed at datum {self.count} (kill_after={self.limit})"
+
     def _exit(self) -> None:
-        sys.stderr.write(
-            f"[{self.label}] fault: killed at datum {self.count} "
-            f"(kill_after={self.limit})\n"
-        )
+        sys.stderr.write(f"[{self.label}] {self.describe()}\n")
         sys.stderr.flush()
         os._exit(KILLED_EXIT_CODE)
+
+    def raise_kill(self) -> None:
+        """The trip handler of a stage sharing its process: end only it."""
+        raise InjectedKill(self.describe())
 
     def note(self, records: int = 1) -> None:
         """Count ``records`` more; trip the switch at the limit."""

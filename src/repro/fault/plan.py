@@ -28,6 +28,7 @@ __all__ = [
     "FaultError",
     "FrameFault",
     "FaultPlan",
+    "InjectedKill",
     "RestartRefused",
     "RestartRule",
 ]
@@ -42,6 +43,16 @@ KILLED_EXIT_CODE = 73
 
 class FaultError(EdenError):
     """A fault plan was malformed or could not be applied."""
+
+
+class InjectedKill(BaseException):
+    """A ``kill_after`` fault tripped in a stage that shares its process.
+
+    It ends the stage's incarnation, not the process (a stage host's
+    stages, a fleet's in-loop ends).  A ``BaseException``, so an
+    ``except Exception`` recovery path cannot swallow a scheduled
+    crash: the same reason a stage process dies by ``os._exit``.
+    """
 
 
 @dataclass(frozen=True)

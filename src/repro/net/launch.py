@@ -6,8 +6,8 @@ discipline" into one :class:`~repro.net.stage.StageConfig` per stage —
 pipeline positions, ticket serials, names, roles, faults by position
 and the source records — with peers *named*, not addressed.  A
 placement only groups those configs into processes and gives them
-addresses: :func:`plan_linear_fleet` runs one ``eden-stage`` process
-per stage, each reading one JSON plan file, with a port per listener;
+addresses: :func:`plan_linear_fleet` plans one ``eden-stage`` per
+stage, each with one JSON plan file and a port per listener;
 :func:`repro.broker.launch.plan_hosted_fleet` groups contiguous runs
 into ``eden-host`` processes beside a broker; and a graph's parallel
 block plans one sub-fleet per branch.  :func:`write_manifest` is the
@@ -19,8 +19,10 @@ why its process count is ``2n + 3`` against the asymmetric disciplines'
 ``(n+1)(m+1)``.
 
 The supervisor (:class:`FleetSupervisor`, front door :func:`run_fleet`)
-spawns the plan and watches it: a stage that exits non-zero is
-restarted — under exponential backoff, against a per-stage
+runs the plan and watches it.  Only the stages between a pipeline's
+ends are OS processes; its source and sink run in the driver's event
+loop, so the records going in and coming out never leave the driver
+as text.  A stage that exits non-zero is restarted — under exponential backoff, against a per-stage
 ``max_restarts`` budget, with the one-shot faults stripped from every
 stage of its plan (:meth:`repro.fault.plan.FaultPlan.survivor`) — while the
 session-resume protocol (:mod:`repro.net.protocol`) lets its neighbours
@@ -37,12 +39,14 @@ to ``supervisor.stats.json`` next to the stage dumps.
 
 New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
-runtime (one :func:`plan_linear_fleet` call per linear segment and per
-branch of a parallel block).
+runtime: one :func:`plan_linear_fleet` call per linear segment and per
+branch of a parallel block, all planned before the first segment runs,
+and one supervisor that spawns every process of the graph at once.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 import os
@@ -51,19 +55,25 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import repro
 from repro.devices.workload import random_lines
 from repro.fault.plan import (
     KILLED_EXIT_CODE,
     FaultPlan,
+    InjectedKill,
     RestartRefused,
     RestartRule,
 )
 from repro.net.framing import CODEC_JSON
 from repro.net.metrics import NetStats, merge_stats
-from repro.net.stage import StageConfig, pick_free_ports
+from repro.net.stage import (
+    StageConfig,
+    _Stage,
+    pick_free_ports,
+    supervise_incarnations,
+)
 from repro.obs.registry import snapshot_payload
 from repro.core.stats import KernelStats
 from repro.transput.flow import FlowPolicy
@@ -88,10 +98,18 @@ IDENTITY: TransducerSpec = ("repro.transput:identity_transducer", ())
 #: Seconds between the supervisor's polls of its processes.
 _POLL_S = 0.02
 
+#: The roles a process fleet runs in the driver's event loop instead of
+#: spawning: a segment's ends.
+_IN_LOOP_ROLES = ("source", "sink")
+
 
 @dataclass(frozen=True)
 class StagePlan:
-    """One process of the plan: its role, command line and plan file."""
+    """One member of the plan: its role, command line and plan file.
+
+    A ``source`` or ``sink`` member runs in the supervisor's event
+    loop; every other member is a process.
+    """
 
     role: str
     argv: tuple[str, ...]
@@ -156,9 +174,10 @@ class StagePlan:
 
 @dataclass
 class FleetResult:
-    """What one supervised fleet run produced."""
+    """What one supervised fleet run, or one segment of it, produced."""
 
-    output: list[str]
+    #: The sink's records, as values (never re-parsed from text).
+    output: list[Any]
     stats: list[dict[str, Any]]
     stderr: list[str] = field(default_factory=list)
     trace_files: list[str] = field(default_factory=list)
@@ -167,7 +186,7 @@ class FleetResult:
     supervisor: dict[str, Any] = field(default_factory=dict)
     #: Per-shard sink output in shard order (a parallel block's fleet,
     #: one shard label per branch); ``output`` is their concatenation.
-    shard_outputs: list[list[str]] = field(default_factory=list)
+    shard_outputs: list[list[Any]] = field(default_factory=list)
 
     @property
     def totals(self) -> NetStats:
@@ -345,6 +364,7 @@ def plan_linear_fleet(
     cpu: int | None = None,
     flight_dir: str | None = None,
     flight_mode: str = "full",
+    ports: Iterator[int] | None = None,
 ) -> list[StagePlan]:
     """Plan one ``eden-stage`` process per stage of a pipeline.
 
@@ -362,7 +382,10 @@ def plan_linear_fleet(
     ``resume=True`` switches on the session-resume protocol fleet-wide
     — required for any fault you expect the pipeline to *survive* —
     and ``io_timeout`` bounds how long a stage waits on a silent peer
-    before treating the link as down.
+    before treating the link as down.  ``ports`` hands in ports a
+    caller drew for a whole graph in one call (``n + 1`` listeners for
+    ``n`` transducers on every discipline, then a control port per
+    stage); by default this pipeline draws its own.
     """
     workpath = pathlib.Path(workdir)
     workpath.mkdir(parents=True, exist_ok=True)
@@ -379,8 +402,9 @@ def plan_linear_fleet(
     dialled = {peer for config in configs
                for peer in (config.upstream, config.downstream)}
     listeners = [config.name for config in configs if config.name in dialled]
-    drawn = pick_free_ports(
-        len(listeners) + (len(configs) if control else 0), host)
+    count = len(listeners) + (len(configs) if control else 0)
+    drawn = (pick_free_ports(count, host) if ports is None
+             else [next(ports) for _ in range(count)])
     ports = dict(zip(listeners, drawn))
     control_ports = iter(drawn[len(listeners):])
 
@@ -415,15 +439,20 @@ def plan_linear_fleet(
 
 
 class _Member:
-    """One supervised stage: its plan, its process, its budget."""
+    """One supervised stage: its plan, its process or task, its budget."""
 
-    def __init__(self, plan: StagePlan, index: int) -> None:
+    def __init__(self, plan: StagePlan) -> None:
         self.plan = plan
-        self.index = index
+        self.in_loop = plan.role in _IN_LOOP_ROLES
         self.process: subprocess.Popen | None = None
+        #: An in-loop end's incarnations, and the one that finished.
+        self.task: asyncio.Task | None = None
+        self.stage: Any = None
+        #: Its segment runs: a (re)spawned process gets its plan at once.
+        self.running = False
         self.restarts = 0
+        self.state = "pending"
         self.done = False
-        self.rc: int | None = None
         self.restart_at: float | None = None
 
     @property
@@ -442,14 +471,27 @@ class _Member:
 class FleetSupervisor:
     """Spawn a planned fleet and keep it alive until the stream is done.
 
+    A plan's ``source`` and ``sink`` stages — the ends, which hold the
+    records going in and want the records coming out — run in the
+    driver's own event loop, each under
+    :func:`~repro.net.stage.supervise_incarnations`; every other plan
+    is an OS process.  :meth:`spawn` starts every process at once: each
+    imports what it runs and then waits on stdin for its plan, which
+    :meth:`run_segment` writes when that process's segment starts, so a
+    graph's stages are spawned in one phase and no stage's deadlines
+    count while an earlier segment runs.  :meth:`run` is the one-segment
+    front door.
+
     Every stage's stdout/stderr goes to files (``<stage>.stdout.log`` /
     ``<stage>.stderr.log`` beside its stats dump), so diagnostics
-    survive kills and restarts append rather than truncate.  A stage
+    survive kills and restarts append rather than truncate; an in-loop
+    end writes its diagnostics to its own ``.stderr.log`` too.  A stage
     exiting non-zero is restarted under the
     :class:`~repro.fault.plan.RestartRule` (exponential backoff, a
     ``max_restarts`` budget per stage, the optional storm guard) — the
-    rule a stage host applies to the stages it runs.  A refused
-    restart — or blowing the fleet-wide ``timeout`` — kills everything
+    rule a stage host applies to the stages it runs; an end's
+    ``kill_after`` ends its incarnation, never the driver.  A refused
+    restart — or blowing a segment's ``timeout`` — kills everything
     and raises :class:`FleetError` with a diagnosis.
 
     The knobs carry the harmonised names (`timeout`, `max_restarts`)
@@ -477,7 +519,8 @@ class FleetSupervisor:
             self.stats, max_restarts=max_restarts, storm_window=storm_window,
             storm_max_restarts=storm_max_restarts,
         )
-        self._members = [_Member(plan, i) for i, plan in enumerate(self.plans)]
+        self._members = [_Member(plan) for plan in self.plans]
+        self._environ = self._env()
 
     # -- process plumbing ---------------------------------------------------
 
@@ -489,23 +532,51 @@ class FleetSupervisor:
         )
         return env
 
-    def _spawn(self, member: _Member, env: dict[str, str]) -> None:
+    def spawn(self) -> None:
+        """Start every process of the fleet, all at once."""
+        for member in self._members:
+            if not member.in_loop and member.process is None:
+                self._spawn(member)
+
+    def _spawn(self, member: _Member) -> None:
         restart = member.restarts > 0
-        if restart and member.plan.plan is not None:
-            with open(member.plan.plan_file, "w", encoding="utf-8") as handle:
-                json.dump(member.plan.survivor_plan(), handle)
+        argv = member.plan.argv
+        if member.plan.plan is not None:
+            argv = ("--plan-file", "-")  # the plan arrives on stdin
+            if restart:
+                with open(member.plan.plan_file, "w",
+                          encoding="utf-8") as handle:
+                    json.dump(member.plan.survivor_plan(), handle)
         mode = "a" if restart else "w"
         with open(member.stdout_path, mode, encoding="utf-8") as out, \
                 open(member.stderr_path, mode, encoding="utf-8") as err:
             if restart:
                 err.write(f"--- restart #{member.restarts} ---\n")
             member.process = subprocess.Popen(
-                [self.python, "-m", member.plan.module, *member.plan.argv],
-                stdout=out, stderr=err, text=True, env=env,
+                [self.python, "-m", member.plan.module, *argv],
+                stdin=(subprocess.DEVNULL if member.plan.plan is None
+                       else subprocess.PIPE),
+                stdout=out, stderr=err, text=True, env=self._environ,
             )
         member.restart_at = None
+        if member.running:
+            self._deliver(member)
 
-    def _kill_all(self) -> None:
+    def _deliver(self, member: _Member) -> None:
+        """Write a process its plan: its segment has started."""
+        stdin = member.process.stdin
+        if stdin is None:
+            return
+        plan = (member.plan.survivor_plan() if member.restarts
+                else member.plan.plan)
+        try:
+            stdin.write(json.dumps(plan))
+            stdin.close()
+        except OSError:
+            pass  # it died before reading: the poll restarts it
+
+    def close(self) -> None:
+        """Kill every process still running, a later segment's included."""
         for member in self._members:
             process = member.process
             if process is not None and process.poll() is None:
@@ -513,6 +584,17 @@ class FleetSupervisor:
         for member in self._members:
             if member.process is not None:
                 member.process.wait()
+                if member.process.stdin is not None:
+                    member.process.stdin.close()
+
+    async def _abort(self) -> None:
+        """The run failed: cancel every in-loop end, kill every process."""
+        ends = [m.task for m in self._members
+                if m.task is not None and not m.task.done()]
+        for task in ends:
+            task.cancel()
+        self.close()
+        await asyncio.gather(*ends, return_exceptions=True)
 
     def _read(self, path: str) -> str:
         try:
@@ -521,136 +603,211 @@ class FleetSupervisor:
         except OSError:
             return ""
 
-    def _partial_result(self) -> FleetResult:
+    def _partial_result(self, members: Sequence[_Member]) -> FleetResult:
         """Whatever can be gathered after a failed run (stderr, stats)."""
         stats = []
-        for plan in self.plans:
+        for member in members:
             try:
-                with open(plan.stats_file, "r", encoding="utf-8") as handle:
+                with open(member.plan.stats_file, "r",
+                          encoding="utf-8") as handle:
                     stats.append(json.load(handle))
             except (OSError, json.JSONDecodeError):
                 stats.append({"counters": {}, "gauges": {}, "histograms": {}})
         return FleetResult(
             output=[],
             stats=stats,
-            stderr=[self._read(m.stderr_path) for m in self._members],
-            trace_files=[p.trace_file for p in self.plans
-                         if p.trace_file is not None],
+            stderr=[self._read(m.stderr_path) for m in members],
+            trace_files=[m.plan.trace_file for m in members
+                         if m.plan.trace_file is not None],
             supervisor=snapshot_payload(self.stats),
         )
 
-    def _diagnose(self, member: _Member, rc: int) -> str:
-        tail = self._read(member.stderr_path).strip()[-500:]
-        kind = ("injected kill" if rc == KILLED_EXIT_CODE else "crash")
-        return (
-            f"{member.plan.label} rc={rc} ({kind}) after "
-            f"{member.restarts} restart(s) of a budget of "
-            f"{self.rule.max_restarts}: {tail}"
-        )
+    def _refusal(self, member: _Member, refused: RestartRefused,
+                 killed: bool, rc: int | None = None) -> FleetError:
+        message = str(refused)
+        if refused.reason == "budget":
+            tail = self._read(member.stderr_path).strip()[-500:]
+            code = "" if rc is None else f" rc={rc}"
+            kind = "injected kill" if killed else "crash"
+            message = (
+                f"stage failures:\n{member.plan.label}{code} ({kind}) after "
+                f"{member.restarts} restart(s) of a budget of "
+                f"{self.rule.max_restarts}: {tail}"
+            )
+        return FleetError(message, reason=refused.reason)
+
+    # -- the ends, in this loop ----------------------------------------------
+
+    async def _play_end(self, member: _Member,
+                        records: Sequence[Any] | None) -> None:
+        """Run a source or sink end here, incarnation by incarnation.
+
+        An end is never pinned (its ``cpu`` would pin the driver), and
+        ``records``, when given, are its source's records.
+        """
+        config = StageConfig.from_dict(member.plan.plan)
+        changes: dict[str, Any] = {"cpu": None}
+        if records is not None:
+            changes["source_items"] = list(records)
+        config = dataclasses.replace(config, **changes)
+        # An end prints nothing (its records stay in this loop), but it
+        # keeps the stdout log every member has.
+        open(member.stdout_path, "w", encoding="utf-8").close()
+        with open(member.stderr_path, "w", encoding="utf-8",
+                  buffering=1) as log:
+            member.stage = await supervise_incarnations(
+                member, self.rule, member.plan.label, config.fault,
+                lambda fault: _Stage(dataclasses.replace(config, fault=fault)),
+                play=_Stage.lifetime, log=log,
+            )
+        member.stage.emit_stats()
+
+    def _check_end(self, member: _Member) -> None:
+        if not member.task.done():
+            return
+        error = member.task.exception()
+        if isinstance(error, RestartRefused):
+            raise self._refusal(
+                member, error, isinstance(error.__context__, InjectedKill))
+        if error is not None:
+            raise error
+        member.done = True
 
     # -- the supervision loop -----------------------------------------------
 
     def run(self) -> FleetResult:
-        """Run the fleet to completion; restart crashes; gather results."""
-        env = self._env()
-        for member in self._members:
-            self._spawn(member, env)
+        """Run the whole fleet as one segment; restart crashes; gather."""
+        async def whole() -> FleetResult:
+            try:
+                return await self.run_segment(self.plans)
+            finally:
+                self.close()
+
+        return asyncio.run(whole())
+
+    async def run_segment(
+        self,
+        plans: Sequence[StagePlan],
+        sources: Sequence[Sequence[Any]] | None = None,
+    ) -> FleetResult:
+        """Run the stages of ``plans`` — one segment — to completion.
+
+        Every process of the segment gets its plan now (one not yet
+        spawned is spawned first), and its ends start in this loop.
+        ``sources`` gives the segment's source ends their records, in
+        plan (shard) order; by default a source plays the records of
+        its plan.  The segment's ``timeout`` starts now, and the
+        returned result's supervisor counters are this segment's.
+        """
+        wanted = {id(plan) for plan in plans}
+        members = [m for m in self._members if id(m.plan) in wanted]
+        self.stats = self.rule.stats = KernelStats()
+        records = iter(sources or ())
+        for member in members:
+            member.running = True
+            if member.in_loop:
+                items = (next(records, None)
+                         if member.plan.role == "source" else None)
+                member.task = asyncio.ensure_future(
+                    self._play_end(member, items))
+            elif member.process is None:
+                self._spawn(member)
+            else:
+                self._deliver(member)
         deadline = time.monotonic() + self.timeout
-        workers = [m for m in self._members if not m.plan.daemon]
+        workers = [m for m in members if not m.plan.daemon]
         try:
             while not all(m.done for m in workers):
                 now = time.monotonic()
                 if now > deadline:
-                    self._kill_all()
-                    running = [m.plan.label for m in self._members
-                               if not m.done]
+                    running = [m.plan.label for m in members if not m.done]
                     raise FleetError(
                         f"fleet timeout after {self.timeout:.1f}s; "
                         f"still running: {', '.join(running)}",
-                        result=self._partial_result(),
                         reason="timeout",
                     )
-                for member in self._members:
+                for member in members:
                     if member.done:
                         continue
-                    if member.process is None:
+                    if member.in_loop:
+                        self._check_end(member)
+                    elif member.process is None:
                         if member.restart_at is not None and \
                                 now >= member.restart_at:
-                            self._spawn(member, env)
-                        continue
-                    rc = member.process.poll()
-                    if rc is None:
-                        continue
-                    if rc == 0 and not member.plan.daemon:
-                        member.done = True
-                        member.rc = 0
-                        continue
-                    # A daemon exiting — even cleanly — while the
-                    # stream still runs is a failure of the fleet's
-                    # substrate: restart it like any crash.
-                    self._note_crash(member, rc, now)
-                time.sleep(_POLL_S)
-            self._stop_daemons()
-        except FleetError:
+                            self._spawn(member)
+                    else:
+                        self._poll(member, now)
+                await asyncio.sleep(_POLL_S)
+            await self._stop_daemons(members)
+        except FleetError as error:
+            await self._abort()
+            error.result = self._partial_result(members)
             raise
         except BaseException:
-            self._kill_all()
+            await self._abort()
             raise
-        return self._gather()
+        return self._gather(members)
 
-    def _stop_daemons(self, grace: float = 5.0) -> None:
-        """The stream is done: retire daemons (SIGTERM, then SIGKILL)."""
-        daemons = [m for m in self._members
-                   if m.plan.daemon and not m.done]
-        for member in daemons:
-            process = member.process
-            if process is not None and process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + grace
-        for member in daemons:
-            process = member.process
-            if process is not None:
-                try:
-                    process.wait(max(0.0, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    process.kill()
-                    process.wait()
+    def _poll(self, member: _Member, now: float) -> None:
+        rc = member.process.poll()
+        if rc is None:
+            return
+        if rc == 0 and not member.plan.daemon:
             member.done = True
-            member.rc = process.returncode if process is not None else None
-
-    def _note_crash(self, member: _Member, rc: int, now: float) -> None:
+            return
+        # A daemon exiting — even cleanly — while the stream still runs
+        # is a failure of the fleet's substrate: restart it like any
+        # crash.
+        killed = rc == KILLED_EXIT_CODE
         try:
             delay = self.rule.crashed(member.plan.label, member.restarts, now,
-                                      killed=rc == KILLED_EXIT_CODE)
+                                      killed=killed)
         except RestartRefused as refused:
-            message = str(refused)
-            if refused.reason == "budget":
-                message = "stage failures:\n" + self._diagnose(member, rc)
-            self._kill_all()
-            raise FleetError(message, result=self._partial_result(),
-                             reason=refused.reason) from None
+            raise self._refusal(member, refused, killed, rc) from None
         member.restarts += 1
         member.process = None
         member.restart_at = now + delay
 
-    def _gather(self) -> FleetResult:
+    async def _stop_daemons(self, members: Sequence[_Member],
+                            grace: float = 5.0) -> None:
+        """The stream is done: retire daemons (SIGTERM, then SIGKILL)."""
+        daemons = [m.process for m in members
+                   if m.plan.daemon and m.process is not None]
+        for process in daemons:
+            if process.poll() is None:
+                process.terminate()
+        deadline = time.monotonic() + grace
+        while time.monotonic() < deadline and any(
+                process.poll() is None for process in daemons):
+            await asyncio.sleep(_POLL_S)
+        for process in daemons:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+
+    def _output(self, member: _Member) -> list[Any]:
+        """A sink's records: an in-loop end's, or a host's stdout lines."""
+        if member.in_loop:
+            return member.stage.collected
+        with open(member.stdout_path, "r", encoding="utf-8") as handle:
+            return [json.loads(line) for line in handle]
+
+    def _gather(self, members: Sequence[_Member]) -> FleetResult:
         # A parallel block's fleet has one sink per shard label:
         # concatenate their outputs in shard order, so each branch's
         # internal ordering is preserved.
         sinks = sorted(
-            (m for m in self._members if m.plan.role in ("sink", "host")),
+            (m for m in members if m.plan.role in ("sink", "host")),
             key=lambda m: m.plan.shard or 0,
         )
-        shard_outputs = [
-            self._read(m.stdout_path).splitlines() for m in sinks
-        ]
-        output = [line for lines in shard_outputs for line in lines]
+        shard_outputs = [self._output(m) for m in sinks]
+        output = [record for records in shard_outputs for record in records]
         stats = []
-        for plan in self.plans:
-            with open(plan.stats_file, "r", encoding="utf-8") as handle:
+        for member in members:
+            with open(member.plan.stats_file, "r", encoding="utf-8") as handle:
                 stats.append(json.load(handle))
         payload = snapshot_payload(self.stats)
-        workdir = pathlib.Path(self.plans[0].stats_file).parent
+        workdir = pathlib.Path(members[0].plan.stats_file).parent
         try:
             with open(workdir / "supervisor.stats.json", "w",
                       encoding="utf-8") as handle:
@@ -660,9 +817,9 @@ class FleetSupervisor:
         return FleetResult(
             output=output,
             stats=stats,
-            stderr=[self._read(m.stderr_path) for m in self._members],
-            trace_files=[p.trace_file for p in self.plans
-                         if p.trace_file is not None],
+            stderr=[self._read(m.stderr_path) for m in members],
+            trace_files=[m.plan.trace_file for m in members
+                         if m.plan.trace_file is not None],
             supervisor=payload,
             shard_outputs=shard_outputs if len(sinks) > 1 else [],
         )

@@ -322,9 +322,12 @@ class Connection:
 #: cap.  It starts at 2 ms because the common miss is a listener task in
 #: the same loop (or a process spawned a moment ago) that binds within
 #: milliseconds — a refused loopback dial costs microseconds, a 50 ms
-#: first sleep was the whole set-up time of an in-loop fleet.
+#: first sleep was the whole set-up time of an in-loop fleet.  The cap
+#: is small for the same reason: a fleet's in-loop end dials stages
+#: that are still importing, and a sleep doubled to 1 s overshot their
+#: listen by up to the import time again.
 _FIRST_RETRY_DELAY = 0.002
-_MAX_RETRY_DELAY = 1.0
+_MAX_RETRY_DELAY = 0.05
 
 
 async def retry_with_backoff(
@@ -335,7 +338,7 @@ async def retry_with_backoff(
     """Await ``attempt()`` until it stops failing with a transient error.
 
     A ``ConnectionError`` / ``OSError`` sleeps and retries on the dial
-    schedule (2 ms, doubling, capped at 1 s); one that would outlast
+    schedule (2 ms, doubling, capped at 50 ms); one that would outlast
     ``deadline`` seconds is a fatal :class:`WireError` naming ``what``.
     """
     started = time.monotonic()

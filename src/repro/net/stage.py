@@ -59,7 +59,7 @@ import socket
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any, AsyncIterator, Sequence
+from typing import Any, AsyncIterator, Awaitable, Callable, Sequence
 
 from repro.core.capability import PRIMARY_CHANNEL
 from repro.core.tracing import Tracer
@@ -71,7 +71,13 @@ from repro.aio.streams import (
     AioWriteOnlyStage,
     collect,
 )
-from repro.fault.plan import FaultError, FaultPlan
+from repro.fault.plan import (
+    FaultError,
+    FaultPlan,
+    InjectedKill,
+    RestartRefused,
+    RestartRule,
+)
 from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
 from repro.net.handshake import (
@@ -104,8 +110,10 @@ from repro.transput.flow import FlowPolicy
 
 __all__ = [
     "StageConfig",
+    "emit_records",
     "plan_values",
     "run_stage",
+    "supervise_incarnations",
     "pump",
     "load_transducer",
     "pick_free_port",
@@ -369,8 +377,7 @@ class _Stage:
             from repro.fault.inject import KillSwitch
 
             self.kill_switch = KillSwitch(config.fault.kill_after,
-                                          label=self.label,
-                                          on_kill=self._on_kill)
+                                          label=self.label)
         self._refusals_left = config.fault.refuse_accepts
         # Resume state outlives individual connections (restarted or
         # reconnecting peers pick up where their predecessor stopped).
@@ -401,9 +408,12 @@ class _Stage:
                 },
             )
 
-    #: What a tripped kill switch does; ``None`` is the switch's own
-    #: ``os._exit`` — a process stage dies the way a real crash does.
-    _on_kill: Any = None
+    #: Where the stage's diagnostics go; ``None`` is the process's
+    #: stderr.  A fleet's in-loop end writes to its own log file.
+    log: Any = None
+
+    def say(self, message: str) -> None:
+        print(f"[{self.label}] {message}", file=self.log or sys.stderr)
 
     # -- building blocks ----------------------------------------------------
 
@@ -478,16 +488,36 @@ class _Stage:
 
         Each socket is queued as its :class:`Connection`, which keeps
         the stream pair referenced until the link's serve task ends.
+        A socket the listener accepted as the stage ended is reset, as a
+        dead process's would be: a stage sharing its process dies while
+        its loop runs on, and a peer redialling it at once must not be
+        left holding a link nobody serves.
         """
         links: asyncio.Queue = asyncio.Queue()
+        closing = False
+
+        def accept(reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+            if closing:
+                writer.transport.abort()
+            else:
+                links.put_nowait(self._connection(reader, writer))
+
         server = await asyncio.start_server(
-            lambda reader, writer: links.put_nowait(
-                self._connection(reader, writer)),
-            host=self.config.host, port=self.config.listen_port or 0,
-        )
+            accept, host=self.config.host, port=self.config.listen_port or 0)
         try:
             yield links
         finally:
+            closing = True
+            # Stop accepting, then give every socket already accepted the
+            # two loop turns it takes to get a transport: asyncio leaves a
+            # socket whose transport is still being built when its server
+            # closes open and unread until garbage collection.
+            loop = asyncio.get_running_loop()
+            for sock in server.sockets:
+                loop.remove_reader(sock.fileno())
+            for _turn in range(2):
+                await asyncio.sleep(0)
             server.close()
             while not links.empty():
                 await links.get_nowait().close()
@@ -559,8 +589,7 @@ class _Stage:
                     )
                 return False  # a role this stage does not serve
             except HandshakeError as error:
-                print(f"[{self.label}] rejected link: {error}",
-                      file=sys.stderr)
+                self.say(f"rejected link: {error}")
                 return False
             except (ConnectionError, OSError, FrameError) as error:
                 if not resume:
@@ -568,8 +597,7 @@ class _Stage:
                 # The peer died mid-stream; it (or its restarted
                 # successor) will be back — drop this link only.
                 self.stats.bump("client_disconnects")
-                print(f"[{self.label}] client link failed: {error}",
-                      file=sys.stderr)
+                self.say(f"client link failed: {error}")
                 return False
             finally:
                 # However the serve ended — a crash included — the peer
@@ -613,6 +641,36 @@ class _Stage:
         finally:
             for link in self.links:
                 await link.aclose()
+
+    async def lifetime(self) -> None:
+        """Run the stage as its own process would: :meth:`run` with a
+        clock anchor in its trace, its control server and flight
+        recorder, and its ``runtime_ms`` counted."""
+        config = self.config
+        if self.tracer.enabled:
+            # Anchor this process's monotonic clock to the wall clock so
+            # the trace merger can align logs from different processes.
+            mono = time.monotonic()
+            self.tracer.emit(
+                mono, CLOCK_KIND, self.label, mono=mono, wall=time.time()
+            )
+        control = None
+        if config.control_port is not None:
+            from repro.obs.control import start_control_server
+
+            control = await start_control_server(
+                self.control_handlers(), host=config.host,
+                port=config.control_port)
+        started = time.monotonic()
+        try:
+            await self.run()
+        finally:
+            if self.flight is not None:
+                self.flight.close()
+            if control is not None:
+                control.close()
+                await control.wait_closed()
+        self.stats.bump("runtime_ms", int((time.monotonic() - started) * 1000))
 
     async def _play_role(self) -> None:
         config = self.config
@@ -700,10 +758,8 @@ class _Stage:
     # -- reporting ----------------------------------------------------------
 
     def emit_output(self) -> None:
-        if self.collected is None:
-            return
-        sys.stdout.write("".join(f"{item}\n" for item in self.collected))
-        sys.stdout.flush()
+        if self.collected is not None:
+            emit_records(self.collected)
 
     def emit_stats(self) -> None:
         if self.config.stats_file:
@@ -722,33 +778,76 @@ class _Stage:
             self.tracer.to_jsonl(self.config.trace_file)
 
 
+def emit_records(records: Sequence[Any]) -> None:
+    """A stage process's output on stdout: one JSON value per line.
+
+    JSON escapes every newline inside a value, so a line is a record
+    and the reader gets back the values, not their text.
+    """
+    sys.stdout.write("".join(json.dumps(item) + "\n" for item in records))
+    sys.stdout.flush()
+
+
+async def supervise_incarnations(
+    record: Any,
+    rule: RestartRule,
+    label: str,
+    fault: FaultPlan,
+    make: Callable[[FaultPlan], _Stage],
+    play: Callable[[_Stage], Awaitable[None]] = _Stage.run,
+    log: Any = None,
+) -> _Stage:
+    """Run a stage that shares its process, incarnation by incarnation.
+
+    The one restart loop for stages inside an event loop: a stage
+    host's stages and a process fleet's in-loop ends.  ``make(fault)``
+    builds an incarnation and ``play`` runs it.  A tripped
+    ``kill_after`` raises :class:`~repro.fault.plan.InjectedKill` out
+    of the incarnation instead of exiting the process, so the
+    incarnation dies like a process would: its listener and links are
+    closed.  Each crash goes to ``rule`` under ``label``; a refusal
+    raises its :class:`~repro.fault.plan.RestartRefused` (the crash as
+    its context), otherwise the next incarnation runs after the
+    backoff with the plan's :meth:`~repro.fault.plan.FaultPlan.
+    survivor`, as a restarted process does.  ``record`` keeps the
+    ``restarts`` and ``state`` of the stage across incarnations.
+    Returns the incarnation that finished its stream.
+    """
+    while True:
+        record.state = "running"
+        stage = make(fault)
+        stage.log = log
+        if stage.kill_switch is not None:
+            stage.kill_switch.on_kill = stage.kill_switch.raise_kill
+        try:
+            await play(stage)
+        except asyncio.CancelledError:
+            record.state = "cancelled"
+            raise
+        except (InjectedKill, Exception) as error:
+            killed = isinstance(error, InjectedKill)
+            stage.say(f"incarnation died "
+                      f"({'killed' if killed else type(error).__name__}): "
+                      f"{error}")
+            try:
+                delay = rule.crashed(label, record.restarts,
+                                     time.monotonic(), killed=killed)
+            except RestartRefused:
+                record.state = "failed"
+                raise
+            record.restarts += 1
+            record.state = "restarting"
+            fault = fault.survivor()
+            await asyncio.sleep(delay)
+        else:
+            record.state = "done"
+            return stage
+
+
 async def run_stage(config: StageConfig) -> _Stage:
     """Run one stage to stream completion; returns the finished stage."""
     stage = _Stage(config)
-    if stage.tracer.enabled:
-        # Anchor this process's monotonic clock to the wall clock so
-        # the trace merger can align logs from different processes.
-        mono = time.monotonic()
-        stage.tracer.emit(
-            mono, CLOCK_KIND, stage.label, mono=mono, wall=time.time()
-        )
-    control = None
-    if config.control_port is not None:
-        from repro.obs.control import start_control_server
-
-        control = await start_control_server(
-            stage.control_handlers(), host=config.host, port=config.control_port
-        )
-    started = time.monotonic()
-    try:
-        await stage.run()
-    finally:
-        if stage.flight is not None:
-            stage.flight.close()
-        if control is not None:
-            control.close()
-            await control.wait_closed()
-    stage.stats.bump("runtime_ms", int((time.monotonic() - started) * 1000))
+    await stage.lifetime()
     return stage
 
 
@@ -758,11 +857,19 @@ async def run_stage(config: StageConfig) -> _Stage:
 
 
 def read_plan(argv: Sequence[str] | None, prog: str, what: str) -> Any:
-    """The JSON object in the one plan file a process's argv names."""
+    """The JSON object in the one plan file a process's argv names.
+
+    ``-`` reads the plan from stdin, once it arrives: a fleet spawns a
+    stage ahead of its segment, and the stage imports what it runs
+    while it waits for its plan.
+    """
     parser = argparse.ArgumentParser(prog=prog, description=what)
     parser.add_argument("--plan-file", required=True, metavar="PATH",
-                        help="the JSON plan this process runs")
-    with open(parser.parse_args(argv).plan_file, "r", encoding="utf-8") as handle:
+                        help="the JSON plan this process runs ('-': stdin)")
+    path = parser.parse_args(argv).plan_file
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 

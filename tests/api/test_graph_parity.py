@@ -310,32 +310,45 @@ class TestKnobRejection:
 
 
 class TestSupervisorCounters:
-    """``GraphResult.supervisor`` sums every fleet's counters."""
+    """One supervisor per graph; ``GraphResult.supervisor`` sums the
+    counters of every segment it ran."""
 
     def test_restarts_of_the_first_fleet_survive(self, monkeypatch,
                                                  tmp_path):
         import repro.net.launch as launch
 
-        fleets = []
+        supervisors, segments = [], []
 
-        def run_fleet(plans, **_knobs):
+        class Supervisor:
             """Deliver every source's records; report 2 restarts in the
-            first fleet only."""
-            sources = [plan.plan["source_items"]
-                       for plan in plans if plan.role == "source"]
-            fleets.append(plans)
-            counters = {"restarts": 2} if len(fleets) == 1 else {}
-            return launch.FleetResult(
-                output=[record for part in sources for record in part],
-                stats=[],
-                supervisor={"counters": counters, "gauges": {},
-                            "histograms": {}},
-                shard_outputs=sources if len(sources) > 1 else [],
-            )
+            first segment only."""
 
-        monkeypatch.setattr(launch, "run_fleet", run_fleet)
+            def __init__(self, plans, **_knobs):
+                supervisors.append(plans)
+
+            def spawn(self):
+                pass
+
+            def close(self):
+                pass
+
+            async def run_segment(self, plans, sources):
+                segments.append(plans)
+                counters = {"restarts": 2} if len(segments) == 1 else {}
+                return launch.FleetResult(
+                    output=[record for part in sources for record in part],
+                    stats=[],
+                    supervisor={"counters": counters, "gauges": {},
+                                "histograms": {}},
+                    shard_outputs=list(sources) if len(sources) > 1 else [],
+                )
+
+        monkeypatch.setattr(launch, "FleetSupervisor", Supervisor)
         result = diamond().run(runtime="tcp", workdir=str(tmp_path))
-        assert len(fleets) == 3  # seg-0, the block, seg-1
+        assert len(supervisors) == 1  # every segment planned up front
+        assert len(segments) == 3  # seg-0, the block, seg-1
+        assert [plan for plans in segments for plan in plans] == \
+            supervisors[0]
         assert result.output == ITEMS[0::2] + ITEMS[1::2]
         assert result.supervisor["counters"]["restarts"] == 2
         assert result.restarts == 2

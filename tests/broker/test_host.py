@@ -8,6 +8,7 @@ restarts a crashed stage without touching its neighbours.
 
 import asyncio
 import dataclasses
+import json
 import time
 
 import pytest
@@ -256,4 +257,5 @@ class TestIntrospection:
         _broker, host = run(hosted_run("readonly"))
         host.emit_output()
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == [item.upper() for item in ITEMS]
+        assert [json.loads(line) for line in lines] == \
+            [item.upper() for item in ITEMS]

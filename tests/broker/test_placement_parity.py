@@ -84,3 +84,27 @@ class TestASourcePastArgvLimits:
         assert result.output == self.RECORDS
         assert result.invocations == predicted_invocations(
             "readonly", 2, len(self.RECORDS), 64)
+
+
+class TestRecordsAreValuesNotLines:
+    """The sink's records reach the driver as the values they are.
+
+    A record holding a newline, an empty record and a number used to
+    come back as text lines: three records for ``"a\\nb"``, and ``"7"``
+    for ``7``.
+    """
+
+    RECORDS = ["a\nb", "", "c", 7]
+
+    @pytest.mark.parametrize("placement", ["processes", "hosted"])
+    def test_output_equals_aio_at_the_predicted_cost(self, tmp_path,
+                                                      placement):
+        pipeline = Pipeline([IDENTITY, IDENTITY], source=self.RECORDS,
+                            placement=placement)
+        result = pipeline.run(runtime="tcp", workdir=str(tmp_path),
+                              timeout=60.0)
+        assert result.output == Pipeline(
+            [IDENTITY, IDENTITY], source=self.RECORDS).run("aio").output
+        assert result.output == self.RECORDS
+        assert result.invocations == predicted_invocations(
+            "readonly", 2, len(self.RECORDS))

@@ -50,7 +50,7 @@ def test_tcp_pipeline_matches_simulator_byte_for_byte(tmp_path, discipline):
         source_count=ITEMS,
         source_seed=SEED,
     )
-    assert len(plans) == N_FILTERS + 2  # source + 3 filters + sink processes
+    assert len(plans) == N_FILTERS + 2  # source + 3 filters + sink
     result = run_fleet(plans, timeout=60)
     expected = simulator_output(discipline)
     wire_bytes = "\n".join(result.output).encode()
@@ -73,7 +73,7 @@ def test_wire_invocations_match_paper_formula(tmp_path, discipline, processes):
     )
     assert len(plans) == processes
     result = run_fleet(plans, timeout=60)
-    assert result.output == [str(index) for index in range(ITEMS)]
+    assert result.output == list(range(ITEMS))
     assert result.invocations == predicted_invocations(
         discipline, N_FILTERS, ITEMS
     )
@@ -98,7 +98,7 @@ def test_batching_divides_wire_invocations(tmp_path):
         source_items=list(range(8)),
         flow=FlowPolicy(batch=4),
     ), timeout=60)
-    assert batched.output == [str(index) for index in range(8)]
+    assert batched.output == list(range(8))
     assert batched.invocations == predicted_invocations("readonly", 1, 8, batch=4)
 
 
@@ -119,7 +119,7 @@ def test_writeonly_credit_window_bounds_frames(tmp_path):
         source_items=list(range(5)),
         flow=FlowPolicy(batch=5, inbox_capacity=1),
     ), timeout=60)
-    assert lazy.output == [str(index) for index in range(5)]
+    assert lazy.output == list(range(5))
     # batch=5 would send one frame per hop, but the credit window of 1
     # chops it into 5; two hops -> 10 WRITE frames.
     assert lazy.totals.get("write_frames_sent") == 10
