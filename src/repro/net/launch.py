@@ -22,7 +22,9 @@ The supervisor (:class:`FleetSupervisor`, front door :func:`run_fleet`)
 runs the plan and watches it.  Only the stages between a pipeline's
 ends are OS processes; its source and sink run in the driver's event
 loop, so the records going in and coming out never leave the driver
-as text.  A stage that exits non-zero is restarted — under exponential backoff, against a per-stage
+as text.  The processes are forked by one warm interpreter per fleet
+(:mod:`repro.net.zygote`), which imports the stage code once and
+reports each exit.  A stage that exits non-zero is restarted — under exponential backoff, against a per-stage
 ``max_restarts`` budget, with the one-shot faults stripped from every
 stage of its plan (:meth:`repro.fault.plan.FaultPlan.survivor`) — while the
 session-resume protocol (:mod:`repro.net.protocol`) lets its neighbours
@@ -41,7 +43,8 @@ New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
 runtime: one :func:`plan_linear_fleet` call per linear segment and per
 branch of a parallel block, all planned before the first segment runs,
-and one supervisor that spawns every process of the graph at once.
+and one supervisor whose zygote forks each process as its segment
+starts.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -94,9 +98,6 @@ __all__ = [
 TransducerSpec = tuple[str, Sequence[Any]]
 
 IDENTITY: TransducerSpec = ("repro.transput:identity_transducer", ())
-
-#: Seconds between the supervisor's polls of its processes.
-_POLL_S = 0.02
 
 #: The roles a process fleet runs in the driver's event loop instead of
 #: spawning: a segment's ends.
@@ -217,8 +218,10 @@ class FleetError(RuntimeError):
     gathered — most importantly every stage's stderr, which lives in
     files and therefore survives the kill.  ``reason`` names the
     failure class machine-readably: ``"budget"`` (one stage spent its
-    restart budget), ``"timeout"`` (the fleet-wide deadline), or
-    ``"restart-storm"`` (the aggregate cross-stage restart guard).
+    restart budget), ``"timeout"`` (the fleet-wide deadline),
+    ``"restart-storm"`` (the aggregate cross-stage restart guard), or
+    ``"zygote"`` (the interpreter that forks the fleet's processes
+    died, and took their exit reports with it).
     """
 
     def __init__(self, message: str, result: FleetResult | None = None,
@@ -441,15 +444,22 @@ def plan_linear_fleet(
 class _Member:
     """One supervised stage: its plan, its process or task, its budget."""
 
-    def __init__(self, plan: StagePlan) -> None:
+    def __init__(self, ident: int, plan: StagePlan) -> None:
+        #: What the zygote calls this member's process, every incarnation.
+        self.ident = ident
         self.plan = plan
         self.in_loop = plan.role in _IN_LOOP_ROLES
-        self.process: subprocess.Popen | None = None
+        #: Forked and no exit reported yet; its pid once the zygote
+        #: reports one, and its exit code once the zygote reports that
+        #: (until the supervisor handles it).
+        self.alive = False
+        self.pid: int | None = None
+        self.rc: int | None = None
         #: An in-loop end's incarnations, and the one that finished.
         self.task: asyncio.Task | None = None
         self.stage: Any = None
-        #: Its segment runs: a (re)spawned process gets its plan at once.
-        self.running = False
+        #: The zygote sync a failed end waits for before it is reported.
+        self.sync: int | None = None
         self.restarts = 0
         self.state = "pending"
         self.done = False
@@ -469,33 +479,40 @@ class _Member:
 
 
 class FleetSupervisor:
-    """Spawn a planned fleet and keep it alive until the stream is done.
+    """Fork a planned fleet and keep it alive until the stream is done.
 
     A plan's ``source`` and ``sink`` stages — the ends, which hold the
     records going in and want the records coming out — run in the
     driver's own event loop, each under
     :func:`~repro.net.stage.supervise_incarnations`; every other plan
-    is an OS process.  :meth:`spawn` starts every process at once: each
-    imports what it runs and then waits on stdin for its plan, which
-    :meth:`run_segment` writes when that process's segment starts, so a
-    graph's stages are spawned in one phase and no stage's deadlines
-    count while an earlier segment runs.  :meth:`run` is the one-segment
-    front door.
+    is an OS process.  :meth:`spawn` starts one warm interpreter for
+    the whole fleet (:mod:`repro.net.zygote`), which imports the
+    modules the plans run; :meth:`run_segment` asks it to fork each
+    process of a segment when that segment starts, so no stage's
+    deadlines count while an earlier segment runs.  The zygote reports
+    every exit, and the supervisor wakes on those reports, on its ends
+    finishing, and on a restart falling due, never on a timer.
+    :meth:`run` is the one-segment front door.
 
     Every stage's stdout/stderr goes to files (``<stage>.stdout.log`` /
     ``<stage>.stderr.log`` beside its stats dump), so diagnostics
     survive kills and restarts append rather than truncate; an in-loop
-    end writes its diagnostics to its own ``.stderr.log`` too.  A stage
-    exiting non-zero is restarted under the
+    end writes its diagnostics to its own ``.stderr.log`` too, and the
+    zygote to ``zygote.stderr.log``.  A stage exiting non-zero is
+    restarted — forked again, from its survivor plan — under the
     :class:`~repro.fault.plan.RestartRule` (exponential backoff, a
     ``max_restarts`` budget per stage, the optional storm guard) — the
     rule a stage host applies to the stages it runs; an end's
     ``kill_after`` ends its incarnation, never the driver.  A refused
-    restart — or blowing a segment's ``timeout`` — kills everything
-    and raises :class:`FleetError` with a diagnosis.
+    restart, a lost zygote, or blowing a segment's ``timeout`` kills
+    everything and raises :class:`FleetError` with a diagnosis.
+    :meth:`close` reaps the zygote, which reaps every child it forked,
+    so every stage's CPU time is the driver's reaped children's.
 
     The knobs carry the harmonised names (`timeout`, `max_restarts`)
     used by :class:`repro.api.Pipeline`; all are validated eagerly.
+    ``python`` is the interpreter the zygote, and so every process,
+    runs under.
     """
 
     def __init__(
@@ -519,8 +536,16 @@ class FleetSupervisor:
             self.stats, max_restarts=max_restarts, storm_window=storm_window,
             storm_max_restarts=storm_max_restarts,
         )
-        self._members = [_Member(plan) for plan in self.plans]
+        self._members = [_Member(ident, plan)
+                         for ident, plan in enumerate(self.plans)]
         self._environ = self._env()
+        self._zygote: subprocess.Popen | None = None
+        self._zygote_log = ""
+        self._replies = b""
+        self._zygote_gone = False
+        self._syncs = self._synced = 0
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._wake: asyncio.Event | None = None
 
     # -- process plumbing ---------------------------------------------------
 
@@ -533,64 +558,114 @@ class FleetSupervisor:
         return env
 
     def spawn(self) -> None:
-        """Start every process of the fleet, all at once."""
-        for member in self._members:
-            if not member.in_loop and member.process is None:
-                self._spawn(member)
+        """Start the fleet's zygote, importing what its processes run."""
+        modules = sorted({m.plan.module for m in self._members
+                          if not m.in_loop})
+        if self._zygote is not None or not modules:
+            return
+        workdir = os.path.commonpath([
+            os.path.dirname(os.path.abspath(plan.stats_file))
+            for plan in self.plans])
+        self._zygote_log = os.path.join(workdir, "zygote.stderr.log")
+        with open(self._zygote_log, "w", encoding="utf-8") as log:
+            self._zygote = subprocess.Popen(
+                [self.python, "-m", "repro.net.zygote", *modules],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log,
+                env=self._environ,
+            )
 
-    def _spawn(self, member: _Member) -> None:
+    def _attach(self) -> None:
+        """Read the zygote's reports on the running loop."""
+        loop = asyncio.get_running_loop()
+        if self._loop is loop:
+            return
+        self._loop, self._wake = loop, asyncio.Event()
+        if self._zygote is not None:
+            loop.add_reader(self._zygote.stdout.fileno(), self._on_reports)
+
+    def _on_reports(self) -> None:
+        chunk = os.read(self._zygote.stdout.fileno(), 65536)
+        if not chunk:  # the zygote is gone, and with it every report
+            self._loop.remove_reader(self._zygote.stdout.fileno())
+            self._zygote_gone = True
+            self._wake.set()
+            return
+        *lines, self._replies = (self._replies + chunk).split(b"\n")
+        for line in lines:
+            report = json.loads(line)
+            if "sync" in report:
+                self._synced = report["sync"]
+                self._wake.set()
+                continue
+            member = self._members[report["id"]]
+            if "pid" in report:
+                member.pid = report["pid"]
+                continue
+            member.alive, member.pid = False, None
+            member.rc = report["rc"]
+            self._wake.set()
+
+    def _request(self, request: dict[str, Any]) -> None:
+        try:
+            self._zygote.stdin.write(json.dumps(request).encode() + b"\n")
+            self._zygote.stdin.flush()
+        except OSError:  # it died: the loop raises for it
+            self._zygote_gone = True
+            self._wake.set()
+
+    def _fork(self, member: _Member) -> None:
+        """Ask the zygote for the member's next incarnation."""
         restart = member.restarts > 0
-        argv = member.plan.argv
-        if member.plan.plan is not None:
-            argv = ("--plan-file", "-")  # the plan arrives on stdin
-            if restart:
+        if restart:
+            if member.plan.plan is not None:
                 with open(member.plan.plan_file, "w",
                           encoding="utf-8") as handle:
                     json.dump(member.plan.survivor_plan(), handle)
-        mode = "a" if restart else "w"
-        with open(member.stdout_path, mode, encoding="utf-8") as out, \
-                open(member.stderr_path, mode, encoding="utf-8") as err:
-            if restart:
+            with open(member.stderr_path, "a", encoding="utf-8") as err:
                 err.write(f"--- restart #{member.restarts} ---\n")
-            member.process = subprocess.Popen(
-                [self.python, "-m", member.plan.module, *argv],
-                stdin=(subprocess.DEVNULL if member.plan.plan is None
-                       else subprocess.PIPE),
-                stdout=out, stderr=err, text=True, env=self._environ,
-            )
-        member.restart_at = None
-        if member.running:
-            self._deliver(member)
+        member.alive, member.restart_at = True, None
+        self._request({
+            "fork": member.ident, "module": member.plan.module,
+            "argv": list(member.plan.argv), "stdout": member.stdout_path,
+            "stderr": member.stderr_path, "append": restart,
+        })
 
-    def _deliver(self, member: _Member) -> None:
-        """Write a process its plan: its segment has started."""
-        stdin = member.process.stdin
-        if stdin is None:
-            return
-        plan = (member.plan.survivor_plan() if member.restarts
-                else member.plan.plan)
-        try:
-            stdin.write(json.dumps(plan))
-            stdin.close()
-        except OSError:
-            pass  # it died before reading: the poll restarts it
+    def _signal(self, member: _Member, signum: int) -> None:
+        if member.alive:
+            self._request({"kill": member.ident, "signal": int(signum)})
 
     def close(self) -> None:
-        """Kill every process still running, a later segment's included."""
+        """Kill every process still running, then reap the zygote.
+
+        The zygote kills and reaps its children once its stdin closes;
+        were it already dead, its orphans are killed here by pid.
+        """
+        zygote, self._zygote = self._zygote, None
+        if zygote is None:
+            return
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.remove_reader(zygote.stdout.fileno())
+        zygote.stdout.close()
+        try:
+            zygote.stdin.close()
+        except OSError:
+            pass  # it died with a request unread
+        if zygote.wait() != 0:  # killed: its children are orphans
+            for member in self._members:
+                if member.pid is not None:
+                    try:
+                        os.kill(member.pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
         for member in self._members:
-            process = member.process
-            if process is not None and process.poll() is None:
-                process.kill()
-        for member in self._members:
-            if member.process is not None:
-                member.process.wait()
-                if member.process.stdin is not None:
-                    member.process.stdin.close()
+            member.alive, member.pid = False, None
 
     async def _abort(self) -> None:
-        """The run failed: cancel every in-loop end, kill every process."""
-        ends = [m.task for m in self._members
-                if m.task is not None and not m.task.done()]
+        """The run failed: cancel every in-loop end, kill every process.
+
+        An end that already failed has its error retrieved here too.
+        """
+        ends = [m.task for m in self._members if m.task is not None]
         for task in ends:
             task.cancel()
         self.close()
@@ -636,6 +711,16 @@ class FleetSupervisor:
             )
         return FleetError(message, reason=refused.reason)
 
+    def _lost(self, members: Sequence[_Member]) -> FleetError:
+        running = [m.plan.label for m in members if m.alive]
+        return FleetError(
+            f"the fleet's zygote (pid {self._zygote.pid}) exited with "
+            f"rc={self._zygote.wait()}; its processes are lost: "
+            f"{', '.join(running) or 'none running'}: "
+            f"{self._read(self._zygote_log).strip()[-500:]}",
+            reason="zygote",
+        )
+
     # -- the ends, in this loop ----------------------------------------------
 
     async def _play_end(self, member: _Member,
@@ -666,6 +751,17 @@ class FleetSupervisor:
         if not member.task.done():
             return
         error = member.task.exception()
+        if error is not None and self._zygote is not None:
+            # An end usually fails because a process it talks to died,
+            # and that process is the one to name.  Its exit report can
+            # trail the end's failure, so hear every exit the zygote
+            # has reaped first.
+            if member.sync is None:
+                self._syncs += 1
+                member.sync = self._syncs
+                self._request({"sync": member.sync})
+            if self._synced < member.sync:
+                return
         if isinstance(error, RestartRefused):
             raise self._refusal(
                 member, error, isinstance(error.__context__, InjectedKill))
@@ -685,6 +781,14 @@ class FleetSupervisor:
 
         return asyncio.run(whole())
 
+    async def _woken(self, at: float | None) -> None:
+        """Wait for a report, an end finishing, or the clock reaching ``at``."""
+        timeout = None if at is None else max(0.0, at - time.monotonic())
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
     async def run_segment(
         self,
         plans: Sequence[StagePlan],
@@ -692,52 +796,59 @@ class FleetSupervisor:
     ) -> FleetResult:
         """Run the stages of ``plans`` — one segment — to completion.
 
-        Every process of the segment gets its plan now (one not yet
-        spawned is spawned first), and its ends start in this loop.
-        ``sources`` gives the segment's source ends their records, in
-        plan (shard) order; by default a source plays the records of
-        its plan.  The segment's ``timeout`` starts now, and the
-        returned result's supervisor counters are this segment's.
+        The zygote forks every process of the segment now (and starts
+        first, if :meth:`spawn` has not started it), and its ends start
+        in this loop.  ``sources`` gives the segment's source ends their
+        records, in plan (shard) order; by default a source plays the
+        records of its plan.  The segment's ``timeout`` starts now, and
+        the returned result's supervisor counters are this segment's.
         """
         wanted = {id(plan) for plan in plans}
         members = [m for m in self._members if id(m.plan) in wanted]
         self.stats = self.rule.stats = KernelStats()
+        self.spawn()
+        self._attach()
         records = iter(sources or ())
         for member in members:
-            member.running = True
             if member.in_loop:
                 items = (next(records, None)
                          if member.plan.role == "source" else None)
                 member.task = asyncio.ensure_future(
                     self._play_end(member, items))
-            elif member.process is None:
-                self._spawn(member)
+                member.task.add_done_callback(lambda _: self._wake.set())
             else:
-                self._deliver(member)
+                self._fork(member)
         deadline = time.monotonic() + self.timeout
         workers = [m for m in members if not m.plan.daemon]
         try:
-            while not all(m.done for m in workers):
+            while True:
+                self._wake.clear()
                 now = time.monotonic()
-                if now > deadline:
+                if self._zygote_gone:
+                    raise self._lost(members)
+                for member in members:
+                    if member.done or member.in_loop:
+                        continue
+                    if member.rc is not None:
+                        self._exited(member, now)
+                    elif member.restart_at is not None and \
+                            now >= member.restart_at:
+                        self._fork(member)
+                for member in members:
+                    if member.in_loop and not member.done:
+                        self._check_end(member)
+                if all(m.done for m in workers):
+                    break
+                if now >= deadline:
                     running = [m.plan.label for m in members if not m.done]
                     raise FleetError(
                         f"fleet timeout after {self.timeout:.1f}s; "
                         f"still running: {', '.join(running)}",
                         reason="timeout",
                     )
-                for member in members:
-                    if member.done:
-                        continue
-                    if member.in_loop:
-                        self._check_end(member)
-                    elif member.process is None:
-                        if member.restart_at is not None and \
-                                now >= member.restart_at:
-                            self._spawn(member)
-                    else:
-                        self._poll(member, now)
-                await asyncio.sleep(_POLL_S)
+                await self._woken(min([deadline] + [
+                    m.restart_at for m in members
+                    if m.restart_at is not None]))
             await self._stop_daemons(members)
         except FleetError as error:
             await self._abort()
@@ -748,10 +859,8 @@ class FleetSupervisor:
             raise
         return self._gather(members)
 
-    def _poll(self, member: _Member, now: float) -> None:
-        rc = member.process.poll()
-        if rc is None:
-            return
+    def _exited(self, member: _Member, now: float) -> None:
+        rc, member.rc = member.rc, None
         if rc == 0 and not member.plan.daemon:
             member.done = True
             return
@@ -765,25 +874,24 @@ class FleetSupervisor:
         except RestartRefused as refused:
             raise self._refusal(member, refused, killed, rc) from None
         member.restarts += 1
-        member.process = None
         member.restart_at = now + delay
 
     async def _stop_daemons(self, members: Sequence[_Member],
                             grace: float = 5.0) -> None:
         """The stream is done: retire daemons (SIGTERM, then SIGKILL)."""
-        daemons = [m.process for m in members
-                   if m.plan.daemon and m.process is not None]
-        for process in daemons:
-            if process.poll() is None:
-                process.terminate()
-        deadline = time.monotonic() + grace
-        while time.monotonic() < deadline and any(
-                process.poll() is None for process in daemons):
-            await asyncio.sleep(_POLL_S)
-        for process in daemons:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+        daemons = [m for m in members if m.plan.daemon]
+        for member in daemons:
+            self._signal(member, signal.SIGTERM)
+        deadline: float | None = time.monotonic() + grace
+        while any(m.alive for m in daemons) and not self._zygote_gone:
+            if deadline is not None and time.monotonic() >= deadline:
+                for member in daemons:
+                    self._signal(member, signal.SIGKILL)
+                deadline = None
+            self._wake.clear()
+            await self._woken(deadline)
+        for member in daemons:
+            member.rc = None
 
     def _output(self, member: _Member) -> list[Any]:
         """A sink's records: an in-loop end's, or a host's stdout lines."""

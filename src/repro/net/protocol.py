@@ -1081,6 +1081,15 @@ async def serve_pull(
                 if fatal is not None or len(replies) >= _REPLY_BURST:
                     break
                 frame = connection.recv_nowait()
+            if ended and not end_sent and len(replies) > 1:
+                # The burst carries the stream's first END: it goes out
+                # on its own, so a client that hangs up on the idempotent
+                # END replies behind it cannot undo a completed stream.
+                cut = 1 + next(index for index, reply in enumerate(replies)
+                               if reply.type is FrameType.END)
+                await connection.send_many(replies[:cut])
+                end_sent = True
+                replies = replies[cut:]
             if len(replies) == 1:
                 await connection.send(replies[0])
             else:

@@ -516,12 +516,16 @@ class _Stage:
             loop = asyncio.get_running_loop()
             for sock in server.sockets:
                 loop.remove_reader(sock.fileno())
-            for _turn in range(2):
-                await asyncio.sleep(0)
-            server.close()
-            while not links.empty():
-                await links.get_nowait().close()
-            await server.wait_closed()
+            try:
+                for _turn in range(2):
+                    await asyncio.sleep(0)
+            finally:
+                # Even when the stage is cancelled in those turns (its
+                # supervisor gave up on the fleet), the listener closes.
+                server.close()
+                while not links.empty():
+                    await links.get_nowait().close()
+                await server.wait_closed()
 
     async def _admit(self, link: Any, **offer: Any) -> Hello:
         """Demand a genuine ticket on one accepted link.
@@ -857,18 +861,11 @@ async def run_stage(config: StageConfig) -> _Stage:
 
 
 def read_plan(argv: Sequence[str] | None, prog: str, what: str) -> Any:
-    """The JSON object in the one plan file a process's argv names.
-
-    ``-`` reads the plan from stdin, once it arrives: a fleet spawns a
-    stage ahead of its segment, and the stage imports what it runs
-    while it waits for its plan.
-    """
+    """The JSON object in the one plan file a process's argv names."""
     parser = argparse.ArgumentParser(prog=prog, description=what)
     parser.add_argument("--plan-file", required=True, metavar="PATH",
-                        help="the JSON plan this process runs ('-': stdin)")
+                        help="the JSON plan this process runs")
     path = parser.parse_args(argv).plan_file
-    if path == "-":
-        return json.load(sys.stdin)
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 

@@ -1,7 +1,8 @@
 """The wire runtime's import closure, pinned by count.
 
-An ``eden-stage`` / ``eden-host`` / ``eden-broker`` process must load
-what it runs and nothing else: no simulator kernel, no shell, figures,
+An ``eden-stage`` / ``eden-host`` / ``eden-broker`` process — and the
+zygote that forks them (:mod:`repro.net.zygote`) — must load what it
+runs and nothing else: no simulator kernel, no shell, figures,
 filters, filesystem, analysis or graph API.  Each probe runs in a fresh
 interpreter and asserts on ``sys.modules`` — a module count, never a
 wall-clock budget, so it cannot flake.
@@ -72,6 +73,21 @@ def test_wire_entry_point_never_loads_the_simulator(entry):
 
 def test_import_repro_loads_no_subpackage():
     assert loaded_after("import repro") == ["repro", "repro._lazy"]
+
+
+def test_the_zygote_loads_nothing_of_its_own():
+    # It forks whatever it is asked to preload, so it imports none of
+    # it itself: only the packages it lives in.
+    assert loaded_after("import repro.net.zygote") == [
+        "repro", "repro._lazy", "repro.net", "repro.net.zygote"]
+
+
+def test_a_stage_zygote_holds_exactly_the_stage_closure():
+    stage = loaded_after("import repro.net.stage")
+    zygote = loaded_after("from repro.net.zygote import preload\n"
+                          "preload(['repro.net.stage'])")
+    assert zygote == sorted([*stage, "repro.net.zygote"])
+    assert forbidden(zygote) == []
 
 
 WIRE_PACKAGES = ("net", "aio", "broker", "obs", "fault")

@@ -1,17 +1,19 @@
-"""One spawn phase per graph, with the ends in the driver's loop.
+"""One warm interpreter per fleet, with the ends in the driver's loop.
 
-A process fleet spawns only the stages between a segment's ends, and a
-graph spawns all of them at once, before its first segment runs.  Each
-spawned stage waits for its plan until its segment starts, so no
-deadline counts while an earlier segment runs.  The source and sink
-run in the driver's event loop: an end's ``kill_after`` ends only its
-incarnation, a spent budget is a :class:`FleetError` naming the end,
-and an end is never pinned to a core.  These tests count what the
-supervisor starts and in which order; none of them times anything.
+A process fleet runs only the stages between a segment's ends as
+processes, and a graph's fleet starts one interpreter (the zygote)
+before its first segment runs.  The zygote forks each process when
+that process's segment starts, so no deadline counts while an earlier
+segment runs.  The source and sink run in the driver's event loop: an
+end's ``kill_after`` ends only its incarnation, a spent budget is a
+:class:`FleetError` naming the end, and an end is never pinned to a
+core.  These tests count what the supervisor starts and in which
+order; none of them times anything.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 from collections import defaultdict
 
@@ -21,7 +23,7 @@ import repro.net.launch as launch
 from repro.analysis import predict_graph_invocations
 from repro.api import GraphBuilder, Pipeline
 from repro.fault import FaultPlan
-from repro.net.stage import StageConfig
+from repro.net.stage import StageConfig, _Stage, pick_free_port
 
 IDENTITY = "repro.transput:identity_transducer"
 ITEMS = [f"item-{i:02d}" for i in range(12)]
@@ -38,27 +40,61 @@ def diamond(discipline="readonly", head=IDENTITY, branches=2):
 
 @pytest.fixture
 def events(monkeypatch):
-    """``("spawn", module)`` per process started, ``("end", label)`` per
-    in-loop end started, in the order they happen."""
+    """In the order they happen: ``("interpreter", modules)`` per
+    interpreter started (the zygote, and what it preloads), ``("fork",
+    module)`` per process forked, ``("end", label)`` per in-loop end
+    started, and ``("segment", count)`` / ``("done", count)`` around
+    each segment of ``count`` stages."""
     seen = []
     popen = launch.subprocess.Popen
+    fork = launch.FleetSupervisor._fork
     play = launch.FleetSupervisor._play_end
+    run_segment = launch.FleetSupervisor.run_segment
 
-    def spawn(argv, **kwargs):
-        seen.append(("spawn", argv[2]))
+    def interpreter(argv, **kwargs):
+        assert argv[1:3] == ["-m", "repro.net.zygote"]
+        seen.append(("interpreter", argv[3:]))
         return popen(argv, **kwargs)
+
+    def forked(self, member):
+        seen.append(("fork", member.plan.module))
+        fork(self, member)
 
     async def end(self, member, records):
         seen.append(("end", member.plan.label))
         await play(self, member, records)
 
-    monkeypatch.setattr(launch.subprocess, "Popen", spawn)
+    async def segment(self, plans, sources=None):
+        seen.append(("segment", len(plans)))
+        result = await run_segment(self, plans, sources)
+        seen.append(("done", len(plans)))
+        return result
+
+    monkeypatch.setattr(launch.subprocess, "Popen", interpreter)
+    monkeypatch.setattr(launch.FleetSupervisor, "_fork", forked)
     monkeypatch.setattr(launch.FleetSupervisor, "_play_end", end)
+    monkeypatch.setattr(launch.FleetSupervisor, "run_segment", segment)
     return seen
 
 
-def spawned(events, module="repro.net.stage"):
-    return [kind for kind, what in events if kind == "spawn" and what == module]
+def of_kind(events, kind):
+    return [what for seen, what in events if seen == kind]
+
+
+def forks_by_segment(events):
+    """The modules forked inside each segment, in segment order; a fork
+    outside every segment fails the test."""
+    segments, current = [], None
+    for kind, what in events:
+        if kind == "segment":
+            current = []
+        elif kind == "done":
+            segments.append(current)
+            current = None
+        elif kind == "fork":
+            assert current is not None, "forked between segments"
+            current.append(what)
+    return segments
 
 
 def by_segment(graph):
@@ -71,31 +107,37 @@ def by_segment(graph):
 
 
 class TestSpawnShape:
-    def test_the_diamond_spawns_its_four_filters_before_any_end(
+    def test_the_diamond_forks_each_filter_when_its_segment_starts(
             self, tmp_path, events):
         graph = diamond()
         result = graph.run(runtime="tcp", workdir=str(tmp_path))
         assert sorted(result.output) == sorted(ITEMS)
-        assert len(spawned(events)) == 4
-        first_end = next(i for i, (kind, _) in enumerate(events)
-                         if kind == "end")
-        assert len(spawned(events[:first_end])) == 4
+        assert of_kind(events, "interpreter") == [["repro.net.stage"]]
+        assert events[0][0] == "interpreter"
+        # The head, the two branches, the tail: each segment's filters
+        # are forked after the segment before it is done.
+        stage = "repro.net.stage"
+        assert forks_by_segment(events) == [[stage], [stage] * 2, [stage]]
         # Two ends per pipeline: seg-0, two branches, seg-1.
-        assert sum(kind == "end" for kind, _ in events) == 8
+        assert len(of_kind(events, "end")) == 8
 
-    def test_a_pipeline_spawns_only_its_filters(self, tmp_path, events):
+    def test_a_pipeline_forks_only_its_filters(self, tmp_path, events):
         result = Pipeline([IDENTITY] * 3, source=ITEMS).run(
             runtime="tcp", workdir=str(tmp_path))
         assert result.output == ITEMS
-        assert len(spawned(events)) == 3
+        assert of_kind(events, "interpreter") == [["repro.net.stage"]]
+        assert forks_by_segment(events) == [["repro.net.stage"] * 3]
 
-    def test_hosted_placement_is_unchanged(self, tmp_path, events):
+    def test_hosted_placement_forks_its_broker_and_host(
+            self, tmp_path, events):
         result = Pipeline([IDENTITY] * 3, source=ITEMS,
                           placement="hosted").run(
             runtime="tcp", workdir=str(tmp_path))
         assert result.output == ITEMS
-        assert [what for _kind, what in events] == [
-            "repro.broker.daemon", "repro.broker.host"]
+        assert of_kind(events, "interpreter") == [
+            ["repro.broker.daemon", "repro.broker.host"]]
+        assert forks_by_segment(events) == [
+            ["repro.broker.daemon", "repro.broker.host"]]
 
     def test_no_deadline_counts_before_a_stage_segment_starts(
             self, tmp_path, monkeypatch):
@@ -180,6 +222,31 @@ class TestEndsUnderFaults:
         counters = info.value.result.supervisor["counters"]
         assert counters["injected_kills"] == 1
         assert "fault: killed at datum 3" in info.value.result.stderr[serial]
+
+    def test_an_end_cancelled_as_its_listener_closes_still_closes_it(self):
+        # A supervisor that gives up on a fleet cancels its ends, and
+        # one may be failing at that moment, in the loop turns its
+        # listener spends resetting late sockets.
+        port = pick_free_port()
+        stage = _Stage(StageConfig(role="source", discipline="readonly",
+                                   listen_port=port, source_items=ITEMS))
+
+        async def scenario():
+            failing = asyncio.Event()
+
+            async def fail():
+                async with stage._accepting():
+                    failing.set()
+                    raise RuntimeError("the end failed")
+
+            task = asyncio.ensure_future(fail())
+            await failing.wait()  # the listener is closing now
+            task.cancel()
+            await asyncio.gather(task, return_exceptions=True)
+            with pytest.raises(ConnectionRefusedError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+        asyncio.run(scenario())
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="needs CPU affinity")
