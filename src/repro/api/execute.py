@@ -81,7 +81,7 @@ RUNTIMES = ("sim", "aio", "tcp")
 #: every path (never a silent no-op).
 TCP_ONLY_KNOBS = (
     "timeout", "max_restarts", "faults", "resume", "io_timeout", "trace",
-    "workdir", "codec", "pipeline_depth", "placement_policy", "flight",
+    "workdir", "codec", "pipeline_depth", "flight",
 )
 
 #: FlowPolicy fields that encode TCP-only behaviour; setting one and
@@ -224,9 +224,7 @@ def _run_program(
     ``edge_knobs`` are a graph's TCP-only edge settings
     (:meth:`Graph.tcp_only_edge_knobs`); ``hosted`` / ``broker`` plan
     the linear segment as a broker-hosted fleet.  ``fleet`` holds the
-    other TCP-only knobs, for :func:`_tcp_steps`; its
-    ``placement_policy`` pins a block's branches (or the stage hosts)
-    to cores — a graph's blocks leave it ``None`` and stay unpinned.
+    other TCP-only knobs, for :func:`_tcp_steps`.
     """
     if runtime not in RUNTIMES:
         raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
@@ -247,20 +245,6 @@ def _run_program(
         not isinstance(io_timeout, (int, float)) or io_timeout <= 0
     ):
         raise ValueError(f"io_timeout must be > 0 or None, got {io_timeout!r}")
-    placement_policy = fleet.get("placement_policy")
-    if placement_policy is not None:
-        from repro.net.affinity import PLACEMENT_POLICIES
-
-        if placement_policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"placement_policy must be one of {PLACEMENT_POLICIES}, "
-                f"got {placement_policy!r}"
-            )
-        if program.linear_only() and not hosted:
-            raise ValueError(
-                "placement_policy pins shard sub-fleets or stage hosts "
-                "to cores; it needs shards > 1 or placement='hosted'"
-            )
     if hosted and runtime != "tcp":
         raise ValueError(
             f"placement='hosted' needs the TCP runtime, got {runtime!r}"
@@ -440,8 +424,7 @@ def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
                faults: Mapping[int, Any] | None = None,
                resume: bool | None = None, io_timeout: float | None = None,
                trace: bool | None = None, workdir: str | None = None,
-               codec: str | None = None, flight: Any = None,
-               placement_policy: str | None = None):
+               codec: str | None = None, flight: Any = None):
     """The TCP steps, around one supervisor and one event loop.
 
     Every segment a process fleet runs is planned before the first one
@@ -483,7 +466,6 @@ def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
             io_timeout=io_timeout, codec=segment.codec or codec or CODEC_JSON,
             flight_dir=under(flight_dir, segment), flight_mode=flight_mode,
             broker=broker, max_restarts=max_restarts,
-            placement_policy=placement_policy,
         ), timeout=timeout, max_restarts=max_restarts))
         return fleets[-1].output, fleets[-1].invocations
 
@@ -504,8 +486,7 @@ def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
         if isinstance(segment, ParallelSegment):
             plans[segment.name] = _plan_block(
                 segment, [[] for _ in segment.branches],
-                under(workpath, segment), flow_of,
-                placement_policy=placement_policy or "none", codec=codec,
+                under(workpath, segment), flow_of, codec=codec,
                 flight_dir=under(flight_dir, segment), **knobs)
             continue
         plans[segment.name] = plan_linear_fleet(
@@ -560,27 +541,23 @@ def _draw_ports(pipelines: Sequence[LinearSegment]) -> Any:
 
 def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
                 directory: str | pathlib.Path, flow_of, *,
-                placement_policy: str, codec: str | None = None,
+                codec: str | None = None,
                 flight_dir: str | None = None, ports: Any = None,
                 **knobs: Any) -> list[Any]:
     """Plan a parallel block as one sub-fleet per branch.
 
     Branch ``i`` plans into ``directory/branch-<i>`` with ticket space
-    ``i``, labelled shard ``i`` (the order the supervisor gathers sink
-    outputs in) and pinned to ``assign_cores(N, placement_policy)[i]``
-    (:mod:`repro.net.affinity`; ``"none"`` never pins).  With
-    ``trace`` on, a combined ``fleet.json`` covering every stage — with
-    ``shards``, ``placement_policy`` and ``shard_cores`` — is written
-    to ``directory`` for ``eden-top``.  ``ports`` are drawn for the
+    ``i`` and labelled shard ``i`` (the order the supervisor gathers
+    sink outputs in).  With ``trace`` on, a combined ``fleet.json``
+    covering every stage — with ``shards`` — is written to
+    ``directory`` for ``eden-top``.  ``ports`` are drawn for the
     whole graph (by default, for this block, in one call); ``knobs``
     go to every branch's :func:`~repro.net.launch.plan_linear_fleet`.
     """
-    from repro.net.affinity import assign_cores
     from repro.net.framing import CODEC_JSON
     from repro.net.launch import plan_linear_fleet, write_manifest
 
     directory = pathlib.Path(directory)
-    cores = assign_cores(len(block.branches), placement_policy)
     if ports is None:
         ports = _draw_ports(block.branches)
     plans = []
@@ -594,7 +571,6 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
             ticket_space=index,
             codec=branch.codec or codec or CODEC_JSON,
             shard=index,
-            cpu=cores[index],
             flight_dir=(None if flight_dir is None
                         else str(pathlib.Path(flight_dir) / f"branch-{index}")),
             ports=ports,
@@ -602,8 +578,7 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
         ))
     if knobs.get("trace"):
         write_manifest(directory, plans, resume=knobs.get("resume", False),
-                       shards=len(block.branches),
-                       placement_policy=placement_policy, shard_cores=cores)
+                       shards=len(block.branches))
     return plans
 
 

@@ -181,7 +181,6 @@ class Pipeline:
         workdir: str | None = None,
         codec: str | None = None,
         pipeline_depth: int | None = None,
-        placement_policy: str | None = None,
         flight: Any = None,
     ) -> GraphResult:
         """Run the pipeline on ``runtime`` and gather a common result.
@@ -191,14 +190,10 @@ class Pipeline:
         simulator-only.  The fault-tolerance knobs (``timeout``,
         ``max_restarts``, ``faults``, ``resume``, ``io_timeout``,
         ``trace``, ``workdir``) and the data-plane knobs (``codec``,
-        ``pipeline_depth``, ``placement_policy``) are
-        TCP-only — passing one to another runtime is an error, never a
-        silent no-op, whether it arrives as a keyword here or inside
-        ``flow``.  ``placement_policy`` (``"cores"``, the default, or
-        ``"none"``) governs CPU-core pinning of shard sub-fleets and
-        stage hosts; it needs ``shards > 1`` or hosted placement to act
-        on.  ``faults`` address stage serials of one linear fleet, so a
-        sharded pipeline rejects them.
+        ``pipeline_depth``) are TCP-only — passing one to another
+        runtime is an error, never a silent no-op, whether it arrives
+        as a keyword here or inside ``flow``.  ``faults`` address stage
+        serials of one linear fleet, so a sharded pipeline rejects them.
 
         ``flight`` switches on the flight recorder fleet-wide: a
         directory path (full-payload capture there) or a
@@ -212,15 +207,12 @@ class Pipeline:
         Every run returns a :class:`~repro.api.GraphResult`; a sharded
         run's per-shard outputs are ``result.branch_outputs["shards"]``.
         """
-        if runtime == "tcp" and (self.shards > 1 or self.placement == "hosted"):
-            placement_policy = placement_policy or "cores"
         return _run_program(
             self._program(), self.source, runtime, name="pipeline",
             hosted=self.placement == "hosted", broker=self.broker,
-            placement_policy=placement_policy, flow=flow, batch=batch,
-            credit_window=credit_window, lookahead=lookahead,
-            placement=placement, timeout=timeout, max_restarts=max_restarts,
-            faults=faults, resume=resume, io_timeout=io_timeout, trace=trace,
-            workdir=workdir, codec=codec, pipeline_depth=pipeline_depth,
-            flight=flight,
+            flow=flow, batch=batch, credit_window=credit_window,
+            lookahead=lookahead, placement=placement, timeout=timeout,
+            max_restarts=max_restarts, faults=faults, resume=resume,
+            io_timeout=io_timeout, trace=trace, workdir=workdir, codec=codec,
+            pipeline_depth=pipeline_depth, flight=flight,
         )

@@ -80,10 +80,14 @@ class BrokerClient:
         reader, writer = await connect_with_backoff(
             self.host, self.port, deadline=self.connect_deadline
         )
-        await send_hello(
-            reader, writer, self.uid, ROLE_HOST, book=self.book,
-            roles=(ROLE_HOST,),
-        )
+        try:
+            await send_hello(
+                reader, writer, self.uid, ROLE_HOST, book=self.book,
+                roles=(ROLE_HOST,),
+            )
+        except BaseException:
+            writer.close()  # a refused admission keeps no socket open
+            raise
         self.mux = ChannelMux(
             reader, writer,
             on_control=self._on_control,

@@ -62,7 +62,6 @@ from repro.fault.plan import (
     RestartRefused,
     RestartRule,
 )
-from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
 from repro.net.handshake import ROLE_PULL, ROLE_PUSH, Hello, TicketBook
 from repro.net.metrics import NetStats
@@ -116,8 +115,6 @@ class HostConfig:
     stats_file: str | None = None
     trace_file: str | None = None
     control_port: int | None = None
-    #: CPU core this host process pins itself to (None = unpinned).
-    cpu: int | None = None
     flight_dir: str | None = None
     flight_mode: str = MODE_FULL
 
@@ -291,7 +288,6 @@ class StageHost:
         self.stages = [_HostedStage(stage, self) for stage in config.stages]
         self._by_name = {stage.config.name: stage for stage in self.stages}
         self.started_mono = time.monotonic()
-        self.pinned = False
 
     # -- broker side ---------------------------------------------------------
 
@@ -342,12 +338,6 @@ class StageHost:
     # -- whole-host lifecycle ------------------------------------------------
 
     async def run(self) -> None:
-        # Core placement first: every hosted stage's tasks and sockets
-        # then wake on this host's core (no-op off Linux / unplanned).
-        self.pinned = pin_to_core(self.config.cpu)
-        if self.config.cpu is not None:
-            self.stats.set_gauge("cpu_core", float(self.config.cpu))
-            self.stats.set_gauge("cpu_pinned", 1.0 if self.pinned else 0.0)
         if self.tracer.enabled:
             mono = time.monotonic()
             self.tracer.emit(
@@ -409,9 +399,6 @@ class StageHost:
                     self.stats.gauges().get("mux_channels_open", 0.0)
                 ),
                 "tracing": self.tracer.enabled,
-                "cpu": self.config.cpu,
-                "pinned": self.pinned,
-                "affinity": current_affinity(),
                 "flight": (self.flight.describe()
                            if self.flight is not None else None),
             }

@@ -29,7 +29,6 @@ import pathlib
 from typing import Any, Mapping, Sequence
 
 from repro.fault.plan import FaultPlan
-from repro.net.affinity import assign_cores
 from repro.net.framing import CODEC_JSON
 from repro.net.launch import (
     StagePlan,
@@ -68,7 +67,6 @@ def plan_hosted_fleet(
     broker: str | None = None,
     max_restarts: int = 0,
     park_deadline: float = 10.0,
-    placement_policy: str = "cores",
     flight_dir: str | None = None,
     flight_mode: str = "full",
 ) -> list[StagePlan]:
@@ -85,9 +83,7 @@ def plan_hosted_fleet(
     attaches the fleet to an externally-run broker instead of planning
     one; ``max_restarts`` is each hosted stage's *in-process* restart
     budget (the supervisor's own budget still governs whole
-    processes).  ``placement_policy`` (``"cores"`` / ``"none"``)
-    round-robins each host process onto its own CPU core exactly as a
-    sharded pipeline pins each shard's sub-fleet.
+    processes).
     """
     if discipline not in ("readonly", "writeonly"):
         raise ValueError(
@@ -156,7 +152,6 @@ def plan_hosted_fleet(
         broker_host = broker_host or "127.0.0.1"
 
     # Contiguous runs of stages per host, remainder to the early hosts.
-    host_cores = assign_cores(hosts, placement_policy)
     per_host, extra = divmod(len(configs), hosts)
     cursor = 0
     for index in range(hosts):
@@ -177,14 +172,13 @@ def plan_hosted_fleet(
                 "stats_file": stats_file,
                 "trace_file": trace_file,
                 "control_port": control_port,
-                "cpu": host_cores[index],
                 "flight_dir": flight_dir,
                 "flight_mode": flight_mode,
                 "stages": [config.to_dict() for config in chunk],
             },
             role="host", stats_file=stats_file, trace_file=trace_file,
             control_port=control_port, serial=serial,
-            module="repro.broker.host", cpu=host_cores[index],
+            module="repro.broker.host",
         ))
 
     if trace or control:
@@ -192,7 +186,6 @@ def plan_hosted_fleet(
             workpath, plans, discipline=discipline, host=host, resume=resume,
             codec=codec, placement="hosted", flight_dir=flight_dir,
             flight_mode=flight_mode if flight_dir is not None else None,
-            placement_policy=placement_policy, host_cores=host_cores,
             broker=f"{broker_host}:{broker_port}",
         )
     return plans

@@ -123,8 +123,6 @@ class StagePlan:
     stderr_file: str | None = None
     #: Which shard's sub-pipeline this stage belongs to (None = unsharded).
     shard: int | None = None
-    #: CPU core this stage pins itself to at startup (None = unpinned).
-    cpu: int | None = None
     #: The ``python -m`` module this process runs.  ``repro.net.stage``
     #: for ordinary stages; ``repro.broker.daemon`` / ``repro.broker.
     #: host`` for hosted placements.
@@ -320,7 +318,7 @@ def write_manifest(workdir: str | pathlib.Path, plans: Sequence[StagePlan],
                    **header: Any) -> None:
     """Write the ``fleet.json`` manifest ``eden-top`` / ``eden-trace`` read.
 
-    ``header`` describes the fleet (discipline, placement, cores, ...);
+    ``header`` describes the fleet (discipline, placement, shards, ...);
     ``stages`` gets one entry per process of ``plans``.
     """
     stages = []
@@ -335,8 +333,6 @@ def write_manifest(workdir: str | pathlib.Path, plans: Sequence[StagePlan],
         }
         if plan.shard is not None:
             entry["shard"] = plan.shard
-        if plan.cpu is not None:
-            entry["cpu"] = plan.cpu
         stages.append(entry)
     with open(pathlib.Path(workdir) / "fleet.json", "w",
               encoding="utf-8") as handle:
@@ -364,7 +360,6 @@ def plan_linear_fleet(
     io_timeout: float | None = None,
     codec: str = CODEC_JSON,
     shard: int | None = None,
-    cpu: int | None = None,
     flight_dir: str | None = None,
     flight_mode: str = "full",
     ports: Iterator[int] | None = None,
@@ -397,7 +392,7 @@ def plan_linear_fleet(
         source_seed, faults, flow, ticket_space=ticket_space,
         ticket_seed=ticket_seed, connect_deadline=connect_deadline,
         resume=resume, io_timeout=io_timeout, codec=codec, shard=shard,
-        cpu=cpu, flight_dir=flight_dir, flight_mode=flight_mode, host=host,
+        flight_dir=flight_dir, flight_mode=flight_mode, host=host,
     )
     # Every port of the plan is drawn in one call, so no two stages can
     # be handed the same one: a listener per dialled stage, then a
@@ -430,7 +425,7 @@ def plan_linear_fleet(
             workpath, stem, config.to_dict(), role=config.role,
             stats_file=config.stats_file, trace_file=config.trace_file,
             control_port=config.control_port, serial=config.serial,
-            fault=config.fault, shard=shard, cpu=cpu,
+            fault=config.fault, shard=shard,
         ))
     if trace or control:
         write_manifest(
@@ -727,14 +722,11 @@ class FleetSupervisor:
                         records: Sequence[Any] | None) -> None:
         """Run a source or sink end here, incarnation by incarnation.
 
-        An end is never pinned (its ``cpu`` would pin the driver), and
         ``records``, when given, are its source's records.
         """
         config = StageConfig.from_dict(member.plan.plan)
-        changes: dict[str, Any] = {"cpu": None}
         if records is not None:
-            changes["source_items"] = list(records)
-        config = dataclasses.replace(config, **changes)
+            config = dataclasses.replace(config, source_items=list(records))
         # An end prints nothing (its records stay in this loop), but it
         # keeps the stdout log every member has.
         open(member.stdout_path, "w", encoding="utf-8").close()

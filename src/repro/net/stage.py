@@ -78,7 +78,6 @@ from repro.fault.plan import (
     RestartRefused,
     RestartRule,
 )
-from repro.net.affinity import current_affinity, pin_to_core
 from repro.net.bufpool import POOL
 from repro.net.handshake import (
     ROLE_PULL,
@@ -257,7 +256,6 @@ class StageConfig:
     io_timeout: float | None = None
     codec: str = CODEC_JSON
     shard: int | None = None
-    cpu: int | None = None
     flight_dir: str | None = None
     flight_mode: str = MODE_FULL
 
@@ -273,10 +271,6 @@ class StageConfig:
             not isinstance(self.shard, int) or self.shard < 0
         ):
             raise ValueError(f"shard must be >= 0 or None, got {self.shard!r}")
-        if self.cpu is not None and (
-            not isinstance(self.cpu, int) or self.cpu < 0
-        ):
-            raise ValueError(f"cpu must be >= 0 or None, got {self.cpu!r}")
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
         if self.discipline not in DISCIPLINES:
@@ -349,12 +343,6 @@ class _Stage:
         self.label = f"{config.role}/{config.discipline}#{config.serial}"
         if config.shard is not None:
             self.label = f"s{config.shard}:{self.label}"
-        # Core placement first, so every task/socket this stage creates
-        # wakes on its shard's core (no-op off Linux or when unplanned).
-        self.pinned = pin_to_core(config.cpu)
-        if config.cpu is not None:
-            self.stats.set_gauge("cpu_core", float(config.cpu))
-            self.stats.set_gauge("cpu_pinned", 1.0 if self.pinned else 0.0)
         self.collected: list[Any] | None = None
         # Span IDs are prefixed by the ticket serial: unique across the
         # fleet with zero coordination (and zero randomness).
@@ -750,9 +738,6 @@ class _Stage:
                 "fault": self.config.fault.as_dict(),
                 "codec": self.config.codec,
                 "shard": self.config.shard,
-                "cpu": self.config.cpu,
-                "pinned": self.pinned,
-                "affinity": current_affinity(),
                 "flight": (self.flight.describe()
                            if self.flight is not None else None),
             }

@@ -2,9 +2,8 @@
 
 Polls every stage's control port (``health`` + ``stats``) and renders
 one row per stage: role, shard, uptime, request/reply counts, bytes
-moved, credit-window occupancy, per-stage record throughput,
-read-latency quantiles and the stage's CPU pin (``CPU`` — the planned core, suffixed ``?`` when the
-pin did not take, e.g. off Linux).  A footer line aggregates the
+moved, credit-window occupancy, per-stage record throughput and
+read-latency quantiles.  A footer line aggregates the
 fleet-wide frame-buffer pool hit rate when any stage exports
 ``bufpool_*`` gauges.  Point it at the ``fleet.json`` manifest
 :func:`repro.net.launch.plan_linear_fleet` writes (``--fleet``), or at
@@ -52,8 +51,6 @@ class StageRow:
     channels: str = "-"
     #: Stages hosted in-process (stage hosts only).
     hosted: str = "-"
-    #: Planned CPU core ("3"), "3?" when the pin failed, "-" unpinned.
-    cpu: str = "-"
     #: Flight recorder: "ful:12kB" / "dig:3kB" from the stage's
     #: ``health`` payload, "-" when recording is off.
     flight: str = "-"
@@ -95,10 +92,6 @@ def _row_from_payloads(
         row.channels = str(int(gauges["mux_channels_open"]))
     if health.get("hosted") is not None:
         row.hosted = str(int(health["hosted"]))
-    if health.get("cpu") is not None:
-        row.cpu = str(int(health["cpu"]))
-        if not health.get("pinned"):
-            row.cpu += "?"
     flight = health.get("flight")
     if isinstance(flight, dict):
         row.flight = (
@@ -146,7 +139,7 @@ def render_fleet(rows: Sequence[StageRow]) -> str:
     """The fleet table as text (pure, so tests can assert on it)."""
     headers = ("STAGE", "ROLE", "SHARD", "UP", "INVOKES", "REPLIES", "BYTES",
                "CREDIT", "TPUT rec/s", "READ p50/p95",
-               "CHAN", "HOST", "CPU", "FLIGHT")
+               "CHAN", "HOST", "FLIGHT")
     table: list[tuple[str, ...]] = [headers]
     for row in rows:
         if not row.alive:
@@ -162,7 +155,7 @@ def render_fleet(rows: Sequence[StageRow]) -> str:
             row.label, row.role, row.shard, f"{row.uptime_s:.1f}s",
             str(row.invocations), str(row.replies), str(row.bytes_moved),
             row.credit, throughput, latency,
-            row.channels, row.hosted, row.cpu, row.flight,
+            row.channels, row.hosted, row.flight,
         ))
     widths = [
         max(len(line[column]) for line in table)

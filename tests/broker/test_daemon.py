@@ -7,6 +7,9 @@ and a full pull stream runs through the codec-blind relay.
 """
 
 import asyncio
+import gc
+import sys
+import warnings
 
 import pytest
 
@@ -14,10 +17,12 @@ from repro.aio.streams import AioSource
 from repro.net.handshake import (
     ROLE_PULL,
     ROLE_PUSH,
+    HandshakeError,
     TicketBook,
     expect_hello_over,
     send_hello_over,
 )
+from repro.net.framing import FrameError
 from repro.net.protocol import serve_pull
 from repro.broker.client import BrokerClient
 from repro.broker.daemon import (
@@ -333,3 +338,56 @@ class TestIntrospection:
             return rejected
 
         assert run(scenario()) == 1
+
+    def test_a_refused_attachment_closes_its_socket(self, monkeypatch):
+        # A socket left open warns from its writer's finalizer, which
+        # Python reports through the unraisable hook, never the caller.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        async def scenario():
+            broker = await start_broker()
+            impostor = BrokerClient(
+                broker.host, broker.port, TicketBook(space=9, seed=9),
+                serial=2, connect_deadline=5.0,
+            )
+            with pytest.raises(HandshakeError):
+                await impostor.connect()
+            await broker.close()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            run(scenario())
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []
+
+    def test_a_garbled_reply_closes_its_socket(self, monkeypatch):
+        # The peer answers the hello with bytes that are no frame and
+        # keeps its end open: only the client can close the socket.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        async def scenario():
+            done = asyncio.Event()
+
+            async def garble(_reader, writer):
+                writer.write(b"\xff" * 64)
+                await done.wait()
+                writer.close()
+
+            server = await asyncio.start_server(garble, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = BrokerClient("127.0.0.1", port, book(), serial=2,
+                                  connect_deadline=5.0)
+            with pytest.raises(FrameError, match="bad magic"):
+                await client.connect()
+            assert not client.connected
+            done.set()
+            server.close()
+            await server.wait_closed()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            run(scenario())
+            gc.collect()
+        assert [hook.exc_value for hook in unraisable] == []

@@ -248,6 +248,9 @@ class TestIntrospection:
         assert health["role"] == "host"
         assert health["hosted"] == 3
         assert health["states"] == {"done": 3}
+        assert sorted(health) == [
+            "channels_open", "discipline", "flight", "hosted", "label",
+            "role", "serial", "states", "tracing", "uptime_s"]
         stages = handlers["stages"]({})
         assert [row["name"] for row in stages] == ["source", "filter1", "sink"]
         assert all(row["state"] == "done" for row in stages)

@@ -38,9 +38,9 @@ FORBIDDEN_PACKAGES = (
 
 #: ``repro.*`` modules each entry point may load: what landed + 2.
 MODULE_BOUNDS = {
-    "repro.net.stage": 34,
-    "repro.broker.host": 39,
-    "repro.broker.daemon": 27,
+    "repro.net.stage": 31,
+    "repro.broker.host": 36,
+    "repro.broker.daemon": 26,
 }
 
 

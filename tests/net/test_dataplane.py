@@ -141,10 +141,9 @@ class TestShardedPipelines:
         assert tcp.branch_outputs == sim.branch_outputs
 
     def test_traced_tcp_shards_write_one_combined_manifest(self, tmp_path):
-        """The workdir holds one fleet.json covering every shard, pinned
-        as ``placement_policy="cores"`` assigns them; each shard's own
-        manifest under ``branch-<i>`` audits exactly-once."""
-        from repro.net.affinity import assign_cores
+        """The workdir holds one fleet.json covering every stage of
+        every shard; each shard's own manifest under ``branch-<i>``
+        audits exactly-once."""
         from repro.obs.trace_cli import main
 
         result = self.shard_pipeline(2).run(
@@ -152,13 +151,9 @@ class TestShardedPipelines:
             timeout=90.0,
         )
         manifest = json.loads((tmp_path / "fleet.json").read_text())
-        cores = assign_cores(2, "cores")
         assert manifest["shards"] == 2
-        assert manifest["placement_policy"] == "cores"
-        assert manifest["shard_cores"] == cores
-        assert [(stage["shard"], stage.get("cpu"))
-                for stage in manifest["stages"]] == [
-            (index, cores[index]) for index in range(2) for _ in range(4)]
+        assert [stage["shard"] for stage in manifest["stages"]] == [
+            index for index in range(2) for _ in range(4)]
         for index, lines in enumerate(result.branch_outputs["shards"]):
             fleet = tmp_path / f"branch-{index}" / "fleet.json"
             assert main(["--fleet", str(fleet),

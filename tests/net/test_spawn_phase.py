@@ -6,9 +6,9 @@ before its first segment runs.  The zygote forks each process when
 that process's segment starts, so no deadline counts while an earlier
 segment runs.  The source and sink run in the driver's event loop: an
 end's ``kill_after`` ends only its incarnation, a spent budget is a
-:class:`FleetError` naming the end, and an end is never pinned to a
-core.  These tests count what the supervisor starts and in which
-order; none of them times anything.
+:class:`FleetError` naming the end, and the driver's own process
+keeps its CPU affinity.  These tests count what the supervisor starts
+and in which order; none of them times anything.
 """
 
 from __future__ import annotations
@@ -250,9 +250,9 @@ class TestEndsUnderFaults:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="needs CPU affinity")
-    def test_pinned_ends_leave_the_driver_affinity_alone(self, tmp_path):
+    def test_sharded_tcp_run_leaves_the_driver_affinity_alone(self, tmp_path):
         before = os.sched_getaffinity(0)
         result = Pipeline([IDENTITY], source=ITEMS, shards=2).run(
-            runtime="tcp", placement_policy="cores", workdir=str(tmp_path))
+            runtime="tcp", workdir=str(tmp_path))
         assert sorted(result.output) == sorted(ITEMS)
         assert os.sched_getaffinity(0) == before

@@ -77,7 +77,7 @@ def stage_configs(draw):
         resume=draw(st.booleans()),
         io_timeout=draw(maybe(st.floats(0.1, 60.0))),
         codec=draw(st.sampled_from(CODECS)), shard=draw(maybe(small)),
-        cpu=draw(maybe(st.integers(0, 7))), flight_dir=draw(maybe(words)),
+        flight_dir=draw(maybe(words)),
         flight_mode=draw(st.sampled_from(sorted(FLIGHT_MODES))),
     )
 

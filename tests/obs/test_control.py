@@ -217,32 +217,6 @@ class TestEdenTop:
         assert "4" in lines[2]  # channel gauge fallback for the broker
         assert lines[3].rstrip().endswith("-")
 
-    def test_cpu_column_shows_pin_and_failure_marker(self):
-        pinned = _row_from_payloads(
-            "filter#2",
-            {"label": "filter#2", "role": "filter", "uptime_s": 1.0,
-             "cpu": 3, "pinned": True, "affinity": [3]},
-            {"counters": {}, "gauges": {}},
-        )
-        unpinned = _row_from_payloads(
-            "filter#3",
-            {"label": "filter#3", "role": "filter", "uptime_s": 1.0,
-             "cpu": 1, "pinned": False},
-            {"counters": {}, "gauges": {}},
-        )
-        plain = _row_from_payloads(
-            "filter#4",
-            {"label": "filter#4", "role": "filter", "uptime_s": 1.0},
-            {"counters": {}, "gauges": {}},
-        )
-        assert (pinned.cpu, unpinned.cpu, plain.cpu) == ("3", "1?", "-")
-        table = render_fleet([pinned, unpinned, plain])
-        lines = table.splitlines()
-        # CPU sits second-to-last, before the FLIGHT column.
-        assert lines[0].split()[-2] == "CPU"
-        assert lines[1].split()[-2] == "3"
-        assert lines[2].split()[-2] == "1?"
-        assert lines[3].split()[-2] == "-"
 
     def test_bufpool_footer_aggregates_across_stages(self):
         one = _row_from_payloads(
@@ -303,7 +277,7 @@ class TestEdenTop:
             "uptime_s": 0.0, "invocations": 0, "replies": 0,
             "bytes_moved": 0, "credit": "-", "throughput": None,
             "read_p50_ms": None, "read_p95_ms": None,
-            "channels": "-", "hosted": "-", "cpu": "-", "flight": "-",
+            "channels": "-", "hosted": "-", "flight": "-",
             "gauges": {},
         }
 
