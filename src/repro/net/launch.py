@@ -22,9 +22,9 @@ The supervisor (:class:`FleetSupervisor`, front door :func:`run_fleet`)
 runs the plan and watches it.  Only the stages between a pipeline's
 ends are OS processes; its source and sink run in the driver's event
 loop, so the records going in and coming out never leave the driver
-as text.  The processes are forked by one warm interpreter per fleet
-(:mod:`repro.net.zygote`), which imports the stage code once and
-reports each exit.  A stage that exits non-zero is restarted — under exponential backoff, against a per-stage
+as text.  The processes are forked by one zygote per fleet
+(:mod:`repro.net.zygote`), a fork of the driver, which reports each
+exit.  A stage that exits non-zero is restarted — under exponential backoff, against a per-stage
 ``max_restarts`` budget, with the one-shot faults stripped from every
 stage of its plan (:meth:`repro.fault.plan.FaultPlan.survivor`) — while the
 session-resume protocol (:mod:`repro.net.protocol`) lets its neighbours
@@ -55,13 +55,11 @@ import json
 import os
 import pathlib
 import signal
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-import repro
+import repro.net.zygote
 from repro.devices.workload import random_lines
 from repro.fault.plan import (
     KILLED_EXIT_CODE,
@@ -218,7 +216,7 @@ class FleetError(RuntimeError):
     failure class machine-readably: ``"budget"`` (one stage spent its
     restart budget), ``"timeout"`` (the fleet-wide deadline),
     ``"restart-storm"`` (the aggregate cross-stage restart guard), or
-    ``"zygote"`` (the interpreter that forks the fleet's processes
+    ``"zygote"`` (the process that forks the fleet's processes
     died, and took their exit reports with it).
     """
 
@@ -480,13 +478,13 @@ class FleetSupervisor:
     records going in and want the records coming out — run in the
     driver's own event loop, each under
     :func:`~repro.net.stage.supervise_incarnations`; every other plan
-    is an OS process.  :meth:`spawn` starts one warm interpreter for
-    the whole fleet (:mod:`repro.net.zygote`), which imports the
-    modules the plans run; :meth:`run_segment` asks it to fork each
-    process of a segment when that segment starts, so no stage's
-    deadlines count while an earlier segment runs.  The zygote reports
-    every exit, and the supervisor wakes on those reports, on its ends
-    finishing, and on a restart falling due, never on a timer.
+    is an OS process.  :meth:`spawn` forks the driver into the fleet's
+    zygote (:mod:`repro.net.zygote`), which holds the code the plans
+    run; :meth:`run_segment` asks it to fork each process of a segment
+    when that segment starts, so no stage's deadlines count while an
+    earlier segment runs.  The zygote reports every exit, and the
+    supervisor wakes on those reports, on its ends finishing, and on a
+    restart falling due, never on a timer.
     :meth:`run` is the one-segment front door.
 
     Every stage's stdout/stderr goes to files (``<stage>.stdout.log`` /
@@ -506,15 +504,12 @@ class FleetSupervisor:
 
     The knobs carry the harmonised names (`timeout`, `max_restarts`)
     used by :class:`repro.api.Pipeline`; all are validated eagerly.
-    ``python`` is the interpreter the zygote, and so every process,
-    runs under.
     """
 
     def __init__(
         self,
         plans: Sequence[StagePlan],
         timeout: float = 60.0,
-        python: str | None = None,
         max_restarts: int = 0,
         storm_window: float = 5.0,
         storm_max_restarts: int | None = None,
@@ -525,7 +520,6 @@ class FleetSupervisor:
             raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.plans = list(plans)
         self.timeout = timeout
-        self.python = python or sys.executable
         self.stats = KernelStats()
         self.rule = RestartRule(
             self.stats, max_restarts=max_restarts, storm_window=storm_window,
@@ -533,8 +527,7 @@ class FleetSupervisor:
         )
         self._members = [_Member(ident, plan)
                          for ident, plan in enumerate(self.plans)]
-        self._environ = self._env()
-        self._zygote: subprocess.Popen | None = None
+        self._zygote: repro.net.zygote.Handle | None = None
         self._zygote_log = ""
         self._replies = b""
         self._zygote_gone = False
@@ -544,16 +537,8 @@ class FleetSupervisor:
 
     # -- process plumbing ---------------------------------------------------
 
-    def _env(self) -> dict[str, str]:
-        env = dict(os.environ)
-        package_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = package_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        return env
-
     def spawn(self) -> None:
-        """Start the fleet's zygote, importing what its processes run."""
+        """Fork the fleet's zygote, with what its processes run imported."""
         modules = sorted({m.plan.module for m in self._members
                           if not m.in_loop})
         if self._zygote is not None or not modules:
@@ -562,12 +547,7 @@ class FleetSupervisor:
             os.path.dirname(os.path.abspath(plan.stats_file))
             for plan in self.plans])
         self._zygote_log = os.path.join(workdir, "zygote.stderr.log")
-        with open(self._zygote_log, "w", encoding="utf-8") as log:
-            self._zygote = subprocess.Popen(
-                [self.python, "-m", "repro.net.zygote", *modules],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log,
-                env=self._environ,
-            )
+        self._zygote = repro.net.zygote.start(modules, self._zygote_log)
 
     def _attach(self) -> None:
         """Read the zygote's reports on the running loop."""
@@ -603,7 +583,6 @@ class FleetSupervisor:
     def _request(self, request: dict[str, Any]) -> None:
         try:
             self._zygote.stdin.write(json.dumps(request).encode() + b"\n")
-            self._zygote.stdin.flush()
         except OSError:  # it died: the loop raises for it
             self._zygote_gone = True
             self._wake.set()
@@ -641,10 +620,7 @@ class FleetSupervisor:
         if self._loop is not None and not self._loop.is_closed():
             self._loop.remove_reader(zygote.stdout.fileno())
         zygote.stdout.close()
-        try:
-            zygote.stdin.close()
-        except OSError:
-            pass  # it died with a request unread
+        zygote.stdin.close()
         if zygote.wait() != 0:  # killed: its children are orphans
             for member in self._members:
                 if member.pid is not None:
@@ -928,7 +904,6 @@ class FleetSupervisor:
 def run_fleet(
     plans: Sequence[StagePlan],
     timeout: float = 60.0,
-    python: str | None = None,
     max_restarts: int = 0,
     storm_window: float = 5.0,
     storm_max_restarts: int | None = None,
@@ -943,7 +918,7 @@ def run_fleet(
     sliding ``storm_window`` seconds (``reason="restart-storm"``).
     """
     supervisor = FleetSupervisor(
-        plans, timeout=timeout, python=python, max_restarts=max_restarts,
+        plans, timeout=timeout, max_restarts=max_restarts,
         storm_window=storm_window, storm_max_restarts=storm_max_restarts,
     )
     return supervisor.run()

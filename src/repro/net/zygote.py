@@ -1,14 +1,21 @@
-"""One warm interpreter that forks every process of a fleet.
+"""The zygote: one fork of the driver that forks every process of a fleet.
 
 A stage process spends most of its start-up on the interpreter and on
 importing what it runs, far more than its stream costs.  The kernel in
 the paper keeps a type registry for the same reason: activating an
-Eject does not reload its type's code.  ``python -m repro.net.zygote
-MODULE...`` imports the named modules once, then forks one child per
-request and runs that module's ``main(argv)`` in it, the entry point
-its ``eden-*`` console script calls.  A fleet supervisor
-(:class:`repro.net.launch.FleetSupervisor`) starts one zygote and asks
-it for each process when that process's segment starts.
+Eject does not reload its type's code.  :func:`start` forks the driver,
+so the zygote holds every module the driver imported, and imports the
+named modules the driver has not (the broker's, on a hosted run).  It
+forks one child per request and runs that module's ``main(argv)`` in
+it, the entry point its ``eden-*`` console script calls.  A fleet
+supervisor (:class:`repro.net.launch.FleetSupervisor`) starts one zygote
+and asks it for each process when that process's segment starts.
+
+Before it serves, the fork makes itself look like the interpreter it
+replaces: its pipes and log on fds 0-2 under new ``sys.std*``, every
+other driver descriptor on ``/dev/null``, no driver object finalised,
+and a new interpreter's signals, but SIGINT ignored: the driver decides
+what a ^C does to the fleet, by closing stdin.
 
 The zygote speaks one JSON object per line.  It reads requests on
 stdin:
@@ -28,7 +35,7 @@ reaped.  ``RC`` follows :attr:`subprocess.Popen.returncode`: the exit
 status, or minus the signal that killed it.  When stdin closes (its
 driver is done, or dead), the zygote SIGKILLs and reaps every child
 still running and exits 0, without a word.  It reaps every child it
-forks, so their CPU time reaches whoever reaps the zygote.
+forks, and its driver reaps it, so their CPU time reaches the driver.
 
 Forking happens only here.  The zygote never starts a thread or an
 event loop, so every fork copies one thread that holds no lock.
@@ -37,6 +44,7 @@ Importing this module loads no other ``repro`` module.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import os
@@ -44,15 +52,35 @@ import select
 import signal
 import sys
 import traceback
-from typing import Any, Sequence
+from typing import Any, Callable, NoReturn, Sequence
 
-__all__ = ["main", "preload"]
+__all__ = ["Handle", "preload", "start"]
 
 
 def preload(modules: Sequence[str]) -> None:
     """Import ``modules`` into this interpreter, for every fork to share."""
     for module in modules:
         importlib.import_module(module)
+
+
+def _flush() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # none, gone or closed: nothing to keep
+
+
+def _exit_with(life: Callable[[], int]) -> NoReturn:
+    """A fork's whole life: exit with ``life()``'s code, 1 if it raises."""
+    code = 1
+    try:
+        code = life()
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        _flush()
+        os._exit(code)
 
 
 def _run(module: str, argv: list[str]) -> int:
@@ -124,42 +152,28 @@ class _Zygote:
                     except ProcessLookupError:
                         pass  # exited; the reap reports it
             return
-        sys.stdout.flush()
-        sys.stderr.flush()
+        _flush()
         pid = os.fork()
         if pid == 0:
-            self.child(request)  # never returns
+            _exit_with(lambda: self.child(request))
         self.children[pid] = request["fork"]
         self.reply({"id": request["fork"], "pid": pid})
 
-    def child(self, request: dict[str, Any]) -> None:
-        """Become the requested process; leave only by ``os._exit``."""
-        code = 1
-        try:
-            # Open the logs before fd 0 is replaced: were fd 0 free, a
-            # log could land on it.
-            mode = os.O_WRONLY | os.O_CREAT | (
-                os.O_APPEND if request["append"] else os.O_TRUNC)
-            logs = [os.open(os.devnull, os.O_RDONLY),
-                    os.open(request["stdout"], mode, 0o666),
-                    os.open(request["stderr"], mode, 0o666)]
-            signal.set_wakeup_fd(-1)
-            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-            signal.signal(signal.SIGINT, signal.default_int_handler)
-            for target, fd in enumerate(logs):
-                os.dup2(fd, target)
-            for fd in (*logs, self.wake_r, self.wake_w):
-                os.close(fd)
-            code = _run(request["module"], list(request["argv"]))
-        except BaseException:  # a child never returns into the loop above
-            traceback.print_exc()
-        finally:
-            for stream in (sys.stdout, sys.stderr):
-                try:
-                    stream.flush()
-                except (OSError, ValueError):
-                    pass  # a log that is gone or closed: nothing to keep
-            os._exit(code)
+    def child(self, request: dict[str, Any]) -> int:
+        """Become the requested process: its exit code."""
+        mode = os.O_WRONLY | os.O_CREAT | (
+            os.O_APPEND if request["append"] else os.O_TRUNC)
+        logs = [os.open(os.devnull, os.O_RDONLY),
+                os.open(request["stdout"], mode, 0o666),
+                os.open(request["stderr"], mode, 0o666)]
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        for target, fd in enumerate(logs):
+            os.dup2(fd, target)
+        for fd in (*logs, self.wake_r, self.wake_w):
+            os.close(fd)
+        return _run(request["module"], list(request["argv"]))
 
     def reap(self) -> None:
         while self.children:
@@ -187,15 +201,66 @@ class _Zygote:
             self.children.pop(pid, None)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    """Preload the modules ``argv`` names, then serve forks until EOF."""
-    # A ^C reaches the whole process group; the driver decides what
-    # happens to the fleet, and closing stdin is how it says so.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    preload(sys.argv[1:] if argv is None else argv)
+class Handle:
+    """The driver's end of a zygote: its pid and the two pipes."""
+
+    def __init__(self, pid: int, stdin: Any, stdout: Any) -> None:
+        self.pid, self.stdin, self.stdout = pid, stdin, stdout
+        self.returncode: int | None = None
+
+    def wait(self) -> int:
+        """Reap the zygote; its exit status, or minus its signal."""
+        if self.returncode is None:
+            status = os.waitpid(self.pid, 0)[1]
+            self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+
+def start(modules: Sequence[str], stderr_path: str) -> Handle:
+    """Fork a zygote of this process that logs to ``stderr_path``."""
+    requests, reports = os.pipe(), os.pipe()
+    log = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    # Text left in the driver's buffers is written once, by the driver.
+    _flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*requests, *reports, log):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _exit_with(lambda: _become(modules, (requests[0], reports[1], log)))
+    for fd in (requests[0], reports[1], log):
+        os.close(fd)
+    return Handle(pid, open(requests[1], "wb", 0), open(reports[0], "rb"))
+
+
+def _become(modules: Sequence[str], ends: Sequence[int]) -> int:
+    """Turn a fork of the driver into a zygote on ``ends`` as fds 0-2."""
+    gc.freeze()
+    signal.set_wakeup_fd(-1)
+    for signum in signal.valid_signals():
+        if signum in (signal.SIGPIPE, signal.SIGXFSZ, signal.SIGINT):
+            signal.signal(signum, signal.SIG_IGN)
+        elif callable(signal.getsignal(signum)):
+            signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_SETMASK, ())
+    # This frame outlives every fork: no stream it replaces is finalised.
+    replaced = (sys.stdin, sys.stdout, sys.stderr,  # noqa: F841
+                sys.__stdin__, sys.__stdout__, sys.__stderr__)
+    held = {int(fd) for fd in os.listdir("/dev/fd")} - {0, 1, 2}
+    # Pipes and log were opened in this order, so each end's number is
+    # above its target's and no dup2 overwrites an end still to come.
+    for target, fd in enumerate(ends):
+        os.dup2(fd, target)
+    null = os.open(os.devnull, os.O_RDWR | os.O_CLOEXEC)
+    for fd in held - {null}:  # null may reuse the listing's number
+        os.dup2(null, fd, inheritable=False)
+    os.close(null)
+    sys.stdin = sys.__stdin__ = open(0, closefd=False)
+    sys.stdout = sys.__stdout__ = open(1, "w", closefd=False)
+    sys.stderr = sys.__stderr__ = open(
+        2, "w", buffering=1, errors="backslashreplace", closefd=False)
+    preload(modules)
     _Zygote().serve()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

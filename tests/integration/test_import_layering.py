@@ -1,9 +1,12 @@
 """The wire runtime's import closure, pinned by count.
 
-An ``eden-stage`` / ``eden-host`` / ``eden-broker`` process — and the
-zygote that forks them (:mod:`repro.net.zygote`) — must load what it
-runs and nothing else: no simulator kernel, no shell, figures,
-filters, filesystem, analysis or graph API.  Each probe runs in a fresh
+Importing ``repro.net.stage`` / ``repro.broker.host`` /
+``repro.broker.daemon`` — what an ``eden-*`` console script runs, and
+what a fleet's zygote (:mod:`repro.net.zygote`) preloads — must load
+what it runs and nothing else: no simulator kernel, no shell, figures,
+filters, filesystem, analysis or graph API.  These are properties of
+the modules: a zygote is a fork of its driver, so at run time it also
+holds whatever the driver imported.  Each probe runs in a fresh
 interpreter and asserts on ``sys.modules`` — a module count, never a
 wall-clock budget, so it cannot flake.
 """
@@ -76,8 +79,8 @@ def test_import_repro_loads_no_subpackage():
 
 
 def test_the_zygote_loads_nothing_of_its_own():
-    # It forks whatever it is asked to preload, so it imports none of
-    # it itself: only the packages it lives in.
+    # It preloads whatever it is asked to, so it imports none of it
+    # itself: only the packages it lives in.
     assert loaded_after("import repro.net.zygote") == [
         "repro", "repro._lazy", "repro.net", "repro.net.zygote"]
 

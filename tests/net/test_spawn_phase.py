@@ -1,8 +1,9 @@
-"""One warm interpreter per fleet, with the ends in the driver's loop.
+"""One zygote per fleet, with the ends in the driver's loop.
 
 A process fleet runs only the stages between a segment's ends as
-processes, and a graph's fleet starts one interpreter (the zygote)
-before its first segment runs.  The zygote forks each process when
+processes, and a graph's fleet forks the driver once into its zygote
+before its first segment runs; no interpreter starts, and nothing is
+executed.  The zygote forks each process when
 that process's segment starts, so no deadline counts while an earlier
 segment runs.  The source and sink run in the driver's event loop: an
 end's ``kill_after`` ends only its incarnation, a spent budget is a
@@ -15,11 +16,13 @@ from __future__ import annotations
 
 import asyncio
 import os
+import subprocess
 from collections import defaultdict
 
 import pytest
 
 import repro.net.launch as launch
+import repro.net.zygote as zygote
 from repro.analysis import predict_graph_invocations
 from repro.api import GraphBuilder, Pipeline
 from repro.fault import FaultPlan
@@ -40,21 +43,23 @@ def diamond(discipline="readonly", head=IDENTITY, branches=2):
 
 @pytest.fixture
 def events(monkeypatch):
-    """In the order they happen: ``("interpreter", modules)`` per
-    interpreter started (the zygote, and what it preloads), ``("fork",
-    module)`` per process forked, ``("end", label)`` per in-loop end
-    started, and ``("segment", count)`` / ``("done", count)`` around
-    each segment of ``count`` stages."""
+    """In the order they happen: ``("zygote", modules)`` per zygote
+    started (and what it preloads), ``("fork", module)`` per process
+    forked, ``("end", label)`` per in-loop end started, and
+    ``("segment", count)`` / ``("done", count)`` around each segment of
+    ``count`` stages.  Starting a new program fails the run."""
     seen = []
-    popen = launch.subprocess.Popen
+    start = zygote.start
     fork = launch.FleetSupervisor._fork
     play = launch.FleetSupervisor._play_end
     run_segment = launch.FleetSupervisor.run_segment
 
-    def interpreter(argv, **kwargs):
-        assert argv[1:3] == ["-m", "repro.net.zygote"]
-        seen.append(("interpreter", argv[3:]))
-        return popen(argv, **kwargs)
+    def started(modules, stderr_path):
+        seen.append(("zygote", list(modules)))
+        return start(modules, stderr_path)
+
+    def executed(*args, **kwargs):
+        raise AssertionError(f"a fleet executed {args[0]!r}")
 
     def forked(self, member):
         seen.append(("fork", member.plan.module))
@@ -70,7 +75,8 @@ def events(monkeypatch):
         seen.append(("done", len(plans)))
         return result
 
-    monkeypatch.setattr(launch.subprocess, "Popen", interpreter)
+    monkeypatch.setattr(zygote, "start", started)
+    monkeypatch.setattr(subprocess, "Popen", executed)
     monkeypatch.setattr(launch.FleetSupervisor, "_fork", forked)
     monkeypatch.setattr(launch.FleetSupervisor, "_play_end", end)
     monkeypatch.setattr(launch.FleetSupervisor, "run_segment", segment)
@@ -112,8 +118,8 @@ class TestSpawnShape:
         graph = diamond()
         result = graph.run(runtime="tcp", workdir=str(tmp_path))
         assert sorted(result.output) == sorted(ITEMS)
-        assert of_kind(events, "interpreter") == [["repro.net.stage"]]
-        assert events[0][0] == "interpreter"
+        assert of_kind(events, "zygote") == [["repro.net.stage"]]
+        assert events[0][0] == "zygote"
         # The head, the two branches, the tail: each segment's filters
         # are forked after the segment before it is done.
         stage = "repro.net.stage"
@@ -125,7 +131,7 @@ class TestSpawnShape:
         result = Pipeline([IDENTITY] * 3, source=ITEMS).run(
             runtime="tcp", workdir=str(tmp_path))
         assert result.output == ITEMS
-        assert of_kind(events, "interpreter") == [["repro.net.stage"]]
+        assert of_kind(events, "zygote") == [["repro.net.stage"]]
         assert forks_by_segment(events) == [["repro.net.stage"] * 3]
 
     def test_hosted_placement_forks_its_broker_and_host(
@@ -134,7 +140,7 @@ class TestSpawnShape:
                           placement="hosted").run(
             runtime="tcp", workdir=str(tmp_path))
         assert result.output == ITEMS
-        assert of_kind(events, "interpreter") == [
+        assert of_kind(events, "zygote") == [
             ["repro.broker.daemon", "repro.broker.host"]]
         assert forks_by_segment(events) == [
             ["repro.broker.daemon", "repro.broker.host"]]
@@ -154,9 +160,7 @@ class TestSpawnShape:
             "        return record\n"
             "    return map_transducer(step, name='slow')\n"
         )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
-            filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+        monkeypatch.syspath_prepend(str(tmp_path))  # a fork inherits it
         graph = diamond("conventional", head=("slow_filters:slow", [0.1]))
         result = graph.run(runtime="tcp", io_timeout=0.5,
                            workdir=str(tmp_path / "run"))

@@ -1,8 +1,9 @@
-"""One warm interpreter per fleet: the zygote and what it leaves behind.
+"""One zygote per fleet: what it does and what it leaves behind.
 
-:mod:`repro.net.zygote` forks every process of a fleet from one
-interpreter that imported the stage code once.  These tests drive its
-line protocol by hand, then check the two promises the supervisor's
+:mod:`repro.net.zygote` forks every process of a fleet from one fork of
+the driver, which holds the stage code the driver imported.  These
+tests start one from this process and drive its line protocol by hand,
+then check the two promises the supervisor's
 CPU accounting rests on: nothing a run started outlives it, and losing
 either end of the zygote's pipes (its driver, or the zygote itself)
 ends the other end promptly, with no hang and no traceback.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import resource
 import select
 import signal
 import subprocess
@@ -24,6 +26,7 @@ import pytest
 import repro
 from repro.api import GraphBuilder, Pipeline
 from repro.fault import FaultPlan
+from repro.net import zygote as zygotes
 from repro.net.launch import FleetError
 
 IDENTITY = "repro.transput:identity_transducer"
@@ -52,7 +55,8 @@ def main(argv):
 
 #: Filters for a fleet's processes: ``slow`` paces the stream so a
 #: test can act mid-stream; ``kill_parent`` writes its pid and SIGKILLs
-#: the process that forked it (the zygote) on its first record.
+#: the process that forked it (the zygote) on its first record;
+#: ``burn`` spends ``seconds`` of user CPU time on its first record.
 FILTERS = '''\
 import os, signal, time
 from repro.transput.filterbase import map_transducer
@@ -71,6 +75,16 @@ def kill_parent(pid_file):
         time.sleep(60)
         return record
     return map_transducer(step, name="kill_parent")
+
+def burn(seconds):
+    spent = []
+    def step(record):
+        start = os.times().user
+        while not spent and os.times().user - start < seconds:
+            pass
+        spent.append(record)
+        return record
+    return map_transducer(step, name="burn")
 '''
 
 
@@ -116,14 +130,11 @@ def on_path(tmp_path, monkeypatch):
 
 
 class Zygote:
-    """A zygote driven by hand over its two pipes."""
+    """A zygote of this process, driven by hand over its two pipes."""
 
     def __init__(self, tmp_path, *modules):
         self.log = tmp_path / "zygote.stderr.log"
-        with open(self.log, "w", encoding="utf-8") as log:
-            self.process = subprocess.Popen(
-                [sys.executable, "-m", "repro.net.zygote", *modules],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=log)
+        self.process = zygotes.start(modules, str(self.log))
         self.tmp_path = tmp_path
         self.pending = b""
 
@@ -150,7 +161,9 @@ class Zygote:
 
     def close(self):
         self.process.stdin.close()
-        rc = self.process.wait(timeout=10)
+        assert wait_until(lambda: dead(self.process.pid), 10.0), \
+            "the zygote outlived its stdin by 10 s"
+        rc = self.process.wait()
         self.process.stdout.close()
         return rc
 
@@ -251,6 +264,17 @@ class TestTheLineProtocol:
         assert "ModuleNotFoundError" in (on_path / "1.err").read_text()
 
 
+def test_a_failed_fork_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", refused)
+    with pytest.raises(BlockingIOError):
+        zygotes.start(["json"], str(tmp_path / "zygote.stderr.log"))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 def diamond():
     return (GraphBuilder(source=ITEMS, discipline="readonly")
             .chain(IDENTITY)
@@ -282,6 +306,20 @@ class TestNothingOutlivesARun:
         assert children() == before == set()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestCpuAccounting:
+    def test_a_stages_cpu_time_reaches_the_driver(self, on_path):
+        # The zygote reaps the stage and the supervisor reaps the
+        # zygote before the run returns, so the stage's user time is
+        # in this process's RUSAGE_CHILDREN.
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        result = Pipeline([IDENTITY, ("fleet_filters:burn", [0.2])],
+                          source=ITEMS).run(
+            runtime="tcp", workdir=str(on_path / "run"))
+        assert result.output == ITEMS
+        after = resource.getrusage(resource.RUSAGE_CHILDREN).ru_utime
+        assert after - before >= 0.2
 
 
 DRIVER = '''\
