@@ -5,30 +5,35 @@ sequence of linear segments and parallel blocks.  A
 :class:`~repro.api.Pipeline` is the one-segment program, and
 ``Pipeline(stages, shards=N)`` the one-block program: a content-hash
 scatter over N copies of the stages and a gather, without a graph's
-boundary hops.  :func:`_run_program` is the one loop that runs every
-program: a linear segment goes to the runtime's *linear step*; a
-block's records are routed by
-:func:`~repro.api.graph.partition_records`, handed to the runtime's
-*block step*, and fanned back in by
-:func:`~repro.api.graph.join_records`.  Each runtime supplies the two
-steps —
+boundary hops.  :func:`_run_program` runs every program.  Between
+two segments, records cross one :class:`~repro.api.graph.Router`,
+which joins the branches before the boundary and splits into the
+branches after it.
 
-- ``sim``: one fresh deterministic kernel per linear segment
-  (:func:`repro.transput.compose_segment`); a block composes every
-  branch pipeline into **one shared kernel**, so the branches genuinely
-  interleave under the simulator's scheduler (claim C3's fan-out is
-  concurrency, not a loop).
-- ``aio``: one :data:`repro.aio.pipeline.RUNNERS` coroutine per linear
-  segment; a block drives every branch concurrently under one
-  ``asyncio.gather``.
-- ``tcp``: :func:`repro.net.launch.plan_linear_fleet` per linear
-  segment, and per branch of a block (:func:`_plan_block`: own
-  directory, own ticket space, labelled by branch index), every
-  segment planned before the first runs.  **One** supervisor spawns
-  the stages between the ends of every segment in one phase; each
-  segment's sources and sinks run in the driver's event loop, so the
-  records never leave the driver as text.  Hosted placement plans
-  ``plan_hosted_fleet`` per linear segment when it runs.
+- ``sim``: segment by segment.  One fresh deterministic kernel per
+  linear segment (:func:`repro.transput.compose_segment`); a block
+  composes every branch pipeline into **one shared kernel**, so the
+  branches genuinely interleave under the simulator's scheduler
+  (claim C3's fan-out is concurrency, not a loop).  A segment's
+  records are routed whole into the next
+  (:func:`~repro.api.graph.partition_records` /
+  :func:`~repro.api.graph.join_records`).
+- ``aio``: segment by segment too, one :data:`repro.aio.pipeline.
+  RUNNERS` coroutine per linear segment; a block drives every branch
+  concurrently under one ``asyncio.gather``.
+- ``tcp``: **one** supervised run per program (:func:`_run_tcp`).
+  Every pipeline — each linear segment, each branch of a block — is
+  planned before the run, and one supervisor forks all their stages
+  at once.  Each pipeline's source and sink run in the driver's event
+  loop, so the records never leave the driver as text: a sink hands
+  each transfer it takes in to its boundary's router, which feeds the
+  next segment's source ends as the records arrive.  A feed answers a
+  read only with the records it asks for, once they are there (or
+  with the rest, and then END): a later stage waits only as long as
+  its records take to come through the segments before it, and every
+  transfer keeps the boundaries of the whole-list routing.
+  Hosted placement runs its one linear segment as a
+  ``plan_hosted_fleet``.
 
 Routing is identical everywhere, which is what makes "identical output
 on all three runtimes" hold for non-linear topologies, and each edge's
@@ -45,7 +50,6 @@ as ``run()`` keywords, per-edge codec settings, or smuggled inside a
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import pathlib
 import tempfile
@@ -59,6 +63,8 @@ from repro.api.graph import (
     GraphProgram,
     LinearSegment,
     ParallelSegment,
+    Router,
+    _Records,
     join_records,
     partition_records,
 )
@@ -188,8 +194,10 @@ def run_graph(
     ``placement`` is simulator-only, and the TCP-only knobs (see
     :data:`TCP_ONLY_KNOBS`) raise eagerly elsewhere — including
     per-edge ``codec`` settings and TCP-only :class:`FlowPolicy`
-    fields.  ``faults`` address stage serials of one fleet and are
-    only accepted for purely linear graphs.
+    fields.  On tcp the whole graph is one supervised run, and
+    ``timeout`` (60 s by default) bounds all of it, not each segment.
+    ``faults`` address stage serials of one fleet and are only
+    accepted for purely linear graphs.
     """
     return _run_program(
         graph.program, graph.source, runtime, name=graph.name,
@@ -219,12 +227,15 @@ def _run_program(
     pipeline_depth: int | None = None,
     **fleet: Any,
 ) -> GraphResult:
-    """Validate the knobs, then run ``program`` segment by segment.
+    """Validate the knobs, then run ``program``.
 
+    On sim and aio, segment by segment: each segment's records are
+    routed whole into the next.  On tcp, as one supervised run in which
+    every segment streams into the next (:func:`_run_tcp`).
     ``edge_knobs`` are a graph's TCP-only edge settings
     (:meth:`Graph.tcp_only_edge_knobs`); ``hosted`` / ``broker`` plan
     the linear segment as a broker-hosted fleet.  ``fleet`` holds the
-    other TCP-only knobs, for :func:`_tcp_steps`.
+    other TCP-only knobs, for :func:`_run_tcp`.
     """
     if runtime not in RUNTIMES:
         raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
@@ -271,35 +282,32 @@ def _run_program(
         check_flow_policy_runtime(runtime, policy)
         return policy
 
-    if runtime == "sim":
-        steps = contextlib.nullcontext(_sim_steps(flow_of, placement))
-    elif runtime == "aio":
-        steps = contextlib.nullcontext(_aio_steps(flow_of))
-    else:
-        steps = _tcp_steps(program, flow_of, hosted, broker, **fleet)
-
+    if runtime == "tcp":
+        return GraphResult(runtime=runtime, graph=name, **_run_tcp(
+            program, source, flow_of, hosted, broker, **fleet))
+    linear, block, fields = (_sim_steps(flow_of, placement) if runtime == "sim"
+                             else _aio_steps(flow_of))
     per_segment: dict[str, int] = {}
     branch_outputs: dict[str, list[list[Any]]] = {}
     records: list[Any] = list(source)
-    with steps as (linear, block, fields):
-        for segment in program.segments:
-            if isinstance(segment, LinearSegment):
-                records, per_segment[segment.name] = linear(segment, records)
-                continue
-            buckets = partition_records(records, segment.op, segment.policy,
-                                        len(segment.branches))
-            outputs, per_segment[segment.name] = block(segment, buckets)
-            branch_outputs[segment.name] = outputs
-            records = join_records(outputs, segment.join)
-        return GraphResult(
-            runtime=runtime,
-            graph=name,
-            output=records,
-            invocations=sum(per_segment.values()),
-            segment_invocations=per_segment,
-            branch_outputs=branch_outputs,
-            **fields(),
-        )
+    for segment in program.segments:
+        if isinstance(segment, LinearSegment):
+            records, per_segment[segment.name] = linear(segment, records)
+            continue
+        buckets = partition_records(records, segment.op, segment.policy,
+                                    len(segment.branches))
+        outputs, per_segment[segment.name] = block(segment, buckets)
+        branch_outputs[segment.name] = outputs
+        records = join_records(outputs, segment.join)
+    return GraphResult(
+        runtime=runtime,
+        graph=name,
+        output=records,
+        invocations=sum(per_segment.values()),
+        segment_invocations=per_segment,
+        branch_outputs=branch_outputs,
+        **fields(),
+    )
 
 
 def _spec_pair(spec: Any) -> tuple[str, list[Any]]:
@@ -417,35 +425,53 @@ def _aio_steps(flow_of):
 # -- tcp ---------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
-               broker: str | None, *, timeout: float | None = None,
-               max_restarts: int | None = None,
-               faults: Mapping[int, Any] | None = None,
-               resume: bool | None = None, io_timeout: float | None = None,
-               trace: bool | None = None, workdir: str | None = None,
-               codec: str | None = None, flight: Any = None):
-    """The TCP steps, around one supervisor and one event loop.
+def _run_tcp(program: GraphProgram, source: Sequence[Any], flow_of,
+             hosted: bool, broker: str | None, *,
+             timeout: float | None = None, max_restarts: int | None = None,
+             faults: Mapping[int, Any] | None = None,
+             resume: bool | None = None, io_timeout: float | None = None,
+             trace: bool | None = None, workdir: str | None = None,
+             codec: str | None = None, flight: Any = None) -> dict[str, Any]:
+    """The :class:`GraphResult` fields of one supervised run of ``program``.
 
-    Every segment a process fleet runs is planned before the first one
-    runs, and one :class:`~repro.net.launch.FleetSupervisor` spawns all
-    their processes in one phase.  A segment then runs when its records
-    are known: its ends play in this loop, fed and drained here.  A
-    hosted segment's host carries its source records, so it is planned
-    and supervised when it runs, one fleet per segment.
+    Every pipeline of the program — each linear segment, each branch of
+    a block — is planned with its source empty, every port of the graph
+    drawn in one call, and one :class:`~repro.net.launch.FleetSupervisor`
+    runs them all at once.  The records stay in the driver: the graph's
+    source and every sink end feed a :class:`~repro.api.graph.Router`
+    per boundary, and each router feeds the next segment's source ends
+    as the records arrive, so the segments overlap.  A hosted pipeline
+    (one linear segment) carries its records in its host's plan.
     """
-    import asyncio
-
     from repro.net.framing import CODEC_JSON
-    from repro.net.launch import FleetSupervisor, plan_linear_fleet, run_fleet
+    from repro.net.launch import (
+        Feed,
+        FleetSupervisor,
+        plan_linear_fleet,
+        run_fleet,
+    )
 
     flight_dir, flight_mode = normalize_flight(flight)
     workpath = pathlib.Path(workdir or tempfile.mkdtemp(prefix="eden-fleet-"))
     timeout = 60.0 if timeout is None else timeout
     max_restarts = max_restarts or 0
     resume, trace = bool(resume), bool(trace)
-    nested = len(program.segments) > 1
-    fleets: list[Any] = []
+    segments = program.segments
+
+    if hosted:
+        from repro.broker.launch import plan_hosted_fleet
+
+        (segment,) = segments
+        fleet = run_fleet(plan_hosted_fleet(
+            segment.discipline, _wire_specs(segment.specs, segment.name),
+            str(workpath), source_items=list(source), flow=flow_of(segment),
+            trace=trace, faults=faults, resume=resume, io_timeout=io_timeout,
+            codec=segment.codec or codec or CODEC_JSON, flight_dir=flight_dir,
+            flight_mode=flight_mode, broker=broker, max_restarts=max_restarts,
+        ), timeout=timeout, max_restarts=max_restarts)
+        return {"output": fleet.output, "invocations": fleet.invocations,
+                "segment_invocations": {segment.name: fleet.invocations},
+                **_fleet_fields(fleet)}
 
     # A one-segment program (every Pipeline, sharded or not) plans into
     # the workdir itself, keeping the fleet layout — manifest, trace
@@ -454,79 +480,101 @@ def _tcp_steps(program: GraphProgram, flow_of, hosted: bool,
     def under(root: Any, segment: Any) -> str | None:
         if root is None:
             return None
+        nested = len(segments) > 1
         return str(pathlib.Path(root) / (segment.name if nested else ""))
 
-    def hosted_linear(segment: LinearSegment, records: list[Any]):
-        from repro.broker.launch import plan_hosted_fleet
-
-        fleets.append(run_fleet(plan_hosted_fleet(
-            segment.discipline, _wire_specs(segment.specs, segment.name),
-            under(workpath, segment), source_items=records,
-            flow=flow_of(segment), trace=trace, faults=faults, resume=resume,
-            io_timeout=io_timeout, codec=segment.codec or codec or CODEC_JSON,
-            flight_dir=under(flight_dir, segment), flight_mode=flight_mode,
-            broker=broker, max_restarts=max_restarts,
-        ), timeout=timeout, max_restarts=max_restarts))
-        return fleets[-1].output, fleets[-1].invocations
-
-    # A process plan depends on no data but its sources' records, and
-    # those stay here: each segment's sources are planned empty.  Every
-    # port of the graph is drawn in one call, so no two of its stages
-    # can be handed the same one.
-    spawned = [segment for segment in program.segments
-               if not (hosted and isinstance(segment, LinearSegment))]
-    ports = _draw_ports([
-        pipeline for segment in spawned for pipeline in (
-            [segment] if isinstance(segment, LinearSegment)
-            else segment.branches)])
+    ports = _draw_ports([pipeline for segment in segments
+                         for pipeline in _pipelines(segment)])
     knobs = dict(trace=trace, resume=resume, io_timeout=io_timeout,
                  flight_mode=flight_mode, ports=ports)
-    plans: dict[str, list[Any]] = {}
-    for segment in spawned:
+    plans: list[Any] = []
+    spans: dict[str, range] = {}
+    for segment in segments:
+        start = len(plans)
         if isinstance(segment, ParallelSegment):
-            plans[segment.name] = _plan_block(
+            plans += _plan_block(
                 segment, [[] for _ in segment.branches],
                 under(workpath, segment), flow_of, codec=codec,
                 flight_dir=under(flight_dir, segment), **knobs)
+        else:
+            plans += plan_linear_fleet(
+                segment.discipline, _wire_specs(segment.specs, segment.name),
+                under(workpath, segment), source_items=[],
+                flow=flow_of(segment), faults=faults,
+                codec=segment.codec or codec or CODEC_JSON,
+                flight_dir=under(flight_dir, segment), **knobs)
+        spans[segment.name] = range(start, len(plans))
+
+    def ends(segment: Any, role: str) -> list[int]:
+        return [i for i in spans[segment.name] if plans[i].role == role]
+
+    # One router per boundary: the graph's source into the first
+    # segment, each segment into the next, the last into the output.
+    output = _Records()
+    feeds: dict[int, Any] = {}
+    forwards: dict[int, Any] = {}
+    branch_outputs: dict[str, list[list[Any]]] = {}
+    for before, after in zip([None, *segments], [*segments, None]):
+        outlets: list[Any] = [output]
+        if after is not None:
+            outlets = [Feed() for _ in ends(after, "source")]
+            feeds.update(zip(ends(after, "source"), outlets))
+        router = _boundary(before, after, outlets)
+        if before is None:
+            router.push(0, source)
+            router.end(0)
             continue
-        plans[segment.name] = plan_linear_fleet(
-            segment.discipline, _wire_specs(segment.specs, segment.name),
-            under(workpath, segment), source_items=[], flow=flow_of(segment),
-            faults=faults, codec=segment.codec or codec or CODEC_JSON,
-            flight_dir=under(flight_dir, segment), **knobs)
-    supervisor = None
-    if plans:
-        supervisor = FleetSupervisor(
-            [plan for group in plans.values() for plan in group],
-            timeout=timeout, max_restarts=max_restarts)
-    loop = asyncio.new_event_loop()
+        forwards.update((index, _Inlet(router, inlet))
+                        for inlet, index in enumerate(ends(before, "sink")))
+        if isinstance(before, ParallelSegment):
+            branch_outputs[before.name] = router.logs
 
-    def supervised(segment: Any, sources: Sequence[Sequence[Any]]) -> Any:
-        fleets.append(loop.run_until_complete(
-            supervisor.run_segment(plans[segment.name], sources)))
-        return fleets[-1]
+    fleet = FleetSupervisor(plans, timeout=timeout,
+                            max_restarts=max_restarts).run(feeds, forwards)
+    per_segment = {
+        name: sum(stats["counters"].get("invocations_sent", 0)
+                  for stats in fleet.stats[span.start:span.stop])
+        for name, span in spans.items()
+    }
+    return {
+        "output": output,
+        "invocations": sum(per_segment.values()),
+        "segment_invocations": per_segment,
+        "branch_outputs": branch_outputs,
+        **_fleet_fields(fleet),
+    }
 
-    def linear(segment: LinearSegment, records: list[Any]):
-        if hosted:
-            return hosted_linear(segment, records)
-        fleet = supervised(segment, [records])
-        return fleet.output, fleet.invocations
 
-    def block(segment: ParallelSegment, buckets: list[list[Any]]):
-        fleet = supervised(segment, buckets)
-        # Sink outputs come in shard label — here, branch index — order,
-        # so this is branch order, i.e. channel order.
-        return fleet.shard_outputs, fleet.invocations
+def _pipelines(segment: Any) -> list[LinearSegment]:
+    """The linear pipelines a segment runs: itself, or its branches."""
+    if isinstance(segment, ParallelSegment):
+        return segment.branches
+    return [segment]
 
-    try:
-        if supervisor is not None:
-            supervisor.spawn()
-        yield linear, block, lambda: _fleet_fields(fleets)
-    finally:
-        if supervisor is not None:
-            supervisor.close()
-        loop.run_until_complete(loop.shutdown_asyncgens())
-        loop.close()
+
+def _boundary(before: Any, after: Any, outlets: Sequence[Any]) -> Router:
+    """The router between segment ``before`` (None: the graph's source)
+    and ``after`` (None: the graph's output)."""
+    join = before.join if isinstance(before, ParallelSegment) else "gather"
+    op, policy = ((after.op, after.policy)
+                  if isinstance(after, ParallelSegment)
+                  else ("broadcast", None))
+    inlets = 1 if before is None else len(_pipelines(before))
+    return Router(inlets, join, op, policy, outlets)
+
+
+@dataclass
+class _Inlet:
+    """A sink end's forward: one inlet of a :class:`Router`."""
+
+    router: Router
+    index: int
+
+    def extend(self, records: Sequence[Any]) -> None:
+        self.router.push(self.index, records)
+
+    def end(self) -> None:
+        self.router.end(self.index)
 
 
 def _draw_ports(pipelines: Sequence[LinearSegment]) -> Any:
@@ -582,25 +630,21 @@ def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
     return plans
 
 
-def _fleet_fields(fleets: Sequence[Any]) -> dict[str, Any]:
-    """The :class:`GraphResult` fields of a TCP run's fleets.
+def _fleet_fields(fleet: Any) -> dict[str, Any]:
+    """The :class:`GraphResult` fields of a TCP run's fleet.
 
-    Stage counters and supervisor counters are *summed* over every
-    segment the run supervised.  A stage host restarts its stages itself,
-    counting under the supervisor's restart-rule names; those counters
-    join the supervisor's, so ``restarts`` and
+    A stage host restarts its stages itself, counting under the
+    supervisor's restart-rule names; those counters join the
+    supervisor's, so ``restarts`` and
     ``supervisor["counters"]["restarts"]`` are one number on either
     placement.
     """
     from repro.core.stats import KernelStats
     from repro.fault.plan import RestartRule
-    from repro.net.metrics import merge_stats
     from repro.obs.registry import snapshot_payload, stats_from_payload
 
-    supervisor = KernelStats()
-    for fleet in fleets:
-        stats_from_payload(fleet.supervisor, into=supervisor)
-    totals = merge_stats(*(f.totals for f in fleets))
+    supervisor = stats_from_payload(fleet.supervisor, into=KernelStats())
+    totals = fleet.totals
     for name in totals.names():
         if name.partition("[")[0] in RestartRule.COUNTERS:
             supervisor.bump(name, totals.get(name))
@@ -608,9 +652,8 @@ def _fleet_fields(fleets: Sequence[Any]) -> dict[str, Any]:
         "stats": snapshot_payload(totals),
         "restarts": supervisor.get("restarts"),
         "supervisor": snapshot_payload(supervisor),
-        "stderr": [text for fleet in fleets for text in fleet.stderr],
-        "trace_files": [path for fleet in fleets
-                        for path in fleet.trace_files],
+        "stderr": fleet.stderr,
+        "trace_files": fleet.trace_files,
     }
 
 

@@ -192,8 +192,10 @@ class Pipeline:
         ``trace``, ``workdir``) and the data-plane knobs (``codec``,
         ``pipeline_depth``) are TCP-only — passing one to another
         runtime is an error, never a silent no-op, whether it arrives
-        as a keyword here or inside ``flow``.  ``faults`` address stage
-        serials of one linear fleet, so a sharded pipeline rejects them.
+        as a keyword here or inside ``flow``.  ``timeout`` (60 s by
+        default) bounds the whole run, every shard of it.  ``faults``
+        address stage serials of one linear fleet, so a sharded
+        pipeline rejects them.
 
         ``flight`` switches on the flight recorder fleet-wide: a
         directory path (full-payload capture there) or a

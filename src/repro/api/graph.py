@@ -831,23 +831,124 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # Stream routing: how splits and joins move records.  The executors on
-# all three runtimes call these same functions, which is what makes
-# "identical output on sim, aio, and tcp" hold for non-linear graphs.
+# all three runtimes route through the same :class:`Router`, which is
+# what makes "identical output on sim, aio, and tcp" hold for
+# non-linear graphs.
 # ---------------------------------------------------------------------------
+
+
+class Router:
+    """One boundary between segments, routing records as they arrive.
+
+    Records come in on ``inlets`` streams (the branches of the block
+    before the boundary, or one stream) and are fanned in by ``join``:
+    ``"gather"`` lets inlet ``k`` flow once every inlet before it has
+    ended, buffering the later ones; ``"merge"`` hands on round-robin
+    layers — one record per inlet still holding one — as soon as every
+    inlet still open has filled the layer.  The joined stream goes out
+    to ``outlets`` by ``op``: ``"broadcast"`` copies it to every outlet
+    (one outlet is the plain hand-off), ``"scatter"`` partitions it by
+    ``policy`` — the stable content hash sharded fleets use, or
+    ``"round_robin"`` with a running index.  An outlet is anything with
+    ``extend(records)`` and ``end()``, called once every inlet ended.
+
+    Whatever order the inlets fill in, the outlets receive the records
+    a whole-list join and split would give, in the same order.
+    ``logs`` keeps every record each inlet brought (a block's branch
+    outputs).
+    """
+
+    def __init__(self, inlets: int, join: str, op: str, policy: str | None,
+                 outlets: Sequence[Any]) -> None:
+        self.logs: list[list[Any]] = [[] for _ in range(inlets)]
+        self._ended = [False] * inlets
+        self._join = join
+        self._op = op
+        self._policy = policy
+        self._outlets = list(outlets)
+        #: gather: the inlet flowing now; merge: the layers handed on.
+        self._at = 0
+        #: round_robin: the outlet the next record goes to.
+        self._next = 0
+
+    def push(self, inlet: int, records: Sequence[Any]) -> None:
+        """Inlet ``inlet`` brought ``records``."""
+        self.logs[inlet].extend(records)
+        if self._join == "gather":
+            if inlet == self._at:
+                self._emit(records)
+        else:
+            self._layers()
+
+    def end(self, inlet: int) -> None:
+        """Inlet ``inlet`` has ended."""
+        self._ended[inlet] = True
+        if self._join == "gather":
+            # The next open inlet flows, with what it buffered so far.
+            while self._at < len(self.logs) and self._ended[self._at]:
+                self._at += 1
+                if self._at < len(self.logs):
+                    self._emit(self.logs[self._at])
+            if self._at == len(self.logs):
+                self._close()
+        elif self._layers():
+            self._close()
+
+    def _layers(self) -> bool:
+        """Hand on every merge layer that is full; True once all are."""
+        logs, ended = self.logs, self._ended
+        filling = [len(log) for log, done in zip(logs, ended) if not done]
+        upto = min(filling) if filling else max(map(len, logs))
+        if upto > self._at:
+            gap = object()  # what zip_longest pads a short inlet with
+            self._emit([
+                record for layer in zip_longest(
+                    *(log[self._at:upto] for log in logs), fillvalue=gap)
+                for record in layer if record is not gap])
+            self._at = upto
+        return not filling
+
+    def _emit(self, records: Sequence[Any]) -> None:
+        if not records:
+            return
+        outlets = self._outlets
+        if self._op == "broadcast":
+            for outlet in outlets:
+                outlet.extend(records)
+            return
+        count = len(outlets)
+        if self._policy == "round_robin":
+            start = self._next
+            self._next = (start + len(records)) % count
+            buckets = [records[(index - start) % count::count]
+                       for index in range(count)]
+        else:  # "hash" — the stable content hash the sharded fleets use.
+            buckets = [[] for _ in outlets]
+            for record in records:
+                buckets[shard_of(record, count)].append(record)
+        for outlet, bucket in zip(outlets, buckets):
+            if bucket:
+                outlet.extend(bucket)
+
+    def _close(self) -> None:
+        for outlet in self._outlets:
+            outlet.end()
+
+
+class _Records(list):
+    """A plain record list as a :class:`Router` outlet."""
+
+    def end(self) -> None:
+        """Nothing waits on a list."""
 
 
 def partition_records(records: Sequence[Any], op: str, policy: str | None,
                       branches: int) -> list[list[Any]]:
     """Route records to branches: scatter partitions, broadcast copies."""
-    if op == "broadcast":
-        return [list(records) for _ in range(branches)]
-    buckets: list[list[Any]] = [[] for _ in range(branches)]
-    if policy == "round_robin":
-        for index, record in enumerate(records):
-            buckets[index % branches].append(record)
-    else:  # "hash" — the stable content hash the sharded fleets use.
-        for record in records:
-            buckets[shard_of(record, branches)].append(record)
+    buckets = [_Records() for _ in range(branches)]
+    router = Router(1, "gather", op, policy, buckets)
+    router.push(0, records)
+    router.end(0)
     return buckets
 
 
@@ -856,12 +957,13 @@ def join_records(branch_outputs: Sequence[Sequence[Any]], op: str) \
     """Fan the branch outputs back in: gather concatenates in branch
     (channel-id) order; merge interleaves round-robin, one record per
     live branch per round — both deterministic."""
-    if op == "gather":
-        return [record for lines in branch_outputs for record in lines]
-    gap = object()  # what zip_longest pads a finished branch with
-    return [record
-            for layer in zip_longest(*branch_outputs, fillvalue=gap)
-            for record in layer if record is not gap]
+    joined = _Records()
+    router = Router(len(branch_outputs), op, "broadcast", None, [joined])
+    for inlet, records in enumerate(branch_outputs):
+        router.push(inlet, records)
+    for inlet in range(len(branch_outputs)):
+        router.end(inlet)
+    return joined
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,9 @@ to ``supervisor.stats.json`` next to the stage dumps.
 New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
 runtime: one :func:`plan_linear_fleet` call per linear segment and per
-branch of a parallel block, all planned before the first segment runs,
-and one supervisor whose zygote forks each process as its segment
-starts.
+branch of a parallel block, all planned before the run, and one
+supervised run of all of them, in which each segment's source ends
+play a :class:`Feed` the segment before fills as it runs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import pathlib
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import repro.net.zygote
 from repro.devices.workload import random_lines
@@ -79,12 +79,14 @@ from repro.net.stage import (
 from repro.obs.registry import snapshot_payload
 from repro.core.stats import KernelStats
 from repro.transput.flow import FlowPolicy
+from repro.transput.stream import END_TRANSFER, Transfer
 
 __all__ = [
     "StagePlan",
     "FleetResult",
     "FleetError",
     "FleetSupervisor",
+    "Feed",
     "pipeline_configs",
     "plan_linear_fleet",
     "process_plan",
@@ -98,7 +100,7 @@ TransducerSpec = tuple[str, Sequence[Any]]
 IDENTITY: TransducerSpec = ("repro.transput:identity_transducer", ())
 
 #: The roles a process fleet runs in the driver's event loop instead of
-#: spawning: a segment's ends.
+#: spawning: a pipeline's ends.
 _IN_LOOP_ROLES = ("source", "sink")
 
 
@@ -171,7 +173,7 @@ class StagePlan:
 
 @dataclass
 class FleetResult:
-    """What one supervised fleet run, or one segment of it, produced."""
+    """What one supervised fleet run produced."""
 
     #: The sink's records, as values (never re-parsed from text).
     output: list[Any]
@@ -434,6 +436,96 @@ def plan_linear_fleet(
     return plans
 
 
+class Feed:
+    """The records an in-loop source end plays, arriving while it runs.
+
+    An append-only log that an upstream segment extends (through a
+    :class:`~repro.api.graph.Router`) and then ends.  Every incarnation
+    of the end reads it from the start through its own :meth:`reader`,
+    as it would read a list of records.  A reader answers ``read(b)``
+    only with exactly ``b`` records once they are here, or with what is
+    left and then END once the log has ended: each transfer keeps the
+    boundaries a whole list would give it, so every invocation count
+    downstream is the one a segment-by-segment run would measure.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[Any] = []
+        self.ended = False
+        self._waiters: list[asyncio.Future] = []
+
+    def extend(self, records: Sequence[Any]) -> None:
+        self.records.extend(records)
+        self._wake()
+
+    def end(self) -> None:
+        self.ended = True
+        self._wake()
+
+    def _wake(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    async def _arrival(self) -> None:
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        await waiter
+
+    def reader(self) -> "_FeedReader":
+        """A readable over the log, from its first record."""
+        return _FeedReader(self)
+
+
+class _FeedReader:
+    """One incarnation's position in a :class:`Feed`."""
+
+    def __init__(self, feed: Feed) -> None:
+        self.feed = feed
+        self.position = 0
+
+    async def read(self, batch: int = 1) -> Transfer:
+        feed, batch = self.feed, max(1, batch)
+        while len(feed.records) - self.position < batch and not feed.ended:
+            await feed._arrival()
+        start = self.position
+        self.position = min(start + batch, len(feed.records))
+        if self.position == start:
+            return END_TRANSFER
+        return Transfer.of(feed.records[start:self.position])
+
+
+class _Forward:
+    """Where an in-loop sink end hands its records on, over all its
+    incarnations.  A restarted end takes its stream in again from the
+    start, so each incarnation hands on only what none before it did."""
+
+    def __init__(self, target: Any) -> None:
+        self.target = target
+        self.handed = 0
+        self.ended = False
+
+    def tap(self) -> Callable[[Transfer], None]:
+        """One incarnation's forward."""
+        taken = 0
+
+        def forward(transfer: Transfer) -> None:
+            nonlocal taken
+            if transfer.at_end:
+                if not self.ended:
+                    self.ended = True
+                    self.target.end()
+                return
+            items = transfer.items
+            taken += len(items)
+            if taken > self.handed:
+                self.target.extend(items[len(items) - (taken - self.handed):])
+                self.handed = taken
+
+        return forward
+
+
 class _Member:
     """One supervised stage: its plan, its process or task, its budget."""
 
@@ -480,24 +572,29 @@ class FleetSupervisor:
     :func:`~repro.net.stage.supervise_incarnations`; every other plan
     is an OS process.  :meth:`spawn` forks the driver into the fleet's
     zygote (:mod:`repro.net.zygote`), which holds the code the plans
-    run; :meth:`run_segment` asks it to fork each process of a segment
-    when that segment starts, so no stage's deadlines count while an
-    earlier segment runs.  The zygote reports every exit, and the
-    supervisor wakes on those reports, on its ends finishing, and on a
-    restart falling due, never on a timer.
-    :meth:`run` is the one-segment front door.
+    run; :meth:`stream` asks it to fork every process at once and
+    starts every end beside them, so a graph's segments run
+    concurrently: a source end may play a :class:`Feed` that an
+    upstream segment fills as it runs, and a sink end may forward each
+    transfer it takes in.  A feed answers a read once the records it
+    asks for are there, so a later stage waits only as long as its
+    records take to come through the segments before it.
+    The zygote reports every exit, and the supervisor wakes on those
+    reports, on its ends finishing, and on a restart falling due, never
+    on a timer.  :meth:`run` is the front door.
 
     Every stage's stdout/stderr goes to files (``<stage>.stdout.log`` /
     ``<stage>.stderr.log`` beside its stats dump), so diagnostics
     survive kills and restarts append rather than truncate; an in-loop
-    end writes its diagnostics to its own ``.stderr.log`` too, and the
-    zygote to ``zygote.stderr.log``.  A stage exiting non-zero is
+    end writes its diagnostics to its own ``.stderr.log`` too (its
+    counters stay in memory), and the zygote to ``zygote.stderr.log``.
+    A stage exiting non-zero is
     restarted — forked again, from its survivor plan — under the
     :class:`~repro.fault.plan.RestartRule` (exponential backoff, a
     ``max_restarts`` budget per stage, the optional storm guard) — the
     rule a stage host applies to the stages it runs; an end's
     ``kill_after`` ends its incarnation, never the driver.  A refused
-    restart, a lost zygote, or blowing a segment's ``timeout`` kills
+    restart, a lost zygote, or blowing the run's ``timeout`` kills
     everything and raises :class:`FleetError` with a diagnosis.
     :meth:`close` reaps the zygote, which reaps every child it forked,
     so every stage's CPU time is the driver's reaped children's.
@@ -528,7 +625,11 @@ class FleetSupervisor:
         self._members = [_Member(ident, plan)
                          for ident, plan in enumerate(self.plans)]
         self._zygote: repro.net.zygote.Handle | None = None
-        self._zygote_log = ""
+        #: The fleet's directory: its zygote log and supervisor stats.
+        self._workdir = os.path.commonpath([
+            os.path.dirname(os.path.abspath(plan.stats_file))
+            for plan in self.plans])
+        self._zygote_log = os.path.join(self._workdir, "zygote.stderr.log")
         self._replies = b""
         self._zygote_gone = False
         self._syncs = self._synced = 0
@@ -538,15 +639,16 @@ class FleetSupervisor:
     # -- process plumbing ---------------------------------------------------
 
     def spawn(self) -> None:
-        """Fork the fleet's zygote, with what its processes run imported."""
+        """Fork the fleet's zygote, with what its processes run imported.
+
+        The modules are imported here first, so the driver keeps them
+        for every later run and no zygote imports them again.
+        """
         modules = sorted({m.plan.module for m in self._members
                           if not m.in_loop})
         if self._zygote is not None or not modules:
             return
-        workdir = os.path.commonpath([
-            os.path.dirname(os.path.abspath(plan.stats_file))
-            for plan in self.plans])
-        self._zygote_log = os.path.join(workdir, "zygote.stderr.log")
+        repro.net.zygote.preload(modules)
         self._zygote = repro.net.zygote.start(modules, self._zygote_log)
 
     def _attach(self) -> None:
@@ -649,23 +751,30 @@ class FleetSupervisor:
         except OSError:
             return ""
 
-    def _partial_result(self, members: Sequence[_Member]) -> FleetResult:
-        """Whatever can be gathered after a failed run (stderr, stats)."""
-        stats = []
-        for member in members:
+    def _stats(self, member: _Member) -> dict[str, Any]:
+        """A member's counters: an in-loop end's from memory, a
+        process's from its stats file (empty if it wrote none)."""
+        if member.in_loop:
+            if member.stage is not None:
+                return member.stage.stats_payload()
+        else:
             try:
                 with open(member.plan.stats_file, "r",
                           encoding="utf-8") as handle:
-                    stats.append(json.load(handle))
+                    return json.load(handle)
             except (OSError, json.JSONDecodeError):
-                stats.append({"counters": {}, "gauges": {}, "histograms": {}})
+                pass
+        return {"counters": {}, "gauges": {}, "histograms": {}}
+
+    def _result(self, **fields: Any) -> FleetResult:
+        """The run's result: every member's counters and stderr."""
         return FleetResult(
-            output=[],
-            stats=stats,
-            stderr=[self._read(m.stderr_path) for m in members],
-            trace_files=[m.plan.trace_file for m in members
+            stats=[self._stats(m) for m in self._members],
+            stderr=[self._read(m.stderr_path) for m in self._members],
+            trace_files=[m.plan.trace_file for m in self._members
                          if m.plan.trace_file is not None],
             supervisor=snapshot_payload(self.stats),
+            **fields,
         )
 
     def _refusal(self, member: _Member, refused: RestartRefused,
@@ -682,8 +791,8 @@ class FleetSupervisor:
             )
         return FleetError(message, reason=refused.reason)
 
-    def _lost(self, members: Sequence[_Member]) -> FleetError:
-        running = [m.plan.label for m in members if m.alive]
+    def _lost(self) -> FleetError:
+        running = [m.plan.label for m in self._members if m.alive]
         return FleetError(
             f"the fleet's zygote (pid {self._zygote.pid}) exited with "
             f"rc={self._zygote.wait()}; its processes are lost: "
@@ -694,15 +803,25 @@ class FleetSupervisor:
 
     # -- the ends, in this loop ----------------------------------------------
 
-    async def _play_end(self, member: _Member,
-                        records: Sequence[Any] | None) -> None:
+    async def _play_end(self, member: _Member, feed: Feed | None,
+                        forward: Any) -> None:
         """Run a source or sink end here, incarnation by incarnation.
 
-        ``records``, when given, are its source's records.
+        A source plays ``feed`` when given one, its plan's records
+        otherwise; a sink hands its records on to ``forward``
+        (``extend(records)`` / ``end()``) when given one.
         """
         config = StageConfig.from_dict(member.plan.plan)
-        if records is not None:
-            config = dataclasses.replace(config, source_items=list(records))
+        handing = None if forward is None else _Forward(forward)
+
+        def incarnation(fault: FaultPlan) -> _Stage:
+            stage = _Stage(dataclasses.replace(config, fault=fault))
+            if feed is not None:
+                stage.feed = feed.reader()
+            if handing is not None:
+                stage.forward = handing.tap()
+            return stage
+
         # An end prints nothing (its records stay in this loop), but it
         # keeps the stdout log every member has.
         open(member.stdout_path, "w", encoding="utf-8").close()
@@ -710,10 +829,9 @@ class FleetSupervisor:
                   buffering=1) as log:
             member.stage = await supervise_incarnations(
                 member, self.rule, member.plan.label, config.fault,
-                lambda fault: _Stage(dataclasses.replace(config, fault=fault)),
-                play=_Stage.lifetime, log=log,
+                incarnation, play=_Stage.lifetime, log=log,
             )
-        member.stage.emit_stats()
+        member.stage.emit_trace()
 
     def _check_end(self, member: _Member) -> None:
         if not member.task.done():
@@ -739,15 +857,26 @@ class FleetSupervisor:
 
     # -- the supervision loop -----------------------------------------------
 
-    def run(self) -> FleetResult:
-        """Run the whole fleet as one segment; restart crashes; gather."""
+    def run(self, feeds: Mapping[int, Feed] | None = None,
+            forwards: Mapping[int, Any] | None = None) -> FleetResult:
+        """Run the whole fleet (see :meth:`stream`), then reap it.
+
+        The run gets an event loop of its own and leaves the caller's
+        current loop alone (``asyncio.run`` would unset it, and on a
+        graph run it measurably raised the driver's peak memory).
+        """
         async def whole() -> FleetResult:
             try:
-                return await self.run_segment(self.plans)
+                return await self.stream(feeds, forwards)
             finally:
                 self.close()
 
-        return asyncio.run(whole())
+        loop = asyncio.new_event_loop()
+        try:
+            return loop.run_until_complete(whole())
+        finally:
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.close()
 
     async def _woken(self, at: float | None) -> None:
         """Wait for a report, an end finishing, or the clock reaching ``at``."""
@@ -757,35 +886,32 @@ class FleetSupervisor:
         except asyncio.TimeoutError:
             pass
 
-    async def run_segment(
-        self,
-        plans: Sequence[StagePlan],
-        sources: Sequence[Sequence[Any]] | None = None,
-    ) -> FleetResult:
-        """Run the stages of ``plans`` — one segment — to completion.
+    async def stream(self, feeds: Mapping[int, Feed] | None = None,
+                     forwards: Mapping[int, Any] | None = None) \
+            -> FleetResult:
+        """Run every planned stage to completion, all at once.
 
-        The zygote forks every process of the segment now (and starts
-        first, if :meth:`spawn` has not started it), and its ends start
-        in this loop.  ``sources`` gives the segment's source ends their
-        records, in plan (shard) order; by default a source plays the
-        records of its plan.  The segment's ``timeout`` starts now, and
-        the returned result's supervisor counters are this segment's.
+        The zygote forks every process now (and starts first, if
+        :meth:`spawn` has not started it), then every end starts in
+        this loop.  ``feeds`` and ``forwards`` are keyed by plan index:
+        the source ends to play a :class:`Feed` and the sink ends to
+        hand their records on (see :meth:`_play_end`).  ``timeout``
+        bounds the whole run, and the result's supervisor counters are
+        the run's.
         """
-        wanted = {id(plan) for plan in plans}
-        members = [m for m in self._members if id(m.plan) in wanted]
-        self.stats = self.rule.stats = KernelStats()
+        feeds, forwards = feeds or {}, forwards or {}
+        members = self._members
         self.spawn()
         self._attach()
-        records = iter(sources or ())
+        for member in members:
+            if not member.in_loop:
+                self._fork(member)
         for member in members:
             if member.in_loop:
-                items = (next(records, None)
-                         if member.plan.role == "source" else None)
-                member.task = asyncio.ensure_future(
-                    self._play_end(member, items))
+                member.task = asyncio.ensure_future(self._play_end(
+                    member, feeds.get(member.ident),
+                    forwards.get(member.ident)))
                 member.task.add_done_callback(lambda _: self._wake.set())
-            else:
-                self._fork(member)
         deadline = time.monotonic() + self.timeout
         workers = [m for m in members if not m.plan.daemon]
         try:
@@ -793,7 +919,7 @@ class FleetSupervisor:
                 self._wake.clear()
                 now = time.monotonic()
                 if self._zygote_gone:
-                    raise self._lost(members)
+                    raise self._lost()
                 for member in members:
                     if member.done or member.in_loop:
                         continue
@@ -817,15 +943,15 @@ class FleetSupervisor:
                 await self._woken(min([deadline] + [
                     m.restart_at for m in members
                     if m.restart_at is not None]))
-            await self._stop_daemons(members)
+            await self._stop_daemons()
         except FleetError as error:
             await self._abort()
-            error.result = self._partial_result(members)
+            error.result = self._result(output=[])
             raise
         except BaseException:
             await self._abort()
             raise
-        return self._gather(members)
+        return self._gather()
 
     def _exited(self, member: _Member, now: float) -> None:
         rc, member.rc = member.rc, None
@@ -844,10 +970,9 @@ class FleetSupervisor:
         member.restarts += 1
         member.restart_at = now + delay
 
-    async def _stop_daemons(self, members: Sequence[_Member],
-                            grace: float = 5.0) -> None:
+    async def _stop_daemons(self, grace: float = 5.0) -> None:
         """The stream is done: retire daemons (SIGTERM, then SIGKILL)."""
-        daemons = [m for m in members if m.plan.daemon]
+        daemons = [m for m in self._members if m.plan.daemon]
         for member in daemons:
             self._signal(member, signal.SIGTERM)
         deadline: float | None = time.monotonic() + grace
@@ -868,37 +993,26 @@ class FleetSupervisor:
         with open(member.stdout_path, "r", encoding="utf-8") as handle:
             return [json.loads(line) for line in handle]
 
-    def _gather(self, members: Sequence[_Member]) -> FleetResult:
+    def _gather(self) -> FleetResult:
         # A parallel block's fleet has one sink per shard label:
         # concatenate their outputs in shard order, so each branch's
         # internal ordering is preserved.
         sinks = sorted(
-            (m for m in members if m.plan.role in ("sink", "host")),
+            (m for m in self._members if m.plan.role in ("sink", "host")),
             key=lambda m: m.plan.shard or 0,
         )
         shard_outputs = [self._output(m) for m in sinks]
-        output = [record for records in shard_outputs for record in records]
-        stats = []
-        for member in members:
-            with open(member.plan.stats_file, "r", encoding="utf-8") as handle:
-                stats.append(json.load(handle))
-        payload = snapshot_payload(self.stats)
-        workdir = pathlib.Path(members[0].plan.stats_file).parent
-        try:
-            with open(workdir / "supervisor.stats.json", "w",
-                      encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-        except OSError:
-            pass
-        return FleetResult(
-            output=output,
-            stats=stats,
-            stderr=[self._read(m.stderr_path) for m in members],
-            trace_files=[m.plan.trace_file for m in members
-                         if m.plan.trace_file is not None],
-            supervisor=payload,
+        result = self._result(
+            output=[record for records in shard_outputs for record in records],
             shard_outputs=shard_outputs if len(sinks) > 1 else [],
         )
+        try:
+            with open(os.path.join(self._workdir, "supervisor.stats.json"),
+                      "w", encoding="utf-8") as handle:
+                json.dump(result.supervisor, handle, sort_keys=True)
+        except OSError:
+            pass
+        return result
 
 
 def run_fleet(

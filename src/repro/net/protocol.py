@@ -323,11 +323,12 @@ class Connection:
 #: the same loop (or a process spawned a moment ago) that binds within
 #: milliseconds — a refused loopback dial costs microseconds, a 50 ms
 #: first sleep was the whole set-up time of an in-loop fleet.  The cap
-#: is small for the same reason: a fleet's in-loop end dials stages
-#: that are still importing, and a sleep doubled to 1 s overshot their
-#: listen by up to the import time again.
+#: is small for the same reason: a graph's in-loop ends start with the
+#: processes they dial, which listen some 10–30 ms later, and every
+#: sleep past that moment is set-up time the whole run waits for (a
+#: 50 ms cap overshot it by up to 16 ms).
 _FIRST_RETRY_DELAY = 0.002
-_MAX_RETRY_DELAY = 0.05
+_MAX_RETRY_DELAY = 0.005
 
 
 async def retry_with_backoff(
@@ -338,7 +339,7 @@ async def retry_with_backoff(
     """Await ``attempt()`` until it stops failing with a transient error.
 
     A ``ConnectionError`` / ``OSError`` sleeps and retries on the dial
-    schedule (2 ms, doubling, capped at 50 ms); one that would outlast
+    schedule (2 ms, doubling, capped at 5 ms); one that would outlast
     ``deadline`` seconds is a fatal :class:`WireError` naming ``what``.
     """
     started = time.monotonic()

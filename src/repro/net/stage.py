@@ -399,6 +399,12 @@ class _Stage:
     #: Where the stage's diagnostics go; ``None`` is the process's
     #: stderr.  A fleet's in-loop end writes to its own log file.
     log: Any = None
+    #: What a source plays instead of its plan's records: a readable
+    #: that a fleet's in-loop end is handed (an upstream segment's feed).
+    feed: Any = None
+    #: Where a sink hands each transfer it takes in, as it takes it:
+    #: an in-loop end's route to the next segment.
+    forward: Callable[[Any], None] | None = None
 
     def say(self, message: str) -> None:
         print(f"[{self.label}] {message}", file=self.log or sys.stderr)
@@ -465,6 +471,10 @@ class _Stage:
 
             return KillingWritable(writable, self.kill_switch)
         return writable
+
+    def _forwarding(self, end: Any) -> Any:
+        """Wrap a sink's readable or writable in its :attr:`forward`."""
+        return end if self.forward is None else _Forwarding(end, self.forward)
 
     def _push_state_for(self, hello: Hello) -> PushState:
         return self._push_states.setdefault(
@@ -668,15 +678,13 @@ class _Stage:
         config = self.config
         flow = config.flow
         if config.role == "source":
-            items = config.source_items or []
+            records = self._killing_readable(
+                AioSource(config.source_items or []) if self.feed is None
+                else self.feed)
             if config.discipline == "readonly":
-                await self._serve(
-                    readables=self._killing_readable(AioSource(items)))
+                await self._serve(readables=records)
             else:  # writeonly and conventional sources both push
-                await pump(
-                    self._killing_readable(AioSource(items)),
-                    self._remote_writable(), flow.batch,
-                )
+                await pump(records, self._remote_writable(), flow.batch)
         elif config.role == "filter":
             transducer = self._transducer()  # kill switch wraps it here
             if config.discipline == "readonly":
@@ -694,12 +702,14 @@ class _Stage:
         elif config.role == "sink":
             if config.discipline == "writeonly":
                 collector = AioCollector()
-                await self._serve(writable=self._killing_writable(collector))
+                await self._serve(writable=self._forwarding(
+                    self._killing_writable(collector)))
                 await collector.done.wait()
                 self.collected = list(collector.items)
             else:  # readonly and conventional sinks both pull
                 self.collected = await collect(
-                    self._killing_readable(self._remote_readable()),
+                    self._forwarding(
+                        self._killing_readable(self._remote_readable())),
                     batch=flow.batch,
                 )
         else:  # pipe: a passive buffer process (the Unix pipe, §1)
@@ -750,21 +760,45 @@ class _Stage:
         if self.collected is not None:
             emit_records(self.collected)
 
-    def emit_stats(self) -> None:
-        if self.config.stats_file:
-            POOL.export_gauges(self.stats)
-            payload = {
-                "role": self.config.role,
-                "discipline": self.config.discipline,
-                "serial": self.config.serial,
-                # counters/gauges/histograms, same shape the control
-                # protocol's `stats` command serves.
-                **snapshot_payload(self.stats),
-            }
-            with open(self.config.stats_file, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+    def stats_payload(self) -> dict[str, Any]:
+        """The stage's counters, as its ``stats_file`` holds them."""
+        POOL.export_gauges(self.stats)
+        return {
+            "role": self.config.role,
+            "discipline": self.config.discipline,
+            "serial": self.config.serial,
+            # counters/gauges/histograms, same shape the control
+            # protocol's `stats` command serves.
+            **snapshot_payload(self.stats),
+        }
+
+    def emit_trace(self) -> None:
         if self.config.trace_file:
             self.tracer.to_jsonl(self.config.trace_file)
+
+    def emit_stats(self) -> None:
+        if self.config.stats_file:
+            with open(self.config.stats_file, "w", encoding="utf-8") as handle:
+                json.dump(self.stats_payload(), handle, sort_keys=True)
+        self.emit_trace()
+
+
+class _Forwarding:
+    """A sink's readable or writable that hands every transfer through
+    it to ``forward`` once it has passed."""
+
+    def __init__(self, end: Any, forward: Callable[[Any], None]) -> None:
+        self.end = end
+        self.forward = forward
+
+    async def read(self, batch: int = 1) -> Any:
+        transfer = await self.end.read(batch)
+        self.forward(transfer)
+        return transfer
+
+    async def write(self, transfer: Any) -> None:
+        await self.end.write(transfer)
+        self.forward(transfer)
 
 
 def emit_records(records: Sequence[Any]) -> None:

@@ -9,7 +9,7 @@ named modules the driver has not (the broker's, on a hosted run).  It
 forks one child per request and runs that module's ``main(argv)`` in
 it, the entry point its ``eden-*`` console script calls.  A fleet
 supervisor (:class:`repro.net.launch.FleetSupervisor`) starts one zygote
-and asks it for each process when that process's segment starts.
+and asks it for every process of a run when the run starts.
 
 Before it serves, the fork makes itself look like the interpreter it
 replaces: its pipes and log on fds 0-2 under new ``sys.std*``, every

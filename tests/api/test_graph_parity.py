@@ -310,46 +310,45 @@ class TestKnobRejection:
 
 
 class TestSupervisorCounters:
-    """One supervisor per graph; ``GraphResult.supervisor`` sums the
-    counters of every segment it ran."""
+    """One supervised run per graph; ``GraphResult.supervisor`` holds
+    its counters, counted once."""
 
-    def test_restarts_of_the_first_fleet_survive(self, monkeypatch,
-                                                 tmp_path):
+    def test_the_runs_restarts_reach_the_result(self, monkeypatch, tmp_path):
         import repro.net.launch as launch
 
-        supervisors, segments = [], []
+        supervisors, runs = [], []
 
         class Supervisor:
-            """Deliver every source's records; report 2 restarts in the
-            first segment only."""
+            """Relay every pipeline's feed to its sink; report 2
+            restarts for the run."""
 
             def __init__(self, plans, **_knobs):
                 supervisors.append(plans)
 
-            def spawn(self):
-                pass
-
-            def close(self):
-                pass
-
-            async def run_segment(self, plans, sources):
-                segments.append(plans)
-                counters = {"restarts": 2} if len(segments) == 1 else {}
+            def run(self, feeds, forwards):
+                runs.append((feeds, forwards))
+                # Each pipeline is planned source first, sink last, and
+                # after the pipelines it reads from: its feed is whole
+                # by the time it is relayed.
+                for source, sink in zip(sorted(feeds), sorted(forwards)):
+                    assert feeds[source].ended
+                    forwards[sink].extend(feeds[source].records)
+                    forwards[sink].end()
                 return launch.FleetResult(
-                    output=[record for part in sources for record in part],
-                    stats=[],
-                    supervisor={"counters": counters, "gauges": {},
+                    output=[], stats=[],
+                    supervisor={"counters": {"restarts": 2}, "gauges": {},
                                 "histograms": {}},
-                    shard_outputs=list(sources) if len(sources) > 1 else [],
                 )
 
         monkeypatch.setattr(launch, "FleetSupervisor", Supervisor)
         result = diamond().run(runtime="tcp", workdir=str(tmp_path))
-        assert len(supervisors) == 1  # every segment planned up front
-        assert len(segments) == 3  # seg-0, the block, seg-1
-        assert [plan for plans in segments for plan in plans] == \
-            supervisors[0]
+        assert len(supervisors) == len(runs) == 1  # one run per graph
+        feeds, forwards = runs[0]
+        # seg-0, two branches, seg-1: a source and a sink each.
+        assert len(feeds) == len(forwards) == 4
         assert result.output == ITEMS[0::2] + ITEMS[1::2]
+        assert result.branch_outputs == {"scatter-1": [ITEMS[0::2],
+                                                       ITEMS[1::2]]}
         assert result.supervisor["counters"]["restarts"] == 2
         assert result.restarts == 2
 

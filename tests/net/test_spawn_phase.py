@@ -1,15 +1,17 @@
-"""One zygote per fleet, with the ends in the driver's loop.
+"""One zygote per fleet, one concurrent run per graph, ends in the driver.
 
-A process fleet runs only the stages between a segment's ends as
-processes, and a graph's fleet forks the driver once into its zygote
-before its first segment runs; no interpreter starts, and nothing is
-executed.  The zygote forks each process when
-that process's segment starts, so no deadline counts while an earlier
-segment runs.  The source and sink run in the driver's event loop: an
-end's ``kill_after`` ends only its incarnation, a spent budget is a
-:class:`FleetError` naming the end, and the driver's own process
-keeps its CPU affinity.  These tests count what the supervisor starts
-and in which order; none of them times anything.
+A process fleet runs only the stages between a pipeline's ends as
+processes, and a graph's fleet forks the driver once into its zygote;
+no interpreter starts, and nothing is executed.  The zygote forks
+every process of the graph when the run starts, and every end starts
+with them: a later segment's source end answers a read only once the
+records it asks for have come through the driver, so a later stage
+waits only as long as its records take to arrive.  The source and
+sink run in the driver's event loop: an end's ``kill_after`` ends only
+its incarnation, a spent budget is a :class:`FleetError` naming the
+end, and the driver's own process keeps its CPU affinity.  These
+tests count what the supervisor starts and in which order; none of
+them times anything.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ def events(monkeypatch):
     """In the order they happen: ``("zygote", modules)`` per zygote
     started (and what it preloads), ``("fork", module)`` per process
     forked, ``("end", label)`` per in-loop end started, and
-    ``("segment", count)`` / ``("done", count)`` around each segment of
-    ``count`` stages.  Starting a new program fails the run."""
+    ``("run", count)`` / ``("done", count)`` around each supervised
+    run of ``count`` stages.  Starting a new program fails the run."""
     seen = []
     start = zygote.start
     fork = launch.FleetSupervisor._fork
     play = launch.FleetSupervisor._play_end
-    run_segment = launch.FleetSupervisor.run_segment
+    stream = launch.FleetSupervisor.stream
 
     def started(modules, stderr_path):
         seen.append(("zygote", list(modules)))
@@ -65,42 +67,26 @@ def events(monkeypatch):
         seen.append(("fork", member.plan.module))
         fork(self, member)
 
-    async def end(self, member, records):
+    async def end(self, member, feed, forward):
         seen.append(("end", member.plan.label))
-        await play(self, member, records)
+        await play(self, member, feed, forward)
 
-    async def segment(self, plans, sources=None):
-        seen.append(("segment", len(plans)))
-        result = await run_segment(self, plans, sources)
-        seen.append(("done", len(plans)))
+    async def run(self, feeds=None, forwards=None):
+        seen.append(("run", len(self.plans)))
+        result = await stream(self, feeds, forwards)
+        seen.append(("done", len(self.plans)))
         return result
 
     monkeypatch.setattr(zygote, "start", started)
     monkeypatch.setattr(subprocess, "Popen", executed)
     monkeypatch.setattr(launch.FleetSupervisor, "_fork", forked)
     monkeypatch.setattr(launch.FleetSupervisor, "_play_end", end)
-    monkeypatch.setattr(launch.FleetSupervisor, "run_segment", segment)
+    monkeypatch.setattr(launch.FleetSupervisor, "stream", run)
     return seen
 
 
 def of_kind(events, kind):
     return [what for seen, what in events if seen == kind]
-
-
-def forks_by_segment(events):
-    """The modules forked inside each segment, in segment order; a fork
-    outside every segment fails the test."""
-    segments, current = [], None
-    for kind, what in events:
-        if kind == "segment":
-            current = []
-        elif kind == "done":
-            segments.append(current)
-            current = None
-        elif kind == "fork":
-            assert current is not None, "forked between segments"
-            current.append(what)
-    return segments
 
 
 def by_segment(graph):
@@ -113,26 +99,28 @@ def by_segment(graph):
 
 
 class TestSpawnShape:
-    def test_the_diamond_forks_each_filter_when_its_segment_starts(
+    def test_the_diamond_forks_every_filter_before_any_end_starts(
             self, tmp_path, events):
         graph = diamond()
         result = graph.run(runtime="tcp", workdir=str(tmp_path))
         assert sorted(result.output) == sorted(ITEMS)
         assert of_kind(events, "zygote") == [["repro.net.stage"]]
-        assert events[0][0] == "zygote"
-        # The head, the two branches, the tail: each segment's filters
-        # are forked after the segment before it is done.
+        # One run of all 12 stages: the head, the two branches and the
+        # tail forked first, then two ends per pipeline.
         stage = "repro.net.stage"
-        assert forks_by_segment(events) == [[stage], [stage] * 2, [stage]]
-        # Two ends per pipeline: seg-0, two branches, seg-1.
-        assert len(of_kind(events, "end")) == 8
+        kinds = [kind for kind, _what in events]
+        assert kinds == ["run", "zygote", *["fork"] * 4, *["end"] * 8, "done"]
+        assert of_kind(events, "run") == [12]
+        assert of_kind(events, "fork") == [stage] * 4
 
     def test_a_pipeline_forks_only_its_filters(self, tmp_path, events):
         result = Pipeline([IDENTITY] * 3, source=ITEMS).run(
             runtime="tcp", workdir=str(tmp_path))
         assert result.output == ITEMS
         assert of_kind(events, "zygote") == [["repro.net.stage"]]
-        assert forks_by_segment(events) == [["repro.net.stage"] * 3]
+        kinds = [kind for kind, _what in events]
+        assert kinds == ["run", "zygote", *["fork"] * 3, *["end"] * 2, "done"]
+        assert of_kind(events, "fork") == ["repro.net.stage"] * 3
 
     def test_hosted_placement_forks_its_broker_and_host(
             self, tmp_path, events):
@@ -142,14 +130,16 @@ class TestSpawnShape:
         assert result.output == ITEMS
         assert of_kind(events, "zygote") == [
             ["repro.broker.daemon", "repro.broker.host"]]
-        assert forks_by_segment(events) == [
-            ["repro.broker.daemon", "repro.broker.host"]]
+        assert of_kind(events, "fork") == [
+            "repro.broker.daemon", "repro.broker.host"]
+        assert of_kind(events, "end") == []
 
-    def test_no_deadline_counts_before_a_stage_segment_starts(
+    def test_a_slow_head_spends_no_later_io_timeout(
             self, tmp_path, monkeypatch):
-        # The head filter takes ~1.2 s; every later stage is spawned
-        # before it starts and would spend its 0.5 s io_timeout on a
-        # silent pipe if it dialled before its own segment.
+        # The head filter takes ~1.2 s, a record every 0.1 s; every
+        # later stage is forked when the run starts and would spend its
+        # 0.5 s io_timeout on a silent pipe if its reads were answered
+        # only once the head was done.
         (tmp_path / "slow_filters.py").write_text(
             "import time\n"
             "from repro.transput.filterbase import map_transducer\n"
@@ -179,21 +169,16 @@ class TestOneDrawOfPorts:
             return pick(count, *args)
 
         class Supervisor:
-            """Plans only: pass every source's records to its sink."""
+            """Plans only: relay every pipeline's feed to its sink."""
 
             def __init__(self, plans, **_knobs):
                 planned.extend(plans)
 
-            def spawn(self):
-                pass
-
-            def close(self):
-                pass
-
-            async def run_segment(self, plans, sources):
-                return launch.FleetResult(
-                    output=[record for part in sources for record in part],
-                    stats=[], shard_outputs=list(sources))
+            def run(self, feeds, forwards):
+                for source, sink in zip(sorted(feeds), sorted(forwards)):
+                    forwards[sink].extend(feeds[source].records)
+                    forwards[sink].end()
+                return launch.FleetResult(output=[], stats=[])
 
         monkeypatch.setattr(launch, "pick_free_ports", spy)
         monkeypatch.setattr(launch, "FleetSupervisor", Supervisor)
