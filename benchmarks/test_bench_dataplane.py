@@ -27,6 +27,7 @@ import warnings
 
 from repro.api import Pipeline
 from repro.core.stats import Histogram
+from repro.devices import random_lines
 from repro.net.launch import IDENTITY, plan_linear_fleet, run_fleet
 from repro.transput import FlowPolicy
 
@@ -57,7 +58,8 @@ FAST_FLOW = FlowPolicy(batch=32, pipeline_depth=8)
 def timed_fleet(workdir, count, codec, flow):
     plans = plan_linear_fleet(
         "readonly", [IDENTITY], workdir,
-        source_count=count, source_seed=11, codec=codec, flow=flow,
+        source_items=random_lines(count=count, seed=11), codec=codec,
+        flow=flow,
     )
     started = time.perf_counter()
     result = run_fleet(plans, timeout=600.0)

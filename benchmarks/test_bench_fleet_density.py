@@ -20,6 +20,7 @@ import os
 import time
 
 from repro.core.stats import Histogram
+from repro.devices import random_lines
 from repro.net.launch import IDENTITY, run_fleet
 from repro.obs.trace_cli import main as trace_main
 from repro.broker.launch import plan_hosted_fleet
@@ -45,7 +46,7 @@ FLOW = FlowPolicy(batch=8, pipeline_depth=4)
 def host_the_fleet(workdir):
     plans = plan_hosted_fleet(
         "readonly", [IDENTITY] * (N_STAGES - 2), workdir,
-        source_count=N_ITEMS, source_seed=13,
+        source_items=random_lines(count=N_ITEMS, seed=13),
         flow=FLOW, trace=True, resume=True,
         connect_deadline=60.0,
     )

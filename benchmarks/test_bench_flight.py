@@ -35,6 +35,7 @@ import pathlib
 import time
 
 from repro.core.stats import Histogram
+from repro.devices import random_lines
 from repro.net.launch import IDENTITY, plan_linear_fleet, run_fleet
 from repro.transput import FlowPolicy
 
@@ -67,8 +68,9 @@ FAST_FLOW = FlowPolicy(batch=32, pipeline_depth=8)
 def timed_fleet(workdir, count, flight_dir, flight_mode):
     plans = plan_linear_fleet(
         "readonly", [IDENTITY], workdir,
-        source_count=count, source_seed=11, codec="binary", flow=FAST_FLOW,
-        flight_dir=flight_dir, flight_mode=flight_mode or "full",
+        source_items=random_lines(count=count, seed=11), codec="binary",
+        flow=FAST_FLOW, flight_dir=flight_dir,
+        flight_mode=flight_mode or "full",
     )
     started = time.perf_counter()
     result = run_fleet(plans, timeout=600.0)

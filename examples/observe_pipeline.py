@@ -19,6 +19,7 @@ import tempfile
 import threading
 import time
 
+from repro.devices import random_lines
 from repro.net.launch import IDENTITY, plan_linear_fleet, run_fleet
 from repro.obs.control import ControlError
 from repro.obs.merge import load_span_log, merge_span_logs, verify_invocation_chains
@@ -49,7 +50,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         plans = plan_linear_fleet(
             "readonly", [IDENTITY] * N_FILTERS, workdir,
-            source_count=ITEMS, trace=True, control=True,
+            source_items=random_lines(count=ITEMS), trace=True, control=True,
         )
         print(f"launching {len(plans)} stages (read-only, n={N_FILTERS}, "
               f"m={ITEMS})...\n")

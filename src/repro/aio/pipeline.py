@@ -153,11 +153,12 @@ def stream_segment(
     stats: KernelStats | None = None,
     **kwargs: Any,
 ) -> list[Any]:
-    """Run one linear aio segment to completion, synchronously.
+    """Run one linear aio pipeline to completion, synchronously.
 
-    This is the asyncio building block :mod:`repro.api` composes
-    graphs from — one call per linear segment of the DAG.  Front-door
-    callers want :class:`repro.api.Pipeline` or
+    One :data:`RUNNERS` coroutine under its own event loop.
+    :mod:`repro.api` runs a graph's segment by gathering the
+    :data:`RUNNERS` coroutines of all its pipelines in one loop
+    instead.  Front-door callers want :class:`repro.api.Pipeline` or
     :class:`repro.api.GraphBuilder`.
     """
     if discipline not in RUNNERS:

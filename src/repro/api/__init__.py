@@ -1,10 +1,14 @@
 """repro.api: one dataflow definition, runnable on all three runtimes.
 
-The reproduction grew three runtime-specific building blocks: the
-simulator's :func:`repro.transput.compose_segment`, the asyncio
-:func:`repro.aio.stream_segment`, and the TCP fleet's
-:func:`repro.net.launch.plan_linear_fleet` / ``run_fleet`` pair.  This
-package is the one vocabulary over all of them, in two tiers:
+Each runtime runs one linear pipeline its own way: the simulator
+composes it into a kernel (:func:`repro.transput.compose_segment`),
+asyncio runs it as one :data:`repro.aio.pipeline.RUNNERS` coroutine,
+and TCP plans it as a fleet (:func:`repro.net.launch.plan_linear_fleet`,
+or :func:`repro.broker.launch.plan_hosted_fleet` when hosted) under
+one :class:`~repro.net.launch.FleetSupervisor` per run.  This package
+is the one vocabulary over all of them, and one graph runner
+(:mod:`repro.api.execute`) wires every program's boundaries the same
+way on each, in two tiers:
 
 **Linear** — :class:`Pipeline`, the facade every earlier PR used::
 
@@ -34,8 +38,8 @@ C3's fan-out/fan-in duality made executable)::
     result = graph.run(runtime="tcp")
 
 A :class:`Pipeline` is literally the degenerate Graph —
-:meth:`Pipeline.to_graph` compiles it to a single-path DAG and the
-unsharded run path executes through the same graph runner.  Invalid
+:meth:`Pipeline.to_graph` compiles it to a single-path DAG, and its
+runs, sharded or hosted, execute through the same graph runner.  Invalid
 topologies (cycles, dangling ports, fan-out without channel ids,
 discipline mismatches, unsatisfiable buffer bounds) raise
 :class:`GraphError` at build time with a positioned message — never at

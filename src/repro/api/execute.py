@@ -5,35 +5,35 @@ sequence of linear segments and parallel blocks.  A
 :class:`~repro.api.Pipeline` is the one-segment program, and
 ``Pipeline(stages, shards=N)`` the one-block program: a content-hash
 scatter over N copies of the stages and a gather, without a graph's
-boundary hops.  :func:`_run_program` runs every program.  Between
-two segments, records cross one :class:`~repro.api.graph.Router`,
-which joins the branches before the boundary and splits into the
-branches after it.
+boundary hops.  :func:`_run_program` runs every program, and wires it
+the same way on every runtime and placement: one
+:class:`~repro.api.graph.Router` per boundary (the graph's source into
+the first segment, each segment into the next, the last into the
+output), which joins the branches before it and splits into the
+branches after it; one outlet per pipeline — each linear segment, each
+branch of a block — that the router before it fills; and one router
+inlet per pipeline sink.  A runtime only runs pipelines:
 
-- ``sim``: segment by segment.  One fresh deterministic kernel per
-  linear segment (:func:`repro.transput.compose_segment`); a block
-  composes every branch pipeline into **one shared kernel**, so the
-  branches genuinely interleave under the simulator's scheduler
-  (claim C3's fan-out is concurrency, not a loop).  A segment's
-  records are routed whole into the next
-  (:func:`~repro.api.graph.partition_records` /
-  :func:`~repro.api.graph.join_records`).
-- ``aio``: segment by segment too, one :data:`repro.aio.pipeline.
-  RUNNERS` coroutine per linear segment; a block drives every branch
-  concurrently under one ``asyncio.gather``.
+- ``sim``: segment by segment, one fresh deterministic kernel per
+  segment (:func:`repro.transput.compose_segment` per pipeline), so a
+  block's branches genuinely interleave under the simulator's
+  scheduler (claim C3's fan-out is concurrency, not a loop).
+- ``aio``: segment by segment too, a segment's pipelines (one
+  :data:`repro.aio.pipeline.RUNNERS` coroutine each) concurrently
+  under one ``asyncio.gather``.
 - ``tcp``: **one** supervised run per program (:func:`_run_tcp`).
-  Every pipeline — each linear segment, each branch of a block — is
-  planned before the run, and one supervisor forks all their stages
-  at once.  Each pipeline's source and sink run in the driver's event
-  loop, so the records never leave the driver as text: a sink hands
-  each transfer it takes in to its boundary's router, which feeds the
-  next segment's source ends as the records arrive.  A feed answers a
-  read only with the records it asks for, once they are there (or
-  with the rest, and then END): a later stage waits only as long as
-  its records take to come through the segments before it, and every
-  transfer keeps the boundaries of the whole-list routing.
-  Hosted placement runs its one linear segment as a
-  ``plan_hosted_fleet``.
+  Every pipeline is planned before the run, and one supervisor forks
+  all their stages at once; placement only picks the planner.  A
+  process pipeline's source and sink run in the driver's event loop,
+  so the records never leave the driver as text: a sink hands each
+  transfer it takes in to its boundary's router, which feeds the next
+  segment's source ends as the records arrive.  A feed answers a read
+  only with the records it asks for, once they are there (or with the
+  rest, and then END): a later stage waits only as long as its records
+  take to come through the segments before it, and every transfer
+  keeps the boundaries of the whole-list routing.  A hosted pipeline
+  carries its feed's records in its host's plan, and its output
+  reaches its inlet when the run ends.
 
 Routing is identical everywhere, which is what makes "identical output
 on all three runtimes" hold for non-linear topologies, and each edge's
@@ -65,8 +65,6 @@ from repro.api.graph import (
     ParallelSegment,
     Router,
     _Records,
-    join_records,
-    partition_records,
 )
 
 __all__ = [
@@ -227,15 +225,16 @@ def _run_program(
     pipeline_depth: int | None = None,
     **fleet: Any,
 ) -> GraphResult:
-    """Validate the knobs, then run ``program``.
+    """Validate the knobs, wire ``program``, then run its pipelines.
 
-    On sim and aio, segment by segment: each segment's records are
-    routed whole into the next.  On tcp, as one supervised run in which
-    every segment streams into the next (:func:`_run_tcp`).
-    ``edge_knobs`` are a graph's TCP-only edge settings
+    On sim and aio, segment by segment: a segment's pipelines run
+    together, and their outputs go through the next boundary's router
+    once they are done.  On tcp, as one supervised run in which every
+    segment streams into the next (:func:`_run_tcp`).  ``edge_knobs``
+    are a graph's TCP-only edge settings
     (:meth:`Graph.tcp_only_edge_knobs`); ``hosted`` / ``broker`` plan
-    the linear segment as a broker-hosted fleet.  ``fleet`` holds the
-    other TCP-only knobs, for :func:`_run_tcp`.
+    the one linear segment as a broker-hosted fleet.  ``fleet`` holds
+    the other TCP-only knobs, for :func:`_run_tcp`.
     """
     if runtime not in RUNTIMES:
         raise ValueError(f"runtime must be one of {RUNTIMES}, got {runtime!r}")
@@ -282,31 +281,60 @@ def _run_program(
         check_flow_policy_runtime(runtime, policy)
         return policy
 
+    # The wiring, built once for every runtime: one router per boundary
+    # (the graph's source into the first segment, each segment into the
+    # next, the last into the output), one outlet per pipeline that the
+    # router before it fills (a Feed its source end plays on tcp, a
+    # list on sim/aio), and one inlet of the router after it per sink.
+    outlet = _Records
     if runtime == "tcp":
-        return GraphResult(runtime=runtime, graph=name, **_run_tcp(
-            program, source, flow_of, hosted, broker, **fleet))
-    linear, block, fields = (_sim_steps(flow_of, placement) if runtime == "sim"
-                             else _aio_steps(flow_of))
-    per_segment: dict[str, int] = {}
+        from repro.net.launch import Feed as outlet
+    segments = program.segments
+    output = _Records()
+    sources: list[list[Any]] = []
+    sinks: list[list[_Inlet]] = []
     branch_outputs: dict[str, list[list[Any]]] = {}
-    records: list[Any] = list(source)
-    for segment in program.segments:
-        if isinstance(segment, LinearSegment):
-            records, per_segment[segment.name] = linear(segment, records)
-            continue
-        buckets = partition_records(records, segment.op, segment.policy,
-                                    len(segment.branches))
-        outputs, per_segment[segment.name] = block(segment, buckets)
-        branch_outputs[segment.name] = outputs
-        records = join_records(outputs, segment.join)
+    for before, after in zip([None, *segments], [*segments, None]):
+        outlets = ([output] if after is None
+                   else [outlet() for _ in _pipelines(after)])
+        router = _boundary(before, after, outlets)
+        if before is None:
+            router.push(0, source)
+            router.end(0)
+        else:
+            sinks.append([_Inlet(router, inlet)
+                          for inlet in range(len(_pipelines(before)))])
+            if isinstance(before, ParallelSegment):
+                branch_outputs[before.name] = router.logs
+        if after is not None:
+            sources.append(outlets)
+
+    if runtime == "tcp":
+        per_segment, fields = _run_tcp(segments, sources, sinks, flow_of,
+                                       hosted, broker, **fleet)
+    else:
+        from repro.core.stats import KernelStats
+        from repro.obs.registry import snapshot_payload
+
+        # Segment by segment, each segment's pipelines together.
+        stats = KernelStats()
+        run = (_sim_steps(flow_of, placement, stats) if runtime == "sim"
+               else _aio_steps(flow_of, stats))
+        per_segment = {}
+        for segment, ins, outs in zip(segments, sources, sinks):
+            outputs, per_segment[segment.name] = run(_pipelines(segment), ins)
+            for inlet, records in zip(outs, outputs):
+                inlet.extend(records)
+                inlet.end()
+        fields = {"stats": snapshot_payload(stats)}
     return GraphResult(
         runtime=runtime,
         graph=name,
-        output=records,
+        output=output,
         invocations=sum(per_segment.values()),
         segment_invocations=per_segment,
         branch_outputs=branch_outputs,
-        **fields(),
+        **fields,
     )
 
 
@@ -338,211 +366,176 @@ def _wire_specs(specs: Sequence[Any],
 # -- sim ---------------------------------------------------------------------
 
 
-def _sim_steps(flow_of, placement: Any):
+def _sim_steps(flow_of, placement: Any, stats: Any):
+    """Run a segment's pipelines in one kernel, counting into ``stats``."""
     from repro.core.kernel import Kernel
-    from repro.core.stats import KernelStats
-    from repro.obs.registry import snapshot_payload
     from repro.transput.pipeline import compose_segment, run_until_done
 
-    combined = KernelStats()
-
-    def compose(kernel: Kernel, segment: LinearSegment, records: list[Any]):
-        return compose_segment(
-            kernel, segment.discipline, records, _transducers(segment.specs),
-            flow=flow_of(segment), placement=placement,
-        )
-
-    def absorb(kernel: Kernel) -> None:
-        for counter in kernel.stats.names():
-            combined.bump(counter, kernel.stats.get(counter))
-
-    def linear(segment: LinearSegment, records: list[Any]):
+    def run(pipelines: list[LinearSegment], sources: list[list[Any]]):
+        # Every pipeline of the segment composed into ONE kernel and
+        # scheduled concurrently — a block's fan-out as the paper means
+        # it, not a sequential loop over branches.
         kernel = Kernel()
-        built = compose(kernel, segment, records)
-        output = built.run_to_completion()
-        absorb(kernel)
-        return output, built.invocations_used()
-
-    def block(segment: ParallelSegment, buckets: list[list[Any]]):
-        # Every branch pipeline composed into ONE kernel, scheduled
-        # concurrently — fan-out as the paper means it, not a
-        # sequential loop over branches.
-        kernel = Kernel()
-        built = [compose(kernel, branch, bucket)
-                 for branch, bucket in zip(segment.branches, buckets)]
-        stats, _makespan = run_until_done(
+        built = [compose_segment(
+            kernel, pipeline.discipline, records,
+            _transducers(pipeline.specs), flow=flow_of(pipeline),
+            placement=placement,
+        ) for pipeline, records in zip(pipelines, sources)]
+        counts, _makespan = run_until_done(
             kernel, [sink for pipe in built for sink in pipe.sinks])
-        absorb(kernel)
+        for counter in kernel.stats.names():
+            stats.bump(counter, kernel.stats.get(counter))
         return ([list(pipe.sink.collected) for pipe in built],
-                stats["invocations_sent"])
+                counts["invocations_sent"])
 
-    return linear, block, lambda: {"stats": snapshot_payload(combined)}
+    return run
 
 
 # -- aio ---------------------------------------------------------------------
 
 
-def _aio_steps(flow_of):
+def _aio_steps(flow_of, stats: Any):
+    """Run a segment's pipelines in one event loop, counting into
+    ``stats``."""
     import asyncio
 
     from repro.aio.pipeline import RUNNERS
-    from repro.core.stats import KernelStats
-    from repro.obs.registry import snapshot_payload
 
-    stats = KernelStats()
-
-    def stream(segment: LinearSegment, records: list[Any]):
-        policy = flow_of(segment)
+    def stream(pipeline: LinearSegment, records: list[Any]):
+        policy = flow_of(pipeline)
         kwargs: dict[str, Any] = {"batch": policy.batch}
-        if segment.discipline == "readonly":
+        if pipeline.discipline == "readonly":
             kwargs["lookahead"] = policy.lookahead
-        elif segment.discipline == "conventional":
+        elif pipeline.discipline == "conventional":
             kwargs["capacity"] = policy.buffer_capacity or 16
-        return RUNNERS[segment.discipline](
-            records, _transducers(segment.specs), stats=stats, **kwargs)
+        return RUNNERS[pipeline.discipline](
+            records, _transducers(pipeline.specs), stats=stats, **kwargs)
 
-    def counted(coroutine):
-        before = stats.get("invocations_sent")
-        output = asyncio.run(coroutine)
-        return output, stats.get("invocations_sent") - before
-
-    def linear(segment: LinearSegment, records: list[Any]):
-        return counted(stream(segment, records))
-
-    def block(segment: ParallelSegment, buckets: list[list[Any]]):
-        # One event loop, every branch a concurrent coroutine chain.
-        async def branches() -> list[list[Any]]:
+    def run(pipelines: list[LinearSegment], sources: list[list[Any]]):
+        # One event loop, every pipeline a concurrent coroutine chain.
+        async def segment() -> list[list[Any]]:
             return list(await asyncio.gather(*(
-                stream(branch, bucket)
-                for branch, bucket in zip(segment.branches, buckets)
-            )))
+                stream(pipeline, records)
+                for pipeline, records in zip(pipelines, sources))))
 
-        return counted(branches())
+        before = stats.get("invocations_sent")
+        outputs = asyncio.run(segment())
+        return outputs, stats.get("invocations_sent") - before
 
-    return linear, block, lambda: {"stats": snapshot_payload(stats)}
+    return run
 
 
 # -- tcp ---------------------------------------------------------------------
 
 
-def _run_tcp(program: GraphProgram, source: Sequence[Any], flow_of,
-             hosted: bool, broker: str | None, *,
-             timeout: float | None = None, max_restarts: int | None = None,
+def _run_tcp(segments: Sequence[Any], sources: Sequence[Sequence[Any]],
+             sinks: Sequence[Sequence[_Inlet]], flow_of, hosted: bool,
+             broker: str | None, *, timeout: float | None = None,
+             max_restarts: int | None = None,
              faults: Mapping[int, Any] | None = None,
              resume: bool | None = None, io_timeout: float | None = None,
              trace: bool | None = None, workdir: str | None = None,
-             codec: str | None = None, flight: Any = None) -> dict[str, Any]:
-    """The :class:`GraphResult` fields of one supervised run of ``program``.
+             codec: str | None = None,
+             flight: Any = None) -> tuple[dict[str, int], dict[str, Any]]:
+    """Per-segment invocations and the other :class:`GraphResult`
+    fields of one supervised run of ``segments``.
 
-    Every pipeline of the program — each linear segment, each branch of
-    a block — is planned with its source empty, every port of the graph
-    drawn in one call, and one :class:`~repro.net.launch.FleetSupervisor`
-    runs them all at once.  The records stay in the driver: the graph's
-    source and every sink end feed a :class:`~repro.api.graph.Router`
-    per boundary, and each router feeds the next segment's source ends
-    as the records arrive, so the segments overlap.  A hosted pipeline
-    (one linear segment) carries its records in its host's plan.
+    Every pipeline — each linear segment, each branch of a block — is
+    planned before the run, and one
+    :class:`~repro.net.launch.FleetSupervisor` runs them all at once.
+    Placement only picks the planner.  A process pipeline is a
+    :func:`~repro.net.launch.plan_linear_fleet` (every port of the
+    graph drawn in one call) whose source end plays the pipeline's
+    :class:`~repro.net.launch.Feed` from ``sources`` and whose sink end
+    hands each transfer on to its inlet in ``sinks`` as it arrives, so
+    the segments overlap.  Branch ``i`` of a block plans into
+    ``branch-<i>`` with ticket space ``i`` and shard label ``i``, and a
+    traced block gets a combined ``fleet.json`` over every branch.  A
+    hosted pipeline (one linear segment) is a
+    :func:`~repro.broker.launch.plan_hosted_fleet` whose host's plan
+    carries the feed's records; its output goes to its inlet once the
+    run ends.
     """
+    from repro.net import launch
     from repro.net.framing import CODEC_JSON
-    from repro.net.launch import (
-        Feed,
-        FleetSupervisor,
-        plan_linear_fleet,
-        run_fleet,
-    )
 
     flight_dir, flight_mode = normalize_flight(flight)
     workpath = pathlib.Path(workdir or tempfile.mkdtemp(prefix="eden-fleet-"))
     timeout = 60.0 if timeout is None else timeout
     max_restarts = max_restarts or 0
     resume, trace = bool(resume), bool(trace)
-    segments = program.segments
-
-    if hosted:
-        from repro.broker.launch import plan_hosted_fleet
-
-        (segment,) = segments
-        fleet = run_fleet(plan_hosted_fleet(
-            segment.discipline, _wire_specs(segment.specs, segment.name),
-            str(workpath), source_items=list(source), flow=flow_of(segment),
-            trace=trace, faults=faults, resume=resume, io_timeout=io_timeout,
-            codec=segment.codec or codec or CODEC_JSON, flight_dir=flight_dir,
-            flight_mode=flight_mode, broker=broker, max_restarts=max_restarts,
-        ), timeout=timeout, max_restarts=max_restarts)
-        return {"output": fleet.output, "invocations": fleet.invocations,
-                "segment_invocations": {segment.name: fleet.invocations},
-                **_fleet_fields(fleet)}
 
     # A one-segment program (every Pipeline, sharded or not) plans into
     # the workdir itself, keeping the fleet layout — manifest, trace
     # files, flight subdirs — where linear-era tooling expects it.
     # Longer programs get one subdirectory per segment.
-    def under(root: Any, segment: Any) -> str | None:
+    def under(root: Any, *parts: str) -> str | None:
         if root is None:
             return None
-        nested = len(segments) > 1
-        return str(pathlib.Path(root) / (segment.name if nested else ""))
+        return str(pathlib.Path(root).joinpath(
+            *parts if len(segments) > 1 else parts[1:]))
 
-    ports = _draw_ports([pipeline for segment in segments
-                         for pipeline in _pipelines(segment)])
-    knobs = dict(trace=trace, resume=resume, io_timeout=io_timeout,
-                 flight_mode=flight_mode, ports=ports)
+    # One draw of every listening port: a pipeline of n transducers
+    # listens on n + 1 ports, whatever its discipline.
+    ports = None if hosted else iter(launch.pick_free_ports(sum(
+        len(pipeline.specs) + 1
+        for segment in segments for pipeline in _pipelines(segment))))
     plans: list[Any] = []
     spans: dict[str, range] = {}
-    for segment in segments:
-        start = len(plans)
-        if isinstance(segment, ParallelSegment):
-            plans += _plan_block(
-                segment, [[] for _ in segment.branches],
-                under(workpath, segment), flow_of, codec=codec,
-                flight_dir=under(flight_dir, segment), **knobs)
-        else:
-            plans += plan_linear_fleet(
-                segment.discipline, _wire_specs(segment.specs, segment.name),
-                under(workpath, segment), source_items=[],
-                flow=flow_of(segment), faults=faults,
-                codec=segment.codec or codec or CODEC_JSON,
-                flight_dir=under(flight_dir, segment), **knobs)
-        spans[segment.name] = range(start, len(plans))
-
-    def ends(segment: Any, role: str) -> list[int]:
-        return [i for i in spans[segment.name] if plans[i].role == role]
-
-    # One router per boundary: the graph's source into the first
-    # segment, each segment into the next, the last into the output.
-    output = _Records()
     feeds: dict[int, Any] = {}
     forwards: dict[int, Any] = {}
-    branch_outputs: dict[str, list[list[Any]]] = {}
-    for before, after in zip([None, *segments], [*segments, None]):
-        outlets: list[Any] = [output]
-        if after is not None:
-            outlets = [Feed() for _ in ends(after, "source")]
-            feeds.update(zip(ends(after, "source"), outlets))
-        router = _boundary(before, after, outlets)
-        if before is None:
-            router.push(0, source)
-            router.end(0)
-            continue
-        forwards.update((index, _Inlet(router, inlet))
-                        for inlet, index in enumerate(ends(before, "sink")))
-        if isinstance(before, ParallelSegment):
-            branch_outputs[before.name] = router.logs
+    for segment, ins, outs in zip(segments, sources, sinks):
+        start = len(plans)
+        block = isinstance(segment, ParallelSegment)
+        for index, (pipeline, feed, inlet) in enumerate(
+                zip(_pipelines(segment), ins, outs)):
+            branch = f"branch-{index}" if block else ""
+            knobs = dict(
+                flow=flow_of(pipeline), trace=trace, faults=faults,
+                resume=resume, io_timeout=io_timeout,
+                codec=pipeline.codec or codec or CODEC_JSON,
+                flight_dir=under(flight_dir, segment.name, branch),
+                flight_mode=flight_mode,
+            )
+            specs = _wire_specs(pipeline.specs, pipeline.name)
+            if hosted:
+                from repro.broker.launch import plan_hosted_fleet
 
-    fleet = FleetSupervisor(plans, timeout=timeout,
-                            max_restarts=max_restarts).run(feeds, forwards)
+                plans += plan_hosted_fleet(
+                    pipeline.discipline, specs, under(workpath, segment.name),
+                    source_items=feed.records, broker=broker,
+                    max_restarts=max_restarts, **knobs)
+                continue
+            first = len(plans)
+            plans += launch.plan_linear_fleet(
+                pipeline.discipline, specs,
+                under(workpath, segment.name, branch), source_items=[],
+                ports=ports, **knobs,
+                **(dict(ticket_space=index, shard=index) if block else {}))
+            for at in range(first, len(plans)):
+                if plans[at].role == "source":
+                    feeds[at] = feed
+                elif plans[at].role == "sink":
+                    forwards[at] = inlet
+        if block and trace:
+            launch.write_manifest(
+                under(workpath, segment.name), plans[start:], resume=resume,
+                shards=len(segment.branches))
+        spans[segment.name] = range(start, len(plans))
+
+    fleet = launch.FleetSupervisor(
+        plans, timeout=timeout, max_restarts=max_restarts,
+    ).run(feeds, forwards)
+    if hosted:
+        ((inlet,),) = sinks
+        inlet.extend(fleet.output)
+        inlet.end()
     per_segment = {
         name: sum(stats["counters"].get("invocations_sent", 0)
                   for stats in fleet.stats[span.start:span.stop])
         for name, span in spans.items()
     }
-    return {
-        "output": output,
-        "invocations": sum(per_segment.values()),
-        "segment_invocations": per_segment,
-        "branch_outputs": branch_outputs,
-        **_fleet_fields(fleet),
-    }
+    return per_segment, _fleet_fields(fleet)
 
 
 def _pipelines(segment: Any) -> list[LinearSegment]:
@@ -565,7 +558,7 @@ def _boundary(before: Any, after: Any, outlets: Sequence[Any]) -> Router:
 
 @dataclass
 class _Inlet:
-    """A sink end's forward: one inlet of a :class:`Router`."""
+    """A pipeline's sink: one inlet of a :class:`Router`."""
 
     router: Router
     index: int
@@ -575,59 +568,6 @@ class _Inlet:
 
     def end(self) -> None:
         self.router.end(self.index)
-
-
-def _draw_ports(pipelines: Sequence[LinearSegment]) -> Any:
-    """One draw of every listening port ``pipelines`` plan: a pipeline
-    of ``n`` transducers listens on ``n + 1`` ports, whatever its
-    discipline."""
-    from repro.net import launch
-
-    return iter(launch.pick_free_ports(
-        sum(len(pipeline.specs) + 1 for pipeline in pipelines)))
-
-
-def _plan_block(block: ParallelSegment, buckets: Sequence[Sequence[Any]],
-                directory: str | pathlib.Path, flow_of, *,
-                codec: str | None = None,
-                flight_dir: str | None = None, ports: Any = None,
-                **knobs: Any) -> list[Any]:
-    """Plan a parallel block as one sub-fleet per branch.
-
-    Branch ``i`` plans into ``directory/branch-<i>`` with ticket space
-    ``i`` and labelled shard ``i`` (the order the supervisor gathers
-    sink outputs in).  With ``trace`` on, a combined ``fleet.json``
-    covering every stage — with ``shards`` — is written to
-    ``directory`` for ``eden-top``.  ``ports`` are drawn for the
-    whole graph (by default, for this block, in one call); ``knobs``
-    go to every branch's :func:`~repro.net.launch.plan_linear_fleet`.
-    """
-    from repro.net.framing import CODEC_JSON
-    from repro.net.launch import plan_linear_fleet, write_manifest
-
-    directory = pathlib.Path(directory)
-    if ports is None:
-        ports = _draw_ports(block.branches)
-    plans = []
-    for index, (branch, bucket) in enumerate(zip(block.branches, buckets)):
-        plans.extend(plan_linear_fleet(
-            branch.discipline,
-            _wire_specs(branch.specs, branch.name),
-            str(directory / f"branch-{index}"),
-            source_items=bucket,
-            flow=flow_of(branch),
-            ticket_space=index,
-            codec=branch.codec or codec or CODEC_JSON,
-            shard=index,
-            flight_dir=(None if flight_dir is None
-                        else str(pathlib.Path(flight_dir) / f"branch-{index}")),
-            ports=ports,
-            **knobs,
-        ))
-    if knobs.get("trace"):
-        write_manifest(directory, plans, resume=knobs.get("resume", False),
-                       shards=len(block.branches))
-    return plans
 
 
 def _fleet_fields(fleet: Any) -> dict[str, Any]:

@@ -6,8 +6,9 @@ one graph runner (:func:`repro.api.execute._run_program`) executes: a
 single-path :class:`~repro.api.graph.Graph` (see
 :meth:`Pipeline.to_graph`), or with ``shards=N`` the one parallel
 block a ``scatter("hash")…gather()`` runs, without the graph's
-boundary hops.  Hosted placement plans that same linear program as a
-broker-hosted fleet.
+boundary hops.  Placement does not change how it runs: hosted
+placement only picks the planner that program's one pipeline gets
+inside the graph runner's one supervised run.
 
 All knob validation is the graph runner's
 (:data:`repro.api.execute.TCP_ONLY_KNOBS`), so a TCP-only knob is

@@ -48,10 +48,7 @@ def plan_hosted_fleet(
     discipline: str,
     transducers: Sequence[TransducerSpec],
     workdir: str,
-    source_items: Sequence[Any] | None = None,
-    source_count: int | None = None,
-    source_width: int = 8,
-    source_seed: int = 0,
+    source_items: Sequence[Any],
     flow: FlowPolicy | None = None,
     ticket_space: int = 0,
     ticket_seed: int = 0,
@@ -98,10 +95,10 @@ def plan_hosted_fleet(
             f"ticket space, got {hosts}"
         )
     configs = pipeline_configs(
-        discipline, transducers, source_items, source_count, source_width,
-        source_seed, faults, flow, ticket_space=ticket_space,
-        ticket_seed=ticket_seed, connect_deadline=connect_deadline,
-        resume=resume, io_timeout=io_timeout, codec=codec,
+        discipline, transducers, source_items, faults, flow,
+        ticket_space=ticket_space, ticket_seed=ticket_seed,
+        connect_deadline=connect_deadline, resume=resume,
+        io_timeout=io_timeout, codec=codec,
     )
     if hosts > len(configs):
         raise ValueError(

@@ -1,8 +1,8 @@
 """Host-side workload generation: needs nothing of the simulator.
 
-The fleet planner (:func:`repro.net.launch.pipeline_configs`) builds
-its ``source_count`` workloads here, without importing the Eject
-machinery behind :mod:`repro.devices.sources`.
+Fleet callers build the records they hand a planner's
+``source_items`` here, without importing the Eject machinery behind
+:mod:`repro.devices.sources`.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ placement only groups those configs into processes and gives them
 addresses: :func:`plan_linear_fleet` plans one ``eden-stage`` per
 stage, each with one JSON plan file and a port per listener;
 :func:`repro.broker.launch.plan_hosted_fleet` groups contiguous runs
-into ``eden-host`` processes beside a broker; and a graph's parallel
-block plans one sub-fleet per branch.  :func:`write_manifest` is the
-one writer of the ``fleet.json`` manifest the tools read.  The
-conventional discipline gets a *pipe process between every adjacent
-pair* — the paper's passive buffers made into real servers — which is
-why its process count is ``2n + 3`` against the asymmetric disciplines'
-``n + 2``, and its measured message count ``(2n+2)(m+1)`` against
-``(n+1)(m+1)``.
+into ``eden-host`` processes beside a broker; and the graph runner
+plans a parallel block as one :func:`plan_linear_fleet` per branch.
+:func:`write_manifest` is the one writer of the ``fleet.json``
+manifest the tools read.  The conventional discipline gets a *pipe
+process between every adjacent pair* — the paper's passive buffers
+made into real servers — which is why its process count is ``2n + 3``
+against the asymmetric disciplines' ``n + 2``, and its measured
+message count ``(2n+2)(m+1)`` against ``(n+1)(m+1)``.
 
 The supervisor (:class:`FleetSupervisor`, front door :func:`run_fleet`)
 runs the plan and watches it.  Only the stages between a pipeline's
@@ -41,10 +41,12 @@ to ``supervisor.stats.json`` next to the stage dumps.
 
 New code should use :class:`repro.api.Pipeline` or
 :class:`repro.api.GraphBuilder`, which drive this module for their TCP
-runtime: one :func:`plan_linear_fleet` call per linear segment and per
-branch of a parallel block, all planned before the run, and one
+runtime: one planner call per pipeline (:func:`plan_linear_fleet` for
+each linear segment and each branch of a parallel block, or the hosted
+planner for a hosted pipeline), all planned before the run, and one
 supervised run of all of them, in which each segment's source ends
-play a :class:`Feed` the segment before fills as it runs.
+play a :class:`Feed` the segment before fills as it runs.  The caller
+makes the source records: the planners take them as ``source_items``.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import repro.net.zygote
-from repro.devices.workload import random_lines
 from repro.fault.plan import (
     KILLED_EXIT_CODE,
     FaultPlan,
@@ -232,10 +233,7 @@ class FleetError(RuntimeError):
 def pipeline_configs(
     discipline: str,
     transducers: Sequence[TransducerSpec],
-    source_items: Sequence[Any] | None = None,
-    source_count: int | None = None,
-    source_width: int = 8,
-    source_seed: int = 0,
+    source_items: Sequence[Any],
     faults: Mapping[int, FaultPlan] | None = None,
     flow: FlowPolicy | None = None,
     **common: Any,
@@ -247,20 +245,14 @@ def pipeline_configs(
     = 0, filters 1..n, sink = n+1, then the conventional discipline's
     pipes; names are ``source``, ``filter1``..``filter<n>``, ``sink``
     and ``pipe0``..``pipe<n>``.  ``faults`` maps serials to the
-    :class:`FaultPlan` each stage should suffer.  The source is always
-    materialised: explicit ``source_items`` (JSON-encodable), or
-    ``source_count`` (+width/seed) lines of the deterministic
-    ``random_lines`` workload the simulator examples use.
+    :class:`FaultPlan` each stage should suffer.  The source's records
+    (``source_items``, JSON-encodable) go into the source stage's
+    config.
 
     Peers are *named*: a stage's ``upstream`` / ``downstream`` is the
     name of the stage it dials.  ``common`` holds the other
     :class:`StageConfig` fields every stage shares.
     """
-    if source_items is None:
-        if source_count is None:
-            raise ValueError("give source_items or source_count")
-        source_items = random_lines(count=source_count, width=source_width,
-                                    seed=source_seed)
     faults = dict(faults or {})
     count = len(transducers)
     names = ["source", *(f"filter{i}" for i in range(1, count + 1)), "sink"]
@@ -344,10 +336,7 @@ def plan_linear_fleet(
     discipline: str,
     transducers: Sequence[TransducerSpec],
     workdir: str,
-    source_items: Sequence[Any] | None = None,
-    source_count: int | None = None,
-    source_width: int = 8,
-    source_seed: int = 0,
+    source_items: Sequence[Any],
     flow: FlowPolicy | None = None,
     ticket_space: int = 0,
     ticket_seed: int = 0,
@@ -388,10 +377,10 @@ def plan_linear_fleet(
     workpath = pathlib.Path(workdir)
     workpath.mkdir(parents=True, exist_ok=True)
     configs = pipeline_configs(
-        discipline, transducers, source_items, source_count, source_width,
-        source_seed, faults, flow, ticket_space=ticket_space,
-        ticket_seed=ticket_seed, connect_deadline=connect_deadline,
-        resume=resume, io_timeout=io_timeout, codec=codec, shard=shard,
+        discipline, transducers, source_items, faults, flow,
+        ticket_space=ticket_space, ticket_seed=ticket_seed,
+        connect_deadline=connect_deadline, resume=resume,
+        io_timeout=io_timeout, codec=codec, shard=shard,
         flight_dir=flight_dir, flight_mode=flight_mode, host=host,
     )
     # Every port of the plan is drawn in one call, so no two stages can

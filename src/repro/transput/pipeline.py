@@ -385,12 +385,13 @@ def compose_segment(
     source_work_cost: float = 0.0,
     sink_work_cost: float = 0.0,
 ) -> Pipeline:
-    """Build one linear segment in any discipline (by name).
+    """Build one linear pipeline in any discipline (by name).
 
-    This is the simulator building block :mod:`repro.api` composes
-    graphs from — one call per linear segment of the DAG.  Front-door
-    callers want :class:`repro.api.Pipeline` or
-    :class:`repro.api.GraphBuilder`.
+    This is the simulator building block :mod:`repro.api` runs graphs
+    with: one call per pipeline (a linear segment, or one branch of a
+    parallel block), every pipeline of a segment composed into the
+    segment's one kernel.  Front-door callers want
+    :class:`repro.api.Pipeline` or :class:`repro.api.GraphBuilder`.
     """
     if discipline == "readonly":
         return compose_readonly_pipeline(

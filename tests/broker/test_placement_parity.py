@@ -103,8 +103,13 @@ class TestRecordsAreValuesNotLines:
                             placement=placement)
         result = pipeline.run(runtime="tcp", workdir=str(tmp_path),
                               timeout=60.0)
-        assert result.output == Pipeline(
-            [IDENTITY, IDENTITY], source=self.RECORDS).run("aio").output
+        aio = Pipeline([IDENTITY, IDENTITY], source=self.RECORDS).run("aio")
+        assert result.output == aio.output
         assert result.output == self.RECORDS
+        # Both placements hand their sink's records to the result
+        # through the same router: the per-segment counts and the
+        # (empty) branch outputs are aio's too.
+        assert result.segment_invocations == aio.segment_invocations
+        assert result.branch_outputs == aio.branch_outputs
         assert result.invocations == predicted_invocations(
             "readonly", 2, len(self.RECORDS))

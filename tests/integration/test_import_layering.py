@@ -97,7 +97,7 @@ WIRE_PACKAGES = ("net", "aio", "broker", "obs", "fault")
 #: All that the wire packages may import from outside themselves at
 #: module level: leaves that need nothing of the simulator.
 SHARED_LEAVES = {
-    "repro", "repro._lazy", "repro.devices.workload",
+    "repro", "repro._lazy",
     "repro.core.errors", "repro.core.uid", "repro.core.capability",
     "repro.core.stats", "repro.core.tracing",
     "repro.transput.stream", "repro.transput.flow",

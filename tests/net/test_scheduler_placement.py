@@ -18,12 +18,11 @@ import pathlib
 import pytest
 
 from repro.api import GraphBuilder, Pipeline
-from repro.api.execute import _plan_block
-from repro.api.graph import partition_records
 from repro.broker import host as host_cli
 from repro.broker.launch import plan_hosted_fleet
+from repro.net import launch
 from repro.net import stage as stage_cli
-from repro.net.launch import IDENTITY, plan_linear_fleet
+from repro.net.launch import IDENTITY
 from repro.net.stage import StageConfig, _Stage
 from repro.obs.top import render_fleet
 from tests.net.affinity_probe import mask_text
@@ -101,43 +100,59 @@ class TestStagesKeepTheDriverMask:
 
 
 class TestShardedBlockPlan:
-    """``_plan_block`` plans ``Pipeline([STRIP], shards=2)``'s block as
-    its TCP run does: one sub-fleet per shard."""
+    """The graph runner plans ``Pipeline([STRIP], shards=2)``'s block
+    as its TCP run does: one sub-fleet per shard.  The supervisor is
+    replaced by one that only keeps the plans."""
 
-    def plan(self, tmp_path, items=("a", "b", "c", "d"), **knobs):
-        pipeline = Pipeline([STRIP], source=list(items), shards=2)
-        (block,) = pipeline._program().segments
-        buckets = partition_records(list(items), block.op, block.policy, 2)
-        return _plan_block(block, buckets, tmp_path,
-                           lambda branch: branch.flow, **knobs)
+    def plan(self, tmp_path, monkeypatch, items=("a", "b", "c", "d"),
+             **knobs):
+        planned = []
 
-    def test_each_stage_is_labelled_with_its_shard(self, tmp_path):
-        plans = self.plan(tmp_path)
+        class Supervisor:
+            def __init__(self, plans, **_knobs):
+                planned.extend(plans)
+
+            def run(self, feeds, forwards):
+                for forward in forwards.values():
+                    forward.end()
+                return launch.FleetResult(output=[], stats=[])
+
+        monkeypatch.setattr(launch, "FleetSupervisor", Supervisor)
+        Pipeline([STRIP], source=list(items), shards=2).run(
+            runtime="tcp", workdir=str(tmp_path), **knobs)
+        return planned
+
+    def test_each_stage_is_labelled_with_its_shard(self, tmp_path,
+                                                   monkeypatch):
+        plans = self.plan(tmp_path, monkeypatch)
         assert [plan.shard for plan in plans] == [0, 0, 0, 1, 1, 1]
         assert [plan.plan["shard"] for plan in plans] == \
             [plan.shard for plan in plans]
 
     def test_each_shard_plans_into_its_own_directory_and_ticket_space(
-            self, tmp_path):
-        plans = self.plan(tmp_path)
+            self, tmp_path, monkeypatch):
+        plans = self.plan(tmp_path, monkeypatch)
         for plan in plans:
             branch = tmp_path / f"branch-{plan.shard}"
             assert pathlib.Path(plan.stats_file).parent == branch
             assert plan.plan["ticket_space"] == plan.shard
 
-    def test_every_listener_gets_its_own_port(self, tmp_path):
-        ports = [plan.plan["listen_port"] for plan in self.plan(tmp_path)
+    def test_every_listener_gets_its_own_port(self, tmp_path, monkeypatch):
+        ports = [plan.plan["listen_port"]
+                 for plan in self.plan(tmp_path, monkeypatch)
                  if plan.plan["listen_port"] is not None]
         assert len(ports) == 4  # two listeners per one-filter shard
         assert len(set(ports)) == len(ports)
 
-    def test_plan_files_read_back_as_the_planned_stages(self, tmp_path):
-        for plan in self.plan(tmp_path):
+    def test_plan_files_read_back_as_the_planned_stages(self, tmp_path,
+                                                        monkeypatch):
+        for plan in self.plan(tmp_path, monkeypatch):
             config = stage_cli.config_from_args(list(plan.argv))
             assert config.to_dict() == plan.plan
 
-    def test_traced_manifest_describes_shards_and_stages(self, tmp_path):
-        plans = self.plan(tmp_path, trace=True)
+    def test_traced_manifest_describes_shards_and_stages(self, tmp_path,
+                                                         monkeypatch):
+        plans = self.plan(tmp_path, monkeypatch, trace=True)
         manifest = json.loads((tmp_path / "fleet.json").read_text())
         assert sorted(manifest) == ["resume", "shards", "stages"]
         assert manifest["shards"] == 2
@@ -147,8 +162,9 @@ class TestShardedBlockPlan:
             "control_port", "fault", "role", "serial", "shard",
             "stats_file", "trace_file"]
 
-    def test_untraced_block_writes_no_combined_manifest(self, tmp_path):
-        self.plan(tmp_path)
+    def test_untraced_block_writes_no_combined_manifest(self, tmp_path,
+                                                        monkeypatch):
+        self.plan(tmp_path, monkeypatch)
         assert not (tmp_path / "fleet.json").exists()
 
 

@@ -47,8 +47,7 @@ def test_tcp_pipeline_matches_simulator_byte_for_byte(tmp_path, discipline):
         discipline,
         FILTER_SPECS,
         str(tmp_path),
-        source_count=ITEMS,
-        source_seed=SEED,
+        source_items=random_lines(count=ITEMS, seed=SEED),
     )
     assert len(plans) == N_FILTERS + 2  # source + 3 filters + sink
     result = run_fleet(plans, timeout=60)
@@ -106,7 +105,7 @@ def test_lookahead_prefetch_preserves_output(tmp_path):
     """The eager knob (T4) on real sockets: same records, same order."""
     eager = run_fleet(plan_linear_fleet(
         "readonly", FILTER_SPECS, str(tmp_path),
-        source_count=ITEMS, source_seed=SEED,
+        source_items=random_lines(count=ITEMS, seed=SEED),
         flow=FlowPolicy.eager(lookahead=4),
     ), timeout=60)
     assert eager.output == simulator_output("readonly")
