@@ -36,7 +36,7 @@ specs already do.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -855,12 +855,16 @@ class Router:
     Whatever order the inlets fill in, the outlets receive the records
     a whole-list join and split would give, in the same order.
     ``logs`` keeps every record each inlet brought (a block's branch
-    outputs).
+    outputs) where they are read back: with several inlets, or a merge.
+    A single-inlet gather hands each push straight on and keeps none
+    (``logs`` is empty).
     """
 
     def __init__(self, inlets: int, join: str, op: str, policy: str | None,
                  outlets: Sequence[Any]) -> None:
-        self.logs: list[list[Any]] = [[] for _ in range(inlets)]
+        self.logs: list[list[Any]] = (
+            [[] for _ in range(inlets)] if inlets > 1 or join == "merge"
+            else [])
         self._ended = [False] * inlets
         self._join = join
         self._op = op
@@ -873,7 +877,8 @@ class Router:
 
     def push(self, inlet: int, records: Sequence[Any]) -> None:
         """Inlet ``inlet`` brought ``records``."""
-        self.logs[inlet].extend(records)
+        if self.logs:
+            self.logs[inlet].extend(records)
         if self._join == "gather":
             if inlet == self._at:
                 self._emit(records)
@@ -885,11 +890,12 @@ class Router:
         self._ended[inlet] = True
         if self._join == "gather":
             # The next open inlet flows, with what it buffered so far.
-            while self._at < len(self.logs) and self._ended[self._at]:
+            inlets = len(self._ended)
+            while self._at < inlets and self._ended[self._at]:
                 self._at += 1
-                if self._at < len(self.logs):
+                if self._at < inlets:
                     self._emit(self.logs[self._at])
-            if self._at == len(self.logs):
+            if self._at == inlets:
                 self._close()
         elif self._layers():
             self._close()

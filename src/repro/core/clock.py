@@ -19,12 +19,10 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
+        #: Current virtual time: read on every message sent, so a plain
+        #: attribute.  The scheduler's run loop moves it as each event
+        #: falls due; :meth:`advance_to` is the checked way to move it.
+        self.now = float(start)
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.
@@ -33,11 +31,11 @@ class VirtualClock:
             KernelError: on any attempt to move time backwards, which
                 would indicate a scheduler bug.
         """
-        if when < self._now:
+        if when < self.now:
             raise KernelError(
-                f"virtual time may not run backwards ({when} < {self._now})"
+                f"virtual time may not run backwards ({when} < {self.now})"
             )
-        self._now = when
+        self.now = when
 
     def __repr__(self) -> str:
-        return f"VirtualClock(now={self._now})"
+        return f"VirtualClock(now={self.now})"

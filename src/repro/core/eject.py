@@ -43,6 +43,7 @@ from repro.core.syscalls import (
     Deactivate,
     Invoke,
     ProcessBody,
+    RECEIVE_ANY,
     Receive,
     SendReply,
 )
@@ -93,7 +94,7 @@ class Eject:
     def main(self) -> ProcessBody:
         """Default server loop: receive anything, dispatch to ``op_*``."""
         while True:
-            invocation = yield Receive()
+            invocation = yield RECEIVE_ANY
             yield from self.dispatch(invocation)
 
     def passive_representation(self) -> Any:

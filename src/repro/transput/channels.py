@@ -100,7 +100,7 @@ class ChannelTable:
                 raise ChannelSecurityError(
                     f"{self._owner.name} requires a channel capability"
                 )
-            return self.default
+            return self._names[0]  # the default channel (every unqualified Read)
         if isinstance(presented, ChannelCapability):
             resolved = self._owner.channels.validate(presented)
             if resolved is None or resolved not in self._names:

@@ -23,7 +23,7 @@ from repro.api import (
     GraphNode,
     SCATTER_POLICIES,
 )
-from repro.api.graph import join_records
+from repro.api.graph import Router, _Records, join_records
 from repro.transput import FlowPolicy, identity_transducer
 
 IDENTITY = "repro.transput:identity_transducer"
@@ -308,3 +308,30 @@ class TestMergeJoin:
                              min_size=2, max_size=5))
     def test_merge_is_the_round_robin_interleave(self, branches):
         assert join_records(branches, "merge") == reference_interleave(branches)
+
+
+class TestRouterLogs:
+    """A router logs records only where it reads them back."""
+
+    def test_a_single_inlet_gather_hands_on_and_keeps_nothing(self):
+        outlets = [_Records(), _Records()]
+        router = Router(1, "gather", "scatter", "round_robin", outlets)
+        router.push(0, ["a", "b", "c"])
+        router.push(0, ["d"])
+        router.end(0)
+        assert outlets == [["a", "c"], ["b", "d"]]
+        assert router.logs == []
+
+    def test_several_inlets_keep_each_inlets_records(self):
+        joined = _Records()
+        router = Router(2, "gather", "broadcast", None, [joined])
+        router.push(1, ["later"])  # held back until inlet 0 ends
+        router.push(0, ["first"])
+        assert joined == ["first"]
+        router.end(0)
+        router.end(1)
+        assert joined == ["first", "later"]
+        assert router.logs == [["first"], ["later"]]
+
+    def test_a_merge_keeps_its_layers_even_with_one_inlet(self):
+        assert join_records([["x", "y"]], "merge") == ["x", "y"]

@@ -512,15 +512,15 @@ def ref_encode(value) -> bytes:
         return b"\x05" + ref_varint(len(raw)) + raw
     if isinstance(value, bytes):
         return b"\x06" + ref_varint(len(value)) + value
+    if isinstance(value, UID):  # a tuple subclass: before the tuple rung
+        return b"\x0a" + b"".join(
+            map(ref_int, (value.space, value.serial, value.nonce)))
     if isinstance(value, (list, tuple)):
         tag = b"\x08" if isinstance(value, tuple) else b"\x07"
         return tag + ref_varint(len(value)) + b"".join(map(ref_encode, value))
     if isinstance(value, dict):
         return b"\x09" + ref_varint(len(value)) + b"".join(
             ref_encode(key) + ref_encode(item) for key, item in value.items())
-    if isinstance(value, UID):
-        return b"\x0a" + b"".join(
-            map(ref_int, (value.space, value.serial, value.nonce)))
     assert isinstance(value, ChannelCapability)
     return (b"\x0b" + ref_encode(value.owner)[1:] + ref_encode(value.name)
             + ref_int(value.secret))
@@ -532,12 +532,12 @@ def ref_payload(value):
         return value
     if isinstance(value, bytes):
         return {"__bytes__": base64.b64encode(value).decode("ascii")}
+    if isinstance(value, UID):  # a tuple subclass: before the tuple rung
+        return {"__uid__": [value.space, value.serial, value.nonce]}
     if isinstance(value, tuple):
         return {"__tuple__": [ref_payload(item) for item in value]}
     if isinstance(value, list):
         return [ref_payload(item) for item in value]
-    if isinstance(value, UID):
-        return {"__uid__": [value.space, value.serial, value.nonce]}
     if isinstance(value, ChannelCapability):
         return {"__chan__": {"owner": ref_payload(value.owner)["__uid__"],
                              "name": value.name, "secret": value.secret}}
