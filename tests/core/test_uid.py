@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.eject import Eject
 from repro.core.errors import ForgeryError
+from repro.core.kernel import Kernel
 from repro.core.uid import NONCE_BITS, UID, UIDFactory
 
 
@@ -86,6 +88,22 @@ class TestValueSemantics:
         same = UID(space=uid.space, serial=uid.serial, nonce=uid.nonce)
         assert uid == same
         assert hash(uid) == hash(same)
+
+    def test_a_bare_tuple_is_not_a_uid(self):
+        kernel = Kernel()
+        eject = kernel.create(Eject, name="e")
+        uid = eject.uid
+        bare = (uid.space, uid.serial, uid.nonce)
+        assert uid != bare and bare != uid
+        assert not uid == bare and not bare == uid
+        assert hash(uid) == hash(bare)  # alike, yet never the same key
+        assert kernel.find(uid) is eject
+        assert kernel.find(bare) is None  # type: ignore[arg-type]
+        kernel.store.write(uid, "Eject", {}, 0.0)
+        assert kernel.store.has(uid)
+        assert not kernel.store.has(bare)  # type: ignore[arg-type]
+        assert {uid: 1}.get(bare) is None
+        assert {bare: 1}.get(uid) is None
 
     def test_ordering_is_total(self):
         factory = UIDFactory()
