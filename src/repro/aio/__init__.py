@@ -7,7 +7,6 @@ coroutines instead of the deterministic simulator.
 from repro._lazy import lazy_front
 
 __getattr__, __dir__, __all__ = lazy_front(globals(), {
-    "repro.aio.channels": ("AioReportingStage", "ChannelReader"),
     "repro.aio.pipeline": (
         "stream_conventional", "stream_readonly", "stream_segment",
         "stream_writeonly",

@@ -1,10 +1,15 @@
 """The pipeline shell interpreter.
 
 Executes parsed statements against a simulated Eden kernel.  A
-pipeline statement builds real Ejects in the configured discipline,
-runs the simulation to completion, and returns/binds the collected
-lines — "dynamically redirectable stream transput" (§6) driven from a
-command language.
+pipeline statement is composed by
+:func:`repro.transput.pipeline.compose_segment` — the builder the
+graph runner's simulator uses — in the configured discipline, under a
+:class:`~repro.transput.flow.FlowPolicy` made of the session's
+``batch`` and ``lookahead``, so a statement costs the invocations the
+same pipeline costs through :class:`repro.api.Pipeline`.  A channel
+redirect adds one sink per redirected channel; the simulation runs to
+completion and the collected lines are returned/bound — "dynamically
+redirectable stream transput" (§6) driven from a command language.
 
 Example session::
 
@@ -34,15 +39,11 @@ from repro.shell.ast import (
 )
 from repro.shell.builtins import build_transducer
 from repro.shell.parser import parse_line
-from repro.transput.buffer import PassiveBuffer
-from repro.transput.conventional import ConventionalFilter
 from repro.transput.filterbase import OUTPUT, as_reporting
-from repro.transput.pipeline import DISCIPLINES
-from repro.transput.readonly import ReadOnlyFilter
+from repro.transput.flow import FlowPolicy
+from repro.transput.pipeline import DISCIPLINES, compose_segment, run_until_done
 from repro.transput.sink import CollectorSink, PassiveSink
-from repro.transput.source import ActiveSource, ListSource
 from repro.transput.stream import StreamEndpoint
-from repro.transput.writeonly import WriteOnlyFilter
 
 
 @dataclass
@@ -192,32 +193,41 @@ class Shell:
             for channel in transducer.channels:
                 if channel != OUTPUT:
                     owners[channel] = index
-        for channel in channel_redirects:
+        reports: dict[str, tuple[str, int]] = {}
+        for channel, target in channel_redirects.items():
             resolved = self._resolve_channel(channel, owners)
             if resolved is None:
                 raise ShellNameError(
                     f"no pipeline stage provides channel {channel!r}"
                 )
-        start = self.kernel.stats.snapshot()
-        if self.discipline == "readonly":
-            result = self._run_readonly(lines, transducers, channel_redirects, owners)
-        elif self.discipline == "writeonly":
-            result = self._run_writeonly(lines, transducers, channel_redirects, owners)
-        else:
-            result = self._run_conventional(
-                lines, transducers, channel_redirects, owners
-            )
-        result.invocations = (
-            self.kernel.stats.snapshot().diff(start)["invocations_sent"]
+            reports[target] = resolved
+        pipeline = compose_segment(
+            self.kernel, self.discipline, lines, transducers,
+            flow=FlowPolicy(batch=self.batch, lookahead=self.lookahead),
         )
-        result.discipline = self.discipline
+        report_sinks = {
+            target: self._report_sink(pipeline.filters[index], name)
+            for target, (name, index) in reports.items()
+        }
+        stats, _ = run_until_done(
+            self.kernel, [pipeline.sink, *report_sinks.values()]
+        )
+        result = ShellResult(
+            output=list(pipeline.sink.collected),
+            redirected={
+                target: list(sink.collected)
+                for target, sink in report_sinks.items()
+            },
+            invocations=stats["invocations_sent"],
+            discipline=self.discipline,
+        )
         primary_target = statement.primary_target()
         if primary_target is not None:
             self.env[primary_target] = list(result.output)
             result.redirected[primary_target] = list(result.output)
             result.output = []
-        for channel, target in channel_redirects.items():
-            self.env[target] = result.redirected.get(target, [])
+        for target in reports:
+            self.env[target] = result.redirected[target]
         return result
 
     def _resolve_channel(
@@ -234,122 +244,15 @@ class Shell:
                 return extras[position][0], extras[position][1]
         return None
 
-    # -- discipline-specific runners ---------------------------------------
-
-    def _run_readonly(
-        self, lines, transducers, channel_redirects, owners
-    ) -> ShellResult:
-        source = self.kernel.create(ListSource, items=lines)
-        upstream = source.output_endpoint()
-        filters: list[ReadOnlyFilter] = []
-        for transducer in transducers:
-            stage = self.kernel.create(
-                ReadOnlyFilter, transducer=transducer, inputs=[upstream],
-                batch_in=self.batch,
-                # Multi-channel stages stay lazy so channel redirects
-                # cannot starve (demand-driven prefetch needs a reader).
-                lookahead=self.lookahead if len(transducer.channels) == 1
-                else 0,
+    def _report_sink(self, stage: Any, channel: str) -> Any:
+        """A sink collecting ``stage``'s ``channel`` (paper §5): a
+        reader of the channel in the read-only discipline, one more
+        output endpoint of the channel (fan-out) in the others."""
+        if self.discipline == "readonly":
+            return self.kernel.create(
+                CollectorSink, inputs=[stage.output_endpoint(channel)],
+                batch=self.batch,
             )
-            filters.append(stage)
-            upstream = stage.output_endpoint(OUTPUT if len(
-                transducer.channels) > 1 else None)
-        sink = self.kernel.create(
-            CollectorSink, inputs=[upstream], batch=self.batch
-        )
-        report_sinks: dict[str, CollectorSink] = {}
-        for channel, target in channel_redirects.items():
-            name, stage_index = self._resolve_channel(channel, owners)
-            report_sinks[target] = self.kernel.create(
-                CollectorSink,
-                inputs=[filters[stage_index].output_endpoint(name)],
-            )
-        watched = [sink, *report_sinks.values()]
-        self.kernel.run(until=lambda: all(s.done for s in watched))
-        self.kernel.run()
-        return ShellResult(
-            output=list(sink.collected),
-            redirected={
-                target: list(s.collected) for target, s in report_sinks.items()
-            },
-        )
-
-    def _run_writeonly(
-        self, lines, transducers, channel_redirects, owners
-    ) -> ShellResult:
         sink = self.kernel.create(PassiveSink)
-        report_sinks: dict[str, PassiveSink] = {}
-        target_for_stage: dict[int, dict[str, StreamEndpoint]] = {}
-        for channel, target in channel_redirects.items():
-            name, stage_index = self._resolve_channel(channel, owners)
-            report_sink = self.kernel.create(PassiveSink)
-            report_sinks[target] = report_sink
-            target_for_stage.setdefault(stage_index, {})[name] = StreamEndpoint(
-                report_sink.uid, None
-            )
-        downstream = StreamEndpoint(sink.uid, None)
-        stages: list[WriteOnlyFilter] = []
-        for index in range(len(transducers) - 1, -1, -1):
-            outputs: dict[str, list[StreamEndpoint]] = {OUTPUT: [downstream]}
-            for name, endpoint in target_for_stage.get(index, {}).items():
-                outputs[name] = [endpoint]
-            stage = self.kernel.create(
-                WriteOnlyFilter, transducer=transducers[index], outputs=outputs
-            )
-            stages.append(stage)
-            downstream = StreamEndpoint(stage.uid, None)
-        self.kernel.create(ActiveSource, items=lines, outputs=[downstream])
-        watched = [sink, *report_sinks.values()]
-        self.kernel.run(until=lambda: all(s.done for s in watched))
-        self.kernel.run()
-        return ShellResult(
-            output=list(sink.collected),
-            redirected={
-                target: list(s.collected) for target, s in report_sinks.items()
-            },
-        )
-
-    def _run_conventional(
-        self, lines, transducers, channel_redirects, owners
-    ) -> ShellResult:
-        report_sinks: dict[str, PassiveSink] = {}
-        target_for_stage: dict[int, dict[str, StreamEndpoint]] = {}
-        for channel, target in channel_redirects.items():
-            name, stage_index = self._resolve_channel(channel, owners)
-            report_sink = self.kernel.create(PassiveSink)
-            report_sinks[target] = report_sink
-            target_for_stage.setdefault(stage_index, {})[name] = StreamEndpoint(
-                report_sink.uid, None
-            )
-        buffers = [
-            self.kernel.create(PassiveBuffer, name=f"sh-pipe-{i}")
-            for i in range(len(transducers) + 1)
-        ]
-        for index, transducer in enumerate(transducers):
-            outputs: dict[str, list[StreamEndpoint]] = {
-                OUTPUT: [StreamEndpoint(buffers[index + 1].uid, None)]
-            }
-            for name, endpoint in target_for_stage.get(index, {}).items():
-                outputs[name] = [endpoint]
-            self.kernel.create(
-                ConventionalFilter,
-                transducer=transducer,
-                inputs=[StreamEndpoint(buffers[index].uid, None)],
-                outputs=outputs,
-            )
-        self.kernel.create(
-            ActiveSource, items=lines,
-            outputs=[StreamEndpoint(buffers[0].uid, None)],
-        )
-        sink = self.kernel.create(
-            CollectorSink, inputs=[StreamEndpoint(buffers[-1].uid, None)]
-        )
-        watched = [sink, *report_sinks.values()]
-        self.kernel.run(until=lambda: all(s.done for s in watched))
-        self.kernel.run()
-        return ShellResult(
-            output=list(sink.collected),
-            redirected={
-                target: list(s.collected) for target, s in report_sinks.items()
-            },
-        )
+        stage.connect_output(StreamEndpoint(sink.uid, None), channel)
+        return sink

@@ -24,6 +24,7 @@ The Eden pipeline shell (SOSP'83 asymmetric stream transput).
   NAME | FILTER ARGS | ... [> OUT] run a pipeline
   ... Report> WIN                  redirect a channel (the 'n>' syntax)
   set discipline readonly|writeonly|conventional
+  set batch N | set lookahead N    records per invocation / read ahead
   show NAME                        print a binding
   env                              list bindings
   stats                            kernel counters so far

@@ -33,7 +33,6 @@ SURFACE = {
         ),
     },
     "repro.aio": {
-        "repro.aio.channels": "AioReportingStage ChannelReader",
         "repro.aio.pipeline": (
             "stream_conventional stream_readonly "
             "stream_segment stream_writeonly"
