@@ -94,7 +94,7 @@ async def stream_conventional(
     items: Iterable[Any],
     transducers: Sequence[Transducer],
     batch: int = 1,
-    capacity: int = 16,
+    capacity: int | None = 16,
     stats: KernelStats | None = None,
 ) -> list[Any]:
     """Conventional pipeline: a pumping task per filter, pipes between.

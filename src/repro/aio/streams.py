@@ -227,9 +227,10 @@ class AioCollector:
 
 
 class AioPipe:
-    """A bounded passive buffer: the conventional discipline's pipe.
+    """A passive buffer: the conventional discipline's pipe.
 
-    Both ends are passive; backpressure comes from the bounded queue.
+    Both ends are passive; backpressure comes from the bounded queue
+    (``capacity=None`` is unbounded, as a sim ``PassiveBuffer``'s).
 
     Each deposited record remembers the span context it was written
     under (``None`` when tracing is off); a read publishes the first
@@ -239,10 +240,11 @@ class AioPipe:
     discipline's WRITE→buffer→READ hops into one causal chain.
     """
 
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=capacity)
+    def __init__(self, capacity: int | None = 16) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+        # asyncio.Queue reads maxsize 0 as unbounded.
+        self._queue: asyncio.Queue = asyncio.Queue(maxsize=capacity or 0)
         self._ended = False
         #: Span context under which the last-read record was deposited.
         self.last_read_origin: Any = None

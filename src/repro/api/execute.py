@@ -407,7 +407,7 @@ def _aio_steps(flow_of, stats: Any):
         if pipeline.discipline == "readonly":
             kwargs["lookahead"] = policy.lookahead
         elif pipeline.discipline == "conventional":
-            kwargs["capacity"] = policy.buffer_capacity or 16
+            kwargs["capacity"] = policy.buffer_capacity
         return RUNNERS[pipeline.discipline](
             records, _transducers(pipeline.specs), stats=stats, **kwargs)
 

@@ -713,8 +713,7 @@ class _Stage:
                     batch=flow.batch,
                 )
         else:  # pipe: a passive buffer process (the Unix pipe, §1)
-            capacity = flow.buffer_capacity or 64
-            pipe = AioPipe(capacity=capacity)
+            pipe = AioPipe(capacity=flow.buffer_capacity)
             await self._serve(readables=pipe,
                               writable=self._killing_writable(pipe), clients=2)
 

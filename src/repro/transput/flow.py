@@ -36,7 +36,8 @@ class FlowPolicy:
             (0 = pure lazy / demand-driven).
         batch: records per Read/Write invocation (1 matches the paper's
             one-invocation-per-datum accounting).
-        buffer_capacity: capacity of conventional-discipline pipes.
+        buffer_capacity: capacity of conventional-discipline pipes
+            (``None`` = unbounded, on every runtime).
         inbox_capacity: write-only filters' input queue bound
             (``None`` = unbounded).
         credit_window: explicit record credit a passive input grants a
