@@ -31,7 +31,7 @@ from repro.net.framing import Frame, FrameType
 from repro.net.handshake import ROLE_HOST, TicketBook, send_hello
 from repro.net.metrics import NetStats
 from repro.net.mux import ChannelMux, ChannelOpener, MuxChannel
-from repro.net.protocol import connect_with_backoff
+from repro.net.protocol import connect_with_backoff, welcome_within
 from repro.broker.daemon import BrokerError
 
 __all__ = ["BrokerClient"]
@@ -80,14 +80,12 @@ class BrokerClient:
         reader, writer = await connect_with_backoff(
             self.host, self.port, deadline=self.connect_deadline
         )
-        try:
-            await send_hello(
-                reader, writer, self.uid, ROLE_HOST, book=self.book,
-                roles=(ROLE_HOST,),
-            )
-        except BaseException:
-            writer.close()  # a refused admission keeps no socket open
-            raise
+        # A refused or silent admission keeps no socket open.
+        await welcome_within(send_hello(
+            reader, writer, self.uid, ROLE_HOST, book=self.book,
+            roles=(ROLE_HOST,),
+        ), writer, f"the broker at {self.host}:{self.port}",
+            self.connect_deadline)
         self.mux = ChannelMux(
             reader, writer,
             on_control=self._on_control,

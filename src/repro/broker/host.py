@@ -63,7 +63,7 @@ from repro.fault.plan import (
     RestartRule,
 )
 from repro.net.bufpool import POOL
-from repro.net.handshake import ROLE_PULL, ROLE_PUSH, Hello, TicketBook
+from repro.net.handshake import Hello, TicketBook
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
 from repro.net.stage import (
@@ -72,6 +72,7 @@ from repro.net.stage import (
     emit_records,
     plan_values,
     read_plan,
+    serves_roles,
     supervise_incarnations,
 )
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
@@ -155,15 +156,6 @@ class HostConfig:
     @property
     def discipline(self) -> str:
         return self.stages[0].discipline
-
-
-def serves_roles(role: str, discipline: str) -> tuple[str, ...]:
-    """The channel roles a stage's passive end accepts, if any."""
-    if discipline == "readonly" and role in ("source", "filter"):
-        return (ROLE_PULL,)
-    if discipline == "writeonly" and role in ("filter", "sink"):
-        return (ROLE_PUSH,)
-    return ()
 
 
 class _HostedStage:

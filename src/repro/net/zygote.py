@@ -15,7 +15,12 @@ Before it serves, the fork makes itself look like the interpreter it
 replaces: its pipes and log on fds 0-2 under new ``sys.std*``, every
 other driver descriptor on ``/dev/null``, no driver object finalised,
 and a new interpreter's signals, but SIGINT ignored: the driver decides
-what a ^C does to the fleet, by closing stdin.
+what a ^C does to the fleet, by closing stdin.  The one exception is
+the listeners :func:`start` is given: sockets the driver bound for the
+fleet's processes before it forked the zygote, so that nothing that
+dials a process is refused while it starts.  The zygote keeps each
+until it forks the process it was bound for, and the driver closes its
+own copies once the zygote has started.
 
 The zygote speaks one JSON object per line.  It reads requests on
 stdin:
@@ -23,7 +28,11 @@ stdin:
 - ``{"fork": ID, "module": M, "argv": [...], "stdout": PATH,
   "stderr": PATH, "append": BOOL}`` forks a child that runs
   ``M.main(argv)`` with ``/dev/null`` on fd 0 and its two logs on fds
-  1 and 2 (appended to on a restart, truncated otherwise);
+  1 and 2 (appended to on a restart, truncated otherwise).  An optional
+  ``"listener": FD`` names one of the zygote's listeners: the child
+  gets it on fd 3 (:data:`repro.net.protocol.LISTENER_FD`) and the
+  zygote closes its own copy, so only the child holds it.  A child
+  holds no other listener;
 - ``{"kill": ID, "signal": N}`` sends signal ``N`` to that child if it
   is still running;
 - ``{"sync": N}`` reaps every child that has exited and replies
@@ -55,6 +64,10 @@ import traceback
 from typing import Any, Callable, NoReturn, Sequence
 
 __all__ = ["Handle", "preload", "start"]
+
+#: Where a child finds the listener its fork request names: the first
+#: descriptor after its logs (``repro.net.protocol.LISTENER_FD``).
+_LISTENER_FD = 3
 
 
 def preload(modules: Sequence[str]) -> None:
@@ -99,9 +112,11 @@ def _run(module: str, argv: list[str]) -> int:
 class _Zygote:
     """The request loop: fork, signal and reap children, report exits."""
 
-    def __init__(self) -> None:
+    def __init__(self, listeners: Sequence[int]) -> None:
         #: pid -> request id, for every child not yet reaped.
         self.children: dict[int, Any] = {}
+        #: The listeners no child has been handed yet.
+        self.listeners = set(listeners)
         self.wake_r, self.wake_w = os.pipe()
         os.set_blocking(self.wake_r, False)
         os.set_blocking(self.wake_w, False)
@@ -156,6 +171,10 @@ class _Zygote:
         pid = os.fork()
         if pid == 0:
             _exit_with(lambda: self.child(request))
+        listener = request.get("listener")
+        if listener in self.listeners:  # the child's now, and only its
+            self.listeners.discard(listener)
+            os.close(listener)
         self.children[pid] = request["fork"]
         self.reply({"id": request["fork"], "pid": pid})
 
@@ -171,8 +190,13 @@ class _Zygote:
         signal.signal(signal.SIGINT, signal.default_int_handler)
         for target, fd in enumerate(logs):
             os.dup2(fd, target)
-        for fd in (*logs, self.wake_r, self.wake_w):
+        own = request.get("listener")
+        for fd in (*logs, self.wake_r, self.wake_w,
+                   *(self.listeners - {own})):
             os.close(fd)
+        if own in self.listeners and own != _LISTENER_FD:
+            os.dup2(own, _LISTENER_FD, inheritable=False)
+            os.close(own)
         return _run(request["module"], list(request["argv"]))
 
     def reap(self) -> None:
@@ -216,8 +240,13 @@ class Handle:
         return self.returncode
 
 
-def start(modules: Sequence[str], stderr_path: str) -> Handle:
-    """Fork a zygote of this process that logs to ``stderr_path``."""
+def start(modules: Sequence[str], stderr_path: str,
+          listeners: Sequence[int] = ()) -> Handle:
+    """Fork a zygote of this process that logs to ``stderr_path``.
+
+    ``listeners`` are the descriptors of listening sockets the zygote
+    keeps, under the same numbers, for its fork requests to hand out.
+    """
     requests, reports = os.pipe(), os.pipe()
     log = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     # Text left in the driver's buffers is written once, by the driver.
@@ -229,14 +258,17 @@ def start(modules: Sequence[str], stderr_path: str) -> Handle:
             os.close(fd)
         raise
     if pid == 0:
-        _exit_with(lambda: _become(modules, (requests[0], reports[1], log)))
+        _exit_with(lambda: _become(modules, (requests[0], reports[1], log),
+                                   listeners))
     for fd in (requests[0], reports[1], log):
         os.close(fd)
     return Handle(pid, open(requests[1], "wb", 0), open(reports[0], "rb"))
 
 
-def _become(modules: Sequence[str], ends: Sequence[int]) -> int:
-    """Turn a fork of the driver into a zygote on ``ends`` as fds 0-2."""
+def _become(modules: Sequence[str], ends: Sequence[int],
+            listeners: Sequence[int]) -> int:
+    """Turn a fork of the driver into a zygote on ``ends`` as fds 0-2,
+    keeping ``listeners``."""
     gc.freeze()
     signal.set_wakeup_fd(-1)
     for signum in signal.valid_signals():
@@ -248,7 +280,7 @@ def _become(modules: Sequence[str], ends: Sequence[int]) -> int:
     # This frame outlives every fork: no stream it replaces is finalised.
     replaced = (sys.stdin, sys.stdout, sys.stderr,  # noqa: F841
                 sys.__stdin__, sys.__stdout__, sys.__stderr__)
-    held = {int(fd) for fd in os.listdir("/dev/fd")} - {0, 1, 2}
+    held = {int(fd) for fd in os.listdir("/dev/fd")} - {0, 1, 2, *listeners}
     # Pipes and log were opened in this order, so each end's number is
     # above its target's and no dup2 overwrites an end still to come.
     for target, fd in enumerate(ends):
@@ -262,5 +294,5 @@ def _become(modules: Sequence[str], ends: Sequence[int]) -> int:
     sys.stderr = sys.__stderr__ = open(
         2, "w", buffering=1, errors="backslashreplace", closefd=False)
     preload(modules)
-    _Zygote().serve()
+    _Zygote(listeners).serve()
     return 0

@@ -21,6 +21,11 @@ Example session::
 Channel redirection uses the ``n>`` syntax the paper cites::
 
     sh.execute_one("prog | report F1 2 | upper Report> win > out")
+
+A redirect names a channel one stage provides, or numbers it: ``n>``
+is the n-th channel besides ``Output`` counting every stage's, in stage
+order, so ``prog | report A 3 | report B 2 1> a 2> b`` takes A's report
+and B's.  A name two stages provide is ambiguous, and an error.
 """
 
 from __future__ import annotations
@@ -187,20 +192,14 @@ class Shell:
         channel_redirects = {
             r.channel: r.target for r in statement.redirects if r.channel != ""
         }
-        # Each named channel binds to the LAST stage advertising it.
-        owners: dict[str, int] = {}
-        for index, transducer in enumerate(transducers):
-            for channel in transducer.channels:
-                if channel != OUTPUT:
-                    owners[channel] = index
-        reports: dict[str, tuple[str, int]] = {}
-        for channel, target in channel_redirects.items():
-            resolved = self._resolve_channel(channel, owners)
-            if resolved is None:
-                raise ShellNameError(
-                    f"no pipeline stage provides channel {channel!r}"
-                )
-            reports[target] = resolved
+        # Every (channel, stage) a redirect can take, in stage order.
+        extras = [(channel, index)
+                  for index, transducer in enumerate(transducers)
+                  for channel in transducer.channels if channel != OUTPUT]
+        reports = {
+            target: self._resolve_channel(channel, extras, statement.stages)
+            for channel, target in channel_redirects.items()
+        }
         pipeline = compose_segment(
             self.kernel, self.discipline, lines, transducers,
             flow=FlowPolicy(batch=self.batch, lookahead=self.lookahead),
@@ -231,18 +230,24 @@ class Shell:
         return result
 
     def _resolve_channel(
-        self, channel: str, owners: dict[str, int]
-    ) -> tuple[str, int] | None:
-        """Map a redirect channel (name or position) to (name, stage)."""
-        if channel in owners:
-            return channel, owners[channel]
-        if channel.isdigit():
-            # Positional: the n-th non-primary channel, in stage order.
-            extras = sorted(owners.items(), key=lambda pair: pair[1])
-            position = int(channel) - 1
-            if 0 <= position < len(extras):
-                return extras[position][0], extras[position][1]
-        return None
+        self, channel: str, extras: list[tuple[str, int]],
+        stages: tuple[Stage, ...],
+    ) -> tuple[str, int]:
+        """Map a redirect channel to one of ``extras``' (name, stage):
+        the one stage's channel of that name, or the n-th pair for a
+        positional ``n>``."""
+        named = [extra for extra in extras if extra[0] == channel]
+        if len(named) > 1:
+            owners = " and ".join(f"stage {index + 1} ({stages[index]})"
+                                  for _name, index in named)
+            raise ShellNameError(
+                f"channel {channel!r} is provided by {owners}: "
+                f"redirect it by position")
+        if named:
+            return named[0]
+        if channel.isdigit() and 0 < int(channel) <= len(extras):
+            return extras[int(channel) - 1]
+        raise ShellNameError(f"no pipeline stage provides channel {channel!r}")
 
     def _report_sink(self, stage: Any, channel: str) -> Any:
         """A sink collecting ``stage``'s ``channel`` (paper §5): a

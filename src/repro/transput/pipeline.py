@@ -28,7 +28,11 @@ from repro.core.node import Node
 from repro.core.stats import StatsSnapshot
 from repro.transput.buffer import PassiveBuffer
 from repro.transput.conventional import ConventionalFilter
-from repro.transput.filterbase import ReportingTransducer, Transducer
+from repro.transput.filterbase import (
+    ReportingTransducer,
+    Transducer,
+    as_reporting,
+)
 from repro.transput.flow import FlowPolicy
 from repro.transput.readonly import ReadOnlyFilter
 from repro.transput.sink import ActiveSink, CollectorSink, PassiveSink
@@ -148,6 +152,16 @@ def run_until_done(
             + (f" ({stuck})" if stuck else "")
         )
     return kernel.stats.snapshot().diff(start), kernel.clock.now - start_time
+
+
+def _forwarded_channel(transducer: Transducer | ReportingTransducer) -> str:
+    """The channel of ``transducer`` a pipeline carries downstream.
+
+    The first it names: the one an unqualified Read of a read-only
+    filter gets, and so, for the same pipeline in the other two
+    disciplines, the one a filter writes on to the next stage.
+    """
+    return as_reporting(transducer).channels[0]
 
 
 def _resolve_source(
@@ -280,7 +294,7 @@ def compose_writeonly_pipeline(
         stage = kernel.create(
             WriteOnlyFilter,
             transducer=transducer,
-            outputs=[downstream],
+            outputs={_forwarded_channel(transducer): [downstream]},
             inbox_capacity=flow.inbox_capacity,
             batch_out=flow.batch,
             node=node,
@@ -344,7 +358,8 @@ def compose_conventional_pipeline(
             ConventionalFilter,
             transducer=transducer,
             inputs=[StreamEndpoint(buffers[index].uid, None)],
-            outputs=[StreamEndpoint(buffers[index + 1].uid, None)],
+            outputs={_forwarded_channel(transducer):
+                     [StreamEndpoint(buffers[index + 1].uid, None)]},
             batch=flow.batch,
             node=filter_nodes[index],
         )

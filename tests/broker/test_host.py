@@ -18,12 +18,8 @@ from repro.net.handshake import ROLE_PULL, ROLE_PUSH, TicketBook
 from repro.net.protocol import WireError
 from repro.broker.daemon import Broker, FIRST_STAGE_SERIAL
 from repro.net.stage import StageConfig
-from repro.broker.host import (
-    HostConfig,
-    HostError,
-    StageHost,
-    serves_roles,
-)
+from repro.broker.host import HostConfig, HostError, StageHost
+from repro.net.stage import serves_roles
 
 BOOK_ARGS = dict(space=5, seed=21)
 ITEMS = ["pearl", "coral", "amber", "jade"]
@@ -148,6 +144,8 @@ class TestServesRoles:
         ("source", "writeonly", ()),
         ("filter", "writeonly", (ROLE_PUSH,)),
         ("sink", "writeonly", (ROLE_PUSH,)),
+        ("filter", "conventional", ()),
+        ("pipe", "conventional", (ROLE_PULL, ROLE_PUSH)),
     ])
     def test_passive_ends_by_role(self, role, discipline, expected):
         assert serves_roles(role, discipline) == expected

@@ -78,6 +78,10 @@ PLANTS = {
         "    return kernel.create(buffer.PassiveBuffer)\n"),
     "one-lazy-aio-stage": (
         "src/repro/aio/streams.py", "", "\nclass AioReportingStage:\n    pass\n"),
+    "one-listener": (
+        "src/repro/broker/daemon.py", "",
+        "\nasync def _listen(accept):\n"
+        "    return await asyncio.start_server(accept, '127.0.0.1', port=0)\n"),
 }
 
 #: rule -> the test that plants its violation in a tree of its own.
@@ -152,6 +156,8 @@ def test_a_planted_violation_fires(copy, edit, name):
      "except (InjectedKill, Exception)", "except Exception"),
     ("only-the-zygote-forks", "src/repro/net/zygote.py",
      "os.fork()", "os.getpid()"),
+    ("one-listener", "src/repro/net/protocol.py",
+     "def listen_socket(", "def listening_socket("),
 ])
 def test_a_rule_with_one_owner_fires_when_the_owner_goes(
         copy, edit, name, path, old, new):

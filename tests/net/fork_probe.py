@@ -2,8 +2,9 @@
 
 Spawned stages import it by spec (``tests.net.fork_probe:fork_tag``),
 so a test can read, from the output alone, what a forked process
-inherited from the driver: the sockets it holds, how it and every
-process of its fleet handle signals, and what it blocks.
+inherited from the driver: the sockets it and every other process of
+its run hold, how it and every process of its fleet handle signals,
+and what it blocks.
 """
 
 from __future__ import annotations
@@ -30,16 +31,27 @@ def _fleet() -> list[int]:
     return sorted({os.getpid(), parent, *siblings})
 
 
-def report() -> dict:
-    """What this process sees, as JSON-ready values."""
+def _sockets(pid: int | str) -> list[str]:
+    """The sockets process ``pid`` holds, as ``socket:[inode]``."""
     sockets = []
-    for fd in os.listdir("/proc/self/fd"):
+    try:
+        fds = os.listdir(f"/proc/{pid}/fd")
+    except OSError:
+        return sockets  # exited while we looked
+    for fd in fds:
         try:
-            target = os.readlink(f"/proc/self/fd/{fd}")
+            target = os.readlink(f"/proc/{pid}/fd/{fd}")
         except OSError:
-            continue  # the directory's own descriptor, closed by now
+            continue  # closed by now, like the listing's own descriptor
         if target.startswith("socket:"):
             sockets.append(target)
+    return sorted(sockets)
+
+
+def report() -> dict:
+    """What this process sees, as JSON-ready values."""
+    zygote = os.getppid()
+    driver = int(_status(zygote)["PPid"])
     sigpipe_ignored, blocked = [], []
     for pid in _fleet():
         try:
@@ -51,7 +63,13 @@ def report() -> dict:
         blocked.append(int(status["SigBlk"], 16))
     handler = signal.getsignal(signal.SIGTERM)
     return {
-        "sockets": sorted(sockets),
+        "pid": os.getpid(),
+        "driver": str(driver),
+        "sockets": _sockets("self"),
+        # Every other process of the run: the zygote, the driver that
+        # forked it, and this process's siblings.
+        "others": {str(pid): _sockets(pid)
+                   for pid in {*_fleet(), driver} - {os.getpid()}},
         "sigterm": getattr(handler, "name", repr(handler)),
         "sigpipe_ignored": sigpipe_ignored,
         "blocked": blocked,

@@ -69,6 +69,27 @@ def test_a_driver_socket_is_open_in_no_stage(tmp_path, placement):
 
 
 @PLACEMENTS
+def test_no_socket_is_held_by_two_processes(tmp_path, placement):
+    # The driver binds every forked process's listener before it forks
+    # the zygote; once a process is forked, only it holds its listener:
+    # not the driver, not the zygote, not a sibling.
+    found = seen(run(placement, tmp_path))
+    for report in found:
+        others = report["others"]
+        driver = set(others.pop(report["driver"]))
+        for pid, sockets in [(report["pid"], report["sockets"]),
+                             *others.items()]:
+            assert not driver & set(sockets), pid
+        for pid, sockets in others.items():
+            assert not set(report["sockets"]) & set(sockets), (
+                report["pid"], pid)
+    owners: dict[str, int] = {}
+    for report in found:
+        for held in report["sockets"]:
+            assert owners.setdefault(held, report["pid"]) == report["pid"]
+
+
+@PLACEMENTS
 def test_signal_handling_is_a_fresh_interpreters(tmp_path, placement):
     previous = signal.signal(signal.SIGTERM, lambda *_: None)
     signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGUSR2])

@@ -56,9 +56,9 @@ def events(monkeypatch):
     play = launch.FleetSupervisor._play_end
     stream = launch.FleetSupervisor.stream
 
-    def started(modules, stderr_path):
+    def started(modules, *rest):
         seen.append(("zygote", list(modules)))
-        return start(modules, stderr_path)
+        return start(modules, *rest)
 
     def executed(*args, **kwargs):
         raise AssertionError(f"a fleet executed {args[0]!r}")

@@ -72,6 +72,24 @@ class TestRedirection:
         with pytest.raises(ShellNameError, match="channel"):
             shell.execute_one("prog | upper Report> win")
 
+    @pytest.mark.parametrize("discipline", ["readonly", "writeonly",
+                                            "conventional"])
+    def test_positions_number_every_stages_channels(self, shell, discipline):
+        shell.execute_one(f"set discipline {discipline}")
+        shell.execute_one("prog | report A 3 | report B 2 | strip 1> r1 2> r2")
+        assert shell.env["r1"][0] == "[A] starting"
+        assert shell.env["r2"][0] == "[B] starting"
+        assert all(line.startswith("[A]") for line in shell.env["r1"])
+        assert all(line.startswith("[B]") for line in shell.env["r2"])
+
+    def test_a_name_two_stages_share_is_ambiguous(self, shell):
+        with pytest.raises(ShellNameError,
+                           match=r"stage 1 \(report A 3\) and "
+                                 r"stage 2 \(report B 2\)"):
+            shell.execute_one("prog | report A 3 | report B 2 | strip "
+                              "Report> r1")
+        assert "r1" not in shell.env
+
 
 class TestDisciplines:
     @pytest.mark.parametrize("discipline", ["readonly", "writeonly",

@@ -13,6 +13,7 @@ from repro.transput import (
 )
 from repro.filters import (
     comment_stripper,
+    fanout,
     sort_lines,
     upper_case,
     word_count,
@@ -44,6 +45,17 @@ class TestEquivalence:
         output = pipeline.run_to_completion()
         assert len(output) == 1
         assert output[0].lines == len(ITEMS)
+
+    @pytest.mark.parametrize("discipline", ["readonly", "writeonly",
+                                            "conventional"])
+    def test_a_transducer_without_an_output_channel_keeps_its_records(
+            self, discipline):
+        """``fanout(2)`` writes on ``out0`` and ``out1`` only; every
+        discipline carries its first channel on, as a read-only
+        pipeline's unqualified Read does."""
+        pipeline = compose_segment(Kernel(), discipline, ["a", "b"],
+                                   [fanout(2)])
+        assert pipeline.run_to_completion() == ["a", "b"]
 
     def test_empty_input(self):
         for discipline in ("readonly", "writeonly", "conventional"):
