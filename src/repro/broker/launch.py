@@ -142,6 +142,7 @@ def plan_hosted_fleet(
             stderr_file=str(workpath / "broker.stderr.log"),
             module="repro.broker.daemon",
             daemon=True,
+            listen=(broker_host, broker_port),
         ))
     else:
         broker_host, _sep, port_text = broker.rpartition(":")
