@@ -107,6 +107,10 @@ IDENTITY: TransducerSpec = ("repro.transput:identity_transducer", ())
 #: spawning: a pipeline's ends.
 _IN_LOOP_ROLES = ("source", "sink")
 
+#: How long a failed end waits for a process's exit to be reported
+#: before its own error is (see :meth:`FleetSupervisor._check_end`).
+_EXIT_GRACE_S = 1.0
+
 
 @dataclass(frozen=True)
 class StagePlan:
@@ -542,6 +546,10 @@ class _Member:
         self.stage: Any = None
         #: The zygote sync a failed end waits for before it is reported.
         self.sync: int | None = None
+        #: A failed end's wait for an exit report: until when, and how
+        #: many exits the zygote had reported when it began.
+        self.exit_by: float | None = None
+        self.exits_before = 0
         #: The socket bound for its first incarnation, until handed over.
         self.listener: socket.socket | None = None
         self.restarts = 0
@@ -648,6 +656,8 @@ class FleetSupervisor:
         self._replies = b""
         self._zygote_gone = False
         self._syncs = self._synced = 0
+        #: Exits the zygote has reported.
+        self._exits = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
 
@@ -710,6 +720,7 @@ class FleetSupervisor:
                 continue
             member.alive, member.pid = False, None
             member.rc = report["rc"]
+            self._exits += 1
             self._wake.set()
 
     def _request(self, request: dict[str, Any]) -> None:
@@ -879,23 +890,41 @@ class FleetSupervisor:
         if not member.task.done():
             return
         error = member.task.exception()
+        killed = isinstance(error, RestartRefused) and isinstance(
+            error.__context__, InjectedKill)
         if error is not None and self._zygote is not None:
             # An end usually fails because a process it talks to died,
-            # and that process is the one to name.  Its exit report can
-            # trail the end's failure, so hear every exit the zygote
-            # has reaped first.
+            # and that process is the one to name.  A dying process's
+            # sockets close before it can be reaped, so unless the end
+            # killed itself or tripped the storm guard, it waits for
+            # the zygote to report an exit (up to _EXIT_GRACE_S); then
+            # it hears every exit the zygote has reaped.
+            own = isinstance(error, RestartRefused) and (
+                killed or error.reason != "budget")
             if member.sync is None:
+                if not own and self._awaiting_exit(member):
+                    return
                 self._syncs += 1
                 member.sync = self._syncs
                 self._request({"sync": member.sync})
             if self._synced < member.sync:
                 return
         if isinstance(error, RestartRefused):
-            raise self._refusal(
-                member, error, isinstance(error.__context__, InjectedKill))
+            raise self._refusal(member, error, killed)
         if error is not None:
             raise error
         member.done = True
+
+    def _awaiting_exit(self, member: _Member) -> bool:
+        """Whether failed end ``member`` still waits for an exit report:
+        none has come since it began to wait, a process was running
+        then, and :data:`_EXIT_GRACE_S` has not passed."""
+        now = time.monotonic()
+        if member.exit_by is None:
+            running = any(m.alive for m in self._members)
+            member.exit_by = now + _EXIT_GRACE_S if running else now
+            member.exits_before = self._exits
+        return now < member.exit_by and self._exits == member.exits_before
 
     # -- the supervision loop -----------------------------------------------
 
@@ -989,7 +1018,9 @@ class FleetSupervisor:
                     )
                 await self._woken(min([deadline] + [
                     m.restart_at for m in members
-                    if m.restart_at is not None]))
+                    if m.restart_at is not None] + [
+                    m.exit_by for m in members
+                    if m.exit_by is not None and m.sync is None]))
             await self._stop_daemons()
         except FleetError as error:
             await self._abort()

@@ -22,12 +22,22 @@ Design rules:
 - **Same-host channels are spliced.**  When the broker issues a route
   whose two ends are both channels of this connection, the opener's
   :class:`MuxChannel` and its peer are *spliced* (:attr:`MuxChannel.peer`):
-  a frame is encoded, recorded and offered to the fault injector
-  exactly as before, then handed to the peer in-process
-  (:meth:`ChannelMux.splice`), which decodes it into its own bytes as
-  its socket would have.  The broker stays the naming and admission
-  authority — it issues, counts and hangs up the route — and relays
-  only what crosses hosts.
+  a frame is encoded once, counted, recorded and offered to the fault
+  injector exactly as before, then handed to the peer in-process
+  (:meth:`ChannelMux.splice`) and decoded exactly as a socket read
+  would decode it.  The codec carries every value of an exact type it
+  encodes (``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
+  ``list``, ``tuple``, ``dict``, ``UID``, ``ChannelCapability``) back
+  as an equal value of that type, so the peer is given the sent
+  :class:`Frame` itself, re-addressed to its own channel.  The bytes
+  are decoded, from the peer's own copy, only where they differ from
+  that frame: a chunk the fault injector rewrote, or a body the
+  encoder converted (an ``IntEnum`` sent as its ``int``, a named tuple
+  as a ``tuple``).  Nothing the peer holds points into the sender's
+  pooled buffer; a handed-over body's objects are the sender's, which
+  no stream code changes once a frame is sent or received.  The broker
+  stays the naming and admission authority — it issues, counts and
+  hangs up the route — and relays only what crosses hosts.
 
 - **Fair writing.**  All channels share one socket, so a hot channel
   could starve the rest at the send buffer.  The :class:`FairWriter`
@@ -59,6 +69,7 @@ from dataclasses import replace
 from typing import Any, Awaitable, Callable, Sequence
 
 from repro.core.tracing import Tracer
+from repro.net import framing
 from repro.net.bufpool import POOL
 from repro.net.framing import (
     CODEC_JSON,
@@ -95,6 +106,26 @@ CONTROL_CHANNEL = 0
 #: Frame types that belong to connection admission, not the stream;
 #: excluded from per-channel stats so C1/C2 counts match raw TCP.
 _HANDSHAKE_TYPES = (FrameType.HELLO, FrameType.WELCOME)
+
+#: Values the body codecs have encoded as a base type.  The codecs look
+#: an exact type up in a table and hand anything else to
+#: ``_for_subclass``, so counting its calls tells a send whether what it
+#: encoded decodes to what it sent, at no cost to an exact-type body.
+#: (A ``str`` subclass used as a dict key under JSON, and the fields of
+#: a ``UID``, are converted without that lookup: such a value is handed
+#: over as it was sent.)
+_conversions = 0
+
+
+def _counted(for_subclass: Callable[..., Any]) -> Callable[..., Any]:
+    def for_subclass_counted(table: Any, value: Any) -> Any:
+        global _conversions
+        _conversions += 1
+        return for_subclass(table, value)
+    return for_subclass_counted
+
+
+framing._for_subclass = _counted(framing._for_subclass)
 
 
 class _ChanQueue:
@@ -228,7 +259,9 @@ class MuxChannel:
     Every outgoing frame is stamped with the channel id (and offered
     to the fault ``injector``, which can target this channel
     specifically); incoming frames arrive from the mux's reader via
-    :meth:`_deliver`, or from a spliced peer via :meth:`_take`.
+    :meth:`_deliver`, or from a spliced peer via :meth:`_take`, into a
+    ``deque`` with at most one waiter, as a
+    :class:`~repro.net.framing.FrameProtocol` holds a socket's frames.
     ``recv`` returns ``None`` once the channel is hung up — the
     per-channel analogue of a peer closing a socket, which is how
     stream code observes a crashed peer or a dying mux without any new
@@ -257,7 +290,10 @@ class MuxChannel:
         self.clock = mux.clock
         self.injector = injector
         self.codec = codec
-        self._inbox: asyncio.Queue[tuple[Frame, int] | None] = asyncio.Queue()
+        #: ``(frame, wire bytes)`` of each frame delivered, not yet taken.
+        self._inbox: deque[tuple[Frame, int]] = deque()
+        self._loop = asyncio.get_running_loop()
+        self._waiter: asyncio.Future[None] | None = None
         self._hung_up = False
         self._closed = False
         #: Invoked (with the channel) on local ``close``; the broker
@@ -275,19 +311,27 @@ class MuxChannel:
 
     async def send(self, frame: Frame) -> None:
         out = POOL.acquire()
+        converted = _conversions
         try:
             wire_bytes = encode_frame_into(
                 Frame(frame.type, frame.body, self.chan), out, self.codec)
         except FrameError:
             POOL.release(out)
             raise
+        # What a spliced peer is handed: the frame, unless its bytes
+        # decode to something else.
+        intact = frame if _conversions == converted else None
         mux = self.mux
         if mux.flight is not None:
             # What the stage believes it sent, pre-injection.
             mux.flight.on_sent(out)
-        chunks = (out,) if self.injector is None else (
-            await self.injector.outgoing(frame.type.name, bytes(out),
-                                         self.chan))
+        if self.injector is None:
+            sent = out
+            chunks: Sequence[Any] = (out,)
+        else:
+            sent = bytes(out)
+            chunks = await self.injector.outgoing(frame.type.name, sent,
+                                                  self.chan)
         peer = self.peer
         for chunk in chunks:
             if peer is None:
@@ -295,9 +339,9 @@ class MuxChannel:
                 # writer, which recycles it after the socket write.
                 await mux.send_wire(self.chan, chunk)
             else:
-                mux.splice(peer, chunk)
+                mux.splice(peer, chunk, intact if chunk is sent else None)
         if peer is not None:
-            POOL.release(out)  # the peer decoded its own copy
+            POOL.release(out)  # the peer holds nothing of it
         if frame.type not in _HANDSHAKE_TYPES:
             self.stats.note_sent(frame, wire_bytes, self.end_is_request)
         mux.stats.counters["mux_frames_sent"] += 1
@@ -321,30 +365,27 @@ class MuxChannel:
             )
 
     async def recv(self) -> Frame | None:
-        if not (self._hung_up and self._inbox.empty()):
-            item = await self._inbox.get()
-            if item is not None:
-                frame, wire_bytes = item
-                self._note_received(frame, wire_bytes)
-                return frame
-        self._hung_up = True
-        if self.error is not None:
-            raise self.error
-        return None
+        inbox = self._inbox
+        while not inbox:
+            if self._hung_up:
+                if self.error is not None:
+                    raise self.error
+                return None
+            self._waiter = self._loop.create_future()
+            await self._waiter
+        frame, wire_bytes = inbox.popleft()
+        self._note_received(frame, wire_bytes)
+        return frame
 
     def recv_nowait(self) -> Frame | None:
         """An inbound frame already queued on this channel, else ``None``.
 
         The ``Connection`` surface the pull server's reply coalescing
-        expects; never blocks and never consumes the hangup marker.
+        expects; never blocks, and says nothing of a hangup.
         """
-        if self._hung_up or self._inbox.empty():
+        if not self._inbox:
             return None
-        item = self._inbox.get_nowait()
-        if item is None:
-            self._hung_up = True
-            return None
-        frame, wire_bytes = item
+        frame, wire_bytes = self._inbox.popleft()
         self._note_received(frame, wire_bytes)
         return frame
 
@@ -362,36 +403,57 @@ class MuxChannel:
 
     def _deliver(self, frame: Frame, wire_bytes: int) -> None:
         if not self._hung_up:
-            self._inbox.put_nowait((frame, wire_bytes))
+            self._inbox.append((frame, wire_bytes))
+            waiter = self._waiter  # _wake, inline: this runs once per frame
+            if waiter is not None:
+                self._waiter = None
+                if not waiter.done():
+                    waiter.set_result(None)
 
-    def _take(self, chunk: Any) -> None:
+    def _take(self, chunk: Any, sent: Frame | None) -> None:
         """Receive one chunk the spliced peer sent, as a socket would.
 
-        The chunk is re-addressed to this channel (the extension the
-        broker relay would have rewritten) and decoded from this
-        channel's own copy, so no body keeps a view into the sender's
-        pooled buffer.  A chunk that does not decode breaks this
-        channel alone: ``recv`` raises the :class:`FrameError` after
-        the frames queued before it.
+        ``sent`` is the frame the peer encoded into ``chunk``, or
+        ``None`` when the chunk would not decode to it.  That frame is
+        taken re-addressed to this channel (the extension the broker
+        relay would have rewritten); otherwise the chunk is
+        re-addressed and decoded from this channel's own copy.  Either
+        way no body keeps a view into the sender's pooled buffer, and
+        the flight recorder logs the re-addressed bytes.  A chunk that
+        does not decode breaks this channel alone: ``recv`` raises the
+        :class:`FrameError` after the frames queued before it.
         """
         if self.error is not None:
             return  # the stream is broken past this point
-        wire = readdress(chunk, self.chan)
-        try:
-            frame, _used = decode_frame(wire)
-        except FrameError as error:
-            self.error = error
-            self.hangup()
-            return
         mux = self.mux
-        if mux.flight is not None:
-            mux.flight.on_received(wire)
+        if sent is None:
+            wire = readdress(chunk, self.chan)
+            try:
+                frame, _used = decode_frame(wire)
+            except FrameError as error:
+                self.error = error
+                self.hangup()
+                return
+            if mux.flight is not None:
+                mux.flight.on_received(wire)
+        else:
+            frame = Frame(sent.type, sent.body, self.chan)
+            if mux.flight is not None:
+                mux.flight.on_received(readdress(chunk, self.chan))
         mux.stats.counters["mux_frames_received"] += 1
-        self._deliver(frame, len(wire))
+        self._deliver(frame, len(chunk))
 
     def hangup(self) -> None:
         """Make ``recv`` return ``None`` after any already-queued frames."""
-        self._inbox.put_nowait(None)
+        self._hung_up = True
+        self._wake()
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
 
 
 class ChannelMux:
@@ -469,12 +531,14 @@ class ChannelMux:
     async def send_wire(self, chan: int, wire: bytes) -> None:
         await self._fair.enqueue(chan, wire)
 
-    def splice(self, chan: int, wire: Any) -> None:
+    def splice(self, chan: int, wire: Any, frame: Frame | None) -> None:
         """Hand one sent chunk to channel ``chan`` of this connection.
 
-        The read loop's demultiplexing without the socket round trip: a
-        closed channel makes the chunk an orphan, and a dead connection
-        fails the sender as its fair writer would.
+        ``frame`` is what ``wire`` encodes, when it decodes to that
+        frame (see :meth:`MuxChannel._take`).  The read loop's
+        demultiplexing without the socket round trip: a closed channel
+        makes the chunk an orphan, and a dead connection fails the
+        sender as its fair writer would.
         """
         if self._closed:
             raise ConnectionResetError(
@@ -483,7 +547,7 @@ class ChannelMux:
         self.stats.counters["mux_frames_spliced"] += 1
         channel = self.channels.get(chan)
         if channel is not None:
-            channel._take(wire)
+            channel._take(wire, frame)
         else:
             self.stats.bump("mux_orphan_frames")
 

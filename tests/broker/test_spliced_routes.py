@@ -2,20 +2,36 @@
 
 A route whose two ends are channels of one host connection never
 crosses the broker relay.  The broker still names, checks, counts and
-hangs it up; the host hands each chunk to the peer channel in-process,
-where it is decoded exactly as a socket read would decode it.  Routes
-between hosts keep the relay.
+hangs it up; the host hands each sent frame to the peer channel
+in-process, where it is decoded exactly as a socket read would decode
+it: the frame itself, re-addressed, when its bytes decode to it, and a
+decode of a copy of the bytes when they do not (a chunk the fault
+injector rewrote, a value the codec converts).  Routes between hosts
+keep the relay.
 """
 
 import asyncio
+import collections
+import enum
 import json
 import struct
 
 import pytest
 
+from repro.core.capability import ChannelCapability
+from repro.core.uid import UID
 from repro.fault.inject import FaultInjector
 from repro.fault.plan import FrameFault
-from repro.net.framing import CODEC_BINARY, Frame, FrameError, FrameType
+from repro.net.bufpool import POOL
+from repro.net.framing import (
+    CODEC_BINARY,
+    CODECS,
+    Frame,
+    FrameError,
+    FrameType,
+    decode_frame,
+    encode_frame,
+)
 from repro.net.handshake import ROLE_PULL, TicketBook
 from repro.net.launch import IDENTITY, plan_linear_fleet, run_fleet
 from repro.obs.flight import frame_digest, load_capture
@@ -90,12 +106,17 @@ class TestIssuance:
 
     def test_decoded_bodies_are_the_receivers_own(self):
         # The pooled send buffer is recycled after the splice: nothing
-        # the receiver holds may still point into it.
+        # the receiver holds points into it, so scribbling over every
+        # buffer the pool hands out again leaves both bodies intact.
         async def scenario():
             broker, host, opener, server = await same_host_route(
                 codec=CODEC_BINARY)
             await opener.send(Frame(FrameType.WRITE, {"items": [b"abc"]}))
             await opener.send(Frame(FrameType.WRITE, {"items": [b"xyz"]}))
+            recycled = [POOL.acquire() for _ in range(4)]
+            for buffer in recycled:
+                buffer[:] = b"\xee" * 64
+                POOL.release(buffer)
             first = await server.recv()
             second = await server.recv()
             await teardown(broker, host)
@@ -105,6 +126,73 @@ class TestIssuance:
         assert first.body == {"items": [b"abc"]}
         assert type(first.body["items"][0]) is bytes
         assert second.body == {"items": [b"xyz"]}
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+Point = collections.namedtuple("Point", "x y")
+
+#: One of every kind of value a body carries; the last two are
+#: converted by the codec (to ``int`` and to ``tuple``).
+VALUES = [
+    None, True, False, 7, -2**70, 2.5, "text", b"\x00\xff",
+    [1, "a", [2, None]], (1, ("a", b"b")),
+    {1: "one", (2, 3): [4], b"k": None, "s": 1.5},
+    UID(1, 2, 3),
+    ChannelCapability(owner=UID(1, 2, 3), name="Output", secret=99),
+    Colour.RED, Point(1, "y"),
+]
+
+
+def shape(value):
+    """``value``'s type, and its items' types, all the way down."""
+    if isinstance(value, (list, tuple)) and not isinstance(value, UID):
+        return type(value), [shape(item) for item in value]
+    if isinstance(value, dict):
+        return dict, [(shape(key), shape(item)) for key, item in value.items()]
+    return type(value)
+
+
+class TestTypeFidelity:
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_spliced_and_relayed_routes_deliver_what_decoding_gives(
+            self, codec):
+        async def scenario():
+            broker = Broker(TicketBook(**BOOK_ARGS))
+            await broker.start()
+            accepted: asyncio.Queue = asyncio.Queue()
+            host = await attach(
+                broker, 2,
+                on_accept=lambda channel, notice: accepted.put_nowait(channel),
+            )
+            await host.register("source", serves=(ROLE_PULL,))
+            far = await attach(broker, 3)
+            routes = []
+            for client in (host, far):  # spliced, then relayed
+                opener = await client.open("source", ROLE_PULL, codec=codec)
+                server = await asyncio.wait_for(accepted.get(), 5.0)
+                got = []
+                for value in VALUES:
+                    await opener.send(Frame(FrameType.DATA, {"value": value}))
+                    got.append(await asyncio.wait_for(server.recv(), 5.0))
+                routes.append((opener.peer is not None, got))
+            await teardown(broker, host, far)
+            return routes
+
+        (spliced, by_splice), (crossed, by_relay) = run(scenario())
+        assert spliced and not crossed
+        for value, one, other in zip(VALUES, by_splice, by_relay):
+            wire = encode_frame(Frame(FrameType.DATA, {"value": value}, 1),
+                                codec)
+            decoded = decode_frame(wire)[0].body["value"]
+            for frame in (one, other):
+                got = frame.body["value"]
+                assert got == decoded
+                assert shape(got) == shape(decoded), (value, codec)
+        assert shape(by_splice[-2].body["value"]) is int
+        assert shape(by_splice[-1].body["value"]) == (tuple, [int, str])
 
 
 class TestFailures:
@@ -161,6 +249,33 @@ def counters(path):
         return json.load(handle)["counters"]
 
 
+def per_stage_sends(trace_files):
+    """Each stage's stream frames sent: ``(role, Counter of frame type,
+    bytes)``, upstream first.
+
+    A stage's label carries the serial its broker minted, which depends
+    on the order hosts registered; a readonly chain dials upstream on
+    its first READ, so a stage's first send (its WELCOME) comes after
+    every stage downstream of it has sent its own.
+    """
+    stages = {}
+    for path in trace_files:
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                event = json.loads(line)
+                if event["kind"] != "send":
+                    continue
+                stage = stages.setdefault(
+                    event["subject"], [event["time"], collections.Counter(), 0])
+                frame = event["detail"]["frame"]
+                if frame not in ("HELLO", "WELCOME"):
+                    stage[1][frame] += 1
+                    stage[2] += event["detail"]["bytes"]
+    ordered = sorted(stages.items(), key=lambda item: item[1][0], reverse=True)
+    return [(subject.split("/")[0], frames, size)
+            for subject, (_first, frames, size) in ordered]
+
+
 class TestHostedFleets:
     def test_mixed_routes_match_the_process_placement(self, tmp_path):
         # Four stages on two hosts: source and filter1 share host-0,
@@ -200,6 +315,34 @@ class TestHostedFleets:
         assert result.output == ITEMS
         assert trace_main([*result.trace_files,
                            "--verify-once", str(len(ITEMS))]) == 0
+
+    def test_a_spliced_route_counts_what_a_relayed_one_counts(self, tmp_path):
+        # One 3-filter chain, all on one host (every route spliced) and
+        # over two (filter3 -> filter2 relayed): each stage sends the
+        # same frames of the same sizes, and delivery is exactly once.
+        def placed(hosts):
+            workdir = tmp_path / f"hosts-{hosts}"
+            result = run_fleet(plan_hosted_fleet(
+                "readonly", [UPPER, IDENTITY, IDENTITY], str(workdir),
+                source_items=ITEMS, hosts=hosts, trace=True, resume=True,
+            ), timeout=90.0)
+            verdict = trace_main([*result.trace_files,
+                                  "--verify-once", str(len(ITEMS))])
+            totals = collections.Counter()
+            for index in range(hosts):
+                host = counters(workdir / f"host-{index}.stats.json")
+                totals.update({name: host[name] for name in (
+                    "invocations_sent", "frames_sent", "bytes_sent")})
+            return result.output, per_stage_sends(result.trace_files), \
+                totals, verdict
+
+        spliced, relayed = placed(1), placed(2)
+        assert spliced == relayed
+        output, stages, totals, verdict = spliced
+        assert output == [item.upper() for item in ITEMS]
+        assert verdict == 0
+        assert len(stages) == 5
+        assert totals["invocations_sent"] == 4 * (len(ITEMS) + 1)
 
     def test_flight_records_each_spliced_frame_on_both_ends(self, tmp_path):
         flight_dir = tmp_path / "flight"
