@@ -7,11 +7,20 @@ connection to the broker.  Each hosted stage is the stage
 serve loop, transducers, flow policies and resume machinery — whose
 links are logical channels (:mod:`repro.net.mux`) opened by
 fleet-scoped *name* through the broker, so the host never binds a
-data port.  The broker issues every route; a route to a stage in
-another host is relayed by the broker, while one between two stages
-of this host is spliced in-process (same encode, fault injection,
-decode and counts, no socket crossing).  The host adds only the
-broker client, registration, accept routing, control handlers and
+data port.  The broker issues every route, and every route is
+admitted by the ticket handshake (C4).  A route to a stage in another
+host is relayed by the broker.  A route between two stages of this
+host is spliced in-process: its handshake crosses as frames, and then
+its stream runs as **direct calls** — the active end's ``read`` /
+``write`` awaits the serving stage's own readable / writable, so a
+read at a sink runs down the whole chain in one task, with no frame,
+no encode and no task switch, counting the same invocations and
+records.  A same-host route keeps its frames (encode, fault injection,
+decode and counts, spliced with no socket crossing) when a trace, a
+flight recorder, a fault plan, resume, read pipelining or an
+``io_timeout`` needs them; :meth:`StageHost._direct_route` is the one
+place that decides.  The host adds only the broker client,
+registration, accept routing, the route choice, control handlers and
 output/stats emission; its stages restart through ``net.stage``'s one
 incarnation loop, which a process fleet's in-loop ends also use.
 
@@ -51,10 +60,11 @@ import dataclasses
 import json
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, AsyncIterator, Sequence
+from typing import Any, AsyncIterator, Awaitable, NoReturn, Sequence
 
-from repro.core.errors import EdenError
+from repro.core.errors import EdenError, StreamProtocolError
 from repro.core.tracing import Tracer
 from repro.fault.plan import (
     FaultPlan,
@@ -63,9 +73,11 @@ from repro.fault.plan import (
     RestartRule,
 )
 from repro.net.bufpool import POOL
-from repro.net.handshake import Hello, TicketBook
+from repro.net.framing import Frame, FrameType, decode_frame, encode_frame
+from repro.net.handshake import ROLE_PULL, Hello, TicketBook
 from repro.net.metrics import NetStats
 from repro.net.mux import HostedReadable, HostedWritable, MuxChannel
+from repro.net.protocol import WireError
 from repro.net.stage import (
     StageConfig,
     _Stage,
@@ -78,6 +90,7 @@ from repro.net.stage import (
 from repro.obs.flightmode import FLIGHT_MODES, MODE_FULL
 from repro.obs.registry import snapshot_payload
 from repro.obs.spans import CLOCK_KIND, SpanIds
+from repro.transput.stream import END_TRANSFER, Transfer
 from repro.broker.client import BrokerClient
 
 __all__ = [
@@ -210,12 +223,12 @@ class _Incarnation(_Stage):
         self.spans = record.spans
 
     def _remote_readable(self) -> HostedReadable:
-        return self._linked(HostedReadable(
-            self.opener, self.config.upstream, **self._end_options(True)))
+        return self._linked(_HostedReadable(
+            self, self.config.upstream, **self._end_options(True)))
 
     def _remote_writable(self) -> HostedWritable:
-        return self._linked(HostedWritable(
-            self.opener, self.config.downstream, **self._end_options(False)))
+        return self._linked(_HostedWritable(
+            self, self.config.downstream, **self._end_options(False)))
 
     @contextlib.asynccontextmanager
     async def _accepting(self) -> AsyncIterator[asyncio.Queue]:
@@ -227,6 +240,210 @@ class _Incarnation(_Stage):
         channel.label = self.label
         channel.injector = self.injector
         return await super()._admit(channel, **offer)
+
+    def _stream(self, link: MuxChannel, hello: Hello,
+                passive: Any) -> Awaitable[bool]:
+        route = self.record.host._direct_route(self, link, hello, passive)
+        if route is None:
+            return super()._stream(link, hello, passive)
+        return route.served()
+
+
+#: Record types both codecs carry back as themselves, exactly: a direct
+#: route hands a transfer of nothing else over as it is.
+_CARRIED_AS_IS = frozenset((str, int, bool, type(None), bytes))
+
+
+def _as_delivered(transfer: Transfer, codec: str) -> Transfer:
+    """``transfer`` as a socket would deliver it over ``codec``.
+
+    Records of the exact types in :data:`_CARRIED_AS_IS` are handed over
+    as they are.  Any other transfer is round-tripped through the codec,
+    so an ``IntEnum`` arrives as its ``int``, a named tuple as a
+    ``tuple``, and a record the codec cannot encode raises the
+    :class:`~repro.net.framing.FrameError` a send would.
+    """
+    items = transfer.items
+    if _CARRIED_AS_IS.issuperset(map(type, items)):
+        return transfer
+    frame, _used = decode_frame(encode_frame(
+        Frame(FrameType.DATA, {"items": list(items)}), codec))
+    return Transfer.of(frame.body["items"])
+
+
+class _DirectRoute:
+    """An admitted same-host route whose stream runs as direct calls.
+
+    :meth:`StageHost._direct_route` makes one once the route's WELCOME
+    is through and makes it the active end's ``route``.  From then on
+    the end's ``read`` (or ``write``) is this route's: it awaits the
+    serving stage's own readable (or writable) in the caller's task, so
+    a read at a sink runs down a whole chain of such routes in one task
+    with no frame.  Each call counts what its frames would have counted
+    (``invocations_sent`` and ``records_in`` / ``records_out`` at the
+    active end; ``replies_sent`` and the other ``records_*`` at the
+    serving one), and no ``frames_*`` / ``bytes_*`` / ``mux_*``.
+
+    The serving stage's task waits in :meth:`served` on its channel,
+    which carries nothing after the handshake but the route's hangup:
+    the END hangs it up to complete the stream; an exception raised
+    while serving a call hangs it up to fail the serving stage with it,
+    and the active end then waits for the broker's hangup, which it
+    sees as over frames.
+    """
+
+    def __init__(self, end: "_HostedReadable | _HostedWritable",
+                 link: MuxChannel, passive: Any, stats: NetStats) -> None:
+        #: The active end, the serving stage's channel and its passive
+        #: side: the readable or writable its serve loop would serve.
+        self.end = end
+        self.link = link
+        self.passive = passive
+        self.stats = stats
+        self.codec = link.codec
+        self.ended = False
+        self.error: Exception | None = None
+        #: Push: the credit each ACK would refund, oldest first.
+        self._acks: deque[int] = deque()
+
+    async def served(self) -> bool:
+        """The serving stage's side: True once the stream completed.
+
+        A pull route completes however the reader hangs up, as
+        ``serve_pull`` does without resume; a push route only once its
+        END crossed, as ``serve_push`` does.
+        """
+        frame = await self.link.recv()
+        if self.error is not None:
+            raise self.error
+        if frame is not None:
+            raise WireError(f"direct route got a {frame.type.name} frame")
+        if not self.ended and self.end.role != ROLE_PULL:
+            raise WireError("peer closed mid-stream (no END received)")
+        return True
+
+    async def _failed(self, error: Exception, hangup: str) -> NoReturn:
+        """Fail the serving stage with ``error``; the active end then
+        fails as over frames, once the broker hangs its channel up."""
+        self.error = error
+        self.link.hangup()
+        connection = self.end._connection
+        if connection is not None:
+            await connection.recv()
+        raise WireError(hangup)
+
+    def _complete(self) -> None:
+        self.ended = True
+        self.link.hangup()
+        self.end._ended = True
+
+    async def read(self, batch: int = 1) -> Transfer:
+        """One READ→DATA (or END) round trip, as a call."""
+        end = self.end
+        if end._ended:
+            return END_TRANSFER
+        end.stats.counters["invocations_sent"] += 1
+        try:
+            transfer = _as_delivered(await self.passive.read(max(1, batch)),
+                                     self.codec)
+        except Exception as error:
+            await self._failed(error,
+                               "peer closed mid-stream (no END received)")
+        self.stats.counters["replies_sent"] += 1
+        if transfer is END_TRANSFER:
+            self._complete()
+            await end.aclose()
+            return transfer
+        count = len(transfer.items)
+        self.stats.counters["records_out"] += count
+        if count:
+            end.stats.counters["records_in"] += count
+        return transfer
+
+    async def write(self, transfer: Transfer) -> None:
+        """The WRITE→ACK round trips of one transfer, as calls: cut to
+        the credit the WELCOME granted, as the frames would be."""
+        end = self.end
+        if end._ended:
+            raise StreamProtocolError("write after END")
+        items = transfer.items
+        sent = 0
+        while sent < len(items):
+            while end._credit <= 0:
+                end._credit += self._acks.popleft()
+            if not sent and len(items) <= end._credit:
+                part = transfer
+            else:
+                part = Transfer.of(items[sent:sent + end._credit])
+            count = len(part.items)
+            sent += count
+            end._credit -= count
+            await self._call(_as_delivered(part, self.codec))
+            end.stats.counters["records_out"] += count
+            self.stats.counters["records_in"] += count
+            self._acks.append(count)
+        if transfer is END_TRANSFER:
+            await self._call(transfer)
+            self._complete()
+            await end.aclose()
+
+    async def _call(self, transfer: Transfer) -> None:
+        """One pushed request (a WRITE, or the END) and its ACK."""
+        self.end.stats.counters["invocations_sent"] += 1
+        try:
+            await self.passive.write(transfer)
+        except Exception as error:
+            await self._failed(error, "peer closed while acks were outstanding")
+        self.stats.counters["replies_sent"] += 1
+
+
+class _Dialled:
+    """Mixed in before a hosted stage's active end: it registers every
+    same-host route it opens with the host, where the serving stage
+    picks the route's path once it has admitted it.
+
+    The first ``read`` / ``write`` dials and is admitted, unless the end
+    resumes (which always streams by frames); from then on the end's
+    ``read`` / ``write`` is the path's own: its :class:`_DirectRoute`'s,
+    or the frames' ``RemoteReadable`` / ``RemoteWritable`` one.
+    """
+
+    #: Set by the serving stage when the route streams direct.
+    route: _DirectRoute | None = None
+
+    def __init__(self, stage: "_Incarnation", target: str,
+                 **options: Any) -> None:
+        super().__init__(self._open, target, **options)
+        self.stage = stage
+
+    async def _open(self, target: str, role: str) -> MuxChannel:
+        channel = await self.stage.opener(target, role)
+        if channel.peer is not None:
+            self.stage.record.host.dialled[channel.chan] = self
+        return channel
+
+    async def _admitted(self) -> _DirectRoute | None:
+        if not self.resume:
+            await self._ensure_connected()
+        return self.route
+
+
+class _HostedReadable(_Dialled, HostedReadable):
+    """A hosted stage's upstream end."""
+
+    async def read(self, batch: int = 1) -> Transfer:
+        route = await self._admitted()
+        self.read = super().read if route is None else route.read
+        return await self.read(batch)
+
+
+class _HostedWritable(_Dialled, HostedWritable):
+    """A hosted stage's downstream end."""
+
+    async def write(self, transfer: Transfer) -> None:
+        route = await self._admitted()
+        self.write = super().write if route is None else route.write
+        await self.write(transfer)
 
 
 class StageHost:
@@ -278,6 +495,9 @@ class StageHost:
         self.restart_rule = RestartRule(self.stats,
                                         max_restarts=config.max_restarts)
         self.stages = [_HostedStage(stage, self) for stage in config.stages]
+        #: Channel id -> the active end of this host that opened it, for
+        #: the same-host routes their serving stages have not admitted.
+        self.dialled: dict[int, _Dialled] = {}
         self._by_name = {stage.config.name: stage for stage in self.stages}
         self.started_mono = time.monotonic()
 
@@ -307,6 +527,33 @@ class StageHost:
             )
             stage.adopt_serial(serial)
         self.stats.set_gauge("hosted_stages", float(len(self.stages)))
+
+    def _direct_route(self, server: _Incarnation, link: MuxChannel,
+                      hello: Hello, passive: Any) -> _DirectRoute | None:
+        """How an admitted route streams: the one place it is chosen.
+
+        ``None`` keeps the frames; a :class:`_DirectRoute` streams by
+        direct calls.  Evaluated once per route, by its serving stage
+        right after the WELCOME.  Direct needs all of: both ends on this
+        host; no tracer and no flight recorder; both stages planned with
+        an empty fault plan and without resume; an active end with no
+        ``io_timeout`` that, if it reads, keeps one READ in flight.
+        Every other route keeps its frames, so the evidence a trace, a
+        capture, a fault or a resume needs is exactly what it was.
+        """
+        end = self.dialled.pop(link.peer, None)
+        if end is None or self.tracer.enabled or self.flight is not None:
+            return None
+        for stage in (server, end.stage):
+            planned = stage.record.config
+            if planned.resume or not planned.fault.is_benign:
+                return None
+        if end.io_timeout is not None or (hello.role == ROLE_PULL
+                                          and end.pipeline_depth != 1):
+            return None
+        route = _DirectRoute(end, link, passive, server.stats)
+        end.route = route
+        return route
 
     # -- one stage, incarnation by incarnation -----------------------------
 

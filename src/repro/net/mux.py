@@ -21,9 +21,15 @@ Design rules:
 
 - **Same-host channels are spliced.**  When the broker issues a route
   whose two ends are both channels of this connection, the opener's
-  :class:`MuxChannel` and its peer are *spliced* (:attr:`MuxChannel.peer`):
-  a frame is encoded once, counted, recorded and offered to the fault
-  injector exactly as before, then handed to the peer in-process
+  :class:`MuxChannel` and its peer are *spliced* (:attr:`MuxChannel.peer`).
+  Every spliced route carries its HELLO / WELCOME here.  Most then
+  stream by direct calls between the two stages, not through this
+  module (:mod:`repro.broker.host` decides, once per route); the
+  spliced routes that keep their stream frames are the ones a trace,
+  a flight recorder, a fault plan, resume, read pipelining or an
+  ``io_timeout`` needs frames on.  A spliced frame is encoded once,
+  counted, recorded and offered to the fault injector exactly as a
+  relayed one, then handed to the peer in-process
   (:meth:`ChannelMux.splice`) and decoded exactly as a socket read
   would decode it.  The codec carries every value of an exact type it
   encodes (``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
@@ -33,11 +39,13 @@ Design rules:
   are decoded, from the peer's own copy, only where they differ from
   that frame: a chunk the fault injector rewrote, or a body the
   encoder converted (an ``IntEnum`` sent as its ``int``, a named tuple
-  as a ``tuple``).  Nothing the peer holds points into the sender's
-  pooled buffer; a handed-over body's objects are the sender's, which
-  no stream code changes once a frame is sent or received.  The broker
-  stays the naming and admission authority — it issues, counts and
-  hangs up the route — and relays only what crosses hosts.
+  as a ``tuple``, a ``str`` subclass dict key under JSON as a ``str``,
+  a ``UID`` with an ``IntEnum`` field as one of ``int`` fields).
+  Nothing the peer holds points into the sender's pooled buffer; a
+  handed-over body's objects are the sender's, which no stream code
+  changes once a frame is sent or received.  The broker stays the
+  naming and admission authority — it issues, counts and hangs up the
+  route — and relays only what crosses hosts.
 
 - **Fair writing.**  All channels share one socket, so a hot channel
   could starve the rest at the send buffer.  The :class:`FairWriter`
@@ -68,16 +76,22 @@ from collections import deque
 from dataclasses import replace
 from typing import Any, Awaitable, Callable, Sequence
 
+from repro.core.capability import ChannelCapability
 from repro.core.tracing import Tracer
+from repro.core.uid import UID
 from repro.net import framing
 from repro.net.bufpool import POOL
 from repro.net.framing import (
+    _PLAIN,
+    _TAG_SET,
     CODEC_JSON,
     Frame,
     FrameError,
     FrameProtocol,
     FrameType,
+    _nest,
     _release_after_write,
+    _to_json,
     decode_frame,
     encode_frame_into,
     readdress,
@@ -111,9 +125,9 @@ _HANDSHAKE_TYPES = (FrameType.HELLO, FrameType.WELCOME)
 #: an exact type up in a table and hand anything else to
 #: ``_for_subclass``, so counting its calls tells a send whether what it
 #: encoded decodes to what it sent, at no cost to an exact-type body.
-#: (A ``str`` subclass used as a dict key under JSON, and the fields of
-#: a ``UID``, are converted without that lookup: such a value is handed
-#: over as it was sent.)
+#: Three encoders convert without that lookup, and count here too: a
+#: JSON dict's ``str`` subclass keys, and the fields of a ``UID`` or a
+#: ``ChannelCapability`` (an ``IntEnum`` field is written as its int).
 _conversions = 0
 
 
@@ -126,6 +140,53 @@ def _counted(for_subclass: Callable[..., Any]) -> Callable[..., Any]:
 
 
 framing._for_subclass = _counted(framing._for_subclass)
+
+
+def _json_dict(value: dict, depth: int) -> Any:
+    """``framing._json_dict``, counting ``str`` subclass keys: JSON
+    writes them as ``str``.  A copy rather than a wrapper, so that a
+    dict of exact keys, which every frame body is, costs no extra call."""
+    global _conversions
+    depth = _nest(depth)
+    exact = {str}.issuperset(map(type, value))
+    if _TAG_SET.isdisjoint(value) and (exact or all(isinstance(key, str) for key in value)):
+        if not exact:
+            _conversions += 1
+        return {key: item if type(item) in _PLAIN else _to_json(item, depth)
+                for key, item in value.items()}
+    return {"__dict__": [[_to_json(key, depth), _to_json(item, depth)]
+                         for key, item in value.items()]}
+
+
+_INTS = frozenset((int,))
+
+
+def _converts_uid(uid: UID) -> bool:
+    return not _INTS.issuperset(map(type, uid))
+
+
+def _converts_capability(capability: ChannelCapability) -> bool:
+    return (_converts_uid(capability.owner) or type(capability.name) is not str
+            or type(capability.secret) is not int)
+
+
+def _counting(encode: Callable[..., Any],
+              converts: Callable[[Any], bool]) -> Callable[..., Any]:
+    """``encode``, counting each value ``converts`` says it converts."""
+    def encode_counted(value: Any, *rest: Any) -> Any:
+        global _conversions
+        if converts(value):
+            _conversions += 1
+        return encode(value, *rest)
+    return encode_counted
+
+
+framing._TO_JSON[dict] = _json_dict
+for _table in (framing._TO_JSON, framing._PUT):
+    _table[UID] = _counting(_table[UID], _converts_uid)
+    _table[ChannelCapability] = _counting(_table[ChannelCapability],
+                                          _converts_capability)
+del _table
 
 
 class _ChanQueue:

@@ -575,6 +575,25 @@ class _Stage:
                                       self.uid, **offer)
         return await expect_hello_over(link, self.book, self.uid, **offer)
 
+    def _stream(self, link: Any, hello: Hello,
+                passive: Any) -> Awaitable[bool]:
+        """The stream of one admitted link, served from ``passive`` (the
+        readables or writable its role addresses): True once complete.
+
+        The role's serve loop over the link's frames.  Called once per
+        accepted link, after its WELCOME: a hosted stage may run a
+        same-host route's stream as direct calls instead
+        (:mod:`repro.broker.host`).  It returns the loop to await rather
+        than awaiting it, so no frame of its own sits under every
+        resumption of the loop.
+        """
+        resume = self.config.resume
+        if hello.role == ROLE_PULL:
+            return serve_pull(link, passive, hello,
+                              logs=self._replay_logs if resume else None)
+        return serve_push(link, passive, hello,
+                          state=self._push_state_for(hello) if resume else None)
+
     async def _serve(self, readables: Any = None, writable: Any = None,
                      clients: int = 1) -> None:
         """Accept links and serve them until ``clients`` streams complete.
@@ -617,17 +636,11 @@ class _Stage:
                     return False
                 hello = await self._admit(link, **offer)
                 link.codec = hello.codec
-                if hello.role == ROLE_PULL and readables is not None:
-                    return await serve_pull(
-                        link, readables, hello,
-                        logs=self._replay_logs if resume else None,
-                    )
-                if hello.role == ROLE_PUSH and writable is not None:
-                    return await serve_push(
-                        link, writable, hello,
-                        state=self._push_state_for(hello) if resume else None,
-                    )
-                return False  # a role this stage does not serve
+                passive = {ROLE_PULL: readables,
+                           ROLE_PUSH: writable}.get(hello.role)
+                if passive is None:
+                    return False  # a role this stage does not serve
+                return await self._stream(link, hello, passive)
             except HandshakeError as error:
                 self.say(f"rejected link: {error}")
                 return False

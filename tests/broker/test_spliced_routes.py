@@ -134,24 +134,35 @@ class Colour(enum.IntEnum):
 
 Point = collections.namedtuple("Point", "x y")
 
-#: One of every kind of value a body carries; the last two are
-#: converted by the codec (to ``int`` and to ``tuple``).
+
+class Key(str):
+    pass
+
+
+#: One of every kind of value a body carries; the last four are
+#: converted by the codec: a ``str`` subclass key (JSON: to ``str``),
+#: the ``IntEnum`` field of a ``UID`` (to ``int``), and whole values (to
+#: ``int`` and to ``tuple``).
 VALUES = [
     None, True, False, 7, -2**70, 2.5, "text", b"\x00\xff",
     [1, "a", [2, None]], (1, ("a", b"b")),
     {1: "one", (2, 3): [4], b"k": None, "s": 1.5},
     UID(1, 2, 3),
     ChannelCapability(owner=UID(1, 2, 3), name="Output", secret=99),
+    {Key("k"): 1}, UID(Colour.RED, 2, 3),
     Colour.RED, Point(1, "y"),
 ]
 
 
 def shape(value):
     """``value``'s type, and its items' types, all the way down."""
-    if isinstance(value, (list, tuple)) and not isinstance(value, UID):
+    if isinstance(value, (list, tuple)):
         return type(value), [shape(item) for item in value]
     if isinstance(value, dict):
         return dict, [(shape(key), shape(item)) for key, item in value.items()]
+    if isinstance(value, ChannelCapability):
+        return type(value), [shape(value.owner), shape(value.name),
+                             shape(value.secret)]
     return type(value)
 
 

@@ -78,6 +78,10 @@ PLANTS = {
         "    return kernel.create(buffer.PassiveBuffer)\n"),
     "one-lazy-aio-stage": (
         "src/repro/aio/streams.py", "", "\nclass AioReportingStage:\n    pass\n"),
+    "one-route-selector": (
+        "src/repro/broker/host.py", "",
+        "\ndef _always_direct(end, link, passive, stats):\n"
+        "    return _DirectRoute(end, link, passive, stats)\n"),
     "one-listener": (
         "src/repro/broker/daemon.py", "",
         "\nasync def _listen(accept):\n"
@@ -158,6 +162,8 @@ def test_a_planted_violation_fires(copy, edit, name):
      "os.fork()", "os.getpid()"),
     ("one-listener", "src/repro/net/protocol.py",
      "def listen_socket(", "def listening_socket("),
+    ("one-route-selector", "src/repro/broker/host.py",
+     "def _direct_route(", "def _pick_route("),
 ])
 def test_a_rule_with_one_owner_fires_when_the_owner_goes(
         copy, edit, name, path, old, new):
